@@ -1,13 +1,34 @@
 #include "hls/interp.h"
 
-#include <algorithm>
 #include <cassert>
 #include <utility>
 #include <stdexcept>
 
+#include "hls/schedule.h"
+
 namespace hlsw::hls {
 
 namespace {
+
+// The untimed sink: array writes land immediately, in program order, and
+// executed ops are counted. No per-cycle work.
+struct UntimedSink {
+  std::vector<FxValue>* var_state = nullptr;
+  std::vector<std::vector<FxValue>>* array_state = nullptr;
+  long long ops_executed = 0;
+
+  std::vector<FxValue>& vars() { return *var_state; }
+  const std::vector<std::vector<FxValue>>& arrays() { return *array_state; }
+  void write(int array, int idx, const FxValue& v) {
+    (*array_state)[static_cast<std::size_t>(array)]
+                  [static_cast<std::size_t>(idx)] = v;
+  }
+  void read(int) {}
+  void ops(std::size_t, long long n) { ops_executed += n; }
+  void enter(std::size_t, const RegionPlan&) {}
+  void end_cycle() {}
+};
+
 // Aligns two raw components to a common fractional width.
 void align(__int128& ar, __int128& ai, int fa, __int128& br, __int128& bi,
            int fb, int* fr) {
@@ -114,17 +135,12 @@ FxValue exec_op(const Op& op, const FxValue* a0, const FxValue* a1) {
   }
 }
 
-Interpreter::Interpreter(Function f) : f_(std::move(f)) {
+Interpreter::Interpreter(Function f)
+    : f_(std::move(f)), plan_(f_, untimed_schedule(f_)) {
   for (std::size_t i = 0; i < f_.vars.size(); ++i)
     var_index_.emplace(f_.vars[i].name, static_cast<int>(i));
   for (std::size_t i = 0; i < f_.arrays.size(); ++i)
     array_index_.emplace(f_.arrays[i].name, static_cast<int>(i));
-  std::size_t max_ops = 0;
-  for (const auto& region : f_.regions) {
-    const Block& b = region.is_loop ? region.loop.body : region.straight;
-    max_ops = std::max(max_ops, b.ops.size());
-  }
-  vals_.reserve(max_ops);
   reset();
 }
 
@@ -138,22 +154,7 @@ int Interpreter::cached_array_index(const std::string& name) const {
   return it == array_index_.end() ? -1 : it->second;
 }
 
-void Interpreter::reset() {
-  var_state_.clear();
-  array_state_.clear();
-  for (const auto& v : f_.vars) {
-    FxValue init = v.init;
-    init.fw = v.type.fw();
-    init.cplx = v.type.cplx;
-    var_state_.push_back(init);
-  }
-  for (const auto& a : f_.arrays) {
-    FxValue zero;
-    zero.fw = a.elem.fw();
-    zero.cplx = a.elem.cplx;
-    array_state_.emplace_back(static_cast<size_t>(a.length), zero);
-  }
-}
+void Interpreter::reset() { initial_state(f_, &var_state_, &array_state_); }
 
 const std::vector<FxValue>& Interpreter::array_state(
     const std::string& name) const {
@@ -186,60 +187,6 @@ void Interpreter::set_var_state(const std::string& name, const FxValue& value) {
       fx_convert(value, f_.vars[static_cast<size_t>(i)].type);
 }
 
-void Interpreter::exec_block(const Block& b, int k) {
-  // Fresh zero values per call (guard-skipped producers must read as zero,
-  // exactly like the old per-call vector), but no reallocation: assign()
-  // reuses the buffer's capacity established at construction.
-  vals_.assign(b.ops.size(), FxValue{});
-  std::vector<FxValue>& vals = vals_;
-  for (std::size_t i = 0; i < b.ops.size(); ++i) {
-    const Op& op = b.ops[i];
-    if (op.guard_trip >= 0 && k >= op.guard_trip) continue;
-    ++ops_executed_;
-    switch (op.kind) {
-      case OpKind::kVarRead:
-        vals[i] = var_state_[static_cast<size_t>(op.var)];
-        break;
-      case OpKind::kVarWrite: {
-        const Var& v = f_.vars[static_cast<size_t>(op.var)];
-        var_state_[static_cast<size_t>(op.var)] =
-            fx_convert(vals[static_cast<size_t>(op.args[0])], v.type);
-        break;
-      }
-      case OpKind::kArrayRead: {
-        const int idx = op.idx.eval(k);
-        const auto& arr = array_state_[static_cast<size_t>(op.array)];
-        if (idx < 0 || idx >= static_cast<int>(arr.size()))
-          throw std::out_of_range("array read out of bounds: " +
-                                  f_.arrays[static_cast<size_t>(op.array)].name);
-        vals[i] = arr[static_cast<size_t>(idx)];
-        break;
-      }
-      case OpKind::kArrayWrite: {
-        const int idx = op.idx.eval(k);
-        auto& arr = array_state_[static_cast<size_t>(op.array)];
-        if (idx < 0 || idx >= static_cast<int>(arr.size()))
-          throw std::out_of_range("array write out of bounds: " +
-                                  f_.arrays[static_cast<size_t>(op.array)].name);
-        const Array& a = f_.arrays[static_cast<size_t>(op.array)];
-        arr[static_cast<size_t>(idx)] =
-            fx_convert(vals[static_cast<size_t>(op.args[0])], a.elem);
-        break;
-      }
-      default: {
-        const FxValue* a0 =
-            op.args.size() > 0 ? &vals[static_cast<size_t>(op.args[0])]
-                               : nullptr;
-        const FxValue* a1 =
-            op.args.size() > 1 ? &vals[static_cast<size_t>(op.args[1])]
-                               : nullptr;
-        vals[i] = exec_op(op, a0, a1);
-        break;
-      }
-    }
-  }
-}
-
 PortIo Interpreter::run(const PortIo& in) {
   // Load input ports.
   for (std::size_t i = 0; i < f_.arrays.size(); ++i) {
@@ -264,13 +211,9 @@ PortIo Interpreter::run(const PortIo& in) {
   }
 
   // Execute.
-  for (const auto& region : f_.regions) {
-    if (region.is_loop) {
-      for (int k = 0; k < region.loop.trip; ++k) exec_block(region.loop.body, k);
-    } else {
-      exec_block(region.straight, 0);
-    }
-  }
+  UntimedSink sink{&var_state_, &array_state_};
+  plan_.run(sink);
+  ops_executed_ += sink.ops_executed;
 
   // Collect output ports.
   PortIo out;

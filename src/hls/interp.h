@@ -4,6 +4,14 @@
 // (rtl/sim.h) must match it bit for bit on every invocation, and the
 // native fixpt-based decoder model must match both.
 //
+// Execution engine: the constructor compiles the function through the
+// shared plan compiler (hls/plan.h) as a one-cycle, unpipelined schedule
+// whose array writes land immediately in program order — the same
+// compiler, baked conversions and interval-proven int64 executor
+// rtl::Simulator runs its schedule through, differing only in that write
+// sink. The op-by-op reference it is pinned against is exec_op below,
+// which rtl::Simulator runs under SimOptions::compiled = false.
+//
 // Statics (Figure 4's `static` arrays and vars) persist across run() calls,
 // matching C function-static semantics.
 #pragma once
@@ -13,6 +21,7 @@
 #include <vector>
 
 #include "hls/ir.h"
+#include "hls/plan.h"
 
 namespace hlsw::hls {
 
@@ -98,9 +107,6 @@ class Interpreter {
   long long ops_executed() const { return ops_executed_; }
 
  private:
-  void exec_block(const Block& b, int k);
-  FxValue eval(const Block& b, const std::vector<FxValue>& vals, const Op& op,
-               int k) const;
   int cached_var_index(const std::string& name) const;
   int cached_array_index(const std::string& name) const;
 
@@ -112,9 +118,8 @@ class Interpreter {
   // array_state()/set_array_state() per symbol).
   std::map<std::string, int> var_index_;
   std::map<std::string, int> array_index_;
-  // Evaluation buffer reused across exec_block calls: assign() refreshes
-  // the values without reallocating once capacity is established.
-  std::vector<FxValue> vals_;
+  // f_ compiled under untimed_schedule(f_).
+  ExecPlan plan_;
   long long ops_executed_ = 0;
 };
 
@@ -127,8 +132,9 @@ FxValue fx_mul(const FxValue& a, const FxValue& b);
 FxValue fx_neg(const FxValue& a);
 FxValue fx_sign_conj(const FxValue& a);
 
-// Executes a single op given resolved operand values; used by both the
-// interpreter and the RTL simulator so their arithmetic cannot diverge.
+// Executes a single op given resolved operand values: the op-by-op
+// reference semantics rtl::Simulator's interpretive path runs and the
+// compiled plan (hls/plan.h) is pinned against.
 FxValue exec_op(const Op& op, const FxValue* a0, const FxValue* a1);
 
 }  // namespace hlsw::hls

@@ -23,15 +23,13 @@ using hls::PortStream;
 using hls::Region;
 
 Simulator::Simulator(hls::Function f, hls::Schedule s, SimOptions opts)
-    : f_(std::move(f)), s_(std::move(s)), opts_(opts) {
-  assert(f_.regions.size() == s_.regions.size());
+    : f_(std::move(f)), s_(std::move(s)), opts_(opts), plan_(f_, s_) {
   reset();
-  compile_plan();
+  bind_ports();
+  pending_.reserve(plan_.max_writes_per_cycle());
 }
 
 void Simulator::reset() {
-  var_state_.clear();
-  array_state_.clear();
   pending_.clear();
   cycles_ = 0;
   stats_ = SimStats{};
@@ -47,35 +45,10 @@ void Simulator::reset() {
     stats_.array_reads.push_back(0);
     stats_.array_writes.push_back(0);
   }
-  for (const auto& v : f_.vars) {
-    FxValue init = v.init;
-    init.fw = v.type.fw();
-    init.cplx = v.type.cplx;
-    var_state_.push_back(init);
-  }
-  for (const auto& a : f_.arrays) {
-    FxValue zero;
-    zero.fw = a.elem.fw();
-    zero.cplx = a.elem.cplx;
-    array_state_.emplace_back(static_cast<size_t>(a.length), zero);
-  }
+  hls::initial_state(f_, &var_state_, &array_state_);
 }
 
-namespace {
-
-// Saturation bounds as __int128 for a (w, sgn) format; mirrors the
-// definitions in hls/ir.cpp (the conversion constants baked here must be
-// bit-identical to what fx_convert derives per call).
-__int128 plan_max_raw(int w, bool sgn) {
-  return (static_cast<__int128>(1) << (sgn ? w - 1 : w)) - 1;
-}
-__int128 plan_min_raw(int w, bool sgn) {
-  return sgn ? -(static_cast<__int128>(1) << (w - 1)) : 0;
-}
-
-}  // namespace
-
-void Simulator::compile_plan() {
+void Simulator::bind_ports() {
   // Index-bound ports, sorted by name: input loading becomes one merge
   // walk over the (name-ordered) PortIo maps and output maps rebuild with
   // end-hinted insertions — no per-run map lookups.
@@ -100,290 +73,6 @@ void Simulator::compile_plan() {
   std::sort(in_var_ports_.begin(), in_var_ports_.end(), by_name);
   std::sort(out_array_ports_.begin(), out_array_ports_.end(), by_name);
   std::sort(out_var_ports_.begin(), out_var_ports_.end(), by_name);
-
-  // Bakes a conversion given the statically known raw-value interval
-  // [lo, hi] of the source (covering both components; always contains 0).
-  // If the post-shift value provably fits the destination's overflow
-  // bounds, the runtime saturation/wrap checks are dropped; a truncating
-  // down-shift further degenerates to a bare arithmetic shift.
-  const auto conv_spec = [](const hls::FxType& dst, int src_fw, __int128 lo,
-                            __int128 hi) {
-    ConvSpec cs;
-    cs.shift = dst.fw() - src_fw;
-    cs.out_fw = dst.fw();
-    cs.out_cplx = dst.cplx;
-    cs.w = dst.w;
-    cs.sgn = dst.sgn;
-    cs.q = dst.q;
-    cs.o = dst.o;
-    const __int128 bhi = plan_max_raw(dst.w, dst.sgn);
-    const __int128 blo = (dst.o == fixpt::Ovf::kSatSym && dst.sgn)
-                             ? -bhi
-                             : plan_min_raw(dst.w, dst.sgn);
-    bool no_ovf;
-    if (cs.shift >= 0) {
-      no_ovf = (lo << cs.shift) >= blo && (hi << cs.shift) <= bhi;
-      cs.mode = no_ovf ? ConvSpec::Mode::kShiftUp : ConvSpec::Mode::kFull;
-    } else {
-      // Rounding adds at most one ulp to the floor-shifted value.
-      const int d = -cs.shift;
-      no_ovf = (lo >> d) >= blo && ((hi >> d) + 1) <= bhi;
-      cs.mode = !no_ovf ? ConvSpec::Mode::kFull
-                : dst.q == fixpt::Quant::kTrn ? ConvSpec::Mode::kShiftDown
-                                              : ConvSpec::Mode::kRound;
-    }
-    return cs;
-  };
-  // Raw-value interval of everything a (w, sgn) storage type can hold.
-  const auto type_bounds = [](const hls::FxType& t, __int128* lo,
-                              __int128* hi) {
-    *lo = plan_min_raw(t.w, t.sgn);
-    *hi = plan_max_raw(t.w, t.sgn);
-  };
-
-  plan_.resize(f_.regions.size());
-  std::size_t max_writes_per_cycle = 0;
-  for (std::size_t r = 0; r < f_.regions.size(); ++r) {
-    const Region& region = f_.regions[r];
-    const auto& rs = s_.regions[r];
-    const Block& b = region.is_loop ? region.loop.body : region.straight;
-    RegionPlan& rp = plan_[r];
-    rp.trip = region.is_loop ? region.loop.trip : 1;
-    rp.ii = region.is_loop ? rs.ii : 0;
-    rp.pipelined = rp.ii > 0;
-    rp.depth = rs.body.cycles;
-    rp.nops = static_cast<int>(b.ops.size());
-
-    // Narrow candidacy: proved below op by op — every slot value, aligned
-    // operand, product and pre-conversion intermediate must fit int64
-    // (with margin), and conversion shift/width constants must be small
-    // enough for 64-bit masks.
-    bool narrow = true;
-    constexpr __int128 kNarrowMax = static_cast<__int128>(1) << 62;
-    const auto chk = [&](__int128 v) {
-      if (v > kNarrowMax || v < -kNarrowMax) narrow = false;
-    };
-
-    // Specialize every (iteration, cycle) pair. Operand fractional widths
-    // are propagated statically in program order: state reads carry their
-    // declared type, converted results carry their op's result type, and
-    // guard-skipped producers contribute a fresh zero with fw = 0 —
-    // exactly the values the interpretive path materializes at runtime.
-    const int trip = rp.trip;
-    const int depth = rp.depth;
-    rp.spans.assign(static_cast<size_t>(trip) * static_cast<size_t>(depth),
-                    Span{});
-    rp.zero_spans.resize(static_cast<size_t>(trip));
-    // Bucket ops as (k, cycle) in program order, then flatten.
-    std::vector<std::vector<PlanOp>> buckets(rp.spans.size());
-    std::vector<std::size_t> bucket_writes(rp.spans.size(), 0);
-    std::vector<int> slot_fw(static_cast<size_t>(rp.nops), 0);
-    // Static raw-value interval of each slot (covers re and im, contains
-    // 0) — the evidence behind ConvSpec mode demotion.
-    std::vector<__int128> slot_lo(static_cast<size_t>(rp.nops), 0);
-    std::vector<__int128> slot_hi(static_cast<size_t>(rp.nops), 0);
-    // conv_spec plus the narrow-fitness bookkeeping for this conversion.
-    const auto bake_conv = [&](const hls::FxType& dst, int src_fw,
-                               __int128 lo, __int128 hi) {
-      const ConvSpec cs = conv_spec(dst, src_fw, lo, hi);
-      if (cs.shift > 62 || cs.shift < -62 || cs.w > 62) narrow = false;
-      if (cs.shift >= 0) {
-        chk(lo << cs.shift);
-        chk(hi << cs.shift);
-      } else {
-        chk(lo);
-        chk(hi);
-      }
-      return cs;
-    };
-    for (int k = 0; k < trip; ++k) {
-      rp.zero_spans[static_cast<size_t>(k)].begin =
-          static_cast<int>(rp.zero_slots.size());
-      for (std::size_t i = 0; i < b.ops.size(); ++i) {
-        const Op& op = b.ops[i];
-        if (op.guard_trip >= 0 && k >= op.guard_trip) {
-          // Skipped: the slot reads as a fresh zero. Sequential loops
-          // re-zero it at the first skipped iteration (the buffer is
-          // shared across iterations and runs); pipelined buffers are
-          // per-iteration, so the slot is never written and the
-          // construction-time zero persists.
-          slot_fw[i] = 0;
-          slot_lo[i] = 0;
-          slot_hi[i] = 0;
-          if (!rp.pipelined && k == op.guard_trip)
-            rp.zero_slots.push_back(static_cast<int>(i));
-          continue;
-        }
-        PlanOp p;
-        p.kind = op.kind;
-        p.dst = static_cast<int>(i);
-        p.a0 = op.args.size() > 0 ? op.args[0] : -1;
-        p.a1 = op.args.size() > 1 ? op.args[1] : -1;
-        const int fa = p.a0 >= 0 ? slot_fw[static_cast<size_t>(p.a0)] : 0;
-        const int fb = p.a1 >= 0 ? slot_fw[static_cast<size_t>(p.a1)] : 0;
-        const __int128 alo = p.a0 >= 0 ? slot_lo[static_cast<size_t>(p.a0)] : 0;
-        const __int128 ahi = p.a0 >= 0 ? slot_hi[static_cast<size_t>(p.a0)] : 0;
-        const __int128 blo = p.a1 >= 0 ? slot_lo[static_cast<size_t>(p.a1)] : 0;
-        const __int128 bhi = p.a1 >= 0 ? slot_hi[static_cast<size_t>(p.a1)] : 0;
-        switch (op.kind) {
-          case OpKind::kConst:
-            p.idx = static_cast<int>(const_pool_.size());
-            const_pool_.push_back(op.cval);
-            slot_fw[i] = op.cval.fw;
-            slot_lo[i] = std::min<__int128>(0, std::min(op.cval.re, op.cval.im));
-            slot_hi[i] = std::max<__int128>(0, std::max(op.cval.re, op.cval.im));
-            break;
-          case OpKind::kVarRead: {
-            p.target = op.var;
-            const auto& v = f_.vars[static_cast<size_t>(op.var)];
-            slot_fw[i] = v.type.fw();
-            type_bounds(v.type, &slot_lo[i], &slot_hi[i]);
-            // reset() installs v.init raw components unconverted, so the
-            // first read of a run may see values outside the type bounds.
-            slot_lo[i] = std::min(slot_lo[i], std::min(v.init.re, v.init.im));
-            slot_hi[i] = std::max(slot_hi[i], std::max(v.init.re, v.init.im));
-            break;
-          }
-          case OpKind::kVarWrite:
-            p.target = op.var;
-            p.conv = bake_conv(f_.vars[static_cast<size_t>(op.var)].type, fa,
-                               alo, ahi);
-            break;
-          case OpKind::kArrayRead:
-          case OpKind::kArrayWrite: {
-            p.target = op.array;
-            const Array& a = f_.arrays[static_cast<size_t>(op.array)];
-            // Affine index baked per iteration; -1 marks out-of-bounds so
-            // execution still throws at the same point the interpretive
-            // path would.
-            const int idx = op.idx.eval(k);
-            p.idx = idx >= 0 && idx < a.length ? idx : -1;
-            if (op.kind == OpKind::kArrayRead) {
-              slot_fw[i] = a.elem.fw();
-              type_bounds(a.elem, &slot_lo[i], &slot_hi[i]);
-            } else {
-              p.conv = bake_conv(a.elem, fa, alo, ahi);
-            }
-            break;
-          }
-          case OpKind::kAdd:
-          case OpKind::kSub:
-            // fx_add/fx_sub align both operands to max(fa, fb).
-            p.sa = fa >= fb ? 0 : fb - fa;
-            p.sb = fa >= fb ? fa - fb : 0;
-            // Sum bounds don't bound the aligned terms, so check those too.
-            chk(alo << p.sa);
-            chk(ahi << p.sa);
-            chk(blo << p.sb);
-            chk(bhi << p.sb);
-            slot_lo[i] = op.kind == OpKind::kAdd
-                             ? (alo << p.sa) + (blo << p.sb)
-                             : (alo << p.sa) - (bhi << p.sb);
-            slot_hi[i] = op.kind == OpKind::kAdd
-                             ? (ahi << p.sa) + (bhi << p.sb)
-                             : (ahi << p.sa) - (blo << p.sb);
-            p.conv = bake_conv(op.type, std::max(fa, fb), slot_lo[i],
-                               slot_hi[i]);
-            slot_fw[i] = op.type.fw();
-            type_bounds(op.type, &slot_lo[i], &slot_hi[i]);
-            break;
-          case OpKind::kMul: {
-            // fx_mul's full-precision product carries fa + fb; components
-            // are p1 - p2 and p1 + p2 with p1, p2 component products.
-            const __int128 p1 = alo * blo, p2 = alo * bhi, p3 = ahi * blo,
-                           p4 = ahi * bhi;
-            const __int128 pmin = std::min(std::min(p1, p2), std::min(p3, p4));
-            const __int128 pmax = std::max(std::max(p1, p2), std::max(p3, p4));
-            slot_lo[i] = std::min(pmin - pmax, 2 * pmin);
-            slot_hi[i] = std::max(pmax - pmin, 2 * pmax);
-            p.conv = bake_conv(op.type, fa + fb, slot_lo[i], slot_hi[i]);
-            slot_fw[i] = op.type.fw();
-            type_bounds(op.type, &slot_lo[i], &slot_hi[i]);
-            break;
-          }
-          case OpKind::kNeg:
-          case OpKind::kCast:
-            p.conv = bake_conv(op.type, fa,
-                               op.kind == OpKind::kNeg ? -ahi : alo,
-                               op.kind == OpKind::kNeg ? -alo : ahi);
-            slot_fw[i] = op.type.fw();
-            type_bounds(op.type, &slot_lo[i], &slot_hi[i]);
-            break;
-          case OpKind::kSignConj:
-            slot_fw[i] = 0;
-            slot_lo[i] = -1;
-            slot_hi[i] = 1;
-            break;
-          case OpKind::kReal:
-          case OpKind::kImag:
-            slot_fw[i] = fa;
-            slot_lo[i] = alo;
-            slot_hi[i] = ahi;
-            break;
-          case OpKind::kMakeComplex:
-            p.sa = fa >= fb ? 0 : fb - fa;
-            p.sb = fa >= fb ? fa - fb : 0;
-            p.conv = bake_conv(op.type, std::max(fa, fb),
-                               std::min(alo << p.sa, blo << p.sb),
-                               std::max(ahi << p.sa, bhi << p.sb));
-            slot_fw[i] = op.type.fw();
-            type_bounds(op.type, &slot_lo[i], &slot_hi[i]);
-            break;
-        }
-        // Slot bounds feed later operand loads; they must fit int64 too.
-        chk(slot_lo[i]);
-        chk(slot_hi[i]);
-        const std::size_t bucket =
-            static_cast<std::size_t>(k) * static_cast<std::size_t>(depth) +
-            static_cast<std::size_t>(rs.body.place[i].cycle);
-        if (op.kind == OpKind::kArrayWrite) ++bucket_writes[bucket];
-        buckets[bucket].push_back(p);
-      }
-      rp.zero_spans[static_cast<size_t>(k)].end =
-          static_cast<int>(rp.zero_slots.size());
-    }
-    for (std::size_t s = 0; s < buckets.size(); ++s) {
-      rp.spans[s].begin = static_cast<int>(rp.ops.size());
-      rp.ops.insert(rp.ops.end(), buckets[s].begin(), buckets[s].end());
-      rp.spans[s].end = static_cast<int>(rp.ops.size());
-    }
-
-    // One value buffer per in-flight iteration (pipelined) or one for the
-    // whole region (straight/sequential), zero-initialized once here —
-    // flat int64 component pairs when the region proved narrow, FxValue
-    // slots otherwise.
-    rp.narrow = narrow;
-    rp.ctx_base = static_cast<int>(narrow ? ctx64_pool_.size()
-                                          : ctx_pool_.size());
-    const int nbuf = rp.pipelined ? rp.trip : 1;
-    for (int i = 0; i < nbuf; ++i) {
-      if (narrow)
-        ctx64_pool_.emplace_back(2 * static_cast<size_t>(rp.nops), 0LL);
-      else
-        ctx_pool_.emplace_back(static_cast<size_t>(rp.nops), FxValue{});
-    }
-
-    // Peak array writes in any single committed cycle, accounting for
-    // pipelined iteration overlap — sizes the pending buffer once.
-    if (rp.pipelined) {
-      const int total = depth + (trip - 1) * rp.ii;
-      for (int t = 0; t < total; ++t) {
-        std::size_t w = 0;
-        for (int k = 0; k <= std::min(trip - 1, t / rp.ii); ++k) {
-          const int local = t - k * rp.ii;
-          if (local >= 0 && local < depth)
-            w += bucket_writes[static_cast<size_t>(k) *
-                                   static_cast<size_t>(depth) +
-                               static_cast<size_t>(local)];
-        }
-        max_writes_per_cycle = std::max(max_writes_per_cycle, w);
-      }
-    } else {
-      for (std::size_t w : bucket_writes)
-        max_writes_per_cycle = std::max(max_writes_per_cycle, w);
-    }
-  }
-  pending_.reserve(max_writes_per_cycle);
 }
 
 const std::vector<FxValue>& Simulator::array_state(
@@ -455,359 +144,6 @@ void Simulator::exec_cycle(const Block& b, const BlockSchedule& sched,
         ctx->vals[i] = exec_op(op, a0, a1);
         break;
       }
-    }
-  }
-}
-
-namespace {
-
-// Rounded floor-shift shared by the kRound and kFull paths — bit-identical
-// to the shift-negative branch of hls::fx_convert_component.
-template <class CS>
-inline __int128 conv_round(__int128 raw, const CS& cs) {
-  const int d = -cs.shift;
-  const __int128 base = raw >> d;  // arithmetic shift: floor
-  const bool msb = ((raw >> (d - 1)) & 1) != 0;
-  const bool rest =
-      d >= 2 && (raw & ((static_cast<__int128>(1) << (d - 1)) - 1)) != 0;
-  const bool neg = raw < 0;
-  const bool lsb_kept = (base & 1) != 0;
-  return base +
-         (fixpt::round_increment(cs.q, msb, rest, neg, lsb_kept) ? 1 : 0);
-}
-
-// Applies a pre-baked conversion to one raw component — bit-identical to
-// hls::fx_convert_component with shift and rounding mode resolved at
-// plan-compile time, and the saturation/wrap stage dropped entirely when
-// the plan's interval analysis proved overflow impossible (the common
-// case). Templated on the spec so the simulator's private ConvSpec type
-// stays private.
-template <class CS>
-inline __int128 conv_comp(__int128 raw, const CS& cs) {
-  using Mode = typename CS::Mode;
-  switch (cs.mode) {
-    case Mode::kShiftUp:
-      return raw << cs.shift;
-    case Mode::kShiftDown:
-      return raw >> -cs.shift;
-    case Mode::kRound:
-      return conv_round(raw, cs);
-    case Mode::kFull:
-      break;
-  }
-  const __int128 v = cs.shift >= 0 ? raw << cs.shift : conv_round(raw, cs);
-  const __int128 hi = plan_max_raw(cs.w, cs.sgn);
-  const __int128 lo = (cs.o == fixpt::Ovf::kSatSym && cs.sgn)
-                          ? -hi
-                          : plan_min_raw(cs.w, cs.sgn);
-  if (v > hi || v < lo) {
-    switch (cs.o) {
-      case fixpt::Ovf::kSat:
-      case fixpt::Ovf::kSatSym:
-        return v > hi ? hi : lo;
-      case fixpt::Ovf::kSatZero:
-        return 0;
-      case fixpt::Ovf::kWrap: {
-        const unsigned __int128 mask =
-            (static_cast<unsigned __int128>(1) << cs.w) - 1;
-        unsigned __int128 u = static_cast<unsigned __int128>(v) & mask;
-        if (cs.sgn && (u >> (cs.w - 1)) & 1) u |= ~mask;  // sign extend
-        return static_cast<__int128>(u);
-      }
-    }
-  }
-  return v;
-}
-
-template <class CS>
-inline hls::FxValue conv_pair(__int128 re, __int128 im, const CS& cs) {
-  hls::FxValue out;
-  out.fw = cs.out_fw;
-  out.cplx = cs.out_cplx;
-  out.re = conv_comp(re, cs);
-  out.im = cs.out_cplx ? conv_comp(im, cs) : 0;
-  return out;
-}
-
-}  // namespace
-
-void Simulator::exec_span(const RegionPlan& rp, int span_index,
-                          std::vector<FxValue>& vals, std::size_t region) {
-  const Span sp = rp.spans[static_cast<size_t>(span_index)];
-  // Spans contain exactly the ops the interpretive path would execute for
-  // this (iteration, cycle), so one bulk add keeps SimStats identical.
-  const long long n = sp.end - sp.begin;
-  stats_.ops_executed += n;
-  stats_.region_ops[region] += n;
-  for (int i = sp.begin; i < sp.end; ++i) {
-    const PlanOp& p = rp.ops[static_cast<size_t>(i)];
-    switch (p.kind) {
-      case OpKind::kConst:
-        vals[static_cast<size_t>(p.dst)] =
-            const_pool_[static_cast<size_t>(p.idx)];
-        break;
-      case OpKind::kVarRead:
-        // Scalar registers forward: reads observe the latest write.
-        vals[static_cast<size_t>(p.dst)] =
-            var_state_[static_cast<size_t>(p.target)];
-        break;
-      case OpKind::kVarWrite: {
-        const FxValue& a = vals[static_cast<size_t>(p.a0)];
-        var_state_[static_cast<size_t>(p.target)] =
-            conv_pair(a.re, a.im, p.conv);
-        break;
-      }
-      case OpKind::kArrayRead:
-        if (p.idx < 0)
-          throw std::out_of_range("rtl: array read out of bounds");
-        ++stats_.array_reads[static_cast<size_t>(p.target)];
-        // Start-of-cycle state only: pending writes are not visible.
-        vals[static_cast<size_t>(p.dst)] =
-            array_state_[static_cast<size_t>(p.target)]
-                        [static_cast<size_t>(p.idx)];
-        break;
-      case OpKind::kArrayWrite: {
-        if (p.idx < 0)
-          throw std::out_of_range("rtl: array write out of bounds");
-        ++stats_.array_writes[static_cast<size_t>(p.target)];
-        const FxValue& a = vals[static_cast<size_t>(p.a0)];
-        pending_.push_back({{p.target, p.idx}, conv_pair(a.re, a.im, p.conv)});
-        break;
-      }
-      case OpKind::kAdd: {
-        const FxValue& a = vals[static_cast<size_t>(p.a0)];
-        const FxValue& b = vals[static_cast<size_t>(p.a1)];
-        vals[static_cast<size_t>(p.dst)] =
-            conv_pair((a.re << p.sa) + (b.re << p.sb),
-                      (a.im << p.sa) + (b.im << p.sb), p.conv);
-        break;
-      }
-      case OpKind::kSub: {
-        const FxValue& a = vals[static_cast<size_t>(p.a0)];
-        const FxValue& b = vals[static_cast<size_t>(p.a1)];
-        vals[static_cast<size_t>(p.dst)] =
-            conv_pair((a.re << p.sa) - (b.re << p.sb),
-                      (a.im << p.sa) - (b.im << p.sb), p.conv);
-        break;
-      }
-      case OpKind::kMul: {
-        const FxValue& a = vals[static_cast<size_t>(p.a0)];
-        const FxValue& b = vals[static_cast<size_t>(p.a1)];
-        vals[static_cast<size_t>(p.dst)] = conv_pair(
-            a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re, p.conv);
-        break;
-      }
-      case OpKind::kNeg: {
-        const FxValue& a = vals[static_cast<size_t>(p.a0)];
-        vals[static_cast<size_t>(p.dst)] = conv_pair(-a.re, -a.im, p.conv);
-        break;
-      }
-      case OpKind::kCast: {
-        const FxValue& a = vals[static_cast<size_t>(p.a0)];
-        vals[static_cast<size_t>(p.dst)] = conv_pair(a.re, a.im, p.conv);
-        break;
-      }
-      case OpKind::kSignConj: {
-        const FxValue& a = vals[static_cast<size_t>(p.a0)];
-        FxValue r;
-        r.fw = 0;
-        r.cplx = true;
-        r.re = a.re >= 0 ? 1 : -1;
-        r.im = a.im >= 0 ? -1 : 1;
-        vals[static_cast<size_t>(p.dst)] = r;
-        break;
-      }
-      case OpKind::kReal: {
-        FxValue r = vals[static_cast<size_t>(p.a0)];
-        r.im = 0;
-        r.cplx = false;
-        vals[static_cast<size_t>(p.dst)] = r;
-        break;
-      }
-      case OpKind::kImag: {
-        const FxValue& a = vals[static_cast<size_t>(p.a0)];
-        FxValue r;
-        r.fw = a.fw;
-        r.re = a.im;
-        vals[static_cast<size_t>(p.dst)] = r;
-        break;
-      }
-      case OpKind::kMakeComplex: {
-        // Second operand's REAL part becomes the imaginary component,
-        // aligned like fx_add (see exec_op in hls/interp.cpp).
-        const FxValue& a = vals[static_cast<size_t>(p.a0)];
-        const FxValue& b = vals[static_cast<size_t>(p.a1)];
-        vals[static_cast<size_t>(p.dst)] =
-            conv_pair(a.re << p.sa, b.re << p.sb, p.conv);
-        break;
-      }
-    }
-  }
-}
-
-namespace {
-
-// 64-bit twins of conv_round/conv_comp for narrow regions. Identical
-// arithmetic — the plan proved every value and constant fits, so the
-// results are bit-equal to the 128-bit versions.
-template <class CS>
-inline long long conv64_round(long long raw, const CS& cs) {
-  const int d = -cs.shift;
-  const long long base = raw >> d;  // arithmetic shift: floor
-  const bool msb = ((raw >> (d - 1)) & 1) != 0;
-  const bool rest = d >= 2 && (raw & ((1LL << (d - 1)) - 1)) != 0;
-  const bool neg = raw < 0;
-  const bool lsb_kept = (base & 1) != 0;
-  return base +
-         (fixpt::round_increment(cs.q, msb, rest, neg, lsb_kept) ? 1 : 0);
-}
-
-template <class CS>
-inline long long conv64_comp(long long raw, const CS& cs) {
-  using Mode = typename CS::Mode;
-  switch (cs.mode) {
-    case Mode::kShiftUp:
-      return raw << cs.shift;
-    case Mode::kShiftDown:
-      return raw >> -cs.shift;
-    case Mode::kRound:
-      return conv64_round(raw, cs);
-    case Mode::kFull:
-      break;
-  }
-  const long long v = cs.shift >= 0 ? raw << cs.shift : conv64_round(raw, cs);
-  const long long hi = (1LL << (cs.sgn ? cs.w - 1 : cs.w)) - 1;
-  const long long lo = (cs.o == fixpt::Ovf::kSatSym && cs.sgn)
-                           ? -hi
-                           : cs.sgn ? -(1LL << (cs.w - 1)) : 0;
-  if (v > hi || v < lo) {
-    switch (cs.o) {
-      case fixpt::Ovf::kSat:
-      case fixpt::Ovf::kSatSym:
-        return v > hi ? hi : lo;
-      case fixpt::Ovf::kSatZero:
-        return 0;
-      case fixpt::Ovf::kWrap: {
-        const unsigned long long mask = (1ULL << cs.w) - 1;
-        unsigned long long u = static_cast<unsigned long long>(v) & mask;
-        if (cs.sgn && (u >> (cs.w - 1)) & 1) u |= ~mask;  // sign extend
-        return static_cast<long long>(u);
-      }
-    }
-  }
-  return v;
-}
-
-// Converts a narrow component pair into the baked destination format and
-// materializes the FxValue for the var/array state boundary.
-template <class CS>
-inline hls::FxValue conv64_pair(long long re, long long im, const CS& cs) {
-  hls::FxValue out;
-  out.fw = cs.out_fw;
-  out.cplx = cs.out_cplx;
-  out.re = conv64_comp(re, cs);
-  out.im = cs.out_cplx ? conv64_comp(im, cs) : 0;
-  return out;
-}
-
-}  // namespace
-
-void Simulator::exec_span_narrow(const RegionPlan& rp, int span_index,
-                                 long long* vals, std::size_t region) {
-  const Span sp = rp.spans[static_cast<size_t>(span_index)];
-  const long long n = sp.end - sp.begin;
-  stats_.ops_executed += n;
-  stats_.region_ops[region] += n;
-  for (int i = sp.begin; i < sp.end; ++i) {
-    const PlanOp& p = rp.ops[static_cast<size_t>(i)];
-    long long* d = vals + 2 * p.dst;
-    switch (p.kind) {
-      case OpKind::kConst: {
-        const FxValue& c = const_pool_[static_cast<size_t>(p.idx)];
-        d[0] = static_cast<long long>(c.re);
-        d[1] = static_cast<long long>(c.im);
-        break;
-      }
-      case OpKind::kVarRead: {
-        const FxValue& v = var_state_[static_cast<size_t>(p.target)];
-        d[0] = static_cast<long long>(v.re);
-        d[1] = static_cast<long long>(v.im);
-        break;
-      }
-      case OpKind::kVarWrite:
-        var_state_[static_cast<size_t>(p.target)] =
-            conv64_pair(vals[2 * p.a0], vals[2 * p.a0 + 1], p.conv);
-        break;
-      case OpKind::kArrayRead: {
-        if (p.idx < 0)
-          throw std::out_of_range("rtl: array read out of bounds");
-        ++stats_.array_reads[static_cast<size_t>(p.target)];
-        const FxValue& v = array_state_[static_cast<size_t>(p.target)]
-                                       [static_cast<size_t>(p.idx)];
-        d[0] = static_cast<long long>(v.re);
-        d[1] = static_cast<long long>(v.im);
-        break;
-      }
-      case OpKind::kArrayWrite:
-        if (p.idx < 0)
-          throw std::out_of_range("rtl: array write out of bounds");
-        ++stats_.array_writes[static_cast<size_t>(p.target)];
-        pending_.push_back(
-            {{p.target, p.idx},
-             conv64_pair(vals[2 * p.a0], vals[2 * p.a0 + 1], p.conv)});
-        break;
-      case OpKind::kAdd: {
-        const long long ar = vals[2 * p.a0] << p.sa;
-        const long long ai = vals[2 * p.a0 + 1] << p.sa;
-        const long long br = vals[2 * p.a1] << p.sb;
-        const long long bi = vals[2 * p.a1 + 1] << p.sb;
-        d[0] = conv64_comp(ar + br, p.conv);
-        d[1] = p.conv.out_cplx ? conv64_comp(ai + bi, p.conv) : 0;
-        break;
-      }
-      case OpKind::kSub: {
-        const long long ar = vals[2 * p.a0] << p.sa;
-        const long long ai = vals[2 * p.a0 + 1] << p.sa;
-        const long long br = vals[2 * p.a1] << p.sb;
-        const long long bi = vals[2 * p.a1 + 1] << p.sb;
-        d[0] = conv64_comp(ar - br, p.conv);
-        d[1] = p.conv.out_cplx ? conv64_comp(ai - bi, p.conv) : 0;
-        break;
-      }
-      case OpKind::kMul: {
-        const long long ar = vals[2 * p.a0], ai = vals[2 * p.a0 + 1];
-        const long long br = vals[2 * p.a1], bi = vals[2 * p.a1 + 1];
-        d[0] = conv64_comp(ar * br - ai * bi, p.conv);
-        d[1] = p.conv.out_cplx ? conv64_comp(ar * bi + ai * br, p.conv) : 0;
-        break;
-      }
-      case OpKind::kNeg:
-        d[0] = conv64_comp(-vals[2 * p.a0], p.conv);
-        d[1] = p.conv.out_cplx ? conv64_comp(-vals[2 * p.a0 + 1], p.conv) : 0;
-        break;
-      case OpKind::kCast:
-        d[0] = conv64_comp(vals[2 * p.a0], p.conv);
-        d[1] = p.conv.out_cplx ? conv64_comp(vals[2 * p.a0 + 1], p.conv) : 0;
-        break;
-      case OpKind::kSignConj:
-        d[0] = vals[2 * p.a0] >= 0 ? 1 : -1;
-        d[1] = vals[2 * p.a0 + 1] >= 0 ? -1 : 1;
-        break;
-      case OpKind::kReal:
-        d[0] = vals[2 * p.a0];
-        d[1] = 0;
-        break;
-      case OpKind::kImag:
-        d[0] = vals[2 * p.a0 + 1];
-        d[1] = 0;
-        break;
-      case OpKind::kMakeComplex:
-        // Second operand's REAL part becomes the imaginary component.
-        d[0] = conv64_comp(vals[2 * p.a0] << p.sa, p.conv);
-        d[1] = p.conv.out_cplx
-                   ? conv64_comp(vals[2 * p.a1] << p.sb, p.conv)
-                   : 0;
-        break;
     }
   }
 }
@@ -918,83 +254,51 @@ void Simulator::run_regions_legacy() {
   }
 }
 
-void Simulator::run_regions_compiled() {
-  for (std::size_t r = 0; r < plan_.size(); ++r) {
-    const RegionPlan& rp = plan_[r];
+struct Simulator::TimedSink {
+  Simulator* sim;
+
+  std::vector<FxValue>& vars() { return sim->var_state_; }
+  // Start-of-cycle state only: pending writes are not visible.
+  const std::vector<std::vector<FxValue>>& arrays() {
+    return sim->array_state_;
+  }
+  void enter(std::size_t r, const hls::RegionPlan& rp) {
     // Same region-occupancy accounting as the interpretive path (SimStats
     // stays bit-identical across execution engines).
-    stats_.region_cycles[r] +=
-        rp.pipelined
-            ? rp.depth + static_cast<long long>(rp.trip - 1) * rp.ii
-            : static_cast<long long>(rp.trip) * rp.depth;
-    if (f_.regions[r].is_loop) stats_.region_iters[r] += rp.trip;
-
-    if (!rp.pipelined) {
-      // Straight block (trip 1) or sequential loop: one value buffer
-      // reused across iterations and runs. Every executed op rewrites its
-      // slot each iteration, so the only refresh needed is the zero-list:
-      // slots whose producer becomes guard-skipped at this iteration.
-      for (int k = 0; k < rp.trip; ++k) {
-        const Span zs = rp.zero_spans[static_cast<size_t>(k)];
-        if (rp.narrow) {
-          long long* vals = ctx64_pool_[static_cast<size_t>(rp.ctx_base)]
-                                .data();
-          for (int z = zs.begin; z < zs.end; ++z) {
-            const int s = rp.zero_slots[static_cast<size_t>(z)];
-            vals[2 * s] = 0;
-            vals[2 * s + 1] = 0;
-          }
-          for (int c = 0; c < rp.depth; ++c) {
-            exec_span_narrow(rp, k * rp.depth + c, vals, r);
-            commit_pending();
-          }
-        } else {
-          std::vector<FxValue>& vals =
-              ctx_pool_[static_cast<size_t>(rp.ctx_base)];
-          for (int z = zs.begin; z < zs.end; ++z)
-            vals[static_cast<size_t>(
-                rp.zero_slots[static_cast<size_t>(z)])] = FxValue{};
-          for (int c = 0; c < rp.depth; ++c) {
-            exec_span(rp, k * rp.depth + c, vals, r);
-            commit_pending();
-          }
-        }
-      }
-      continue;
-    }
-
-    // Pipelined loop: iteration k occupies global cycles
-    // [k*ii, k*ii + depth); earlier iterations execute first in a cycle.
-    // Only the active iteration window [k_lo, k_hi] is visited per cycle
-    // (the interpretive path scans every iteration every cycle). Each
-    // iteration has its own value buffer; guard-skipped slots were zeroed
-    // at construction and are never written, so no per-run refresh.
-    const int total = rp.depth + (rp.trip - 1) * rp.ii;
-    for (int t = 0; t < total; ++t) {
-      const int k_hi = std::min(rp.trip - 1, t / rp.ii);
-      const int k_lo = t < rp.depth ? 0 : (t - rp.depth) / rp.ii + 1;
-      if (rp.narrow) {
-        for (int k = k_lo; k <= k_hi; ++k)
-          exec_span_narrow(
-              rp, k * rp.depth + (t - k * rp.ii),
-              ctx64_pool_[static_cast<size_t>(rp.ctx_base + k)].data(), r);
-      } else {
-        for (int k = k_lo; k <= k_hi; ++k)
-          exec_span(rp, k * rp.depth + (t - k * rp.ii),
-                    ctx_pool_[static_cast<size_t>(rp.ctx_base + k)], r);
-      }
-      commit_pending();
-    }
+    SimStats& st = sim->stats_;
+    st.region_cycles[r] +=
+        rp.pipelined ? rp.depth + static_cast<long long>(rp.trip - 1) * rp.ii
+                     : static_cast<long long>(rp.trip) * rp.depth;
+    if (sim->f_.regions[r].is_loop) st.region_iters[r] += rp.trip;
   }
+  void ops(std::size_t r, long long n) {
+    sim->stats_.ops_executed += n;
+    sim->stats_.region_ops[r] += n;
+  }
+  void read(int array) {
+    ++sim->stats_.array_reads[static_cast<size_t>(array)];
+  }
+  // The write becomes visible at the end-of-cycle commit.
+  void write(int array, int idx, const FxValue& v) {
+    ++sim->stats_.array_writes[static_cast<size_t>(array)];
+    sim->pending_.push_back({{array, idx}, v});
+  }
+  void end_cycle() { sim->commit_pending(); }
+};
+
+void Simulator::run_regions() {
+  if (!opts_.compiled) {
+    run_regions_legacy();
+    return;
+  }
+  TimedSink sink{this};
+  plan_.run(sink);
 }
 
 PortIo Simulator::run_one(const PortIo& in) {
   ++stats_.invocations;
   load_inputs(in);
-  if (opts_.compiled)
-    run_regions_compiled();
-  else
-    run_regions_legacy();
+  run_regions();
   PortIo out;
   collect_outputs(&out);
   return out;
@@ -1109,10 +413,7 @@ PortStream Simulator::run_stream(const PortStream& in) {
           fx_convert(vbind[i]->values[static_cast<size_t>(sym)],
                      f_.vars[static_cast<size_t>(p.index)].type);
     }
-    if (opts_.compiled)
-      run_regions_compiled();
-    else
-      run_regions_legacy();
+    run_regions();
     for (std::size_t i = 0; i < out_array_ports_.size(); ++i) {
       const auto& src =
           array_state_[static_cast<size_t>(out_array_ports_[i].index)];

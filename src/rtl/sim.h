@@ -12,16 +12,18 @@
 //  * within a cycle, operations execute in program order (earlier loop
 //    iterations first when pipelining overlaps them).
 //
-// Execution engine: the constructor compiles the schedule into an
-// execution *plan* — per-cycle tables of compact op records with
-// pre-resolved operand slots, per-iteration pre-evaluated affine array
-// indices, index-bound ports and preallocated iteration/commit buffers —
+// Execution engine: the constructor compiles the schedule through the
+// shared plan compiler (hls/plan.h) — per-cycle tables of compact op
+// records with pre-resolved operand slots, per-iteration pre-evaluated
+// affine array indices and baked conversions — and binds ports by index,
 // so run() touches exactly the ops scheduled in each cycle and performs
-// no string lookups or per-iteration allocation. The original interpretive
-// path (rescan every op each cycle) is preserved behind
-// SimOptions::compiled = false as the reference the equivalence battery
-// pins the plan against; both paths are bit-identical in outputs, cycle
-// counts and SimStats.
+// no string lookups or per-iteration allocation. hls::Interpreter runs the
+// same compiler untimed; this simulator differs only in its write sink,
+// which defers array writes to the end-of-cycle commit. The original
+// interpretive path (rescan every op each cycle through hls::exec_op) is
+// preserved behind SimOptions::compiled = false as the independent
+// reference the equivalence battery pins the plan against; both paths are
+// bit-identical in outputs, cycle counts and SimStats.
 //
 // Because the simulator consumes the *transformed* function and its
 // schedule, comparing it against hls::Interpreter on the same transformed
@@ -36,6 +38,7 @@
 
 #include "hls/interp.h"
 #include "hls/ir.h"
+#include "hls/plan.h"
 #include "hls/profile.h"
 #include "hls/schedule.h"
 #include "obs/json.h"
@@ -74,7 +77,7 @@ class Simulator {
   // Takes the post-transform function and the schedule produced for it.
   Simulator(hls::Function f, hls::Schedule s, SimOptions opts = {});
 
-  // The compiled plan holds pointers into this instance's own copy of the
+  // Bound ports hold pointers into this instance's own copy of the
   // function; copying would alias them, so simulators are clone-by-
   // reconstruction (see hls::cosim_sweep for the pattern).
   Simulator(const Simulator&) = delete;
@@ -127,82 +130,6 @@ class Simulator {
     std::vector<hls::FxValue> vals;
   };
 
-  // ---- Compiled execution plan (built once at construction) ----
-  //
-  // The plan is specialized PER ITERATION: because every operand's
-  // fractional width is statically derivable (state reads carry their
-  // port/static type, converted results carry their op's result type, and
-  // guard-skipped producers deterministically yield a fresh zero with
-  // fw = 0), the alignment shifts, conversion shift/rounding/saturation
-  // constants and affine array indices of each (iteration, cycle) pair are
-  // baked at construction. The runtime loop therefore performs no guard
-  // checks, no type derivation and no index evaluation — it only moves
-  // values and applies pre-parameterized arithmetic.
-
-  // Pre-baked fixed-point conversion: everything fx_convert() derives from
-  // the destination FxType and the source width, resolved once — plus a
-  // mode classifying how much of the general algorithm this particular
-  // conversion can actually need. The mode is proved by static interval
-  // propagation over the plan (every slot's raw-value range is known at
-  // compile time), which demotes most conversions to a bare shift.
-  struct ConvSpec {
-    enum class Mode : unsigned char {
-      kShiftUp,    // shift >= 0, overflow impossible: raw << shift
-      kShiftDown,  // shift < 0, truncating, overflow impossible: raw >> -shift
-      kRound,      // shift < 0, rounding, overflow impossible
-      kFull,       // general path (rounding + saturation/wrap)
-    };
-    int shift = 0;   // dst.fw() - src_fw
-    int out_fw = 0;  // dst.fw()
-    int w = 0;       // dst width (saturation/wrap bounds, derived on demand)
-    Mode mode = Mode::kFull;
-    fixpt::Quant q = fixpt::Quant::kTrn;
-    fixpt::Ovf o = fixpt::Ovf::kWrap;
-    bool sgn = true;
-    bool out_cplx = false;
-  };
-  // Compact op record with pre-resolved operand slots and pre-decoded
-  // targets; ordered by (iteration, cycle, program index) in its region
-  // table. Skipped (guarded-out) ops are not emitted at all.
-  struct PlanOp {
-    hls::OpKind kind = hls::OpKind::kConst;
-    int dst = 0;             // value slot (== op index in the block)
-    int a0 = -1, a1 = -1;    // operand slots, -1 = absent
-    int target = -1;         // var or array state index
-    int idx = -1;            // baked affine index (memory ops; -1 = OOB);
-                             // for kConst: index into const_pool_
-    int sa = 0, sb = 0;      // pre-add alignment shifts (add/sub/mk_cplx)
-    ConvSpec conv;           // conversion into the result/storage type
-  };
-  struct Span {
-    int begin = 0, end = 0;  // [begin, end) into RegionPlan::ops
-  };
-  struct RegionPlan {
-    bool pipelined = false;
-    // Interval analysis proved every slot value, aligned operand and
-    // pre-conversion intermediate of this region fits in int64: execute
-    // through exec_span_narrow() on flat 64-bit component pairs instead
-    // of FxValue slots (the fast path; FxValue only materializes at the
-    // var/array state boundary, where its fw/cplx are baked constants).
-    bool narrow = false;
-    int trip = 1;
-    int ii = 0;       // > 0: pipelined
-    int depth = 0;    // body cycles
-    int nops = 0;     // block op count (value-slot count)
-    int ctx_base = 0;  // first value buffer in ctx_pool_ / ctx64_pool_
-                       // (pipelined: trip buffers, one per in-flight
-                       // iteration; else one)
-    std::vector<PlanOp> ops;   // per-(iteration, cycle) specialized records
-    std::vector<Span> spans;   // trip * depth entries: spans[k*depth + c]
-    // Sequential loops reuse one value buffer across iterations, so the
-    // slot of an op that becomes guard-skipped at iteration k (== its
-    // guard_trip) is zeroed there — consumers must observe the fresh-zero
-    // value the interpretive path's per-iteration vectors provide.
-    // Pipelined loops have a dedicated buffer per iteration whose skipped
-    // slots are simply never written after their zero initialization.
-    std::vector<int> zero_slots;
-    std::vector<Span> zero_spans;  // trip entries into zero_slots
-  };
   // Port bound to its state index once, sorted by name so input loading is
   // a single merge walk over the (name-sorted) PortIo maps and output maps
   // build with end-hinted O(1) insertions.
@@ -211,18 +138,16 @@ class Simulator {
     int index = 0;  // var/array state index
   };
 
-  void compile_plan();
+  // The timed write sink the plan runs with (see hls/plan.h): array writes
+  // queue until the end-of-cycle commit, and SimStats are accumulated.
+  struct TimedSink;
+
+  void bind_ports();
   // Executes ops of `body_cycle` for iteration ctx, in program order
   // (legacy interpretive path: rescans every op of the block).
   void exec_cycle(const hls::Block& b, const hls::BlockSchedule& sched,
                   IterationCtx* ctx, int body_cycle, std::size_t region);
-  // Compiled path: executes exactly the pre-specialized span of ops.
-  void exec_span(const RegionPlan& rp, int span_index,
-                 std::vector<hls::FxValue>& vals, std::size_t region);
-  // Narrow variant: slot i lives at vals[2i] (re) / vals[2i + 1] (im).
-  void exec_span_narrow(const RegionPlan& rp, int span_index, long long* vals,
-                        std::size_t region);
-  void run_regions_compiled();
+  void run_regions();
   void run_regions_legacy();
   void load_inputs(const hls::PortIo& in);
   void collect_outputs(hls::PortIo* out) const;
@@ -236,21 +161,15 @@ class Simulator {
   std::vector<hls::FxValue> var_state_;
   std::vector<std::vector<hls::FxValue>> array_state_;
   // Pending array writes for the current cycle: (array, index) -> value.
-  // Reserved at plan-compile time to the schedule's maximum writes per
-  // cycle, so commits never reallocate mid-run.
+  // Reserved at construction to the plan's maximum writes per cycle, so
+  // commits never reallocate mid-run.
   std::vector<std::pair<std::pair<int, int>, hls::FxValue>> pending_;
   long long cycles_ = 0;
   TraceFn trace_;
   SimStats stats_;
 
-  // Plan state.
-  std::vector<RegionPlan> plan_;
-  std::vector<hls::FxValue> const_pool_;  // kConst payloads (PlanOp::idx)
-  // Per-region value buffers, allocated once at construction and reused
-  // across all runs (no per-iteration allocation or zero-fill). Narrow
-  // regions use the flat int64 pool, wide regions the FxValue pool.
-  std::vector<std::vector<hls::FxValue>> ctx_pool_;
-  std::vector<std::vector<long long>> ctx64_pool_;
+  // f_ compiled under s_.
+  hls::ExecPlan plan_;
   std::vector<PortSlot> in_array_ports_, in_var_ports_;
   std::vector<PortSlot> out_array_ports_, out_var_ports_;
 };

@@ -1563,8 +1563,13 @@ bool build_shared_object(std::string src, std::string* fp_out,
   const std::filesystem::path cpp = dir / (fp + ".cpp");
   const std::filesystem::path log = dir / (fp + ".log");
 
-  // One compilation at a time per process; cross-process races are settled
-  // by the atomic rename below (last writer wins, both artifacts valid).
+  // One compilation at a time per process. Across processes nothing is
+  // locked: every artifact (source, log, object) is written under a
+  // per-pid name and installed with an atomic rename, so a concurrent
+  // builder of the same fingerprint can neither truncate the source this
+  // compiler reads nor expose a half-written object. Each rename installs
+  // a complete file; the last writer wins and all writers produce the
+  // same bytes.
   static std::mutex build_mu;
   std::lock_guard<std::mutex> lk(build_mu);
 
@@ -1576,22 +1581,30 @@ bool build_shared_object(std::string src, std::string* fp_out,
     cache_hit = lm.handle != nullptr;
   }
   if (!cache_hit) {
+    // The source keeps its .cpp suffix: the compiler picks the language
+    // from it.
+    const std::string tag = ".tmp" + std::to_string(::getpid());
+    const std::filesystem::path cpp_tmp = dir / (fp + tag + ".cpp");
+    const std::filesystem::path log_tmp = dir / (fp + tag + ".log");
+    const std::filesystem::path tmp = dir / (fp + tag + ".so");
     {
-      std::ofstream f(cpp);
+      std::ofstream f(cpp_tmp);
       f << src;
       if (!f) {
-        *why = "cannot write " + cpp.string();
+        *why = "cannot write " + cpp_tmp.string();
         return false;
       }
     }
-    const std::filesystem::path tmp =
-        dir / (fp + ".so.tmp" + std::to_string(::getpid()));
     const std::string cmd = cxx + " -std=c++17 -O2 -fPIC -shared -o '" +
-                            tmp.string() + "' '" + cpp.string() + "' > '" +
-                            log.string() + "' 2>&1";
+                            tmp.string() + "' '" + cpp_tmp.string() +
+                            "' > '" + log_tmp.string() + "' 2>&1";
     if (metrics)
       obs::MetricsRegistry::instance().add("vsim.codegen.compiles", 1.0);
-    if (std::system(cmd.c_str()) != 0) {
+    const int rc = std::system(cmd.c_str());
+    // Source and log stay in the cache for inspection, complete either way.
+    std::filesystem::rename(cpp_tmp, cpp, ec);
+    std::filesystem::rename(log_tmp, log, ec);
+    if (rc != 0) {
       std::string excerpt;
       std::ifstream lf(log);
       std::string line;

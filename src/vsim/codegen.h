@@ -27,8 +27,10 @@
 // $HLSW_VSIM_CODEGEN_CACHE (default <tmp>/hlsw-vsim-codegen) as
 // <fingerprint>.{cpp,so,log} — the same content-keyed discipline as
 // hls::SynthesisCache. A cached .so is dlopen()ed and verified against its
-// embedded fingerprint + ABI version before reuse; compilation of one
-// fingerprint is serialized process-wide. Counters:
+// embedded fingerprint + ABI version before reuse; compilation is
+// serialized process-wide, and every artifact is written under a per-pid
+// name and installed by atomic rename, so processes building one
+// fingerprint concurrently never read or load a partial file. Counters:
 // vsim.codegen.so_cache.{hits,misses}, vsim.codegen.compiles,
 // vsim.codegen.fallbacks; the toolchain invocation runs under a
 // "vsim.codegen.compile" span. Toolchain resolution: $HLSW_CODEGEN_CXX

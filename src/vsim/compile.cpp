@@ -1445,8 +1445,16 @@ std::shared_ptr<const CompiledDesign> compiled_plan(
     if (obs::enabled())
       obs::MetricsRegistry::instance().add("vsim.plan_cache.misses", 1.0);
     if (c.map.size() > 64) {
+      // A compiled plan owns its Design, so a cached key never expires on
+      // its own. Also drop entries only the cache can reach (the plan held
+      // by nobody else, its Design held by nobody but the plan): no caller
+      // can present that Design again, so no future lookup could hit them.
+      const auto unreachable = [](const PlanCache::Entry& e) {
+        return e.key.expired() ||
+               (e.plan.use_count() == 1 && e.plan->design.use_count() == 1);
+      };
       for (auto it = c.map.begin(); it != c.map.end();)
-        it = it->second.key.expired() ? c.map.erase(it) : std::next(it);
+        it = unreachable(it->second) ? c.map.erase(it) : std::next(it);
     }
     PlanCache::Entry e;
     e.key = design;

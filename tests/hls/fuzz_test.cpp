@@ -5,7 +5,13 @@
 //
 //   1. the schedule passes the independent verifier;
 //   2. the cycle-accurate RTL simulation of the scheduled design matches
-//      the untimed interpreter of the same transformed IR bit for bit.
+//      the untimed interpreter of the same transformed IR bit for bit —
+//      every output port and every array, on both the compiled plan and
+//      the op-by-op interpretive path, with identical op counts.
+//
+// A wide generator mode declares types above 62 bits with SAT/SAT_SYM/WRAP
+// casts, so its programs fail the plan compiler's int64 proof and run the
+// 128-bit executor and the general (kFull) conversion.
 //
 // Unroll-only transforms are additionally checked against the ORIGINAL
 // program (unrolling must preserve sequential semantics exactly); merges
@@ -22,6 +28,7 @@
 #include "hls/dse.h"
 #include "hls/feasibility.h"
 #include "hls/interp.h"
+#include "hls/plan.h"
 #include "hls/report.h"
 #include "hls/verify.h"
 #include "rtl/sim.h"
@@ -47,29 +54,47 @@ struct RandomProgram {
   Function func;
   std::vector<std::string> in_vars;
   std::vector<std::string> loop_labels;
+  bool wide = false;
 };
 
-RandomProgram make_random_program(std::mt19937_64* rng) {
+// Wide mode: arrays, the accumulator and every cast are 60..63 bits with a
+// random quantization and a SAT, SAT_SYM or WRAP overflow mode, and every
+// arithmetic result is cast back into such a type, so operands stay <= 63
+// bits and products fit the 128-bit executor exactly.
+RandomProgram make_random_program(std::mt19937_64* rng, bool wide = false) {
   RandomProgram out;
+  out.wide = wide;
   FunctionBuilder fb("fuzz");
   auto rnd = [&](int n) { return static_cast<int>((*rng)() % static_cast<uint64_t>(n)); };
+  const auto wide_type = [&]() {
+    constexpr fixpt::Ovf kOvf[] = {fixpt::Ovf::kSat, fixpt::Ovf::kSatSym,
+                                   fixpt::Ovf::kWrap};
+    const int w = 60 + rnd(4);
+    const int iw = 12 + rnd(24);
+    const auto q = static_cast<fixpt::Quant>(rnd(7));
+    const fixpt::Ovf o = kOvf[rnd(3)];
+    return fx(w, iw, false, q, o, /*sgn=*/rnd(4) != 0);
+  };
 
   const int n_arrays = 1 + rnd(3);
   std::vector<int> arrays, lengths;
   for (int a = 0; a < n_arrays; ++a) {
     const int len = 4 + rnd(12);
     arrays.push_back(fb.add_array("arr" + std::to_string(a), len,
-                                  fx(8 + rnd(8), rnd(4)), true));
+                                  wide ? wide_type() : fx(8 + rnd(8), rnd(4)),
+                                  true));
     lengths.push_back(len);
   }
   const int n_in = 1 + rnd(2);
   std::vector<int> invars;
   for (int v = 0; v < n_in; ++v) {
     const std::string name = "in" + std::to_string(v);
-    invars.push_back(fb.add_var(name, fx(10, 2), false, PortDir::kIn));
+    invars.push_back(fb.add_var(name, wide ? fx(48, 16) : fx(10, 2), false,
+                                PortDir::kIn));
     out.in_vars.push_back(name);
   }
-  const int acc = fb.add_var("acc", fx(30, 12), false, PortDir::kOut);
+  const int acc = fb.add_var("acc", wide ? wide_type() : fx(30, 12), false,
+                             PortDir::kOut);
 
   {
     auto b = fb.block("init");
@@ -100,11 +125,13 @@ RandomProgram make_random_program(std::mt19937_64* rng) {
         case 1: vals.push_back(b.sub(a, c)); break;
         case 2: vals.push_back(b.mul(a, c)); break;
         case 3:
-          vals.push_back(b.cast(fx(9 + rnd(6), 2 + rnd(3), false,
-                                   fixpt::Quant::kRnd, fixpt::Ovf::kSat),
+          vals.push_back(b.cast(wide ? wide_type()
+                                     : fx(9 + rnd(6), 2 + rnd(3), false,
+                                          fixpt::Quant::kRnd, fixpt::Ovf::kSat),
                                 a));
           break;
       }
+      if (wide) vals.back() = b.cast(wide_type(), vals.back());
     }
     b.var_write(acc, b.add(b.var_read(acc), vals.back()));
     if (rnd(2) == 0) {
@@ -137,40 +164,94 @@ PortIo random_inputs(const RandomProgram& p, std::mt19937_64* rng) {
   PortIo io;
   for (const auto& name : p.in_vars) {
     FxValue v;
-    v.fw = 8;
-    v.re = static_cast<int>((*rng)() % 1024) - 512;
+    if (p.wide) {
+      v.fw = 32;  // exact in fx(48, 16)
+      v.re = static_cast<long long>((*rng)() % (1ULL << 46)) - (1LL << 45);
+    } else {
+      v.fw = 8;
+      v.re = static_cast<int>((*rng)() % 1024) - 512;
+    }
     io.vars[name] = v;
   }
   return io;
 }
 
-TEST(Fuzz, ScheduleVerifiesAndRtlMatchesInterpreter) {
-  std::mt19937_64 rng(20260707);
+// Synthesizes `p`, checks the schedule, then drives the golden interpreter,
+// the compiled simulator and the legacy interpretive simulator with the
+// same inputs: every output port (all of re, im, fw and cplx) and every
+// array's state must agree after each invocation, and so must op counts.
+void check_three_way(const RandomProgram& p, std::mt19937_64* rng,
+                     int trial, SynthesisResult* out = nullptr) {
   const TechLibrary tech = TechLibrary::asic90();
-  const int trials = fuzz_iters(400);
-  for (int trial = 0; trial < trials; ++trial) {
-    RandomProgram p = make_random_program(&rng);
-    const Directives dir = random_directives(p, &rng, /*allow_merge=*/true);
-    const SynthesisResult r = run_synthesis(p.func, dir, tech);
+  const Directives dir = random_directives(p, rng, /*allow_merge=*/true);
+  SynthesisResult r = run_synthesis(p.func, dir, tech);
 
-    const auto violations = verify_schedule(r.transformed, dir, tech,
-                                            r.schedule);
-    ASSERT_TRUE(violations.empty())
-        << "trial " << trial << ": " << violations[0] << "\n"
-        << r.transformed.dump();
+  const auto violations = verify_schedule(r.transformed, dir, tech,
+                                          r.schedule);
+  ASSERT_TRUE(violations.empty())
+      << "trial " << trial << ": " << violations[0] << "\n"
+      << r.transformed.dump();
 
-    Interpreter golden(r.transformed);
-    rtl::Simulator sim(r.transformed, r.schedule);
-    for (int n = 0; n < 12; ++n) {
-      const PortIo io = random_inputs(p, &rng);
-      const PortIo a = golden.run(io);
-      const PortIo b = sim.run(io);
-      ASSERT_EQ(static_cast<long long>(a.vars.at("acc").re),
-                static_cast<long long>(b.vars.at("acc").re))
-          << "trial " << trial << " invocation " << n << "\n"
-          << r.transformed.dump();
+  Interpreter golden(r.transformed);
+  rtl::Simulator sim(r.transformed, r.schedule);
+  rtl::Simulator legacy(r.transformed, r.schedule, {.compiled = false});
+  for (int n = 0; n < 12; ++n) {
+    const PortIo io = random_inputs(p, rng);
+    const PortIo a = golden.run(io);
+    const PortIo b = sim.run(io);
+    const PortIo c = legacy.run(io);
+    ASSERT_TRUE(a.vars == b.vars && a.arrays == b.arrays)
+        << "golden vs compiled: trial " << trial << " invocation " << n
+        << "\n" << r.transformed.dump();
+    ASSERT_TRUE(b.vars == c.vars && b.arrays == c.arrays)
+        << "compiled vs legacy: trial " << trial << " invocation " << n
+        << "\n" << r.transformed.dump();
+    for (const Array& arr : r.transformed.arrays) {
+      ASSERT_TRUE(golden.array_state(arr.name) == sim.array_state(arr.name) &&
+                  sim.array_state(arr.name) == legacy.array_state(arr.name))
+          << "array " << arr.name << ": trial " << trial << " invocation "
+          << n << "\n" << r.transformed.dump();
     }
   }
+  ASSERT_EQ(golden.ops_executed(), sim.stats().ops_executed)
+      << "trial " << trial;
+  ASSERT_EQ(sim.stats().ops_executed, legacy.stats().ops_executed)
+      << "trial " << trial;
+  if (out) *out = std::move(r);
+}
+
+TEST(Fuzz, ScheduleVerifiesAndRtlMatchesInterpreter) {
+  std::mt19937_64 rng(20260707);
+  const int trials = fuzz_iters(400);
+  for (int trial = 0; trial < trials; ++trial) {
+    const RandomProgram p = make_random_program(&rng);
+    check_three_way(p, &rng, trial);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(Fuzz, WideProgramsMatchOnThe128BitPath) {
+  std::mt19937_64 rng(0x3e67a1d5);
+  const int trials = fuzz_iters(150);
+  int wide_regions = 0, full_casts = 0;
+  for (int trial = 0; trial < trials; ++trial) {
+    const RandomProgram p = make_random_program(&rng, /*wide=*/true);
+    SynthesisResult r;
+    check_three_way(p, &rng, trial, &r);
+    if (HasFatalFailure()) return;
+    // Coverage evidence: the golden's plan really left the int64 path and
+    // converted through the general saturate/wrap stage.
+    const ExecPlan plan(r.transformed, untimed_schedule(r.transformed));
+    for (const RegionPlan& rp : plan.regions()) {
+      if (rp.narrow) continue;
+      ++wide_regions;
+      for (const PlanOp& op : rp.ops)
+        if (op.kind == OpKind::kCast && op.conv.mode == ConvSpec::Mode::kFull)
+          ++full_casts;
+    }
+  }
+  EXPECT_GT(wide_regions, 0) << "no wide trial failed the narrow proof";
+  EXPECT_GT(full_casts, 0) << "no wide trial reached the kFull conversion";
 }
 
 TEST(Fuzz, EmittedVerilogIsStructurallySound) {

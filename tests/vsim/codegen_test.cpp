@@ -10,7 +10,12 @@
 // HLSW_VSIM_CODEGEN_CACHE (set per test by ctest) and removed by a cleanup
 // fixture, so test artifacts never leak into the user's tmp cache.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
+#include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -125,6 +130,64 @@ TEST(VsimCodegen, SharedObjectCacheHitsOnRebuiltFingerprint) {
   EXPECT_FALSE(mod->so_path.empty());
 
   obs::set_enabled(was_enabled);
+}
+
+// The on-disk cache is shared between processes (parallel test lanes,
+// several daemons on one host). Builders released at once on one cold
+// fingerprint must each load a complete, verified module: none may compile
+// a source another is rewriting, or load an object another is writing.
+TEST(VsimCodegen, ConcurrentProcessesBuildOneFingerprint) {
+  REQUIRE_TOOLCHAIN();
+  const auto r = synth_merge();
+  const auto design = load_design(rtl::emit_verilog(r.transformed, r.schedule),
+                                  r.transformed.name);
+
+  // A private cache directory keeps the fingerprint cold for every builder.
+  const char* env = std::getenv("HLSW_VSIM_CODEGEN_CACHE");
+  const std::string prev = env ? env : "";
+  const std::filesystem::path dir =
+      (prev.empty() ? std::filesystem::temp_directory_path()
+                    : std::filesystem::path(prev)) /
+      ("race-" + std::to_string(::getpid()));
+  ::setenv("HLSW_VSIM_CODEGEN_CACHE", dir.c_str(), 1);
+
+  constexpr int kBuilders = 6;
+  int gate[2];
+  ASSERT_EQ(::pipe(gate), 0);
+  std::vector<pid_t> builders;
+  for (int i = 0; i < kBuilders; ++i) {
+    const pid_t pid = ::fork();
+    if (pid == 0) {
+      ::close(gate[1]);
+      char c;
+      (void)!::read(gate[0], &c, 1);  // EOF once the parent opens the gate
+      std::string why;
+      const bool ok = codegen_plan(design, &why) != nullptr;
+      if (!ok) std::fprintf(stderr, "builder %d: %s\n", i, why.c_str());
+      std::_Exit(ok ? 0 : 1);
+    }
+    EXPECT_GT(pid, 0) << "fork failed";
+    if (pid < 0) break;
+    builders.push_back(pid);
+  }
+  ::close(gate[0]);
+  ::close(gate[1]);  // release every builder at once
+  for (const pid_t pid : builders) {
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+        << "a concurrent builder failed to load its module (see stderr)";
+  }
+
+  // What the builders installed also loads here.
+  std::string why;
+  EXPECT_NE(codegen_plan(design, &why), nullptr) << why;
+  if (prev.empty())
+    ::unsetenv("HLSW_VSIM_CODEGEN_CACHE");
+  else
+    ::setenv("HLSW_VSIM_CODEGEN_CACHE", prev.c_str(), 1);
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
 }
 
 TEST(VsimCodegen, PackedGeneratedSourceIsSelfContained) {

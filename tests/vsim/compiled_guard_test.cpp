@@ -6,7 +6,8 @@
 // 2x in DUT throughput. Every floor sits far below the measured gap
 // (BENCH_vsim.json: ~15x, ~7x and ~5x respectively), so CI noise cannot
 // flake the guards, but they are tight enough to catch a backend silently
-// falling back or regressing to the tier below.
+// falling back or regressing to the tier below. A last guard keeps the
+// golden reference every sweep pays for on the compiled plan.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,10 +15,12 @@
 #include <string>
 #include <vector>
 
+#include "hls/interp.h"
 #include "hls/report.h"
 #include "qam/architectures.h"
 #include "qam/decoder_ir.h"
 #include "qam/link.h"
+#include "rtl/sim.h"
 #include "rtl/verilog.h"
 #include "vsim/codegen.h"
 #include "vsim/harness.h"
@@ -228,6 +231,54 @@ TEST(VsimPackedGuard, PackedCodegenBeatsInterpretedPackedByAtLeast2x) {
                         << "x faster than the interpreted packed engine "
                         << "(interpreted " << t_interp << " ms vs generated "
                         << t_cg << " ms)";
+}
+
+TEST(GoldenGuard, CompiledGoldenKeepsPaceWithCompiledRtlSim) {
+  // hls::Interpreter runs the same plan compiler as rtl::Simulator, untimed
+  // (one span per iteration, writes landing at once instead of queueing for
+  // an end-of-cycle commit), so on one transformed design it must not be
+  // meaningfully slower than the compiled simulator. The op-by-op golden
+  // (a switch over FxValue with a run-time fx_convert per op) measured
+  // 1.8-3.2x the simulator's time, the compiled golden 0.76-0.93x (4-vCPU
+  // VM): the 1.5x ceiling catches a silent return to an interpretive
+  // golden.
+  const qam::Architecture arch = qam::table1_architectures()[0];  // merge
+  const auto r = hls::run_synthesis(qam::build_qam_decoder_ir(), arch.dir,
+                                    TechLibrary::asic90());
+  LinkStimulus stim((LinkConfig()));
+  const auto batch = qam::link_input_batch(&stim, 1600);
+
+  const auto time_ms = [&](auto& model) {
+    const auto t0 = std::chrono::steady_clock::now();
+    model.run_stream(batch);
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - t0)
+        .count();
+  };
+  const auto golden_ms = [&] {
+    hls::Interpreter golden(r.transformed);
+    return time_ms(golden);
+  };
+  const auto sim_ms = [&] {
+    rtl::Simulator sim(r.transformed, r.schedule);
+    return time_ms(sim);
+  };
+
+  // Best of 5 rather than 3: the two legs are ~5 ms each, so one scheduler
+  // hiccup under a loaded parallel test run is a large share of either.
+  golden_ms();  // warm the allocator on both paths
+  sim_ms();
+  double t_golden = 1e300, t_sim = 1e300;
+  for (int rep = 0; rep < 5; ++rep) {
+    t_golden = std::min(t_golden, golden_ms());
+    t_sim = std::min(t_sim, sim_ms());
+  }
+
+  ASSERT_GT(t_sim, 0.0);
+  const double ratio = t_golden / t_sim;
+  EXPECT_LE(ratio, 1.5) << "golden interpreter takes " << ratio
+                        << "x the compiled simulator's time (golden "
+                        << t_golden << " ms vs simulator " << t_sim << " ms)";
 }
 
 }  // namespace

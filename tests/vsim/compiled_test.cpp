@@ -255,6 +255,32 @@ TEST(VsimCompiled, PlanAndDesignCachesCountHits) {
   obs::set_enabled(was_enabled);
 }
 
+TEST(VsimCompiled, PlanCacheReleasesDesignsOnlyItCanReach) {
+  // A compiled plan owns its Design, so the cache's weak key alone never
+  // expires: once the cache outgrows its sweep threshold it must also drop
+  // entries nobody else can reach, and keep the ones a caller still holds.
+  // Fresh elaborations bypass the design LRU, which would hold them.
+  const SourceUnit su = parse(kSyncDesign);
+  std::weak_ptr<const Design> dropped;
+  {
+    const std::shared_ptr<const Design> d = elaborate(su, "m");
+    ASSERT_NE(compiled_plan(d, nullptr), nullptr);
+    dropped = d;
+  }
+  ASSERT_FALSE(dropped.expired()) << "the cached plan owns the design";
+  const std::shared_ptr<const Design> held = elaborate(su, "m");
+  const CompiledDesign* held_plan = compiled_plan(held, nullptr).get();
+  ASSERT_NE(held_plan, nullptr);
+
+  for (int i = 0; i < 70; ++i)
+    ASSERT_NE(compiled_plan(elaborate(su, "m"), nullptr), nullptr);
+
+  EXPECT_TRUE(dropped.expired())
+      << "plan cache kept a design no caller can present again";
+  EXPECT_EQ(compiled_plan(held, nullptr).get(), held_plan)
+      << "a design still held by a caller lost its memoized plan";
+}
+
 TEST(VsimCompiled, FailedCompilationIsMemoizedToo) {
   auto design = load_design(R"(
 module m;
