@@ -77,19 +77,19 @@ void run_harness_sections(bench::Harness* h) {
     for (const auto& in : batch) benchmark::DoNotOptimize(dut.run(in));
   });
   vsim::SimConfig event_cfg;
-  event_cfg.compiled = false;
+  event_cfg.backend = vsim::Backend::kEvent;
   const auto t_vsim_event = h->measure("vsim_harness_100_symbols_event", [&] {
     vsim::DutHarness dut(r.transformed, design, event_cfg);
     for (const auto& in : batch) benchmark::DoNotOptimize(dut.run(in));
   });
 
-  // Codegen backend: same harness loop through the generated .so. The
-  // first construction pays generate+compile+dlopen (absorbed by warmup;
-  // later reps hit the on-disk cache); on toolchain-less machines this
-  // silently measures the compiled-interpreter fallback — the note records
-  // which backend actually ran.
+  // Native engine at one lane: same harness loop through the generated
+  // .so. The first construction pays generate+compile+dlopen (absorbed by
+  // warmup; later reps hit the on-disk cache); on toolchain-less machines
+  // this silently measures the compiled-interpreter fallback — the note
+  // records which backend actually ran.
   vsim::SimConfig codegen_cfg;
-  codegen_cfg.backend = vsim::Backend::kCodegen;
+  codegen_cfg.backend = vsim::Backend::kPackedCodegen;
   std::string codegen_backend = "unknown";
   const auto t_vsim_codegen =
       h->measure("vsim_harness_100_symbols_codegen", [&] {

@@ -172,6 +172,9 @@ void Simulator::load_inputs(const PortIo& in) {
     if (ita == in.arrays.end() || ita->first != *p.name)
       throw std::invalid_argument("rtl: missing input array port: " + *p.name);
     const Array& a = f_.arrays[static_cast<size_t>(p.index)];
+    if (ita->second.size() != static_cast<std::size_t>(a.length))
+      throw std::invalid_argument("rtl: input array port size mismatch: " +
+                                  *p.name);
     auto& dst = array_state_[static_cast<size_t>(p.index)];
     for (int j = 0; j < a.length; ++j)
       dst[static_cast<size_t>(j)] =

@@ -1,6 +1,8 @@
 #include "rtl/testbench.h"
 
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "rtl/sim.h"
 
@@ -79,6 +81,12 @@ long long pin_value(const PortPin& p, const PortIo& io) {
   if (p.from_array) {
     auto it = io.arrays.find(p.port);
     if (it == io.arrays.end()) return 0;
+    if (static_cast<std::size_t>(p.index) >= it->second.size())
+      throw std::invalid_argument("rtl: array port " + p.port + " has " +
+                                  std::to_string(it->second.size()) +
+                                  " elements, pin " + p.name +
+                                  " reads element " +
+                                  std::to_string(p.index));
     return component(it->second[static_cast<size_t>(p.index)], p.re);
   }
   auto it = io.vars.find(p.port);

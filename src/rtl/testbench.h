@@ -46,6 +46,8 @@ struct PortPin {
 std::vector<PortPin> flatten_port_pins(const hls::Function& f);
 
 // Raw two's-complement component value of the pin in `io` (0 if absent).
+// Throws std::invalid_argument when the pin's array port is present but
+// too short to hold the pin's element.
 long long pin_value(const PortPin& p, const hls::PortIo& io);
 
 struct TestbenchOptions {

@@ -25,21 +25,42 @@ namespace {
   throw std::runtime_error("vsim runtime error: " + what);
 }
 
+// Revision of the generated engine's C ABI, embedded in every object
+// (hlsw_cg_abi) and folded into the cache fingerprint. Rev 3: the scalar
+// entry points are gone (one lane is the lane-major engine at kL = 1) and
+// NBA planes ride inline in the queue entries.
+constexpr int kCgAbi = 3;
+
 // ---- Toolchain resolution ---------------------------------------------------
+
+struct Probe {
+  bool ok = false;
+  std::string version;  // first line of `cmd --version`
+};
 
 // Probe results are memoized per candidate command; the environment
 // variables themselves are re-read on every call so a test can disable
 // codegen (HLSW_CODEGEN_CXX=none) and re-enable it within one process.
-bool probe_cxx(const std::string& cmd) {
+Probe probe_cxx(const std::string& cmd) {
   static std::mutex mu;
-  static std::map<std::string, bool> memo;
+  static std::map<std::string, Probe> memo;
   std::lock_guard<std::mutex> lk(mu);
   const auto it = memo.find(cmd);
   if (it != memo.end()) return it->second;
-  const std::string line = cmd + " --version > /dev/null 2>&1";
-  const bool ok = std::system(line.c_str()) == 0;
-  memo[cmd] = ok;
-  return ok;
+  Probe p;
+  if (FILE* out = ::popen((cmd + " --version 2>/dev/null").c_str(), "r")) {
+    char buf[512];
+    if (std::fgets(buf, sizeof buf, out) != nullptr) p.version = buf;
+    // Drain the rest so the child never blocks on a full pipe.
+    while (std::fgets(buf, sizeof buf, out) != nullptr) {
+    }
+    p.ok = ::pclose(out) == 0;
+    while (!p.version.empty() &&
+           (p.version.back() == '\n' || p.version.back() == '\r'))
+      p.version.pop_back();
+  }
+  memo[cmd] = p;
+  return p;
 }
 
 }  // namespace
@@ -48,14 +69,14 @@ std::string codegen_toolchain() {
   if (const char* e = std::getenv("HLSW_CODEGEN_CXX")) {
     const std::string v = e;
     if (v.empty() || v == "none") return "";
-    return probe_cxx(v) ? v : "";
+    return probe_cxx(v).ok ? v : "";
   }
   if (const char* e = std::getenv("CXX")) {
     const std::string v = e;
-    if (!v.empty() && probe_cxx(v)) return v;
+    if (!v.empty() && probe_cxx(v).ok) return v;
   }
   for (const char* cand : {"c++", "g++", "clang++"})
-    if (probe_cxx(cand)) return cand;
+    if (probe_cxx(cand).ok) return cand;
   return "";
 }
 
@@ -75,14 +96,13 @@ std::string hx(std::uint64_t v) {
 // Emits the statements evaluating one tape and returns the expression (a
 // temp name or literal) holding its value. Every op result becomes its own
 // `const u64` temp so operands are never textually duplicated; `tmp` is
-// the caller-scoped temp counter keeping names unique per function. In
-// packed mode the emitted statements live inside a `for (l = 0; l < kL;
-// ++l)` lane loop: signal loads index the lane plane and element loads
-// pass the lane through to the lane-major ldel.
+// the caller-scoped temp counter keeping names unique per function. The
+// emitted statements live inside a `for (l = 0; l < kL; ++l)` lane loop:
+// signal loads index the lane plane and element loads pass the lane
+// through to the lane-major ldel.
 std::string emit_tape(std::ostream& os, const CompiledDesign& cd, int tape,
-                      int& tmp, const char* ind, bool packed = false) {
+                      int& tmp, const char* ind) {
   const TapeRef& t = cd.tapes[static_cast<std::size_t>(tape)];
-  const std::string lx = packed ? ", l" : "";
   std::vector<std::string> stk;
   const auto push = [&](const std::string& expr) {
     std::string name = "t" + std::to_string(tmp++);
@@ -95,7 +115,7 @@ std::string emit_tape(std::ostream& os, const CompiledDesign& cd, int tape,
     return v;
   };
   const auto sig = [&](std::int32_t a) {
-    return "S->v[" + std::to_string(a) + (packed ? "][l]" : "]");
+    return "S->v[" + std::to_string(a) + "][l]";
   };
   const auto arr = [&](std::int32_t a) {
     return "S->a" + std::to_string(a);
@@ -129,7 +149,7 @@ std::string emit_tape(std::ostream& os, const CompiledDesign& cd, int tape,
         const std::string u = pop();
         const std::string idx =
             o.w ? "(i64)sx(" + u + ", " + W + ")" : "(i64)" + u;
-        push("ldel(" + arr(o.a) + ", " + alen(o.a) + ", " + idx + lx + ")");
+        push("ldel(" + arr(o.a) + ", " + alen(o.a) + ", " + idx + ", l)");
         break;
       }
       case TOp::kTrunc:
@@ -322,13 +342,13 @@ std::string emit_tape(std::ostream& os, const CompiledDesign& cd, int tape,
         break;
       case TOp::kLoadElemSx:
         push("sx(ldel(" + arr(o.a) + ", " + alen(o.a) + ", (i64)" + pop() +
-             lx + "), " + W + ") & " + I);
+             ", l), " + W + ") & " + I);
         break;
       case TOp::kLoadElemTr: {
         const std::string u = pop();
         const std::string idx =
             o.w ? "(i64)sx(" + u + ", " + W + ")" : "(i64)" + u;
-        push("ldel(" + arr(o.a) + ", " + alen(o.a) + ", " + idx + lx + ") & " +
+        push("ldel(" + arr(o.a) + ", " + alen(o.a) + ", " + idx + ", l) & " +
              I);
         break;
       }
@@ -395,144 +415,8 @@ std::size_t proc_end(const CompiledDesign& cd, std::size_t p) {
              : cd.prog.size();
 }
 
-void emit_proc(std::ostream& os, const CompiledDesign& cd, std::size_t p) {
-  const std::size_t entry = static_cast<std::size_t>(cd.procs[p].entry);
-  const std::size_t end = proc_end(cd, p);
-  int repeat_depth = 0;
-  for (std::size_t pc = entry; pc < end; ++pc)
-    if (cd.prog[pc].code == PInstr::kRepeatInit) ++repeat_depth;
-
-  os << "static int proc" << p << "(St* S, i64 budget) {\n";
-  if (repeat_depth > 0)
-    os << "  i64 reps[" << repeat_depth << "]; int rsp = 0;\n";
-  int tmp = 0;
-  const char* ind = "    ";
-  for (std::size_t pc = entry; pc < end; ++pc) {
-    const PInstr& in = cd.prog[pc];
-    const std::string SIG = std::to_string(in.sig);
-    const std::string MASK =
-        in.sig >= 0 ? hx(cd.sig_mask[static_cast<std::size_t>(in.sig)]) : "";
-    os << "  L" << pc << ": ++S->instrs;\n";
-    os << "  {\n";
-    switch (in.code) {
-      case PInstr::kAssign: {
-        const std::string v = emit_tape(os, cd, in.t0, tmp, ind);
-        os << ind << "set_sig(S, " << SIG << ", " << v << ", "
-           << static_cast<int>(p) << ");\n";
-        break;
-      }
-      case PInstr::kAssignCopy:
-        os << ind << "set_sig(S, " << SIG << ", S->v[" << in.a << "], "
-           << static_cast<int>(p) << ");\n";
-        break;
-      case PInstr::kAssignConst:
-        os << ind << "set_sig(S, " << SIG << ", " << hx(in.imm) << ", "
-           << static_cast<int>(p) << ");\n";
-        break;
-      case PInstr::kAssignElem: {
-        const std::string v = emit_tape(os, cd, in.t0, tmp, ind);
-        const std::string ix = emit_tape(os, cd, in.t1, tmp, ind);
-        os << ind << "setel(S, " << SIG << ", (i64)" << ix << ", " << v
-           << ");\n";
-        break;
-      }
-      case PInstr::kAssignBit: {
-        const std::string v = emit_tape(os, cd, in.t0, tmp, ind);
-        const std::string ix = emit_tape(os, cd, in.t1, tmp, ind);
-        const int w =
-            cd.design->signals[static_cast<std::size_t>(in.sig)].width;
-        os << ind << "const i64 bi = (i64)" << ix << ";\n"
-           << ind << "if (bi >= 0 && bi < " << w << ") {\n"
-           << ind << "  const u64 o = S->v[" << SIG << "];\n"
-           << ind << "  set_sig(S, " << SIG << ", (o & ~(1ull << bi)) | (("
-           << v << " & 1ull) << bi), " << static_cast<int>(p) << ");\n"
-           << ind << "}\n";
-        break;
-      }
-      case PInstr::kNb: {
-        const std::string v = emit_tape(os, cd, in.t0, tmp, ind);
-        os << ind << "S->nba.push_back(Nba{" << SIG << ", -1, " << v << " & "
-           << MASK << "});\n";
-        break;
-      }
-      case PInstr::kNbCopy:
-        os << ind << "S->nba.push_back(Nba{" << SIG << ", -1, S->v[" << in.a
-           << "] & " << MASK << "});\n";
-        break;
-      case PInstr::kNbConst:
-        os << ind << "S->nba.push_back(Nba{" << SIG << ", -1, " << hx(in.imm)
-           << "});\n";
-        break;
-      case PInstr::kNbElem: {
-        const std::string v = emit_tape(os, cd, in.t0, tmp, ind);
-        const std::string ix = emit_tape(os, cd, in.t1, tmp, ind);
-        os << ind << "S->nba.push_back(Nba{" << SIG << ", (i64)" << ix << ", "
-           << v << " & " << MASK << "});\n";
-        break;
-      }
-      case PInstr::kNbBit: {
-        const std::string v = emit_tape(os, cd, in.t0, tmp, ind);
-        const std::string ix = emit_tape(os, cd, in.t1, tmp, ind);
-        os << ind << "S->nba.push_back(Nba{" << SIG << ", (i64)" << ix << ", "
-           << v << " & 1ull});\n";
-        break;
-      }
-      case PInstr::kJump:
-        // Only backward jumps (loop back-edges) can run unboundedly; mirror
-        // the interpreter's per-back-edge budget check.
-        if (in.a <= static_cast<std::int32_t>(pc))
-          os << ind << "if (S->instrs - S->slot_base > budget) return 1;\n";
-        os << ind << "goto L" << in.a << ";\n";
-        break;
-      case PInstr::kJumpIfFalse: {
-        const std::string c = emit_tape(os, cd, in.t0, tmp, ind);
-        os << ind << "if (" << c << " == 0) goto L" << in.a << ";\n";
-        break;
-      }
-      case PInstr::kJumpIfFalseSig:
-        os << ind << "if (S->v[" << SIG << "] == 0) goto L" << in.a << ";\n";
-        break;
-      case PInstr::kCaseJump: {
-        const CompiledDesign::CaseTable& t =
-            cd.case_tables[static_cast<std::size_t>(in.a)];
-        os << ind << "switch (S->v[" << SIG << "]) {\n";
-        for (const auto& [val, target] : t.arms)
-          os << ind << "  case " << hx(val) << ": goto L" << target << ";\n";
-        os << ind << "  default: goto L" << t.def_pc << ";\n";
-        os << ind << "}\n";
-        break;
-      }
-      case PInstr::kRepeatInit: {
-        const std::string v = emit_tape(os, cd, in.t0, tmp, ind);
-        const TapeRef& t = cd.tapes[static_cast<std::size_t>(in.t0)];
-        if (t.sgn)
-          os << ind << "reps[rsp++] = sgn64(" << v << ", "
-             << static_cast<int>(t.w) << ");\n";
-        else
-          os << ind << "reps[rsp++] = (i64)" << v << ";\n";
-        break;
-      }
-      case PInstr::kRepeatTest:
-        os << ind << "if (reps[rsp-1] > 0) { --reps[rsp-1]; } else { --rsp; "
-           << "goto L" << in.a << "; }\n";
-        break;
-      case PInstr::kDisplay:
-      case PInstr::kDumpFile:
-      case PInstr::kDumpVars:
-        // Unreachable: codegen_plan refuses designs with system tasks.
-        os << ind << "return 1;\n";
-        break;
-      case PInstr::kHalt:
-        os << ind << "return 0;\n";
-        break;
-    }
-    os << "  }\n";
-  }
-  os << "  return 0;\n}\n\n";
-}
-
-// Per-signal static tables shared verbatim by the scalar and packed
-// generated sources (masks, widths, array lengths, fanout/trigger flags).
+// Per-signal static tables (masks, widths, array lengths, fanout/trigger
+// flags).
 void emit_static_tables(std::ostream& os, const CompiledDesign& cd) {
   const Design& d = *cd.design;
   const std::size_t nsig = d.signals.size();
@@ -585,14 +469,13 @@ bool tape_reads_scalar(const TOp& o) {
   }
 }
 
-// One lane-masked process body for the packed engine. The control-flow
-// translation mirrors PackedSim::run_proc instruction by instruction: a
-// LIFO stack of (pc, mask) contexts split off by divergent branches, a
-// `dispatch` switch that re-enters the goto graph at a dynamic pc, and
-// instruction retirement counted as popcount(mask) — the packed oracle's
-// exact accounting (pack_test pins the bit-identity, splits included).
-void emit_packed_proc(std::ostream& os, const CompiledDesign& cd,
-                      std::size_t p) {
+// One lane-masked process body. The control-flow translation mirrors
+// PackedSim::run_proc instruction by instruction: a LIFO stack of (pc,
+// mask) contexts split off by divergent branches, a `dispatch` switch that
+// re-enters the goto graph at a dynamic pc, and instruction retirement
+// counted as popcount(mask) — the packed oracle's exact accounting
+// (pack_test pins the bit-identity, splits included).
+void emit_proc(std::ostream& os, const CompiledDesign& cd, std::size_t p) {
   const std::size_t entry = static_cast<std::size_t>(cd.procs[p].entry);
   const std::size_t end = proc_end(cd, p);
   int repeat_depth = 0;
@@ -621,7 +504,7 @@ void emit_packed_proc(std::ostream& os, const CompiledDesign& cd,
     // lanes outside the mask is harmless — oracle does the same).
     const auto plane_tape = [&](int tape, const char* dest) {
       os << "    for (int l = 0; l < kL; ++l) {\n";
-      const std::string v = emit_tape(os, cd, tape, tmp, ind, true);
+      const std::string v = emit_tape(os, cd, tape, tmp, ind);
       os << "      " << dest << "[l] = " << v << ";\n    }\n";
     };
     os << "  L" << pc << ": S->instrs += popc(m);\n";
@@ -667,33 +550,40 @@ void emit_packed_proc(std::ostream& os, const CompiledDesign& cd,
       }
       case PInstr::kNb:
         plane_tape(in.t0, "pl");
-        os << "    S->nba.push_back(Nba{" << SIG << ", m, push_vals(S, pl, "
-           << MASK << "), -1});\n";
+        os << "    Nba& e = nba_push(S, " << SIG
+           << ", m, false);\n"
+              "    for (int l = 0; l < kL; ++l) e.v[l] = pl[l] & "
+           << MASK << ";\n";
         break;
       case PInstr::kNbCopy:
-        os << "    S->nba.push_back(Nba{" << SIG << ", m, push_vals(S, S->v["
-           << in.a << "], " << MASK << "), -1});\n";
+        os << "    Nba& e = nba_push(S, " << SIG
+           << ", m, false);\n"
+              "    for (int l = 0; l < kL; ++l) e.v[l] = S->v["
+           << in.a << "][l] & " << MASK << ";\n";
         break;
       case PInstr::kNbConst:
-        os << "    for (int l = 0; l < kL; ++l) pl[l] = " << hx(in.imm)
-           << ";\n"
-              "    S->nba.push_back(Nba{"
-           << SIG << ", m, push_vals(S, pl, ~0ull), -1});\n";
+        os << "    Nba& e = nba_push(S, " << SIG
+           << ", m, false);\n"
+              "    for (int l = 0; l < kL; ++l) e.v[l] = "
+           << hx(in.imm) << ";\n";
         break;
       case PInstr::kNbElem:
+      case PInstr::kNbBit: {
+        // Element writes keep the signal's mask, bit writes only bit 0;
+        // the index plane rides in the entry either way.
+        const std::string vm = in.code == PInstr::kNbElem ? MASK : "1ull";
         plane_tape(in.t0, "pl");
-        os << "    const i64 vo = push_vals(S, pl, " << MASK << ");\n";
         plane_tape(in.t1, "ixp");
-        os << "    S->nba.push_back(Nba{" << SIG
-           << ", m, vo, push_idx(S, ixp)});\n";
+        os << "    Nba& e = nba_push(S, " << SIG
+           << ", m, true);\n"
+              "    for (int l = 0; l < kL; ++l) {\n"
+              "      e.v[l] = pl[l] & "
+           << vm
+           << ";\n"
+              "      e.ix[l] = (i64)ixp[l];\n"
+              "    }\n";
         break;
-      case PInstr::kNbBit:
-        plane_tape(in.t0, "pl");
-        os << "    const i64 vo = push_vals(S, pl, 1ull);\n";
-        plane_tape(in.t1, "ixp");
-        os << "    S->nba.push_back(Nba{" << SIG
-           << ", m, vo, push_idx(S, ixp)});\n";
-        break;
+      }
       case PInstr::kJump:
         // Backward jumps carry the aggregate (lane-summed) budget check;
         // the budget arrives pre-scaled by the lane count.
@@ -704,7 +594,7 @@ void emit_packed_proc(std::ostream& os, const CompiledDesign& cd,
       case PInstr::kJumpIfFalse: {
         os << "    u64 tk = 0;\n"
               "    for (int l = 0; l < kL; ++l) {\n";
-        const std::string c = emit_tape(os, cd, in.t0, tmp, ind, true);
+        const std::string c = emit_tape(os, cd, in.t0, tmp, ind);
         os << "      tk |= (u64)(" << c
            << " == 0) << l;\n"
               "    }\n"
@@ -764,7 +654,7 @@ void emit_packed_proc(std::ostream& os, const CompiledDesign& cd,
       case PInstr::kRepeatInit: {
         const TapeRef& t = cd.tapes[static_cast<std::size_t>(in.t0)];
         os << "    for (int l = 0; l < kL; ++l) {\n";
-        const std::string v = emit_tape(os, cd, in.t0, tmp, ind, true);
+        const std::string v = emit_tape(os, cd, in.t0, tmp, ind);
         os << "      if ((m >> l) & 1) reps[l * " << D << " + rsp[l]++] = ";
         if (t.sgn)
           os << "sgn64(" << v << ", " << static_cast<int>(t.w) << ");\n";
@@ -811,227 +701,6 @@ void emit_packed_proc(std::ostream& os, const CompiledDesign& cd,
 
 }  // namespace
 
-std::string codegen_source(const CompiledDesign& cd) {
-  const Design& d = *cd.design;
-  const std::size_t nsig = d.signals.size();
-  const std::size_t nproc = cd.procs.size();
-  std::ostringstream os;
-
-  os << "// Generated by hlsw vsim codegen; compiled and dlopen()ed at\n"
-        "// runtime. One translation unit per design fingerprint.\n"
-        "#include <cstddef>\n#include <cstdint>\n#include <vector>\n"
-        "namespace {\n"
-        "typedef std::uint64_t u64;\ntypedef long long i64;\n"
-        "inline u64 um(int w) { return w >= 64 ? ~0ull : (1ull << w) - 1ull; "
-        "}\n"
-        "inline i64 sgn64(u64 v, int w) { if (w < 64 && ((v >> (w - 1)) & "
-        "1)) v |= ~um(w); return (i64)v; }\n"
-        "inline u64 sx(u64 v, int w) { if ((v >> (w - 1)) & 1) v |= ~um(w); "
-        "return v; }\n"
-        "inline u64 tosgn(u64 v, int w) { if (w < 64 && ((v >> (w - 1)) & "
-        "1)) v |= ~um(w); return v; }\n"
-        "inline u64 ldel(const u64* A, i64 n, i64 i) { return (i >= 0 && i < "
-        "n) ? A[(std::size_t)i] : 0; }\n"
-        "inline u64 bitsel(u64 base, i64 i, int w) { return (i >= 0 && i < "
-        "w) ? (base >> i) & 1 : 0; }\n"
-        "inline u64 divs(u64 a, u64 b, int w, u64 imm) { const i64 sa = "
-        "sgn64(a, w), sb = sgn64(b, w); u64 r; if (sb == 0) r = 0; else if "
-        "(sb == -1) r = 0 - a; else r = (u64)(sa / sb); return r & imm; }\n"
-        "inline u64 mods(u64 a, u64 b, int w, u64 imm) { const i64 sa = "
-        "sgn64(a, w), sb = sgn64(b, w); u64 r; if (sb == 0 || sb == -1) r = "
-        "0; else r = (u64)(sa % sb); return r & imm; }\n"
-        "inline u64 repl(u64 kv, int w, int n) { u64 v = 0; for (int i = 0; "
-        "i < n; ++i) v = (v << w) | kv; return v; }\n\n";
-
-  emit_static_tables(os, cd);
-
-  // Engine state. Array signals are fixed-size members (lengths are design
-  // constants); everything zero-initializes except where create() applies
-  // declared init values.
-  os << "struct Nba { std::int32_t sig; i64 index; u64 value; };\n";
-  os << "struct St {\n  u64 v[" << nsig << "] = {};\n";
-  for (std::size_t i = 0; i < nsig; ++i)
-    if (d.signals[i].array_len > 0)
-      os << "  u64 a" << i << "[" << d.signals[i].array_len << "] = {};\n";
-  os << "  std::vector<Nba> nba, nba_scratch;\n"
-     << "  unsigned char ready[" << std::max<std::size_t>(nproc, 1)
-     << "] = {};\n"
-     << "  int ready_count = 0;\n"
-     << "  bool comb_dirty = true;\n"
-     << "  i64 events = 0, nba_commits = 0, delta_cycles = 0, instrs = 0;\n"
-     << "  i64 flushes = 0, slot_base = 0;\n"
-     << "};\n\n";
-
-  // Runtime array lookup (NBA element commits and host element peeks reach
-  // arrays by signal index).
-  os << "static u64* arrp(St* S, int sig) {\n  switch (sig) {\n";
-  for (std::size_t i = 0; i < nsig; ++i)
-    if (d.signals[i].array_len > 0)
-      os << "    case " << i << ": return S->a" << i << ";\n";
-  os << "    default: return nullptr;\n  }\n}\n\n";
-
-  os << "inline void rdy(St* S, int p) {\n"
-        "  if (!S->ready[p]) { S->ready[p] = 1; ++S->ready_count; }\n"
-        "}\n\n";
-
-  // Edge triggers, statically enumerated per signal. `self` is the running
-  // process (or -1): a process cannot re-arm itself, matching the event
-  // kernel where a thread is not edge-waiting while it executes.
-  os << "static void trig(St* S, int sig, u64 o, u64 n, int self) {\n"
-        "  const bool pos = !(o & 1) && (n & 1);\n"
-        "  const bool neg = (o & 1) && !(n & 1);\n"
-        "  (void)pos; (void)neg;\n"
-        "  switch (sig) {\n";
-  for (std::size_t i = 0; i < nsig; ++i) {
-    const auto b = cd.trig_index[i], e = cd.trig_index[i + 1];
-    if (b == e) continue;
-    os << "    case " << i << ":\n";
-    for (auto k = b; k < e; ++k) {
-      const auto& t = cd.trigs[static_cast<std::size_t>(k)];
-      os << "      if (self != " << t.proc;
-      if (t.edge == Edge::kPos)
-        os << " && pos";
-      else if (t.edge == Edge::kNeg)
-        os << " && neg";
-      os << ") rdy(S, " << t.proc << ");\n";
-    }
-    os << "      break;\n";
-  }
-  os << "    default: break;\n  }\n}\n\n";
-
-  // The one scalar write path: mask, change-detect, count, dirty the comb
-  // flush when the signal has fanout, fire triggers. Call sites with a
-  // constant `sig` fold the table lookups away.
-  os << "inline void set_sig(St* S, int sig, u64 nv, int self) {\n"
-        "  nv &= kMask[sig];\n"
-        "  const u64 old = S->v[sig];\n"
-        "  if (old == nv) return;\n"
-        "  S->v[sig] = nv;\n"
-        "  ++S->events;\n"
-        "  if (kHasFan[sig]) S->comb_dirty = true;\n"
-        "  if (kHasTrig[sig]) trig(S, sig, old, nv, self);\n"
-        "}\n\n"
-        "inline void setel(St* S, int sig, i64 idx, u64 v) {\n"
-        "  u64* A = arrp(S, sig);\n"
-        "  if (!A || idx < 0 || idx >= kALen[sig]) return;\n"
-        "  v &= kMask[sig];\n"
-        "  if (A[idx] == v) return;\n"
-        "  A[idx] = v;\n"
-        "  ++S->events;\n"
-        "  // element writes never wake edge waits (kernel parity)\n"
-        "  if (kHasFan[sig]) S->comb_dirty = true;\n"
-        "}\n\n";
-
-  // Full comb flush: every node in level order, straight-line, from the
-  // ORIGINAL tapes (reference semantics — fused exec tapes would duplicate
-  // spliced producers). Re-evaluating unchanged cones is idempotent and
-  // change detection in set_sig keeps the event counts identical to the
-  // gated interpreter. Lazy nodes (observed by nothing) are plain stores:
-  // no events, no triggers, exactly like the interpreter's force_lazy.
-  {
-    std::vector<std::size_t> order(cd.nodes.size());
-    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return cd.nodes[a].level < cd.nodes[b].level;
-                     });
-    os << "static void flush(St* S) {\n  ++S->flushes;\n";
-    int tmp = 0;
-    for (const std::size_t n : order) {
-      const CompiledDesign::Node& nd = cd.nodes[n];
-      os << "  { // node " << n << " level " << nd.level << " -> "
-         << d.signals[static_cast<std::size_t>(nd.target)].name << "\n";
-      const std::string v = emit_tape(os, cd, nd.tape, tmp, "    ");
-      if (cd.node_lazy[n])
-        os << "    S->v[" << nd.target << "] = " << v << " & "
-           << hx(cd.sig_mask[static_cast<std::size_t>(nd.target)]) << ";\n";
-      else
-        os << "    set_sig(S, " << nd.target << ", " << v << ", -1);\n";
-      os << "  }\n";
-    }
-    os << "}\n\n";
-  }
-
-  for (std::size_t p = 0; p < nproc; ++p) emit_proc(os, cd, p);
-
-  os << "static int run_proc(St* S, int p, i64 budget) {\n"
-        "  S->ready[p] = 0;\n  --S->ready_count;\n  int r = 0;\n"
-        "  switch (p) {\n";
-  for (std::size_t p = 0; p < nproc; ++p)
-    os << "    case " << p << ": r = proc" << p << "(S, budget); break;\n";
-  os << "    default: break;\n  }\n"
-        "  return r ? static_cast<int>(p) + 1 : 0;\n}\n\n";
-
-  os << "static void commit_nba(St* S) {\n"
-        "  S->nba_scratch.clear();\n  S->nba_scratch.swap(S->nba);\n"
-        "  S->nba_commits += (i64)S->nba_scratch.size();\n"
-        "  for (const Nba& e : S->nba_scratch) {\n"
-        "    if (kALen[e.sig] > 0) {\n"
-        "      setel(S, e.sig, e.index, e.value);\n"
-        "    } else if (e.index >= 0) {  // nonblocking bit write, RMW\n"
-        "      if (e.index < kWidth[e.sig]) {\n"
-        "        const u64 old = S->v[e.sig];\n"
-        "        set_sig(S, e.sig, (old & ~(1ull << e.index)) | ((e.value & "
-        "1ull) << e.index), -1);\n"
-        "      }\n"
-        "    } else {\n"
-        "      set_sig(S, e.sig, e.value, -1);\n"
-        "    }\n"
-        "  }\n}\n\n";
-
-  os << "static int settle(St* S, i64 budget) {\n"
-        "  S->slot_base = S->instrs;\n"
-        "  for (;;) {\n"
-        // Clear AFTER the flush: one level-ordered pass over a pure DAG is
-        // a fixpoint, so the dirty bits the flush's own stores raise would
-        // only buy a redundant full re-evaluation.
-        "    if (S->comb_dirty) { flush(S); S->comb_dirty = false; }\n"
-        "    if (S->ready_count > 0) {\n"
-        "      int p = 0;\n"
-        "      while (!S->ready[p]) ++p;\n"
-        "      const int r = run_proc(S, p, budget);\n"
-        "      if (r) return r;\n"
-        "      continue;\n"
-        "    }\n"
-        "    if (S->nba.empty()) break;\n"
-        "    commit_nba(S);\n"
-        "    ++S->delta_cycles;\n"
-        "  }\n"
-        "  return 0;\n}\n"
-        "}  // namespace\n\n";
-
-  // ABI. Keep in sync with CodegenModule (codegen.h); bump kCgAbi there
-  // when anything below changes shape.
-  os << "extern \"C\" {\n"
-        "int hlsw_cg_abi() { return 2; }\n"
-        "void* hlsw_cg_create() {\n  St* s = new St();\n";
-  for (std::size_t i = 0; i < nsig; ++i)
-    if (d.signals[i].array_len == 0 && d.signals[i].has_init)
-      os << "  s->v[" << i << "] = "
-         << hx(static_cast<std::uint64_t>(d.signals[i].init) & cd.sig_mask[i])
-         << ";\n";
-  for (std::size_t p = 0; p < nproc; ++p)
-    if (cd.procs[p].initially_ready)
-      os << "  s->ready[" << p << "] = 1;\n  ++s->ready_count;\n";
-  os << "  return s;\n}\n"
-        "void hlsw_cg_destroy(void* p) { delete (St*)p; }\n"
-        "void hlsw_cg_poke(void* p, int sig, u64 v) { set_sig((St*)p, sig, "
-        "v, -1); }\n"
-        "u64 hlsw_cg_peek(void* p, int sig) { return ((St*)p)->v[sig]; }\n"
-        "u64 hlsw_cg_peek_elem(void* p, int sig, int idx) {\n"
-        "  const u64* A = arrp((St*)p, sig);\n"
-        "  return A ? A[idx] : 0;\n}\n"
-        "int hlsw_cg_settle(void* p, long long budget) { return "
-        "settle((St*)p, budget); }\n"
-        "void hlsw_cg_stats(void* p, long long* out) {\n"
-        "  const St* s = (const St*)p;\n"
-        "  out[0] = s->events; out[1] = s->nba_commits;\n"
-        "  out[2] = s->delta_cycles; out[3] = s->instrs; out[4] = "
-        "s->flushes;\n}\n"
-        "}\n";
-  return os.str();
-}
-
 std::string packed_codegen_source(const CompiledDesign& cd, int lanes) {
   const Design& d = *cd.design;
   const std::size_t nsig = d.signals.size();
@@ -1041,25 +710,29 @@ std::string packed_codegen_source(const CompiledDesign& cd, int lanes) {
   std::ostringstream os;
 
   // The lane count is part of the generated text (kL below), so every
-  // (design, lanes) pair gets its own fingerprint — and the hlsw_cg_pk_*
-  // symbols keep packed artifacts from ever aliasing scalar ones.
-  os << "// Generated by hlsw vsim packed codegen (lane-major engine, "
-     << lanes
-     << " lanes);\n"
+  // (design, lanes) pair gets its own fingerprint.
+  os << "// Generated by hlsw vsim codegen (lane-major engine, " << lanes
+     << (lanes == 1 ? " lane" : " lanes")
+     << ");\n"
         "// compiled and dlopen()ed at runtime. One translation unit per\n"
         "// (design fingerprint, lane count).\n"
-        "#include <cstddef>\n#include <cstdint>\n#include <vector>\n"
-        "// The generated object is always compiled uninstrumented by the\n"
-        "// host toolchain, so the ifunc resolvers target_clones emits are\n"
-        "// safe even when the loading process runs under ThreadSanitizer\n"
-        "// (unlike pack.cpp, which must guard its own attribute).\n"
-        "#ifndef __has_attribute\n#define __has_attribute(x) 0\n#endif\n"
-        "#if defined(__x86_64__) && defined(__ELF__) && "
-        "__has_attribute(target_clones)\n"
-        "#define PK_SIMD __attribute__((target_clones(\"default\", "
-        "\"arch=x86-64-v3\", \"arch=x86-64-v4\")))\n"
-        "#else\n#define PK_SIMD\n#endif\n"
-        "namespace {\n"
+        "#include <cstddef>\n#include <cstdint>\n#include <vector>\n";
+  // One lane has nothing to vectorize: plain functions compile faster and
+  // skip the ifunc dispatch. Wider engines clone the hot loops per ISA
+  // level. The generated object is always compiled uninstrumented by the
+  // host toolchain, so the ifunc resolvers target_clones emits are safe
+  // even when the loading process runs under ThreadSanitizer (unlike
+  // pack.cpp, which must guard its own attribute).
+  if (lanes == 1)
+    os << "#define PK_SIMD\n";
+  else
+    os << "#ifndef __has_attribute\n#define __has_attribute(x) 0\n#endif\n"
+          "#if defined(__x86_64__) && defined(__ELF__) && "
+          "__has_attribute(target_clones)\n"
+          "#define PK_SIMD __attribute__((target_clones(\"default\", "
+          "\"arch=x86-64-v3\", \"arch=x86-64-v4\")))\n"
+          "#else\n#define PK_SIMD\n#endif\n";
+  os << "namespace {\n"
         "typedef std::uint64_t u64;\ntypedef long long i64;\n"
         "constexpr int kL = "
      << lanes
@@ -1087,7 +760,10 @@ std::string packed_codegen_source(const CompiledDesign& cd, int lanes) {
         "0; else r = (u64)(sa % sb); return r & imm; }\n"
         "inline u64 repl(u64 kv, int w, int n) { u64 v = 0; for (int i = 0; "
         "i < n; ++i) v = (v << w) | kv; return v; }\n"
-        "inline int popc(u64 m) { return __builtin_popcountll(m); }\n\n";
+        // A one-lane mask is 0 or 1: its popcount is the mask itself.
+     << (lanes == 1 ? "inline int popc(u64 m) { return (int)m; }\n\n"
+                    : "inline int popc(u64 m) { return "
+                      "__builtin_popcountll(m); }\n\n");
 
   emit_static_tables(os, cd);
 
@@ -1122,21 +798,27 @@ std::string packed_codegen_source(const CompiledDesign& cd, int lanes) {
 
   // Engine state: one kL-lane plane per signal (2D so runtime-sig paths
   // like set_masked index rows), lane-major arrays, lane-mask ready bits
-  // and the double-buffered NBA queue with plane arenas — PackedSim's
-  // layout with every extent baked.
-  os << "struct Nba { std::int32_t sig; u64 mask; i64 vofs; i64 iofs; };\n";
+  // and the NBA queue — PackedSim's layout with every extent baked. Each
+  // queued NBA carries its value plane (and, for element and bit writes,
+  // its index plane) inline; the empty constructor leaves the planes
+  // uninitialized for the enqueuing instruction to fill.
+  os << "struct Nba {\n"
+        "  Nba() {}\n"
+        "  std::int32_t sig;\n"
+        "  bool has_ix;\n"
+        "  u64 mask;\n"
+        "  u64 v[kL];\n"
+        "  i64 ix[kL];\n"
+        "};\n";
   os << "struct St {\n  u64 v[" << nsig << "][kL] = {};\n";
   for (std::size_t i = 0; i < nsig; ++i)
     if (d.signals[i].array_len > 0)
       os << "  u64 a" << i << "[" << d.signals[i].array_len
          << " * kL] = {};\n";
-  os << "  std::vector<Nba> nba, nba_scratch;\n"
-        "  std::vector<u64> nvals, nvals_s;\n"
-        "  std::vector<i64> nidx, nidx_s;\n"
+  os << "  std::vector<Nba> nba;\n"
         "  u64 ready["
      << std::max<std::size_t>(nproc, 1)
      << "] = {};\n"
-        "  u64 scratch[kL] = {};\n"
         "  int running = -1;\n"
         "  bool comb_dirty = true;\n"
         // Zero = dirty: the first flush evaluates every eager node, as the
@@ -1144,7 +826,14 @@ std::string packed_codegen_source(const CompiledDesign& cd, int lanes) {
         "  unsigned char nclean[kNN] = {};\n"
         "  i64 events = 0, nba_commits = 0, delta_cycles = 0, instrs = 0;\n"
         "  i64 flushes = 0, div_splits = 0, slot_base = 0;\n"
-        "};\n\n";
+        "};\n\n"
+        "inline Nba& nba_push(St* S, int sig, u64 m, bool has_ix) {\n"
+        "  Nba& e = S->nba.emplace_back();\n"
+        "  e.sig = sig;\n"
+        "  e.has_ix = has_ix;\n"
+        "  e.mask = m;\n"
+        "  return e;\n"
+        "}\n\n";
 
   os << "static u64* arrp(St* S, int sig) {\n  switch (sig) {\n";
   for (std::size_t i = 0; i < nsig; ++i)
@@ -1230,16 +919,6 @@ std::string packed_codegen_source(const CompiledDesign& cd, int lanes) {
         "  ++S->events;\n"
         "  // element writes never wake edge waits (kernel parity)\n"
         "  if (kHasFan[sig]) { S->comb_dirty = true; mark_fan(S, sig); }\n"
-        "}\n\n"
-        "static i64 push_vals(St* S, const u64* v, u64 pm) {\n"
-        "  const i64 ofs = (i64)S->nvals.size();\n"
-        "  for (int l = 0; l < kL; ++l) S->nvals.push_back(v[l] & pm);\n"
-        "  return ofs;\n"
-        "}\n"
-        "static i64 push_idx(St* S, const u64* v) {\n"
-        "  const i64 ofs = (i64)S->nidx.size();\n"
-        "  for (int l = 0; l < kL; ++l) S->nidx.push_back((i64)v[l]);\n"
-        "  return ofs;\n"
         "}\n\n";
 
   // Activity-gated comb flush in level order, the oracle's flush_comb with
@@ -1283,7 +962,7 @@ std::string packed_codegen_source(const CompiledDesign& cd, int lanes) {
             "    (void)pos; (void)neg;\n"
             "    for (int l = 0; l < kL; ++l) {\n";
       const std::string v =
-          emit_tape(os, cd, nd.exec_tape, tmp, "      ", true);
+          emit_tape(os, cd, nd.exec_tape, tmp, "      ");
       os << "      const u64 n = " << v << " & " << SM
          << ";\n"
             "      const u64 o = v[l];\n"
@@ -1333,7 +1012,7 @@ std::string packed_codegen_source(const CompiledDesign& cd, int lanes) {
       os << "      u64* v = S->v[" << nd.target
          << "];\n"
             "      for (int l = 0; l < kL; ++l) {\n";
-      const std::string v = emit_tape(os, cd, nd.tape, tmp, "        ", true);
+      const std::string v = emit_tape(os, cd, nd.tape, tmp, "        ");
       os << "        v[l] = " << v << " & "
          << hx(cd.sig_mask[static_cast<std::size_t>(nd.target)])
          << ";\n      }\n      break;\n    }\n";
@@ -1350,7 +1029,7 @@ std::string packed_codegen_source(const CompiledDesign& cd, int lanes) {
   }
   if (!cd.case_tables.empty()) os << "\n";
 
-  for (std::size_t p = 0; p < nproc; ++p) emit_packed_proc(os, cd, p);
+  for (std::size_t p = 0; p < nproc; ++p) emit_proc(os, cd, p);
 
   os << "static int run_proc(St* S, int p, u64 m, i64 budget) {\n"
         "  S->running = p;\n  int r = 0;\n"
@@ -1361,15 +1040,15 @@ std::string packed_codegen_source(const CompiledDesign& cd, int lanes) {
         "  S->running = -1;\n"
         "  return r ? p + 1 : 0;\n}\n\n";
 
+  // Commits apply in enqueue order. Nothing in a commit enqueues another
+  // NBA (set_masked only wakes processes), so the queue is walked in place
+  // and cleared once drained.
   os << "PK_SIMD static void commit_nba(St* S) {\n"
-        "  S->nba_scratch.clear();\n  S->nba_scratch.swap(S->nba);\n"
-        "  S->nvals_s.clear();\n  S->nvals_s.swap(S->nvals);\n"
-        "  S->nidx_s.clear();\n  S->nidx_s.swap(S->nidx);\n"
-        "  for (const Nba& e : S->nba_scratch) {\n"
+        "  for (const Nba& e : S->nba) {\n"
         "    S->nba_commits += popc(e.mask);\n"
-        "    const u64* v = S->nvals_s.data() + e.vofs;\n"
+        "    const u64* v = e.v;\n"
         "    if (kALen[e.sig] > 0) {\n"
-        "      const i64* ix = S->nidx_s.data() + e.iofs;\n"
+        "      const i64* ix = e.ix;\n"
         "      const u64 sm = kMask[e.sig];\n"
         "      const i64 n = kALen[e.sig];\n"
         "      u64* A = arrp(S, e.sig);\n"
@@ -1389,9 +1068,9 @@ std::string packed_codegen_source(const CompiledDesign& cd, int lanes) {
         "        S->comb_dirty = true;\n"
         "        mark_fan(S, e.sig);\n"
         "      }\n"
-        "    } else if (e.iofs >= 0) {  // nonblocking bit write, RMW\n"
-        "      const i64* ix = S->nidx_s.data() + e.iofs;\n"
-        "      u64* nv = S->scratch;\n"
+        "    } else if (e.has_ix) {  // nonblocking bit write, RMW\n"
+        "      const i64* ix = e.ix;\n"
+        "      u64 nv[kL];\n"
         "      const u64* cur = S->v[e.sig];\n"
         "      u64 bit_mask = 0, neg_mask = 0;\n"
         "      for (int l = 0; l < kL; ++l) {\n"
@@ -1409,13 +1088,16 @@ std::string packed_codegen_source(const CompiledDesign& cd, int lanes) {
         "    } else {\n"
         "      set_masked(S, e.sig, v, e.mask);\n"
         "    }\n"
-        "  }\n}\n\n";
+        "  }\n"
+        "  S->nba.clear();\n"
+        "}\n\n";
 
   os << "static int settle(St* S, i64 budget) {\n"
         "  S->slot_base = S->instrs;\n"
         "  for (;;) {\n"
-        // Clear AFTER the flush, as the scalar engine: one level-ordered
-        // pass over a pure DAG is a fixpoint.
+        // Clear AFTER the flush: one level-ordered pass over a pure DAG is
+        // a fixpoint, so the dirty bits the flush's own stores raise would
+        // only buy a redundant re-evaluation.
         "    if (S->comb_dirty) { flush(S); S->comb_dirty = false; }\n"
         "    int p = -1;\n"
         "    for (int i = 0; i < "
@@ -1436,11 +1118,13 @@ std::string packed_codegen_source(const CompiledDesign& cd, int lanes) {
         "  return 0;\n}\n"
         "}  // namespace\n\n";
 
-  // ABI. Keep in sync with PackedCodegenModule (codegen.h); the shared
-  // hlsw_cg_abi/hlsw_cg_fp pair is what open_and_verify checks for both
-  // scalar and packed artifacts.
+  // ABI. Keep in sync with PackedCodegenModule (codegen.h); bump kCgAbi
+  // when anything below changes shape. open_and_verify checks the
+  // hlsw_cg_abi/hlsw_cg_fp pair before any entry point is resolved.
   os << "extern \"C\" {\n"
-        "int hlsw_cg_abi() { return 2; }\n"
+        "int hlsw_cg_abi() { return "
+     << kCgAbi
+     << "; }\n"
         "int hlsw_cg_pk_lanes() { return kL; }\n"
         "void* hlsw_cg_pk_create() {\n  St* s = new St();\n";
   for (std::size_t i = 0; i < nsig; ++i)
@@ -1487,9 +1171,8 @@ std::string packed_codegen_source(const CompiledDesign& cd, int lanes) {
 
 namespace {
 
-// Rev 2: packed lane-major ABI added (hlsw_cg_pk_*), scalar settle now
-// clears comb_dirty after the flush.
-constexpr int kCgAbi = 2;
+// Compile flags; part of the fingerprinted text (see build_shared_object).
+constexpr const char* kCxxFlags = "-std=c++17 -O2 -fPIC -shared";
 
 std::string fnv1a(const std::string& s) {
   std::uint64_t h = 1469598103934665603ull;
@@ -1509,13 +1192,21 @@ std::filesystem::path cache_dir() {
   return std::filesystem::temp_directory_path() / "hlsw-vsim-codegen";
 }
 
+// The whole file, or "" when it cannot be read.
+std::string read_file(const std::filesystem::path& path) {
+  std::ifstream f(path, std::ios::binary);
+  std::ostringstream ss;
+  ss << f.rdbuf();
+  return f ? ss.str() : std::string();
+}
+
 struct LoadedModule {
   void* handle = nullptr;
   std::string error;
 };
 
 // dlopen + fingerprint/ABI verification. The handle is never dlclose()d:
-// generated code may be referenced by live CodegenSims for the process
+// generated code may be referenced by live engines for the process
 // lifetime, and re-opening the same path returns the same handle anyway.
 LoadedModule open_and_verify(const std::filesystem::path& so,
                              const std::string& fp) {
@@ -1538,9 +1229,8 @@ LoadedModule open_and_verify(const std::filesystem::path& so,
   return m;
 }
 
-// Builds (or reuses) the content-keyed shared object for `src`. Shared by
-// the scalar and packed generators — the two differ only in which entry
-// points they resolve afterwards. Returns false with a reason in *why.
+// Builds (or reuses) the content-keyed shared object for `src`. Returns
+// false with a reason in *why.
 bool build_shared_object(std::string src, std::string* fp_out,
                          std::string* so_out, void** handle_out,
                          std::string* why) {
@@ -1549,8 +1239,13 @@ bool build_shared_object(std::string src, std::string* fp_out,
     *why = "no host toolchain (set CXX or HLSW_CODEGEN_CXX)";
     return false;
   }
-  // The fingerprint covers the generated text; the embedded fp symbol is
+  // The fingerprint covers everything that shapes the object: the
+  // toolchain command and the first line of its --version, the flags, the
+  // ABI revision and the generated text. The embedded fp symbol is
   // appended after hashing so the hash stays well-defined.
+  src = "// toolchain: " + cxx + "\n// version: " + probe_cxx(cxx).version +
+        "\n// flags: " + kCxxFlags + "\n// abi: " + std::to_string(kCgAbi) +
+        "\n" + src;
   const std::string fp = fnv1a(src);
   src += "\nextern \"C\" const char* hlsw_cg_fp() { return \"" + fp +
          "\"; }\n";
@@ -1576,7 +1271,10 @@ bool build_shared_object(std::string src, std::string* fp_out,
   const bool metrics = obs::enabled();
   LoadedModule lm;
   bool cache_hit = false;
-  if (std::filesystem::exists(so, ec)) {
+  // An on-disk hit must have been built from exactly this text: the stored
+  // source is compared in full before the object is loaded, so a 64-bit
+  // fingerprint collision (or a tampered cache entry) rebuilds instead.
+  if (std::filesystem::exists(so, ec) && read_file(cpp) == src) {
     lm = open_and_verify(so, fp);
     cache_hit = lm.handle != nullptr;
   }
@@ -1595,9 +1293,9 @@ bool build_shared_object(std::string src, std::string* fp_out,
         return false;
       }
     }
-    const std::string cmd = cxx + " -std=c++17 -O2 -fPIC -shared -o '" +
-                            tmp.string() + "' '" + cpp_tmp.string() +
-                            "' > '" + log_tmp.string() + "' 2>&1";
+    const std::string cmd = cxx + " " + kCxxFlags + " -o '" + tmp.string() +
+                            "' '" + cpp_tmp.string() + "' > '" +
+                            log_tmp.string() + "' 2>&1";
     if (metrics)
       obs::MetricsRegistry::instance().add("vsim.codegen.compiles", 1.0);
     const int rc = std::system(cmd.c_str());
@@ -1644,38 +1342,8 @@ bool build_shared_object(std::string src, std::string* fp_out,
   return true;
 }
 
-// Builds (or reuses) the shared object for `src` and resolves the scalar
-// entry points into *mod. Returns false with a reason in *why.
-bool build_module(const CompiledDesign& cd, std::string src,
-                  CodegenModule* mod, std::string* why) {
-  (void)cd;
-  void* handle = nullptr;
-  if (!build_shared_object(std::move(src), &mod->fingerprint, &mod->so_path,
-                           &handle, why))
-    return false;
-  const auto sym = [&](const char* name) { return dlsym(handle, name); };
-  mod->create = reinterpret_cast<void* (*)()>(sym("hlsw_cg_create"));
-  mod->destroy = reinterpret_cast<void (*)(void*)>(sym("hlsw_cg_destroy"));
-  mod->poke = reinterpret_cast<void (*)(void*, int, std::uint64_t)>(
-      sym("hlsw_cg_poke"));
-  mod->peek =
-      reinterpret_cast<std::uint64_t (*)(void*, int)>(sym("hlsw_cg_peek"));
-  mod->peek_elem = reinterpret_cast<std::uint64_t (*)(void*, int, int)>(
-      sym("hlsw_cg_peek_elem"));
-  mod->settle =
-      reinterpret_cast<int (*)(void*, long long)>(sym("hlsw_cg_settle"));
-  mod->stats =
-      reinterpret_cast<void (*)(void*, long long*)>(sym("hlsw_cg_stats"));
-  if (!mod->create || !mod->destroy || !mod->poke || !mod->peek ||
-      !mod->peek_elem || !mod->settle || !mod->stats) {
-    *why = "generated shared object is missing entry points";
-    return false;
-  }
-  return true;
-}
-
-// Builds (or reuses) the lane-major shared object and resolves the
-// hlsw_cg_pk_* entry points into *mod, verifying the baked lane count.
+// Builds (or reuses) the shared object and resolves the hlsw_cg_pk_* entry
+// points into *mod, verifying the baked lane count.
 bool build_packed_module(std::string src, int lanes, PackedCodegenModule* mod,
                          std::string* why) {
   void* handle = nullptr;
@@ -1709,26 +1377,21 @@ bool build_packed_module(std::string src, int lanes, PackedCodegenModule* mod,
   if (!mod->create || !mod->destroy || !mod->poke || !mod->poke_plane ||
       !mod->peek || !mod->peek_elem || !mod->nonzero || !mod->settle ||
       !mod->stats) {
-    *why = "generated shared object is missing packed entry points";
+    *why = "generated shared object is missing entry points";
     return false;
   }
   return true;
 }
 
+// Per-(plan, lanes) memo of built modules and refusals.
 struct CodegenCache {
   struct Entry {
-    std::weak_ptr<const CompiledDesign> key;
-    std::shared_ptr<const CodegenModule> mod;
-    std::string why;
-  };
-  struct PackedEntry {
     std::weak_ptr<const CompiledDesign> key;
     std::shared_ptr<const PackedCodegenModule> mod;
     std::string why;
   };
   std::mutex mu;
-  std::map<const CompiledDesign*, Entry> map;
-  std::map<std::pair<const CompiledDesign*, int>, PackedEntry> packed;
+  std::map<std::pair<const CompiledDesign*, int>, Entry> map;
 };
 
 CodegenCache& codegen_cache() {
@@ -1737,72 +1400,6 @@ CodegenCache& codegen_cache() {
 }
 
 }  // namespace
-
-std::shared_ptr<const CodegenModule> codegen_plan(
-    const std::shared_ptr<const Design>& design, std::string* why) {
-  const bool metrics = obs::enabled();
-  const auto fall = [&](const std::string& reason) {
-    if (why != nullptr) *why = reason;
-    if (metrics)
-      obs::MetricsRegistry::instance().add("vsim.codegen.fallbacks", 1.0);
-    return nullptr;
-  };
-
-  // Toolchain availability is decided BEFORE the memo so disabling codegen
-  // (HLSW_CODEGEN_CXX=none) never poisons the per-design cache.
-  if (!codegen_available())
-    return fall("no host toolchain (set CXX or HLSW_CODEGEN_CXX)");
-
-  std::string cwhy;
-  const auto plan = compiled_plan(design, &cwhy);
-  if (plan == nullptr) return fall(cwhy);
-
-  CodegenCache& c = codegen_cache();
-  {
-    std::lock_guard<std::mutex> lk(c.mu);
-    const auto it = c.map.find(plan.get());
-    if (it != c.map.end() && !it->second.key.expired()) {
-      if (it->second.mod != nullptr) return it->second.mod;
-      return fall(it->second.why);
-    }
-  }
-
-  const auto memoize = [&](std::shared_ptr<const CodegenModule> mod,
-                           const std::string& reason) {
-    std::lock_guard<std::mutex> lk(c.mu);
-    if (c.map.size() > 64) {
-      for (auto it = c.map.begin(); it != c.map.end();)
-        it = it->second.key.expired() ? c.map.erase(it) : std::next(it);
-    }
-    CodegenCache::Entry e;
-    e.key = plan;
-    e.mod = std::move(mod);
-    e.why = reason;
-    c.map[plan.get()] = std::move(e);
-  };
-
-  // Typed refusals: system tasks stay on the interpreter tiers, which own
-  // the display log and the VCD writer.
-  for (const PInstr& in : plan->prog) {
-    if (in.code == PInstr::kDisplay || in.code == PInstr::kDumpFile ||
-        in.code == PInstr::kDumpVars) {
-      const std::string reason =
-          "$display/$dump system tasks stay on the interpreter backends";
-      memoize(nullptr, reason);
-      return fall(reason);
-    }
-  }
-
-  auto mod = std::make_shared<CodegenModule>();
-  mod->plan = plan;
-  std::string bwhy;
-  if (!build_module(*plan, codegen_source(*plan), mod.get(), &bwhy)) {
-    memoize(nullptr, bwhy);
-    return fall(bwhy);
-  }
-  memoize(mod, "");
-  return mod;
-}
 
 std::shared_ptr<const PackedCodegenModule> packed_codegen_plan(
     const std::shared_ptr<const CompiledDesign>& plan, int lanes,
@@ -1827,8 +1424,8 @@ std::shared_ptr<const PackedCodegenModule> packed_codegen_plan(
   const auto key = std::make_pair(plan.get(), lanes);
   {
     std::lock_guard<std::mutex> lk(c.mu);
-    const auto it = c.packed.find(key);
-    if (it != c.packed.end() && !it->second.key.expired()) {
+    const auto it = c.map.find(key);
+    if (it != c.map.end() && !it->second.key.expired()) {
       if (it->second.mod != nullptr) return it->second.mod;
       return fall(it->second.why);
     }
@@ -1837,17 +1434,19 @@ std::shared_ptr<const PackedCodegenModule> packed_codegen_plan(
   const auto memoize = [&](std::shared_ptr<const PackedCodegenModule> mod,
                            const std::string& reason) {
     std::lock_guard<std::mutex> lk(c.mu);
-    if (c.packed.size() > 64) {
-      for (auto it = c.packed.begin(); it != c.packed.end();)
-        it = it->second.key.expired() ? c.packed.erase(it) : std::next(it);
+    if (c.map.size() > 64) {
+      for (auto it = c.map.begin(); it != c.map.end();)
+        it = it->second.key.expired() ? c.map.erase(it) : std::next(it);
     }
-    CodegenCache::PackedEntry e;
+    CodegenCache::Entry e;
     e.key = plan;
     e.mod = std::move(mod);
     e.why = reason;
-    c.packed[key] = std::move(e);
+    c.map[key] = std::move(e);
   };
 
+  // Typed refusal: system tasks stay on the interpreter tiers, which own
+  // the display log and the VCD writer.
   if (!plan_packable(*plan)) {
     const std::string reason =
         "$display/$dump system tasks stay on the interpreter backends";
@@ -1866,82 +1465,6 @@ std::shared_ptr<const PackedCodegenModule> packed_codegen_plan(
   }
   memoize(mod, "");
   return mod;
-}
-
-// ---- CodegenSim -------------------------------------------------------------
-
-CodegenSim::CodegenSim(std::shared_ptr<const CodegenModule> mod,
-                       const SimConfig& cfg)
-    : mod_(std::move(mod)), cfg_(cfg) {
-  st_ = mod_->create();
-  settle();  // time 0: all comb evaluates once, initial bodies run
-}
-
-CodegenSim::~CodegenSim() {
-  if (st_ != nullptr) {
-    if (obs::enabled()) {
-      long long o[5] = {};
-      mod_->stats(st_, o);
-      obs::MetricsRegistry::instance().add("vsim.codegen.flushes",
-                                           static_cast<double>(o[4]));
-    }
-    mod_->destroy(st_);
-  }
-}
-
-void CodegenSim::poke(int sig, std::uint64_t value) {
-  mod_->poke(st_, sig, value);
-}
-
-long long CodegenSim::peek_signed(int sig) const {
-  const int w =
-      mod_->plan->design->signals[static_cast<std::size_t>(sig)].width;
-  std::uint64_t v = peek(sig);
-  if (w < 64 && ((v >> (w - 1)) & 1))
-    v |= ~((w >= 64 ? ~0ULL : (1ULL << w) - 1ULL));
-  return static_cast<long long>(v);
-}
-
-std::uint64_t CodegenSim::peek_elem(int sig, int index) const {
-  const Signal& s =
-      mod_->plan->design->signals[static_cast<std::size_t>(sig)];
-  if (index < 0 || index >= s.array_len)
-    fail("element " + std::to_string(index) + " out of range for '" +
-         s.name + "'");
-  return mod_->peek_elem(st_, sig, index);
-}
-
-void CodegenSim::settle() {
-  const int r = mod_->settle(st_, cfg_.max_instrs_per_slot);
-  if (r != 0)
-    fail("instruction budget exceeded without time advancing "
-         "(zero-delay loop in " +
-         mod_->plan->procs[static_cast<std::size_t>(r - 1)].origin + "?)");
-}
-
-RunResult CodegenSim::run() {
-  obs::ScopedSpan span("vsim.run", "vsim");
-  if (span.active()) span.arg("backend", "codegen");
-  settle();
-  if (obs::enabled()) {
-    const SimStats& s = stats();
-    auto& m = obs::MetricsRegistry::instance();
-    m.add("vsim.events", static_cast<double>(s.events));
-    m.add("vsim.nba_commits", static_cast<double>(s.nba_commits));
-  }
-  RunResult r;
-  r.end_time = 0;
-  return r;
-}
-
-const SimStats& CodegenSim::stats() const {
-  long long o[5] = {};
-  mod_->stats(st_, o);
-  stats_.events = o[0];
-  stats_.nba_commits = o[1];
-  stats_.delta_cycles = o[2];
-  stats_.instrs = o[3];
-  return stats_;
 }
 
 // ---- PackedCodegenSim -------------------------------------------------------

@@ -26,10 +26,11 @@
 //     blocking writes of sensitivity-triggered always blocks),
 //   - constructs the event kernel itself only rejects dynamically
 //     (string operands, register files read without a select, ...).
-// The dispatch lives in Simulation (sim.h): VsimOptions::compiled (default
-// true) selects this backend when the design compiles, silently keeping
-// the event engine otherwise. $display, VCD dumping, DutHarness pokes and
-// SimStats event/NBA accounting behave identically on both backends.
+// The dispatch lives in Simulation (sim.h): every backend but kEvent
+// selects this one when the design compiles (kPackedCodegen runs the
+// native engine generated from the same plan), silently keeping the event
+// engine otherwise. $display, VCD dumping, DutHarness pokes and SimStats
+// event/NBA accounting behave identically on both backends.
 #pragma once
 
 #include <cstdint>

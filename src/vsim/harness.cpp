@@ -364,7 +364,7 @@ hls::CosimResult vsim_sweep(const hls::Function& f, const hls::Schedule& s,
   const std::string verilog = rtl::emit_verilog(f, s);
   auto design = load_design(verilog, f.name);
   const int lanes = std::clamp(opts.lanes, 1, kMaxLanes);
-  if (lanes > 1 && cfg.compiled && cfg.backend != Backend::kEvent) {
+  if (lanes > 1 && cfg.backend != Backend::kEvent) {
     std::string why;
     if (auto plan = compiled_plan(design, &why); plan && plan_packable(*plan))
       return vsim_sweep_packed(f, plan, vectors, opts, cfg, lanes);

@@ -102,12 +102,12 @@ TestbenchResult run_testbench(const std::string& sources,
 
 // Emits Verilog for (f, s) and differentially sweeps the executed text
 // against the untimed interpreter golden. The design is parsed and
-// elaborated once (and the compiled execution plan, when `cfg.compiled`,
-// is memoized process-wide), so every shard shares the front-end work and
-// only per-leg Simulation state is rebuilt; sharded per CosimOptions
-// (thread pool, block size). Stateful designs need block_size >=
-// vectors.size(), as with cosim_sweep. `cfg` selects the vsim backend for
-// every leg (event vs compiled benchmarking).
+// elaborated once (and the compiled execution plan, unless `cfg` asks for
+// the event kernel, is memoized process-wide), so every shard shares the
+// front-end work and only per-leg Simulation state is rebuilt; sharded per
+// CosimOptions (thread pool, block size). Stateful designs need block_size
+// >= vectors.size(), as with cosim_sweep. `cfg` selects the vsim backend
+// for every leg (event vs compiled benchmarking).
 hls::CosimResult vsim_sweep(const hls::Function& f, const hls::Schedule& s,
                             const std::vector<hls::PortIo>& vectors,
                             const hls::CosimOptions& opts = {},

@@ -1144,18 +1144,14 @@ int find_signal(const Design& d, const std::string& name) {
   return h;
 }
 
-// Engine selection for the packed tiers: kAuto (with compiled on),
-// kCodegen and kPackedCodegen all try the generated lane-major engine
-// first; kEvent/kCompiled force the interpreted tier so the benchmarks
-// can measure the interpreted baseline on demand.
+// Engine selection for the packed tiers: kAuto and kPackedCodegen try the
+// generated engine first; kEvent/kCompiled force the interpreted tier so
+// the benchmarks can measure the interpreted baseline on demand.
 std::unique_ptr<PackedEngine> make_packed_engine(
     const std::shared_ptr<const CompiledDesign>& plan, int lanes,
     const SimConfig& cfg, std::string* fallback_reason) {
-  const Backend want = cfg.backend;
-  const bool try_cg = want == Backend::kPackedCodegen ||
-                      want == Backend::kCodegen ||
-                      (want == Backend::kAuto && cfg.compiled);
-  if (try_cg) {
+  if (cfg.backend == Backend::kAuto ||
+      cfg.backend == Backend::kPackedCodegen) {
     std::string why;
     if (auto mod = packed_codegen_plan(plan, lanes, &why))
       return std::make_unique<PackedCodegenSim>(std::move(mod), cfg);

@@ -47,7 +47,9 @@ inline constexpr int kMaxLanes = 64;
 // per-lane peeks, a settle loop and lane-summed accounting. The two are
 // bit-identical by construction (pack_test proves it), so PackedDutHarness
 // selects whichever tier SimConfig::backend admits and drives it through
-// this interface.
+// this interface. PackedSim is the oracle for the generated engine and the
+// packed tier on machines without a host toolchain; a one-lane
+// PackedCodegenSim is also Simulation's native engine.
 class PackedEngine {
  public:
   virtual ~PackedEngine() = default;
@@ -195,11 +197,11 @@ class PackedSim : public PackedEngine {
 // lane in the masked pokes, preserving bit-identity with per-lane scalar
 // replay.
 //
-// Engine selection: kAuto/kCodegen/kPackedCodegen try the generated
-// lane-major engine (PackedCodegenSim) first and degrade to the
-// interpreted PackedSim with a "packed-codegen: " prefixed
-// fallback_reason(); kEvent/kCompiled force the interpreted tier (the
-// benchmarks use this to keep the interpreted baseline measurable).
+// Engine selection: kAuto/kPackedCodegen try the generated engine
+// (PackedCodegenSim) first and degrade to the interpreted PackedSim with a
+// "packed-codegen: " prefixed fallback_reason(); kEvent/kCompiled force the
+// interpreted tier (the benchmarks use this to keep the interpreted
+// baseline measurable).
 class PackedDutHarness {
  public:
   PackedDutHarness(const hls::Function& f,

@@ -226,7 +226,7 @@ ProfileRunResult profile_run(const hls::Function& f,
     if (opts.run_vsim_event) run_vsim(Backend::kEvent, "event");
     if (opts.run_vsim_compiled && !run_packed())
       run_vsim(Backend::kCompiled, "compiled");
-    if (opts.run_vsim_codegen) run_vsim(Backend::kCodegen, "codegen");
+    if (opts.run_vsim_codegen) run_vsim(Backend::kPackedCodegen, "codegen");
   }
 
   // ---- Cross-leg agreement ----

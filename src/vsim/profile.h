@@ -14,10 +14,11 @@
 // (invocations, loop iterations, memory-port activity) must agree across
 // ALL legs, and the two vsim backends must agree on EVERY counter bit for
 // bit. The result serializes as the profile_run.json StructuredReport
-// ({tool: "hlsw.profile", schema_version: 2}; v2 added the per-leg "lanes"
-// field for the packed auto-selection, v1 had scalar legs only); nothing is
-// dropped — every disagreement lands in a leg report's deviations or in
-// `cross_issues`.
+// ({tool: "hlsw.profile", schema_version: 3}; v3 lets a packed leg's
+// backend read "packed_codegen" with its degrade reason in
+// fallback_reason, v2 added the per-leg "lanes" field for the packed
+// auto-selection, v1 had scalar legs only); nothing is dropped — every
+// disagreement lands in a leg report's deviations or in `cross_issues`.
 #pragma once
 
 #include <string>
@@ -39,10 +40,11 @@ struct ProfileRunOptions {
   // counters measures nothing).
   hls::InstrumentOptions instrument;
   // Measurement legs. The first three are on by default; the codegen leg
-  // is opt-in because it invokes the host toolchain once per design (it
-  // degrades to the compiled interpreter — with the reason recorded in the
-  // leg's fallback_reason — on machines without one, so enabling it is
-  // always safe, just not always cheap).
+  // (the one-lane native engine, Backend::kPackedCodegen) is opt-in because
+  // it invokes the host toolchain once per design (it degrades to the
+  // compiled interpreter — with the reason recorded in the leg's
+  // fallback_reason — on machines without one, so enabling it is always
+  // safe, just not always cheap).
   bool run_rtl_sim = true;
   bool run_vsim_event = true;
   bool run_vsim_compiled = true;

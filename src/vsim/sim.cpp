@@ -238,37 +238,27 @@ struct Simulation::Dump {
 Simulation::Simulation(std::shared_ptr<const Design> design,
                        const SimConfig& cfg)
     : design_(std::move(design)), cfg_(cfg) {
-  Backend want = cfg_.backend;
-  if (want == Backend::kAuto)
-    want = cfg_.compiled ? Backend::kCompiled : Backend::kEvent;
-  if (want == Backend::kPackedCodegen) {
-    // The packed tiers only exist inside PackedDutHarness (lanes > 1); a
-    // scalar Simulation degrades straight through the codegen tier.
-    fallback_reason_ =
-        "packed-codegen: multi-lane engine needs PackedDutHarness "
-        "(scalar Simulation has one lane)";
-    want = Backend::kCodegen;
-  }
-  if (want == Backend::kCodegen) {
-    // Top tier: generated + dlopen'd native engine. Degrades to the
-    // compiled interpreter when no host toolchain is available or the
-    // design uses constructs codegen refuses ($display, VCD dumping).
+  if (cfg_.backend != Backend::kEvent) {
+    // Cycle-schedulable designs run on the levelized compiled backend, or
+    // on the one-lane native engine generated from the same plan when
+    // kPackedCodegen asks for it (degrading to the compiled interpreter
+    // when no host toolchain is available or the design uses constructs
+    // the generator refuses: $display, VCD dumping). Everything else
+    // (delays, $finish/$stop, feedback) silently keeps the event kernel
+    // below. The plan is memoized per Design, so sweep legs and harness
+    // replays share one compilation.
     std::string why;
-    if (auto mod = codegen_plan(design_, &why)) {
-      codegen_ = std::make_unique<CodegenSim>(std::move(mod), cfg_);
-      return;
+    auto plan = compiled_plan(design_, &why);
+    if (cfg_.backend == Backend::kPackedCodegen) {
+      if (plan != nullptr) {
+        if (auto mod = packed_codegen_plan(plan, 1, &why)) {
+          native_ = std::make_unique<PackedCodegenSim>(std::move(mod), cfg_);
+          return;
+        }
+      }
+      fallback_reason_ = "codegen: " + why;
     }
-    if (!fallback_reason_.empty()) fallback_reason_ += "; ";
-    fallback_reason_ += "codegen: " + why;
-    want = Backend::kCompiled;
-  }
-  if (want == Backend::kCompiled) {
-    // Cycle-schedulable designs run on the levelized compiled backend;
-    // everything else (delays, $finish/$stop, feedback) silently keeps
-    // the event kernel below. The plan is memoized per Design, so sweep
-    // legs and harness replays share one compilation.
-    std::string why;
-    if (auto plan = compiled_plan(design_, &why)) {
+    if (plan != nullptr) {
       compiled_ = std::make_unique<CompiledSim>(std::move(plan), cfg_);
       return;
     }
@@ -686,8 +676,8 @@ void Simulation::run_thread(int tid) {
 // ---- Regions ----------------------------------------------------------------
 
 void Simulation::settle() {
-  if (codegen_) {
-    codegen_->settle();
+  if (native_) {
+    native_->settle();
     return;
   }
   if (compiled_) {
@@ -717,7 +707,14 @@ void Simulation::settle() {
 }
 
 RunResult Simulation::run() {
-  if (codegen_) return codegen_->run();
+  if (native_) {
+    // No timers on the native engine: settle and report. Its event and
+    // commit totals reach the metrics registry when the engine retires.
+    obs::ScopedSpan span("vsim.run", "vsim");
+    if (span.active()) span.arg("backend", "codegen");
+    native_->settle();
+    return {};
+  }
   if (compiled_) return compiled_->run();
   obs::ScopedSpan span("vsim.run", "vsim");
   const bool metrics = obs::enabled();
@@ -782,7 +779,7 @@ long long Simulation::peek_signed(const std::string& name) const {
 unsigned long long Simulation::peek_elem(const std::string& name,
                                          int index) const {
   const int sig = require(name);
-  if (codegen_) return codegen_->peek_elem(sig, index);
+  if (native_) return native_->peek_elem(sig, index, 0);
   if (compiled_) return compiled_->peek_elem(sig, index);
   const auto& a = arr_[static_cast<size_t>(sig)];
   if (index < 0 || index >= static_cast<int>(a.size()))
@@ -796,8 +793,8 @@ int Simulation::signal_handle(const std::string& name) const {
 }
 
 void Simulation::poke(int sig, unsigned long long value) {
-  if (codegen_) {
-    codegen_->poke(sig, value);
+  if (native_) {
+    native_->poke(sig, value, 1);
     return;
   }
   if (compiled_) {
@@ -808,35 +805,35 @@ void Simulation::poke(int sig, unsigned long long value) {
 }
 
 unsigned long long Simulation::peek(int sig) const {
-  if (codegen_) return codegen_->peek(sig);
+  if (native_) return native_->peek(sig, 0);
   if (compiled_) return compiled_->peek(sig);
   return val_[static_cast<size_t>(sig)];
 }
 
 long long Simulation::peek_signed(int sig) const {
-  if (codegen_) return codegen_->peek_signed(sig);
+  if (native_) return native_->peek_signed(sig, 0);
   if (compiled_) return compiled_->peek_signed(sig);
   return s64(val_[static_cast<size_t>(sig)],
              design_->signals[static_cast<size_t>(sig)].width);
 }
 
 long long Simulation::now() const {
-  if (codegen_) return codegen_->now();
+  if (native_) return 0;
   return compiled_ ? compiled_->now() : time_;
 }
 
 const SimStats& Simulation::stats() const {
-  if (codegen_) return codegen_->stats();
+  if (native_) return native_->stats();
   return compiled_ ? compiled_->stats() : stats_;
 }
 
 const std::vector<std::string>& Simulation::display_log() const {
-  if (codegen_) return codegen_->display_log();
-  return compiled_ ? compiled_->display_log() : display_;
+  if (compiled_) return compiled_->display_log();
+  return display_;  // also the native engine's: always empty
 }
 
 const char* Simulation::backend() const {
-  if (codegen_) return "codegen";
+  if (native_) return "codegen";
   return compiled_ ? "compiled" : "event";
 }
 

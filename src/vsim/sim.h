@@ -25,38 +25,27 @@
 
 namespace hlsw::vsim {
 
-// Execution engine selection. kAuto defers to the legacy `compiled` flag
-// (compiled interpreter when the design cycle-schedules, event kernel
-// otherwise). Each tier degrades silently down the chain
-//   packed-codegen -> packed-interp -> codegen -> compiled -> event
-// with the reason recorded in fallback_reason() (Simulation, or
-// PackedDutHarness for the multi-lane tiers). The two packed tiers only
-// exist inside PackedSim/PackedDutHarness (lanes > 1); a scalar Simulation
-// asked for kPackedCodegen degrades straight through the codegen tier with
-// a "packed-codegen: " prefixed reason.
+// Execution engine selection. Each tier degrades silently down its chain,
+// with the reason recorded in fallback_reason():
+//   Simulation:        native (one lane) -> compiled -> event
+//   PackedDutHarness:  native (N lanes)  -> packed interpreter (PackedSim)
+// kAuto keeps a scalar Simulation on the compiled interpreter (the default
+// path never invokes the host compiler) and lets PackedDutHarness prefer
+// the native engine. The event kernel serves whatever the levelizer
+// refuses (delays, $finish/$stop, zero-delay feedback).
 enum class Backend {
-  kAuto,      // honor SimConfig::compiled (the pre-codegen default)
-  kEvent,     // stratified event kernel (sim.cpp)
-  kCompiled,  // levelized tape interpreter (compile.cpp)
-  kCodegen,   // generated + dlopen'd native engine (codegen.cpp)
-  kPackedCodegen,  // generated lane-major engine (codegen.cpp + pack.cpp)
+  kAuto,           // Simulation: compiled; PackedDutHarness: native
+  kEvent,          // stratified event kernel (sim.cpp)
+  kCompiled,       // levelized tape interpreter (compile.cpp, pack.cpp)
+  kPackedCodegen,  // generated lane-major native engine (codegen.cpp)
 };
 
 struct SimConfig {
   long long max_time = 1'000'000'000;  // free-run safety stop (time units)
   long long max_instrs_per_slot = 50'000'000;  // zero-delay-loop guard
   int max_comb_iterations = 1'000'000;         // combinational-loop guard
-  // Prefer the compiled cycle-based backend (compile.h) when the design is
-  // cycle-schedulable; designs with time control, $finish/$stop or
-  // zero-delay feedback silently keep the event-driven kernel. Mirrors
-  // rtl::SimOptions::compiled. Consulted only when backend == kAuto.
-  bool compiled = true;
   Backend backend = Backend::kAuto;
 };
-
-// The vsim-facing name for the simulation options (ISSUE wording parity
-// with rtl::SimOptions).
-using VsimOptions = SimConfig;
 
 struct SimStats {
   long long events = 0;        // observed value changes
@@ -78,15 +67,15 @@ struct RunResult {
 };
 
 class CompiledSim;
-class CodegenSim;
+class PackedCodegenSim;
 
 class Simulation {
  public:
   // Compiles every process and runs the time-0 active region (initial
-  // blocks up to their first wait, all continuous assigns). When
-  // cfg.compiled is true (the default) and the design is
-  // cycle-schedulable, execution is delegated to the levelized compiled
-  // backend (compile.h) — observable behavior is identical.
+  // blocks up to their first wait, all continuous assigns). Unless
+  // cfg.backend is kEvent, a cycle-schedulable design is delegated to the
+  // levelized compiled backend (compile.h), or with kPackedCodegen to the
+  // one-lane native engine (codegen.h); observable behavior is identical.
   explicit Simulation(std::shared_ptr<const Design> design,
                       const SimConfig& cfg = {});
   ~Simulation();
@@ -117,12 +106,13 @@ class Simulation {
   const std::vector<std::string>& display_log() const;
   const Design& design() const { return *design_; }
 
-  // Which engine executes this simulation: "codegen", "compiled" or
-  // "event".
+  // Which engine executes this simulation: "codegen" (the one-lane native
+  // engine), "compiled" or "event".
   const char* backend() const;
   // Why a preferred backend was not used ("" when the requested tier runs,
-  // or when a lower tier was requested explicitly). When codegen degrades
-  // to the compiled interpreter the reason is prefixed "codegen: ".
+  // or when a lower tier was requested explicitly). When the native engine
+  // degrades to the compiled interpreter the reason is prefixed
+  // "codegen: ".
   const std::string& fallback_reason() const { return fallback_reason_; }
 
  private:
@@ -159,9 +149,10 @@ class Simulation {
   // every public entry point dispatches to it. The event-kernel state
   // below stays unconstructed in that case.
   std::unique_ptr<CompiledSim> compiled_;
-  // Non-null when the generated native engine executes this design; takes
-  // precedence over compiled_ (at most one of the two is set).
-  std::unique_ptr<CodegenSim> codegen_;
+  // Non-null when the one-lane generated native engine executes this
+  // design; takes precedence over compiled_ (at most one of the two is
+  // set).
+  std::unique_ptr<PackedCodegenSim> native_;
   std::string fallback_reason_;
   std::vector<std::uint64_t> val_;
   std::vector<std::vector<std::uint64_t>> arr_;

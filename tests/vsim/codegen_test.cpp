@@ -1,14 +1,16 @@
-// Codegen-backend tests that REQUIRE a working host toolchain: the backend
-// must actually run natively (no silent degradation to the compiled
+// Codegen-backend tests that REQUIRE a working host toolchain: the native
+// engine must actually run (no silent degradation to the compiled
 // interpreter), the on-disk shared-object cache must hit when the same
-// design fingerprint is rebuilt, and profile_run's opt-in codegen leg must
+// design fingerprint is rebuilt and must rebuild when its stored source or
+// the toolchain identity differs, and profile_run's opt-in codegen leg must
 // record which backend executed. Registered under the `codegen` ctest
 // label (CMake option HLSW_CODEGEN_TESTS, configure-time toolchain probe);
 // each test also GTEST_SKIPs visibly if the toolchain disappeared between
 // configure and run, so a toolchain-less machine never reports a silent
 // pass. The cache directory is pointed at the build tree via
 // HLSW_VSIM_CODEGEN_CACHE (set per test by ctest) and removed by a cleanup
-// fixture, so test artifacts never leak into the user's tmp cache.
+// fixture, so test artifacts never leak into the user's tmp cache. Tests
+// that tamper with the cache or race builders use a private subdirectory.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -16,7 +18,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -51,6 +55,69 @@ hls::SynthesisResult synth_merge() {
                             TechLibrary::asic90());
 }
 
+// A fresh elaboration of `verilog` bypasses the design cache and the
+// per-(plan, lanes) memo, so packed_codegen_plan re-fingerprints it.
+std::shared_ptr<const CompiledDesign> fresh_plan(const std::string& verilog,
+                                                 const std::string& top) {
+  return compiled_plan(elaborate(parse(verilog), top), nullptr);
+}
+
+// Sets one environment variable for a scope, restoring it afterwards.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    const char* prev = std::getenv(name);
+    had_ = prev != nullptr;
+    if (had_) prev_ = prev;
+    ::setenv(name, value, 1);
+  }
+  ~ScopedEnv() {
+    if (had_)
+      ::setenv(name_, prev_.c_str(), 1);
+    else
+      ::unsetenv(name_);
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  const char* name_;
+  bool had_ = false;
+  std::string prev_;
+};
+
+// Points HLSW_VSIM_CODEGEN_CACHE at a private subdirectory for one test
+// (cold for every fingerprint, invisible to concurrently running tests)
+// and removes it on scope exit.
+class ScopedCacheDir {
+ public:
+  explicit ScopedCacheDir(const std::string& tag)
+      : dir_(base() / (tag + "-" + std::to_string(::getpid()))),
+        env_("HLSW_VSIM_CODEGEN_CACHE", dir_.c_str()) {}
+  ~ScopedCacheDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(dir_, ec);
+  }
+  const std::filesystem::path& dir() const { return dir_; }
+
+ private:
+  static std::filesystem::path base() {
+    const char* env = std::getenv("HLSW_VSIM_CODEGEN_CACHE");
+    return env != nullptr && *env != 0
+               ? std::filesystem::path(env)
+               : std::filesystem::temp_directory_path();
+  }
+  std::filesystem::path dir_;
+  ScopedEnv env_;
+};
+
+std::string read_text(const std::filesystem::path& p) {
+  std::ifstream f(p);
+  std::ostringstream ss;
+  ss << f.rdbuf();
+  return ss.str();
+}
+
 TEST(VsimCodegen, BackendRunsNativelyAndMatchesGolden) {
   REQUIRE_TOOLCHAIN();
   const auto r = synth_merge();
@@ -58,7 +125,7 @@ TEST(VsimCodegen, BackendRunsNativelyAndMatchesGolden) {
   const auto design = load_design(verilog, r.transformed.name);
 
   SimConfig cfg;
-  cfg.backend = Backend::kCodegen;
+  cfg.backend = Backend::kPackedCodegen;
   DutHarness dut(r.transformed, design, cfg);
   ASSERT_STREQ(dut.sim().backend(), "codegen")
       << dut.sim().fallback_reason();
@@ -79,6 +146,9 @@ TEST(VsimCodegen, BackendRunsNativelyAndMatchesGolden) {
   EXPECT_GT(dut.sim().stats().nba_commits, 0);
 }
 
+// The one-lane engine Simulation runs: the whole ABI with C linkage,
+// nothing but standard headers, and no per-ISA clones (one lane has
+// nothing to vectorize).
 TEST(VsimCodegen, GeneratedSourceIsSelfContained) {
   REQUIRE_TOOLCHAIN();
   const auto r = synth_merge();
@@ -86,13 +156,23 @@ TEST(VsimCodegen, GeneratedSourceIsSelfContained) {
   const auto design = load_design(verilog, r.transformed.name);
   const auto plan = compiled_plan(design, nullptr);
   ASSERT_NE(plan, nullptr);
-  const std::string src = codegen_source(*plan);
-  // The ABI the loader resolves, all emitted with C linkage.
-  for (const char* sym : {"hlsw_cg_create", "hlsw_cg_destroy",
-                          "hlsw_cg_poke", "hlsw_cg_peek",
-                          "hlsw_cg_settle", "hlsw_cg_stats"})
+  const std::string src = packed_codegen_source(*plan, 1);
+  for (const char* sym :
+       {"hlsw_cg_abi", "hlsw_cg_pk_lanes", "hlsw_cg_pk_create",
+        "hlsw_cg_pk_destroy", "hlsw_cg_pk_poke", "hlsw_cg_pk_poke_plane",
+        "hlsw_cg_pk_peek", "hlsw_cg_pk_peek_elem", "hlsw_cg_pk_nonzero",
+        "hlsw_cg_pk_settle", "hlsw_cg_pk_stats"})
     EXPECT_NE(src.find(sym), std::string::npos) << sym;
   EXPECT_NE(src.find("extern \"C\""), std::string::npos);
+  EXPECT_NE(src.find("constexpr int kL = 1;"), std::string::npos);
+  EXPECT_EQ(src.find("target_clones"), std::string::npos);
+  std::istringstream lines(src);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("#include", 0) != 0) continue;
+    EXPECT_TRUE(line == "#include <cstddef>" || line == "#include <cstdint>" ||
+                line == "#include <vector>")
+        << line;
+  }
 }
 
 TEST(VsimCodegen, SharedObjectCacheHitsOnRebuiltFingerprint) {
@@ -108,19 +188,18 @@ TEST(VsimCodegen, SharedObjectCacheHitsOnRebuiltFingerprint) {
   // on-disk artifact — either way the module loads).
   {
     SimConfig cfg;
-    cfg.backend = Backend::kCodegen;
+    cfg.backend = Backend::kPackedCodegen;
     Simulation sim(load_design(verilog, r.transformed.name), cfg);
     ASSERT_STREQ(sim.backend(), "codegen") << sim.fallback_reason();
   }
 
-  // A FRESH elaboration of the same text bypasses both the design cache
-  // and the per-plan memo, so codegen_plan re-fingerprints — and must find
-  // the .so on disk instead of invoking the toolchain again.
+  // A fresh plan must find the .so on disk instead of invoking the
+  // toolchain again.
   const double hits0 = m.counter_value("vsim.codegen.so_cache.hits");
   const double compiles0 = m.counter_value("vsim.codegen.compiles");
-  auto fresh = elaborate(parse(verilog), r.transformed.name);
   std::string why;
-  const auto mod = codegen_plan(fresh, &why);
+  const auto mod =
+      packed_codegen_plan(fresh_plan(verilog, r.transformed.name), 1, &why);
   ASSERT_NE(mod, nullptr) << why;
   EXPECT_GE(m.counter_value("vsim.codegen.so_cache.hits"), hits0 + 1.0)
       << "rebuilt fingerprint missed the on-disk cache";
@@ -132,6 +211,87 @@ TEST(VsimCodegen, SharedObjectCacheHitsOnRebuiltFingerprint) {
   obs::set_enabled(was_enabled);
 }
 
+// A cached object is reused only when the stored source equals, in full,
+// the text about to be compiled: an entry whose <fp>.cpp differs (a 64-bit
+// fingerprint collision, or tampering) is rebuilt, never loaded.
+TEST(VsimCodegen, StoredSourceMismatchForcesRebuild) {
+  REQUIRE_TOOLCHAIN();
+  const ScopedCacheDir cache("planted");
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  auto& m = obs::MetricsRegistry::instance();
+
+  const auto r = synth_merge();
+  const std::string verilog = rtl::emit_verilog(r.transformed, r.schedule);
+  std::string why;
+  const auto first =
+      packed_codegen_plan(fresh_plan(verilog, r.transformed.name), 1, &why);
+  ASSERT_NE(first, nullptr) << why;
+  const std::filesystem::path cpp =
+      cache.dir() / (first->fingerprint + ".cpp");
+  const std::string built = read_text(cpp);
+  ASSERT_FALSE(built.empty());
+  {
+    std::ofstream f(cpp, std::ios::trunc);
+    f << "// planted: not the source this object was built from\n";
+  }
+
+  const double hits0 = m.counter_value("vsim.codegen.so_cache.hits");
+  const double compiles0 = m.counter_value("vsim.codegen.compiles");
+  const auto again =
+      packed_codegen_plan(fresh_plan(verilog, r.transformed.name), 1, &why);
+  ASSERT_NE(again, nullptr) << why;
+  EXPECT_EQ(m.counter_value("vsim.codegen.compiles"), compiles0 + 1.0)
+      << "a mismatched stored source was trusted";
+  EXPECT_EQ(m.counter_value("vsim.codegen.so_cache.hits"), hits0);
+  EXPECT_EQ(again->fingerprint, first->fingerprint);
+  EXPECT_EQ(read_text(cpp), built) << "rebuild did not restore the source";
+
+  obs::set_enabled(was_enabled);
+}
+
+// The fingerprint keys on the toolchain identity, not only the generated
+// text: the same plan built by a compiler answering --version differently
+// must land in a different cache entry.
+TEST(VsimCodegen, FingerprintCoversToolchainIdentity) {
+  REQUIRE_TOOLCHAIN();
+  const ScopedCacheDir cache("wrapper");
+  const auto r = synth_merge();
+  const std::string verilog = rtl::emit_verilog(r.transformed, r.schedule);
+  std::string why;
+  const auto native =
+      packed_codegen_plan(fresh_plan(verilog, r.transformed.name), 1, &why);
+  ASSERT_NE(native, nullptr) << why;
+
+  // A wrapper that forwards every compile to the real toolchain but
+  // reports another identity.
+  const std::string real = codegen_toolchain();
+  std::filesystem::create_directories(cache.dir());
+  const std::filesystem::path wrapper = cache.dir() / "wrapped-cxx";
+  {
+    std::ofstream f(wrapper);
+    f << "#!/bin/sh\n"
+         "if [ \"$1\" = \"--version\" ]; then\n"
+         "  echo 'hlsw test wrapper 1.0'\n"
+         "  exit 0\n"
+         "fi\n"
+         "exec "
+      << real << " \"$@\"\n";
+  }
+  std::filesystem::permissions(wrapper, std::filesystem::perms::owner_all);
+  const ScopedEnv use_wrapper("HLSW_CODEGEN_CXX", wrapper.c_str());
+  ASSERT_EQ(codegen_toolchain(), wrapper.string());
+
+  const auto wrapped =
+      packed_codegen_plan(fresh_plan(verilog, r.transformed.name), 1, &why);
+  ASSERT_NE(wrapped, nullptr) << why;
+  EXPECT_NE(wrapped->fingerprint, native->fingerprint);
+  EXPECT_NE(wrapped->so_path, native->so_path);
+  EXPECT_NE(read_text(cache.dir() / (wrapped->fingerprint + ".cpp"))
+                .find("// version: hlsw test wrapper 1.0"),
+            std::string::npos);
+}
+
 // The on-disk cache is shared between processes (parallel test lanes,
 // several daemons on one host). Builders released at once on one cold
 // fingerprint must each load a complete, verified module: none may compile
@@ -139,17 +299,13 @@ TEST(VsimCodegen, SharedObjectCacheHitsOnRebuiltFingerprint) {
 TEST(VsimCodegen, ConcurrentProcessesBuildOneFingerprint) {
   REQUIRE_TOOLCHAIN();
   const auto r = synth_merge();
-  const auto design = load_design(rtl::emit_verilog(r.transformed, r.schedule),
-                                  r.transformed.name);
-
-  // A private cache directory keeps the fingerprint cold for every builder.
-  const char* env = std::getenv("HLSW_VSIM_CODEGEN_CACHE");
-  const std::string prev = env ? env : "";
-  const std::filesystem::path dir =
-      (prev.empty() ? std::filesystem::temp_directory_path()
-                    : std::filesystem::path(prev)) /
-      ("race-" + std::to_string(::getpid()));
-  ::setenv("HLSW_VSIM_CODEGEN_CACHE", dir.c_str(), 1);
+  // A fresh plan keeps the in-process memo cold (the builders fork from
+  // this process), and a private cache directory keeps the fingerprint
+  // cold on disk for every builder.
+  const auto plan = fresh_plan(rtl::emit_verilog(r.transformed, r.schedule),
+                               r.transformed.name);
+  ASSERT_NE(plan, nullptr);
+  const ScopedCacheDir cache("race");
 
   constexpr int kBuilders = 6;
   int gate[2];
@@ -162,7 +318,7 @@ TEST(VsimCodegen, ConcurrentProcessesBuildOneFingerprint) {
       char c;
       (void)!::read(gate[0], &c, 1);  // EOF once the parent opens the gate
       std::string why;
-      const bool ok = codegen_plan(design, &why) != nullptr;
+      const bool ok = packed_codegen_plan(plan, 1, &why) != nullptr;
       if (!ok) std::fprintf(stderr, "builder %d: %s\n", i, why.c_str());
       std::_Exit(ok ? 0 : 1);
     }
@@ -181,13 +337,7 @@ TEST(VsimCodegen, ConcurrentProcessesBuildOneFingerprint) {
 
   // What the builders installed also loads here.
   std::string why;
-  EXPECT_NE(codegen_plan(design, &why), nullptr) << why;
-  if (prev.empty())
-    ::unsetenv("HLSW_VSIM_CODEGEN_CACHE");
-  else
-    ::setenv("HLSW_VSIM_CODEGEN_CACHE", prev.c_str(), 1);
-  std::error_code ec;
-  std::filesystem::remove_all(dir, ec);
+  EXPECT_NE(packed_codegen_plan(plan, 1, &why), nullptr) << why;
 }
 
 TEST(VsimCodegen, PackedGeneratedSourceIsSelfContained) {
@@ -206,10 +356,9 @@ TEST(VsimCodegen, PackedGeneratedSourceIsSelfContained) {
   EXPECT_NE(src.find("constexpr int kL = 8;"), std::string::npos);
 }
 
-// The .so cache is keyed by a fingerprint over the generated text; the
-// lane count and the packed-vs-scalar ABI are both part of that text, so
-// one design at different lane counts (or scalar vs packed) must never
-// alias to the same artifact in $HLSW_VSIM_CODEGEN_CACHE.
+// The .so cache is keyed by a fingerprint over the generated text, and the
+// lane count is part of that text: one design at different lane counts
+// must never alias to the same artifact in $HLSW_VSIM_CODEGEN_CACHE.
 TEST(VsimCodegen, PackedFingerprintsDoNotCollideAcrossLanesOrAbi) {
   REQUIRE_TOOLCHAIN();
   const auto r = synth_merge();
@@ -219,23 +368,25 @@ TEST(VsimCodegen, PackedFingerprintsDoNotCollideAcrossLanesOrAbi) {
   const auto plan = compiled_plan(design, &why);
   ASSERT_NE(plan, nullptr) << why;
 
-  const auto scalar = codegen_plan(design, &why);
-  ASSERT_NE(scalar, nullptr) << why;
+  const auto pk1 = packed_codegen_plan(plan, 1, &why);
+  ASSERT_NE(pk1, nullptr) << why;
   const auto pk4 = packed_codegen_plan(plan, 4, &why);
   ASSERT_NE(pk4, nullptr) << why;
   const auto pk8 = packed_codegen_plan(plan, 8, &why);
   ASSERT_NE(pk8, nullptr) << why;
 
   EXPECT_NE(pk4->fingerprint, pk8->fingerprint);
-  EXPECT_NE(pk4->fingerprint, scalar->fingerprint);
-  EXPECT_NE(pk8->fingerprint, scalar->fingerprint);
+  EXPECT_NE(pk4->fingerprint, pk1->fingerprint);
+  EXPECT_NE(pk8->fingerprint, pk1->fingerprint);
   EXPECT_NE(pk4->so_path, pk8->so_path);
-  EXPECT_NE(pk4->so_path, scalar->so_path);
+  EXPECT_NE(pk4->so_path, pk1->so_path);
+  EXPECT_EQ(pk1->lanes, 1);
   EXPECT_EQ(pk4->lanes, 4);
   EXPECT_EQ(pk8->lanes, 8);
 
   // Re-requesting the same (plan, lanes) pair shares the memoized module.
   EXPECT_EQ(packed_codegen_plan(plan, 4, &why).get(), pk4.get());
+  EXPECT_EQ(packed_codegen_plan(plan, 1, &why).get(), pk1.get());
 }
 
 TEST(VsimCodegen, PackedBackendRunsNativelyAndMatchesGolden) {

@@ -1,18 +1,18 @@
-// The acceptance gate of the compiled-, codegen- and packed-codegen-backend
-// PRs: for every exploration and Table 1 architecture — and randomized
-// directive sets — the emitted Verilog TEXT executed by the compiled
-// cycle-based backend, the generated-native codegen backend and the
-// lane-major packed-codegen backend must match the event-driven backend,
-// the untimed interpreter golden and the cycle-accurate rtl::Simulator
-// bit-for-bit (cosim_sweep_nway over all six legs), and the VCD bytes a
-// dumping session records must be identical between the event kernel and
-// the compiled interpreter. The compiled leg must actually BE compiled:
-// every architecture's emitted module is required to cycle-schedule with no
-// fallback. The codegen legs run natively where a host toolchain exists and
-// silently degrade to the compiled interpreter / interpreted packed engine
-// otherwise — either way they participate, so the battery passes on
-// toolchain-less machines too (the codegen-REQUIRED assertions live in
-// codegen_test.cpp).
+// The acceptance gate of the compiled and generated-native backends: for
+// every exploration and Table 1 architecture — and randomized directive
+// sets — the emitted Verilog TEXT executed by the compiled cycle-based
+// backend and by the generated native engine (at one lane through
+// Simulation and at two lanes through PackedDutHarness) must match the
+// event-driven backend, the untimed interpreter golden and the
+// cycle-accurate rtl::Simulator bit-for-bit (cosim_sweep_nway over all six
+// legs), and the VCD bytes a dumping session records must be identical
+// between the event kernel and the compiled interpreter. The compiled leg
+// must actually BE compiled: every architecture's emitted module is
+// required to cycle-schedule with no fallback. The native legs run
+// natively where a host toolchain exists and silently degrade to the
+// compiled interpreter / interpreted packed engine otherwise — either way
+// they participate, so the battery passes on toolchain-less machines too
+// (the codegen-REQUIRED assertions live in codegen_test.cpp).
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -45,13 +45,14 @@ using qam::LinkConfig;
 using qam::LinkStimulus;
 
 // Six-way differential for one directive set: golden interpreter,
-// rtl::Simulator, vsim-event, vsim-compiled, vsim-codegen and
-// vsim-packed-codegen all execute the same link symbols (one sequential
-// block — the decoder is stateful). Any divergence fails named by leg. The
-// shared elaborated Design is load_design()ed ONCE and every vsim leg
-// reuses it — the battery never re-parses per leg. The packed leg runs the
-// block twice through a 2-lane engine and returns lane 0, so lane masking
-// itself is inside the differential, not just the scalar ABI.
+// rtl::Simulator, vsim-event, vsim-compiled, vsim-codegen (the native
+// engine at one lane) and vsim-packed-codegen (the native engine at two
+// lanes) all execute the same link symbols (one sequential block — the
+// decoder is stateful). Any divergence fails named by leg. The shared
+// elaborated Design is load_design()ed ONCE and every vsim leg reuses it —
+// the battery never re-parses per leg. The packed leg runs the block twice
+// through a 2-lane engine and returns lane 0, so lane masking itself is
+// inside the differential, not just the one-lane engine.
 void run_six_way_battery(const Directives& dir, const std::string& name,
                          int symbols) {
   const auto r =
@@ -70,7 +71,7 @@ void run_six_way_battery(const Directives& dir, const std::string& name,
   // without one it degrades to the compiled interpreter with a typed
   // reason — the leg still participates below either way.
   SimConfig codegen_cfg;
-  codegen_cfg.backend = Backend::kCodegen;
+  codegen_cfg.backend = Backend::kPackedCodegen;
   {
     Simulation probe(design, codegen_cfg);
     if (codegen_available())
@@ -97,7 +98,7 @@ void run_six_way_battery(const Directives& dir, const std::string& name,
   }
 
   SimConfig event_cfg;
-  event_cfg.compiled = false;
+  event_cfg.backend = Backend::kEvent;
   const hls::CosimFactory golden = [&] {
     return [in = std::make_shared<hls::Interpreter>(r.transformed)](
                const std::vector<PortIo>& ins) { return in->run_stream(ins); };
@@ -268,7 +269,7 @@ TEST(CompiledEquiv, CodegenWithoutToolchainFallsBackToCompiled) {
   const auto design = load_design(verilog, r.transformed.name);
 
   SimConfig cfg;
-  cfg.backend = Backend::kCodegen;
+  cfg.backend = Backend::kPackedCodegen;
   DutHarness dut(r.transformed, design, cfg);
   EXPECT_STREQ(dut.sim().backend(), "compiled");
   EXPECT_EQ(dut.sim().fallback_reason().rfind("codegen: ", 0), 0u)
@@ -304,7 +305,7 @@ TEST(CompiledEquiv, CodegenRefusesDumpingDesignsWithTypedReason) {
   verilog.insert(mod_end,
                  "  initial begin $dumpfile(\"w.vcd\"); $dumpvars; end\n");
   SimConfig cfg;
-  cfg.backend = Backend::kCodegen;
+  cfg.backend = Backend::kPackedCodegen;
   Simulation sim(load_design(verilog, r.transformed.name), cfg);
   EXPECT_STREQ(sim.backend(), "compiled");
   EXPECT_EQ(sim.fallback_reason().rfind("codegen: ", 0), 0u)

@@ -1,13 +1,14 @@
 // Performance ratio guards for the vsim backend ladder (labeled
 // bench_smoke in ctest): on the merge architecture the compiled backend
 // must beat the event-driven backend by at least 2x per-symbol, the
-// codegen backend must beat the compiled interpreter by at least 2x, and
-// the packed 64-lane engine must beat per-block scalar replay by at least
-// 2x in DUT throughput. Every floor sits far below the measured gap
-// (BENCH_vsim.json: ~15x, ~7x and ~5x respectively), so CI noise cannot
-// flake the guards, but they are tight enough to catch a backend silently
-// falling back or regressing to the tier below. A last guard keeps the
-// golden reference every sweep pays for on the compiled plan.
+// one-lane native engine (Backend::kPackedCodegen through Simulation) must
+// beat the compiled interpreter by at least 2x, and the packed 64-lane
+// engine must beat per-block scalar replay by at least 2x in DUT
+// throughput. Every floor sits below the measured gap (BENCH_vsim.json:
+// ~13x, ~8x and ~3x respectively), so CI noise cannot flake the guards,
+// but they are tight enough to catch a backend silently falling back or
+// regressing to the tier below. A last guard keeps the golden reference
+// every sweep pays for on the compiled plan.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -52,7 +53,7 @@ TEST(VsimCompiledGuard, CompiledBeatsEventByAtLeast2xOnMergeArch) {
   const auto batch = qam::link_input_batch(&stim, 60);
 
   SimConfig event_cfg;
-  event_cfg.compiled = false;
+  event_cfg.backend = Backend::kEvent;
   DutHarness event_dut(r.transformed, design, event_cfg);
   DutHarness compiled_dut(r.transformed, design);
   ASSERT_STREQ(event_dut.sim().backend(), "event");
@@ -89,7 +90,7 @@ TEST(VsimCodegenGuard, CodegenBeatsCompiledByAtLeast2xOnMergeArch) {
   const auto batch = qam::link_input_batch(&stim, 60);
 
   SimConfig codegen_cfg;
-  codegen_cfg.backend = Backend::kCodegen;
+  codegen_cfg.backend = Backend::kPackedCodegen;
   DutHarness compiled_dut(r.transformed, design);
   DutHarness codegen_dut(r.transformed, design, codegen_cfg);
   ASSERT_STREQ(compiled_dut.sim().backend(), "compiled")

@@ -116,7 +116,7 @@ TEST(VsimCompiledSweep, CompiledAndEventSweepsAgreeOnStatefulDecoder) {
   const hls::CosimOptions opts{.threads = 2,
                                .block_size = vectors.size()};
   SimConfig event_cfg;
-  event_cfg.compiled = false;
+  event_cfg.backend = Backend::kEvent;
   const CosimResult compiled =
       vsim_sweep(r.transformed, r.schedule, vectors, opts, SimConfig{});
   const CosimResult event =

@@ -28,7 +28,7 @@ std::unique_ptr<Simulation> make_sim(const std::string& src,
 
 SimConfig event_cfg() {
   SimConfig cfg;
-  cfg.compiled = false;
+  cfg.backend = Backend::kEvent;
   return cfg;
 }
 
@@ -160,7 +160,7 @@ endmodule
   EXPECT_THROW(Simulation sim(design), std::runtime_error);
 }
 
-TEST(VsimCompiled, CompiledFalseForcesEventBackend) {
+TEST(VsimCompiled, EventBackendForcesEventKernel) {
   auto sim = make_sim(kSyncDesign, "m", event_cfg());
   EXPECT_STREQ(sim->backend(), "event");
   EXPECT_EQ(sim->fallback_reason(), "");

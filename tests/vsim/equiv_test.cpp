@@ -11,6 +11,7 @@
 #include <cctype>
 #include <memory>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -23,6 +24,7 @@
 #include "rtl/sim.h"
 #include "rtl/verilog.h"
 #include "vsim/harness.h"
+#include "vsim/pack.h"
 
 namespace hlsw::vsim {
 namespace {
@@ -210,6 +212,37 @@ TEST(EmittedEquiv, NwayMismatchesNameTheDivergingLeg) {
   EXPECT_NE(res.mismatches.front().find("crooked vs golden"),
             std::string::npos)
       << res.mismatches.front();
+}
+
+// Every model rejects an input array shorter than its port with a typed
+// error, as the golden interpreter does, instead of reading past the end.
+TEST(EmittedEquiv, ShortInputArrayThrowsOnEveryModel) {
+  const qam::Architecture a = qam::table1_architectures()[0];
+  const auto r = run_synthesis(qam::build_qam_decoder_ir(), a.dir,
+                               TechLibrary::asic90());
+  LinkStimulus stim((LinkConfig()));
+  PortIo in = qam::link_input_batch(&stim, 1).front();
+  ASSERT_EQ(in.arrays.count("x_in"), 1u);
+  ASSERT_GT(in.arrays["x_in"].size(), 1u);
+  in.arrays["x_in"].resize(1);
+
+  hls::Interpreter golden(r.transformed);
+  EXPECT_THROW(golden.run(in), std::invalid_argument);
+  rtl::Simulator rtl_sim(r.transformed, r.schedule);
+  EXPECT_THROW(rtl_sim.run(in), std::invalid_argument);
+
+  const std::string verilog = rtl::emit_verilog(r.transformed, r.schedule);
+  const auto design = load_design(verilog, r.transformed.name);
+  DutHarness dut(r.transformed, design);
+  EXPECT_THROW(dut.run(in), std::invalid_argument);
+
+  std::string why;
+  const auto plan = compiled_plan(design, &why);
+  ASSERT_NE(plan, nullptr) << why;
+  SimConfig interp;
+  interp.backend = Backend::kCompiled;
+  PackedDutHarness packed(r.transformed, plan, 2, interp);
+  EXPECT_THROW(packed.run_streams({{in}, {in}}), std::invalid_argument);
 }
 
 TEST(EmittedEquiv, NwayNeedsAtLeastTwoLegs) {

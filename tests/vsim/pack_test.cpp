@@ -161,6 +161,8 @@ TEST(PackedLanes, DivergentStimulusBitIdenticalToScalarRuns) {
 // instructions AND the divergence-split count. Any drift here means the
 // mask-predicated generated code resolves branches differently than the
 // interpreter's explicit context splits.
+// The generated engine against the interpreted oracle at one lane (the
+// engine Simulation runs), a partial lane word and the full 64-lane word.
 TEST(PackedLanes, PackedCodegenBitIdenticalToInterpretedOracle) {
   if (!codegen_available())
     GTEST_SKIP() << "no host C++ toolchain (HLSW_CODEGEN_CXX/CXX)";
@@ -169,63 +171,71 @@ TEST(PackedLanes, PackedCodegenBitIdenticalToInterpretedOracle) {
   auto plan = compiled_plan(design, &why);
   ASSERT_NE(plan, nullptr) << why;
 
-  const int kLanes = 8, kSteps = 50;
+  const int kSteps = 50;
   const int h_clk = design->find("clk"), h_rst = design->find("rst");
   const int h_x = design->find("x"), h_y = design->find("y");
   const int h_q = design->find("q"), h_mo = design->find("mem_out");
   const int h_mem = design->find("mem");
 
-  // Force each tier explicitly: kCompiled pins the interpreted packed
-  // engine as the oracle; kPackedCodegen demands the generated one (a
-  // fallback would show up as backend() != "packed_codegen").
-  SimConfig interp_cfg;
-  interp_cfg.backend = Backend::kCompiled;
-  PackedSim oracle(plan, kLanes, interp_cfg);
+  for (const int lanes : {1, 8, 64}) {
+    SCOPED_TRACE("lanes = " + std::to_string(lanes));
+    // Force each tier explicitly: kCompiled pins the interpreted packed
+    // engine as the oracle; kPackedCodegen demands the generated one (a
+    // fallback would show up as backend() != "packed_codegen").
+    SimConfig interp_cfg;
+    interp_cfg.backend = Backend::kCompiled;
+    PackedSim oracle(plan, lanes, interp_cfg);
 
-  auto mod = packed_codegen_plan(plan, kLanes, &why);
-  ASSERT_NE(mod, nullptr) << why;
-  SimConfig cg_cfg;
-  cg_cfg.backend = Backend::kPackedCodegen;
-  PackedCodegenSim cg(mod, cg_cfg);
-  ASSERT_STREQ(cg.backend(), "packed_codegen");
+    auto mod = packed_codegen_plan(plan, lanes, &why);
+    ASSERT_NE(mod, nullptr) << why;
+    SimConfig cg_cfg;
+    cg_cfg.backend = Backend::kPackedCodegen;
+    PackedCodegenSim cg(mod, cg_cfg);
+    ASSERT_STREQ(cg.backend(), "packed_codegen");
 
-  auto drive = [&](PackedEngine& ps) {
-    auto ptick = [&] {
-      ps.poke(h_clk, 1, ps.full_mask());
-      ps.settle();
+    auto drive = [&](PackedEngine& ps) {
+      auto ptick = [&] {
+        ps.poke(h_clk, 1, ps.full_mask());
+        ps.settle();
+        ps.poke(h_clk, 0, ps.full_mask());
+        ps.settle();
+      };
       ps.poke(h_clk, 0, ps.full_mask());
-      ps.settle();
-    };
-    ps.poke(h_clk, 0, ps.full_mask());
-    ps.poke(h_rst, 1, ps.full_mask());
-    ptick();
-    ps.poke(h_rst, 0, ps.full_mask());
-    for (int s = 0; s < kSteps; ++s) {
-      for (int l = 0; l < kLanes; ++l) {
-        ps.poke_lane(h_x, l, stim(l, s, 0));
-        ps.poke_lane(h_y, l, stim(l, s, 1));
-      }
+      ps.poke(h_rst, 1, ps.full_mask());
       ptick();
-    }
-  };
-  drive(oracle);
-  drive(cg);
+      ps.poke(h_rst, 0, ps.full_mask());
+      for (int s = 0; s < kSteps; ++s) {
+        for (int l = 0; l < lanes; ++l) {
+          ps.poke_lane(h_x, l, stim(l, s, 0));
+          ps.poke_lane(h_y, l, stim(l, s, 1));
+        }
+        ptick();
+      }
+    };
+    drive(oracle);
+    drive(cg);
 
-  for (int l = 0; l < kLanes; ++l) {
-    EXPECT_EQ(cg.peek(h_q, l), oracle.peek(h_q, l))
-        << "lane " << l << " q diverged from the interpreted oracle";
-    EXPECT_EQ(cg.peek(h_mo, l), oracle.peek(h_mo, l))
-        << "lane " << l << " mem_out diverged from the interpreted oracle";
-    for (int e = 0; e < 8; ++e)
-      EXPECT_EQ(cg.peek_elem(h_mem, e, l), oracle.peek_elem(h_mem, e, l))
-          << "lane " << l << " mem[" << e << "] diverged";
+    for (int l = 0; l < lanes; ++l) {
+      EXPECT_EQ(cg.peek(h_q, l), oracle.peek(h_q, l))
+          << "lane " << l << " q diverged from the interpreted oracle";
+      EXPECT_EQ(cg.peek(h_mo, l), oracle.peek(h_mo, l))
+          << "lane " << l << " mem_out diverged from the interpreted oracle";
+      for (int e = 0; e < 8; ++e)
+        EXPECT_EQ(cg.peek_elem(h_mem, e, l), oracle.peek_elem(h_mem, e, l))
+            << "lane " << l << " mem[" << e << "] diverged";
+    }
+    EXPECT_EQ(cg.peek_nonzero_mask(h_q), oracle.peek_nonzero_mask(h_q));
+    EXPECT_EQ(cg.peek_nonzero_mask(h_mo), oracle.peek_nonzero_mask(h_mo));
+    EXPECT_EQ(cg.stats().events, oracle.stats().events);
+    EXPECT_EQ(cg.stats().nba_commits, oracle.stats().nba_commits);
+    EXPECT_EQ(cg.stats().instrs, oracle.stats().instrs);
+    EXPECT_EQ(cg.divergence_splits(), oracle.divergence_splits());
+    // One lane cannot diverge; wider words must have split.
+    if (lanes == 1)
+      EXPECT_EQ(cg.divergence_splits(), 0);
+    else
+      EXPECT_GT(cg.divergence_splits(), 0);
   }
-  EXPECT_EQ(cg.peek_nonzero_mask(h_q), oracle.peek_nonzero_mask(h_q));
-  EXPECT_EQ(cg.stats().events, oracle.stats().events);
-  EXPECT_EQ(cg.stats().nba_commits, oracle.stats().nba_commits);
-  EXPECT_EQ(cg.stats().instrs, oracle.stats().instrs);
-  EXPECT_EQ(cg.divergence_splits(), oracle.divergence_splits());
-  EXPECT_GT(cg.divergence_splits(), 0);
 }
 
 TEST(PackedLanes, PlanePokesAndNonzeroMaskMatchLaneAccessors) {
