@@ -11,6 +11,10 @@ namespace hlsw::hls {
 
 void unroll_loop(Loop* loop, int u) {
   assert(u >= 1);
+  // Any factor >= trip unrolls fully; capping it keeps the index scales
+  // (scale * u below) those of the full unroll, so u = trip and u = 87
+  // build the same hardware.
+  u = std::min(u, std::max(loop->trip, 1));
   if (u == 1) return;
   const Block old = loop->body;
   const int n = static_cast<int>(old.ops.size());

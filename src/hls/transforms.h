@@ -35,7 +35,8 @@ struct TransformResult {
 // transformed function plus legality warnings.
 TransformResult apply_transforms(const Function& input, const Directives& dir);
 
-// Unrolls a single loop in place by factor u (trip becomes ceil(trip/u)).
+// Unrolls a single loop in place by factor u (trip becomes ceil(trip/u));
+// a factor at or past the trip count unrolls fully, exactly as u = trip.
 // Exposed for unit tests; apply_transforms calls it per directive.
 void unroll_loop(Loop* loop, int u);
 

@@ -4,12 +4,15 @@
 // plus the behavioral constructs the generated self-checking testbench uses
 // (initial blocks, tasks, event/delay control, $display and friends).
 //
-// The parser builds this tree verbatim; elaboration (elab.h) resolves
+// The parser builds this tree verbatim, except that it resolves every
+// operator spelling to an Op once; elaboration (elab.h) resolves
 // identifiers, folds localparams, annotates every expression with its
 // self-determined size and signedness per IEEE 1364-2001 section 4.4/4.5,
-// and flattens module instances into a single executable Design.
+// and flattens module instances into a single executable Design. Nodes
+// carry the source line they start on for diagnostics.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <utility>
@@ -31,8 +34,53 @@ enum class ExprKind {
   kSysCall,    // $signed(x), $unsigned(x)
 };
 
+// Operator of a kUnary or kBinary node. The parser holds the one
+// spelling -> Op table; every later stage switches on the enum. Unary and
+// binary uses of - + & | ^ ~^ are distinct ops, and spellings with one
+// two-state meaning share an op (== ===, != !==, ~^ ^~, << <<<).
+enum class Op : std::uint8_t {
+  kNone,     // not an operator node
+  // Unary.
+  kNeg,      // -a
+  kPlus,     // +a
+  kBitNot,   // ~a
+  kLogNot,   // !a
+  kRedAnd,   // &a
+  kRedNand,  // ~&a
+  kRedOr,    // |a
+  kRedNor,   // ~|a
+  kRedXor,   // ^a
+  kRedXnor,  // ~^a ^~a
+  // Binary.
+  kMul,      // *
+  kDiv,      // /
+  kMod,      // %
+  kAdd,      // +
+  kSub,      // -
+  kShl,      // << <<<
+  kShr,      // >>
+  kAShr,     // >>> (arithmetic only in a signed context)
+  kLt,       // <
+  kLe,       // <=
+  kGt,       // >
+  kGe,       // >=
+  kEq,       // == ===
+  kNe,       // != !==
+  kAnd,      // &
+  kXor,      // ^
+  kXnor,     // ~^ ^~
+  kOr,       // |
+  kLogAnd,   // &&
+  kLogOr,    // ||
+};
+
+// Canonical spelling of `op` for diagnostics ("?" for kNone).
+const char* to_string(Op op);
+
 struct Expr {
   ExprKind kind;
+  Op op = Op::kNone;  // kUnary / kBinary operator
+  int line = 0;       // source line of the node's first token
   // kNumber payload (value bits, declared width, 's flag, sized flag).
   unsigned long long num = 0;
   int num_width = 32;
@@ -40,7 +88,7 @@ struct Expr {
   bool num_signed = false;
   // kString payload.
   std::string str;
-  // kIdent name, kUnary/kBinary operator spelling, kSysCall function name.
+  // kIdent name, kSysCall function name.
   std::string name;
   std::vector<std::shared_ptr<Expr>> kids;
 
@@ -53,6 +101,35 @@ struct Expr {
 };
 
 using ExprPtr = std::shared_ptr<Expr>;
+
+// ---- Integer constant folding ----------------------------------------------
+// Shared by the parser (declaration ranges, localparams), the elaborator
+// (part selects, replication counts) and lint (literal range checks).
+
+// A kNumber's value, sign-extended when the literal is sized and signed.
+inline long long literal_value(const Expr& e) {
+  long long v = static_cast<long long>(e.num);
+  if (e.num_sized && e.num_width < 64 && e.num_signed &&
+      (e.num >> (e.num_width - 1)) & 1)
+    v -= 1LL << e.num_width;
+  return v;
+}
+
+// Folds unary - and + (operand `a`) or binary + - * over 64-bit constants
+// in wrapping two's-complement arithmetic, so an overflowing source
+// constant is never undefined behaviour. False for any other operator.
+inline bool fold_int(Op op, long long a, long long b, long long* out) {
+  const auto ua = static_cast<unsigned long long>(a);
+  const auto ub = static_cast<unsigned long long>(b);
+  switch (op) {
+    case Op::kNeg: *out = static_cast<long long>(0 - ua); return true;
+    case Op::kPlus: *out = a; return true;
+    case Op::kAdd: *out = static_cast<long long>(ua + ub); return true;
+    case Op::kSub: *out = static_cast<long long>(ua - ub); return true;
+    case Op::kMul: *out = static_cast<long long>(ua * ub); return true;
+    default: return false;
+  }
+}
 
 enum class StmtKind {
   kBlock,          // begin ... end
@@ -82,6 +159,7 @@ struct CaseItem {
 
 struct Stmt {
   StmtKind kind;
+  int line = 0;  // source line of the statement's first token
   ExprPtr lhs, rhs, cond;
   std::vector<StmtPtr> sub;
   std::vector<CaseItem> items;
@@ -102,6 +180,7 @@ struct NetDecl {
   long long init = 0;
   bool is_input = false;
   bool is_output = false;
+  int line = 0;
 };
 
 struct ContAssign {
@@ -118,6 +197,7 @@ struct Instance {
   std::string module_name;
   std::string inst_name;
   std::vector<PortConn> conns;
+  int line = 0;
 };
 
 struct TaskDecl {
@@ -128,6 +208,7 @@ struct TaskDecl {
 
 struct Module {
   std::string name;
+  int line = 0;
   std::vector<std::string> port_order;
   std::vector<NetDecl> nets;  // ports included
   std::vector<std::pair<std::string, long long>> localparams;

@@ -168,89 +168,100 @@ struct TapeBuilder {
         ext(e.self_w, W, S);
         return;
       case ExprKind::kUnary: {
-        const std::string& o = e.name;
-        if (o == "-") {
-          cx(*e.kids[0], W, S);
-          op(TOp::kNeg, 0, 0, umask(W));
-          return;
-        }
-        if (o == "+") {
-          cx(*e.kids[0], W, S);
-          return;
-        }
-        if (o == "~") {
-          cx(*e.kids[0], W, S);
-          op(TOp::kNot, 0, 0, umask(W));
-          return;
+        const Expr& k = *e.kids[0];
+        switch (e.op) {
+          case Op::kNeg:
+            cx(k, W, S);
+            op(TOp::kNeg, 0, 0, umask(W));
+            return;
+          case Op::kPlus:
+            cx(k, W, S);
+            return;
+          case Op::kBitNot:
+            cx(k, W, S);
+            op(TOp::kNot, 0, 0, umask(W));
+            return;
+          default:
+            break;
         }
         // Reductions and ! are self-determined 1-bit boundaries.
-        cx_self(*e.kids[0]);
-        const int w = e.kids[0]->self_w;
-        if (o == "!") op(TOp::kLNot);
-        else if (o == "&") op(TOp::kRedAnd, 0, 0, umask(w));
-        else if (o == "~&") op(TOp::kRedNand, 0, 0, umask(w));
-        else if (o == "|") op(TOp::kRedOr);
-        else if (o == "~|") op(TOp::kRedNor);
-        else if (o == "^") op(TOp::kRedXor);
-        else if (o == "~^" || o == "^~") op(TOp::kRedXnor);
-        else fallback("unknown unary operator '" + o + "'");
+        cx_self(k);
+        switch (e.op) {
+          case Op::kLogNot: op(TOp::kLNot); break;
+          case Op::kRedAnd: op(TOp::kRedAnd, 0, 0, umask(k.self_w)); break;
+          case Op::kRedNand: op(TOp::kRedNand, 0, 0, umask(k.self_w)); break;
+          case Op::kRedOr: op(TOp::kRedOr); break;
+          case Op::kRedNor: op(TOp::kRedNor); break;
+          case Op::kRedXor: op(TOp::kRedXor); break;
+          case Op::kRedXnor: op(TOp::kRedXnor); break;
+          default:
+            fallback(std::string("unknown unary operator '") +
+                     to_string(e.op) + "'");
+        }
         ext(1, W, S);
         return;
       }
       case ExprKind::kBinary: {
-        const std::string& o = e.name;
         const Expr& k0 = *e.kids[0];
         const Expr& k1 = *e.kids[1];
-        if (o == "&&" || o == "||") {
-          cx_self(k0);
-          op(TOp::kNeZero);
-          cx_self(k1);
-          op(TOp::kNeZero);
-          op(o == "&&" ? TOp::kAnd : TOp::kOr);
-          ext(1, W, S);
-          return;
-        }
-        if (o == "==" || o == "!=" || o == "===" || o == "!==" || o == "<" ||
-            o == "<=" || o == ">" || o == ">=") {
-          const int wc = std::max(k0.self_w, k1.self_w);
-          const bool sc = k0.self_sgn && k1.self_sgn;
-          cx(k0, wc, sc);
-          cx(k1, wc, sc);
-          const auto cw = static_cast<std::uint8_t>(wc);
-          if (o == "==" || o == "===") op(TOp::kEq);
-          else if (o == "!=" || o == "!==") op(TOp::kNe);
-          else if (o == "<") op(sc ? TOp::kLtS : TOp::kLtU, cw);
-          else if (o == "<=") op(sc ? TOp::kLeS : TOp::kLeU, cw);
-          else if (o == ">") op(sc ? TOp::kGtS : TOp::kGtU, cw);
-          else op(sc ? TOp::kGeS : TOp::kGeU, cw);
-          ext(1, W, S);
-          return;
-        }
-        if (o == "<<" || o == "<<<" || o == ">>" || o == ">>>") {
-          cx(k0, W, S);
-          cx_self(k1);
-          if (o == "<<" || o == "<<<")
-            op(TOp::kShl, 0, 0, umask(W));
-          else if (o == ">>" || !S)
-            op(TOp::kShrU);
-          else
-            op(TOp::kShrS, static_cast<std::uint8_t>(W), 0, umask(W));
-          return;
+        switch (e.op) {
+          case Op::kLogAnd: case Op::kLogOr:
+            cx_self(k0);
+            op(TOp::kNeZero);
+            cx_self(k1);
+            op(TOp::kNeZero);
+            op(e.op == Op::kLogAnd ? TOp::kAnd : TOp::kOr);
+            ext(1, W, S);
+            return;
+          case Op::kEq: case Op::kNe:
+          case Op::kLt: case Op::kLe: case Op::kGt: case Op::kGe: {
+            const int wc = std::max(k0.self_w, k1.self_w);
+            const bool sc = k0.self_sgn && k1.self_sgn;
+            cx(k0, wc, sc);
+            cx(k1, wc, sc);
+            const auto cw = static_cast<std::uint8_t>(wc);
+            switch (e.op) {
+              case Op::kEq: op(TOp::kEq); break;
+              case Op::kNe: op(TOp::kNe); break;
+              case Op::kLt: op(sc ? TOp::kLtS : TOp::kLtU, cw); break;
+              case Op::kLe: op(sc ? TOp::kLeS : TOp::kLeU, cw); break;
+              case Op::kGt: op(sc ? TOp::kGtS : TOp::kGtU, cw); break;
+              default: op(sc ? TOp::kGeS : TOp::kGeU, cw); break;
+            }
+            ext(1, W, S);
+            return;
+          }
+          case Op::kShl: case Op::kShr: case Op::kAShr:
+            cx(k0, W, S);
+            cx_self(k1);
+            if (e.op == Op::kShl)
+              op(TOp::kShl, 0, 0, umask(W));
+            else if (e.op == Op::kShr || !S)
+              op(TOp::kShrU);
+            else
+              op(TOp::kShrS, static_cast<std::uint8_t>(W), 0, umask(W));
+            return;
+          default:
+            break;
         }
         cx(k0, W, S);
         cx(k1, W, S);
         const auto ww = static_cast<std::uint8_t>(W);
         const std::uint64_t m = umask(W);
-        if (o == "+") op(TOp::kAdd, 0, 0, m);
-        else if (o == "-") op(TOp::kSub, 0, 0, m);
-        else if (o == "*") op(TOp::kMul, 0, 0, m);
-        else if (o == "/") op(S ? TOp::kDivS : TOp::kDivU, ww, 0, m);
-        else if (o == "%") op(S ? TOp::kModS : TOp::kModU, ww, 0, m);
-        else if (o == "&") op(TOp::kAnd);
-        else if (o == "|") op(TOp::kOr);
-        else if (o == "^") op(TOp::kXor);
-        else if (o == "~^" || o == "^~") op(TOp::kXnorB, 0, 0, m);
-        else fallback("unknown binary operator '" + o + "'");
+        switch (e.op) {
+          case Op::kAdd: op(TOp::kAdd, 0, 0, m); break;
+          case Op::kSub: op(TOp::kSub, 0, 0, m); break;
+          case Op::kMul: op(TOp::kMul, 0, 0, m); break;
+          case Op::kDiv: op(S ? TOp::kDivS : TOp::kDivU, ww, 0, m); break;
+          case Op::kMod: op(S ? TOp::kModS : TOp::kModU, ww, 0, m); break;
+          case Op::kAnd: op(TOp::kAnd); break;
+          case Op::kOr: op(TOp::kOr); break;
+          case Op::kXor: op(TOp::kXor); break;
+          case Op::kXnor: op(TOp::kXnorB, 0, 0, m); break;
+          default:
+            fallback(std::string("unknown binary operator '") +
+                     to_string(e.op) + "'");
+        }
         return;
       }
       case ExprKind::kTernary:

@@ -8,37 +8,33 @@ namespace hlsw::vsim {
 
 namespace {
 
-[[noreturn]] void fail(const std::string& what) {
-  throw std::runtime_error("vsim elaboration error: " + what);
+// Names the source line of the construct being elaborated when there is
+// one (0: none, e.g. a top module absent from the source).
+[[noreturn]] void fail(int line, const std::string& what) {
+  throw std::runtime_error(
+      "vsim elaboration error" +
+      (line > 0 ? " at line " + std::to_string(line) : std::string()) +
+      ": " + what);
 }
 
 // Constant folding over annotated expressions (localparams are already
 // literals by the time this runs).
 long long fold_const(const Expr& e) {
   switch (e.kind) {
-    case ExprKind::kNumber: {
-      long long v = static_cast<long long>(e.num);
-      if (e.num_sized && e.num_width < 64 && e.num_signed &&
-          (e.num >> (e.num_width - 1)) & 1)
-        v -= 1LL << e.num_width;
-      return v;
-    }
+    case ExprKind::kNumber:
+      return literal_value(e);
     case ExprKind::kUnary:
-      if (e.name == "-") return -fold_const(*e.kids[0]);
-      if (e.name == "+") return fold_const(*e.kids[0]);
-      break;
     case ExprKind::kBinary: {
       const long long a = fold_const(*e.kids[0]);
-      const long long b = fold_const(*e.kids[1]);
-      if (e.name == "+") return a + b;
-      if (e.name == "-") return a - b;
-      if (e.name == "*") return a * b;
+      const long long b = e.kids.size() > 1 ? fold_const(*e.kids[1]) : 0;
+      long long v;
+      if (fold_int(e.op, a, b, &v)) return v;
       break;
     }
     default:
       break;
   }
-  fail("expression used where a constant is required");
+  fail(e.line, "expression used where a constant is required");
 }
 
 class Elaborator {
@@ -46,12 +42,12 @@ class Elaborator {
   explicit Elaborator(const SourceUnit& su) {
     for (const auto& m : su.modules) {
       if (!modules_.emplace(m.name, &m).second)
-        fail("duplicate module '" + m.name + "'");
+        fail(m.line, "duplicate module '" + m.name + "'");
     }
   }
 
   std::shared_ptr<const Design> run(const std::string& top) {
-    const Module* m = module(top);
+    const Module* m = module(top, /*line=*/0);
     design_ = std::make_shared<Design>();
     design_->top = top;
 
@@ -72,19 +68,21 @@ class Elaborator {
     std::map<std::string, long long> params;
   };
 
-  const Module* module(const std::string& name) const {
+  // `line` is where the module is referenced (0 for the top).
+  const Module* module(const std::string& name, int line) const {
     auto it = modules_.find(name);
-    if (it == modules_.end()) fail("unknown module '" + name + "'");
+    if (it == modules_.end()) fail(line, "unknown module '" + name + "'");
     return it->second;
   }
 
-  int add_signal(Signal s) {
+  // `line` is the declaration that creates the signal.
+  int add_signal(Signal s, int line) {
     if (s.width < 1 || s.width > 64)
-      fail("signal '" + s.name + "' has unsupported width " +
-           std::to_string(s.width));
+      fail(line, "signal '" + s.name + "' has unsupported width " +
+                     std::to_string(s.width));
     const int idx = static_cast<int>(design_->signals.size());
     if (!design_->signal_index.emplace(s.name, idx).second)
-      fail("duplicate signal '" + s.name + "'");
+      fail(line, "duplicate signal '" + s.name + "'");
     design_->signals.push_back(std::move(s));
     return idx;
   }
@@ -111,17 +109,16 @@ class Elaborator {
         s.is_top_input = d.is_input;
         s.is_top_output = d.is_output;
       }
-      scope->names[d.name] = add_signal(std::move(s));
+      scope->names[d.name] = add_signal(std::move(s), d.line);
     }
   }
 
   void elaborate_module(const Module& m, Scope scope, int depth) {
-    if (depth > 8) fail("instance nesting too deep");
-
     // Instances first (declaration order), so a testbench's DUT processes
     // precede the testbench's own — a fixed, documented order.
     for (const auto& inst : m.instances) {
-      const Module* inner = module(inst.module_name);
+      if (depth >= 8) fail(inst.line, "instance nesting too deep");
+      const Module* inner = module(inst.module_name, inst.line);
       Scope child;
       child.mod = inner;
       const std::string prefix = scope.prefix + inst.inst_name + ".";
@@ -129,12 +126,13 @@ class Elaborator {
                                         inner->port_order.end());
       for (const auto& conn : inst.conns) {
         if (!inner_ports.count(conn.port))
-          fail("instance '" + inst.inst_name + "' connects unknown port '" +
-               conn.port + "'");
+          fail(inst.line, "instance '" + inst.inst_name +
+                              "' connects unknown port '" + conn.port + "'");
         const NetDecl* pd = nullptr;
         for (const auto& d : inner->nets)
           if (d.name == conn.port) pd = &d;
-        if (pd == nullptr) fail("port '" + conn.port + "' has no declaration");
+        if (pd == nullptr)
+          fail(inst.line, "port '" + conn.port + "' has no declaration");
         int sig;
         if (conn.expr == nullptr) {
           Signal s;  // unconnected port: private floating net
@@ -142,20 +140,20 @@ class Elaborator {
           s.width = pd->width;
           s.is_signed = pd->is_signed;
           s.is_reg = pd->is_reg;
-          sig = add_signal(std::move(s));
+          sig = add_signal(std::move(s), inst.line);
         } else {
           if (conn.expr->kind != ExprKind::kIdent)
-            fail("port connection '." + conn.port +
-                 "(...)' must be a plain identifier");
+            fail(inst.line, "port connection '." + conn.port +
+                                "(...)' must be a plain identifier");
           auto it = scope.names.find(conn.expr->name);
           if (it == scope.names.end())
-            fail("port connection references undeclared '" +
-                 conn.expr->name + "'");
+            fail(inst.line, "port connection references undeclared '" +
+                                conn.expr->name + "'");
           sig = it->second;
           Signal& s = design_->signals[static_cast<size_t>(sig)];
           if (s.width != pd->width)
-            fail("width mismatch on port '" + conn.port + "' of instance '" +
-                 inst.inst_name + "'");
+            fail(inst.line, "width mismatch on port '" + conn.port +
+                                "' of instance '" + inst.inst_name + "'");
           // A procedurally driven output makes the connected parent net
           // register-like for lint purposes.
           s.is_reg = s.is_reg || pd->is_reg;
@@ -171,7 +169,7 @@ class Elaborator {
       ExprPtr lhs = a.lhs;
       annotate(&lhs, scope);
       if (lhs->kind != ExprKind::kIdent)
-        fail("continuous assign target must be a scalar signal");
+        fail(lhs->line, "continuous assign target must be a scalar signal");
       ea.target = lhs->sig;
       ea.rhs = a.rhs;
       annotate(&ea.rhs, scope);
@@ -216,7 +214,7 @@ class Elaborator {
         annotate(&st.lhs, scope);
         if (st.lhs->kind != ExprKind::kIdent &&
             st.lhs->kind != ExprKind::kSelect)
-          fail("unsupported assignment target");
+          fail(st.line, "unsupported assignment target");
         annotate(&st.rhs, scope);
         break;
       case StmtKind::kIf:
@@ -238,7 +236,7 @@ class Elaborator {
         for (auto& [edge, e] : st.events) {
           annotate(&e, scope);
           if (e->kind != ExprKind::kIdent)
-            fail("event controls must name a scalar signal");
+            fail(e->line, "event controls must name a scalar signal");
         }
         annotate_stmt(&st.sub[0], scope);
         break;
@@ -261,11 +259,13 @@ class Elaborator {
     const TaskDecl* task = nullptr;
     for (const auto& t : scope.mod->tasks)
       if (t.name == call.callee) task = &t;
-    if (task == nullptr) fail("call to unknown task '" + call.callee + "'");
+    if (task == nullptr)
+      fail(call.line, "call to unknown task '" + call.callee + "'");
     if (call.args.size() != task->args.size())
-      fail("task '" + task->name + "' called with wrong argument count");
+      fail(call.line,
+           "task '" + task->name + "' called with wrong argument count");
     if (!tasks_in_progress_.insert(scope.prefix + task->name).second)
-      fail("recursive task '" + task->name + "' is not supported");
+      fail(call.line, "recursive task '" + task->name + "' is not supported");
 
     // Argument signals are created once per elaborated scope; the annotated
     // body is cached and shared across every call site.
@@ -281,7 +281,7 @@ class Elaborator {
         s.is_signed = a.is_signed;
         s.is_reg = true;
         s.is_task_arg = true;
-        sig = add_signal(std::move(s));
+        sig = add_signal(std::move(s), a.line);
       }
       task_scope.names[a.name] = sig;
     }
@@ -347,7 +347,7 @@ class Elaborator {
           e.self_sgn = true;
           return;
         }
-        fail("undeclared identifier '" + e.name + "'");
+        fail(e.line, "undeclared identifier '" + e.name + "'");
       }
       case ExprKind::kSelect: {
         annotate(&e.kids[0], scope);
@@ -368,39 +368,46 @@ class Elaborator {
         annotate(&e.kids[0], scope);
         annotate(&e.kids[1], scope);
         annotate(&e.kids[2], scope);
-        e.hi = static_cast<int>(fold_const(*e.kids[1]));
-        e.lo = static_cast<int>(fold_const(*e.kids[2]));
-        if (e.lo < 0 || e.hi < e.lo || e.hi > 63)
-          fail("part select bounds out of range");
+        const long long hi = fold_const(*e.kids[1]);
+        const long long lo = fold_const(*e.kids[2]);
+        if (lo < 0 || hi < lo || hi > 63)
+          fail(e.line, "part select bounds out of range");
+        e.hi = static_cast<int>(hi);
+        e.lo = static_cast<int>(lo);
         e.self_w = e.hi - e.lo + 1;
         e.self_sgn = false;
         return;
       }
       case ExprKind::kUnary:
         annotate(&e.kids[0], scope);
-        if (e.name == "-" || e.name == "+" || e.name == "~") {
-          e.self_w = e.kids[0]->self_w;
-          e.self_sgn = e.kids[0]->self_sgn;
-        } else {  // ! and reductions
-          e.self_w = 1;
-          e.self_sgn = false;
+        switch (e.op) {
+          case Op::kNeg: case Op::kPlus: case Op::kBitNot:
+            e.self_w = e.kids[0]->self_w;
+            e.self_sgn = e.kids[0]->self_sgn;
+            break;
+          default:  // ! and reductions
+            e.self_w = 1;
+            e.self_sgn = false;
+            break;
         }
         return;
       case ExprKind::kBinary: {
         annotate(&e.kids[0], scope);
         annotate(&e.kids[1], scope);
-        const std::string& op = e.name;
-        if (op == "==" || op == "!=" || op == "===" || op == "!==" ||
-            op == "<" || op == "<=" || op == ">" || op == ">=" ||
-            op == "&&" || op == "||") {
-          e.self_w = 1;
-          e.self_sgn = false;
-        } else if (op == "<<" || op == ">>" || op == "<<<" || op == ">>>") {
-          e.self_w = e.kids[0]->self_w;
-          e.self_sgn = e.kids[0]->self_sgn;
-        } else {
-          e.self_w = std::max(e.kids[0]->self_w, e.kids[1]->self_w);
-          e.self_sgn = e.kids[0]->self_sgn && e.kids[1]->self_sgn;
+        switch (e.op) {
+          case Op::kEq: case Op::kNe: case Op::kLt: case Op::kLe:
+          case Op::kGt: case Op::kGe: case Op::kLogAnd: case Op::kLogOr:
+            e.self_w = 1;
+            e.self_sgn = false;
+            break;
+          case Op::kShl: case Op::kShr: case Op::kAShr:
+            e.self_w = e.kids[0]->self_w;
+            e.self_sgn = e.kids[0]->self_sgn;
+            break;
+          default:
+            e.self_w = std::max(e.kids[0]->self_w, e.kids[1]->self_w);
+            e.self_sgn = e.kids[0]->self_sgn && e.kids[1]->self_sgn;
+            break;
         }
         return;
       }
@@ -415,7 +422,7 @@ class Elaborator {
           annotate(&k, scope);
           w += k->self_w;
         }
-        if (w < 1 || w > 64) fail("concatenation wider than 64 bits");
+        if (w < 1 || w > 64) fail(e.line, "concatenation wider than 64 bits");
         e.self_w = w;
         e.self_sgn = false;
         return;
@@ -424,23 +431,24 @@ class Elaborator {
         annotate(&e.kids[0], scope);
         annotate(&e.kids[1], scope);
         e.repl = fold_const(*e.kids[0]);
-        const long long w = e.repl * e.kids[1]->self_w;
-        if (e.repl < 1 || w > 64) fail("replication wider than 64 bits");
-        e.self_w = static_cast<int>(w);
+        const int kw = e.kids[1]->self_w;
+        if (e.repl < 1 || kw < 1 || e.repl > 64 / kw)
+          fail(e.line, "replication width outside the supported 1..64");
+        e.self_w = static_cast<int>(e.repl) * kw;
         e.self_sgn = false;
         return;
       }
       case ExprKind::kSysCall:
         for (auto& k : e.kids) annotate(&k, scope);
         if (e.name == "$signed" || e.name == "$unsigned") {
-          if (e.kids.size() != 1) fail(e.name + " takes one argument");
+          if (e.kids.size() != 1) fail(e.line, e.name + " takes one argument");
           e.self_w = e.kids[0]->self_w;
           e.self_sgn = e.name == "$signed";
         } else if (e.name == "$time") {
           e.self_w = 64;
           e.self_sgn = false;
         } else {
-          fail("unsupported system function '" + e.name + "'");
+          fail(e.line, "unsupported system function '" + e.name + "'");
         }
         return;
     }

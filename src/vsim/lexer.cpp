@@ -1,6 +1,5 @@
 #include "vsim/lexer.h"
 
-#include <cctype>
 #include <stdexcept>
 
 namespace hlsw::vsim {
@@ -12,12 +11,16 @@ namespace {
                            ": " + what);
 }
 
+// ASCII character classes (the "C" locale's, without the locale lookup).
+bool is_space(char c) {
+  return c == ' ' || c == '\t' || c == '\r' || c == '\v' || c == '\f';
+}
+bool is_digit(char c) { return c >= '0' && c <= '9'; }
 bool ident_start(char c) {
-  return std::isalpha(static_cast<unsigned char>(c)) || c == '_';
+  const char l = static_cast<char>(c | 0x20);
+  return (l >= 'a' && l <= 'z') || c == '_';
 }
-bool ident_char(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
-}
+bool ident_char(char c) { return ident_start(c) || is_digit(c); }
 
 int digit_value(char c, int base, int line) {
   int v;
@@ -29,6 +32,35 @@ int digit_value(char c, int base, int line) {
   return v;
 }
 
+// Length of the operator or punctuation token starting with `c` (followed
+// by `c1`, `c2`): the longest match, or 0 for a character that starts no
+// token.
+std::size_t symbol_length(char c, char c1, char c2) {
+  switch (c) {
+    case '<':
+    case '>':  // << <<< <= and >> >>> >=
+      if (c1 == c) return c2 == c ? 3 : 2;
+      return c1 == '=' ? 2 : 1;
+    case '=':
+    case '!':  // == === and != !==
+      if (c1 == '=') return c2 == '=' ? 3 : 2;
+      return 1;
+    case '&':
+    case '|':  // && ||
+      return c1 == c ? 2 : 1;
+    case '~':  // ~& ~| ~^
+      return c1 == '&' || c1 == '|' || c1 == '^' ? 2 : 1;
+    case '^':  // ^~
+      return c1 == '~' ? 2 : 1;
+    case '(': case ')': case '[': case ']': case '{': case '}':
+    case ':': case ';': case ',': case '.': case '@': case '#': case '?':
+    case '+': case '-': case '*': case '/': case '%':
+      return 1;
+    default:
+      return 0;
+  }
+}
+
 }  // namespace
 
 std::vector<Token> lex(const std::string& src) {
@@ -36,6 +68,7 @@ std::vector<Token> lex(const std::string& src) {
   std::size_t i = 0;
   const std::size_t n = src.size();
   int line = 1;
+  out.reserve(n / 3 + 1);  // emitted Verilog runs ~3.6 bytes per token
 
   const auto peek = [&](std::size_t k) -> char {
     return i + k < n ? src[i + k] : '\0';
@@ -48,7 +81,7 @@ std::vector<Token> lex(const std::string& src) {
       ++i;
       continue;
     }
-    if (std::isspace(static_cast<unsigned char>(c))) {
+    if (is_space(c)) {
       ++i;
       continue;
     }
@@ -93,37 +126,37 @@ std::vector<Token> lex(const std::string& src) {
       continue;
     }
 
-    if (c == '$' && ident_start(peek(1))) {
-      t.kind = Tok::kSysName;
-      t.text.push_back(src[i++]);
-      while (i < n && ident_char(src[i])) t.text.push_back(src[i++]);
+    const std::size_t start = i;
+    if ((c == '$' && ident_start(peek(1))) || ident_start(c)) {
+      t.kind = c == '$' ? Tok::kSysName : Tok::kIdent;
+      ++i;
+      while (i < n && ident_char(src[i])) ++i;
+      t.text.assign(src, start, i - start);
       out.push_back(std::move(t));
       continue;
     }
 
-    if (ident_start(c)) {
-      t.kind = Tok::kIdent;
-      while (i < n && ident_char(src[i])) t.text.push_back(src[i++]);
-      out.push_back(std::move(t));
-      continue;
-    }
-
-    if (std::isdigit(static_cast<unsigned char>(c)) ||
-        (c == '\'' && ident_char(peek(1)))) {
-      // Optional decimal size, then optional '<s><base> digits.
+    if (is_digit(c) || (c == '\'' && ident_char(peek(1)))) {
+      // Optional decimal size, then optional '<s><base> digits. The digit
+      // run is also the value of a plain decimal, which may exceed 64; as
+      // a size it may not, so remember (stickily, past any wrap) if it did.
       unsigned long long size = 0;
       bool have_size = false;
-      while (i < n && std::isdigit(static_cast<unsigned char>(src[i]))) {
+      bool oversized = false;
+      while (i < n && is_digit(src[i])) {
         size = size * 10 + static_cast<unsigned long long>(src[i] - '0');
+        oversized = oversized || size > 64;
         have_size = true;
-        t.text.push_back(src[i++]);
+        ++i;
       }
       if (i < n && src[i] == '\'') {
-        t.text.push_back(src[i++]);
+        if (oversized || (have_size && size < 1))
+          fail(line, "literal width out of the supported 1..64 range");
+        ++i;
         bool sflag = false;
         if (i < n && (src[i] == 's' || src[i] == 'S')) {
           sflag = true;
-          t.text.push_back(src[i++]);
+          ++i;
         }
         if (i >= n) fail(line, "truncated based literal");
         int base;
@@ -134,26 +167,21 @@ std::vector<Token> lex(const std::string& src) {
           case 'o': case 'O': base = 8; break;
           default: fail(line, "unknown literal base");
         }
-        t.text.push_back(src[i++]);
+        ++i;
         unsigned long long v = 0;
         bool any = false;
-        while (i < n && (ident_char(src[i]) || src[i] == '_')) {
-          if (src[i] == '_') {
-            ++i;
-            continue;
-          }
+        for (; i < n && ident_char(src[i]); ++i) {
+          if (src[i] == '_') continue;
           v = v * static_cast<unsigned long long>(base) +
               static_cast<unsigned long long>(
                   digit_value(src[i], base, line));
           any = true;
-          t.text.push_back(src[i++]);
         }
         if (!any) fail(line, "based literal without digits");
         t.kind = Tok::kNumber;
+        t.text.assign(src, start, i - start);
         t.value = v;
         t.width = have_size ? static_cast<int>(size) : 32;
-        if (t.width < 1 || t.width > 64)
-          fail(line, "literal width out of the supported 1..64 range");
         if (t.width < 64) t.value &= (1ULL << t.width) - 1;
         t.sized = have_size;
         t.is_signed = sflag;
@@ -162,6 +190,7 @@ std::vector<Token> lex(const std::string& src) {
       }
       // Plain unsized decimal: 32-bit signed per the LRM.
       t.kind = Tok::kNumber;
+      t.text.assign(src, start, i - start);
       t.value = size;
       t.width = 32;
       t.sized = false;
@@ -170,29 +199,11 @@ std::vector<Token> lex(const std::string& src) {
       continue;
     }
 
-    // Multi-character operators, longest first.
-    static const char* kOps[] = {
-        ">>>", "<<<", "===", "!==", "==", "!=", "<=", ">=", "&&", "||",
-        "<<", ">>", "~&", "~|", "~^", "^~",
-    };
+    const std::size_t len = symbol_length(c, peek(1), peek(2));
+    if (len == 0) fail(line, std::string("unexpected character '") + c + "'");
     t.kind = Tok::kSymbol;
-    bool matched = false;
-    for (const char* op : kOps) {
-      const std::size_t len = std::char_traits<char>::length(op);
-      if (src.compare(i, len, op) == 0) {
-        t.text = op;
-        i += len;
-        matched = true;
-        break;
-      }
-    }
-    if (!matched) {
-      static const std::string kSingles = "()[]{}:;,.@#?=!~&|^+-*/%<>";
-      if (kSingles.find(c) == std::string::npos)
-        fail(line, std::string("unexpected character '") + c + "'");
-      t.text = std::string(1, c);
-      ++i;
-    }
+    t.text.assign(src, start, len);
+    i += len;
     out.push_back(std::move(t));
   }
 

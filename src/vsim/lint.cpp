@@ -15,19 +15,13 @@ inline unsigned long long umask(int w) {
 // Signed value of a literal (optionally under one unary +/-); false if the
 // expression is not a plain constant.
 bool const_value(const Expr& e, long long* out) {
-  const Expr* r = &e;
-  bool neg = false;
-  if (r->kind == ExprKind::kUnary && (r->name == "-" || r->name == "+")) {
-    neg = r->name == "-";
-    r = r->kids[0].get();
+  if (e.kind == ExprKind::kNumber) {
+    *out = literal_value(e);
+    return true;
   }
-  if (r->kind != ExprKind::kNumber) return false;
-  long long v = static_cast<long long>(r->num);
-  if (r->num_sized && r->num_width < 64 && r->num_signed &&
-      (r->num >> (r->num_width - 1)) & 1)
-    v -= 1LL << r->num_width;
-  *out = neg ? -v : v;
-  return true;
+  return e.kind == ExprKind::kUnary &&
+         e.kids[0]->kind == ExprKind::kNumber &&
+         fold_int(e.op, literal_value(*e.kids[0]), 0, out);
 }
 
 // Instrumentation counters (rtl::VerilogOptions::instrument) live in the

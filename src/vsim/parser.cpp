@@ -9,6 +9,72 @@ namespace hlsw::vsim {
 
 namespace {
 
+// ---- The spelling -> Op table -----------------------------------------------
+// The lexer only produces the symbol spellings listed in lexer.cpp, so a
+// switch on the first character and the length resolves each one.
+
+// A binary operator and its precedence tier, loosest first (|| is 0, the
+// multiplicative operators 9); tier -1 marks a token that is not one.
+struct BinaryOp {
+  Op op = Op::kNone;
+  int tier = -1;
+};
+
+BinaryOp binary_op(const Token& t) {
+  if (t.kind != Tok::kSymbol) return {};
+  const std::string& s = t.text;
+  const std::size_t n = s.size();
+  const char c1 = n > 1 ? s[1] : '\0';
+  switch (s[0]) {
+    case '|': return n == 1 ? BinaryOp{Op::kOr, 2} : BinaryOp{Op::kLogOr, 0};
+    case '&': return n == 1 ? BinaryOp{Op::kAnd, 4} : BinaryOp{Op::kLogAnd, 1};
+    case '^': return n == 1 ? BinaryOp{Op::kXor, 3} : BinaryOp{Op::kXnor, 3};
+    case '~': return c1 == '^' ? BinaryOp{Op::kXnor, 3} : BinaryOp{};
+    case '=': return n > 1 ? BinaryOp{Op::kEq, 5} : BinaryOp{};
+    case '!': return n > 1 ? BinaryOp{Op::kNe, 5} : BinaryOp{};
+    case '<':
+      if (n == 1) return {Op::kLt, 6};
+      return c1 == '=' ? BinaryOp{Op::kLe, 6} : BinaryOp{Op::kShl, 7};
+    case '>':
+      if (n == 1) return {Op::kGt, 6};
+      if (c1 == '=') return {Op::kGe, 6};
+      return n == 2 ? BinaryOp{Op::kShr, 7} : BinaryOp{Op::kAShr, 7};
+    case '+': return {Op::kAdd, 8};
+    case '-': return {Op::kSub, 8};
+    case '*': return {Op::kMul, 9};
+    case '/': return {Op::kDiv, 9};
+    case '%': return {Op::kMod, 9};
+    default: return {};
+  }
+}
+
+// The unary operator a symbol token spells, or Op::kNone.
+Op unary_op(const Token& t) {
+  if (t.kind != Tok::kSymbol) return Op::kNone;
+  const std::string& s = t.text;
+  const char c1 = s.size() > 1 ? s[1] : '\0';
+  switch (s[0]) {
+    case '-': return Op::kNeg;
+    case '+': return Op::kPlus;
+    case '!': return s.size() == 1 ? Op::kLogNot : Op::kNone;
+    case '&': return s.size() == 1 ? Op::kRedAnd : Op::kNone;
+    case '|': return s.size() == 1 ? Op::kRedOr : Op::kNone;
+    case '^': return s.size() == 1 ? Op::kRedXor : Op::kRedXnor;
+    case '~':
+      switch (c1) {
+        case '&': return Op::kRedNand;
+        case '|': return Op::kRedNor;
+        case '^': return Op::kRedXnor;
+        default: return Op::kBitNot;
+      }
+    default: return Op::kNone;
+  }
+}
+
+// Register files hold at most this many elements (every engine allocates
+// them densely).
+constexpr long long kMaxArrayLen = 1 << 20;
+
 class Parser {
  public:
   explicit Parser(std::vector<Token> toks) : toks_(std::move(toks)) {}
@@ -29,8 +95,11 @@ class Parser {
   bool at_eof() const { return cur().kind == Tok::kEof; }
 
   [[noreturn]] void fail(const std::string& what) const {
+    fail_at(cur().line, what);
+  }
+  [[noreturn]] static void fail_at(int line, const std::string& what) {
     throw std::runtime_error("vsim parse error at line " +
-                             std::to_string(cur().line) + ": " + what);
+                             std::to_string(line) + ": " + what);
   }
 
   bool is_sym(const char* s) const {
@@ -39,7 +108,7 @@ class Parser {
   bool is_kw(const char* s) const {
     return cur().kind == Tok::kIdent && cur().text == s;
   }
-  Token take() { return toks_[pos_++]; }
+  Token take() { return std::move(toks_[pos_++]); }
   void expect_sym(const char* s) {
     if (!is_sym(s)) fail(std::string("expected '") + s + "'");
     ++pos_;
@@ -67,44 +136,34 @@ class Parser {
     // Declaration ranges and localparam values must fold to integers here
     // (localparam references resolve through the module being parsed).
     switch (e->kind) {
-      case ExprKind::kNumber: {
-        long long v = static_cast<long long>(e->num);
-        if (e->num_sized && e->num_width < 64 && e->num_signed &&
-            (e->num >> (e->num_width - 1)) & 1)
-          v -= 1LL << e->num_width;
-        return v;
-      }
+      case ExprKind::kNumber:
+        return literal_value(*e);
       case ExprKind::kIdent: {
         auto it = params_.find(e->name);
         if (it == params_.end())
-          throw std::runtime_error("vsim parse error: '" + e->name +
-                                   "' is not a constant");
+          fail_at(e->line, "'" + e->name + "' is not a constant");
         return it->second;
       }
       case ExprKind::kUnary:
-        if (e->name == "-") return -const_int(e->kids[0]);
-        if (e->name == "+") return const_int(e->kids[0]);
-        break;
       case ExprKind::kBinary: {
         const long long a = const_int(e->kids[0]);
-        const long long b = const_int(e->kids[1]);
-        if (e->name == "+") return a + b;
-        if (e->name == "-") return a - b;
-        if (e->name == "*") return a * b;
+        const long long b = e->kids.size() > 1 ? const_int(e->kids[1]) : 0;
+        long long v;
+        if (fold_int(e->op, a, b, &v)) return v;
         break;
       }
       default:
         break;
     }
-    throw std::runtime_error(
-        "vsim parse error: expression is not a supported constant");
+    fail_at(e->line, "expression is not a supported constant");
   }
 
   // ---- Modules -------------------------------------------------------------
   Module parse_module() {
     params_.clear();
-    expect_kw("module");
     Module m;
+    m.line = cur().line;
+    expect_kw("module");
     m.name = expect_ident();
     if (eat_sym("(")) parse_ansi_ports(&m);
     expect_sym(";");
@@ -126,6 +185,7 @@ class Parser {
       else if (eat_kw("reg")) d.is_reg = true;
       if (eat_kw("signed")) d.is_signed = true;
       d.width = parse_opt_range();
+      d.line = cur().line;
       d.name = expect_ident();
       m->port_order.push_back(d.name);
       m->nets.push_back(std::move(d));
@@ -206,13 +266,16 @@ class Parser {
     }
     do {
       NetDecl d = base;
+      d.line = cur().line;
       d.name = expect_ident();
       if (eat_sym("[")) {  // register file: [0:N-1]
         const long long lo = const_int(parse_expr());
         expect_sym(":");
         const long long hi = const_int(parse_expr());
         expect_sym("]");
-        if (lo != 0 || hi < 0) fail("array bounds must be [0:N-1]");
+        if (lo != 0 || hi < 0 || hi >= kMaxArrayLen)
+          fail("array bounds must be [0:N-1] with N <= " +
+               std::to_string(kMaxArrayLen));
         d.array_len = static_cast<int>(hi) + 1;
       }
       if (eat_sym("=")) {
@@ -241,6 +304,7 @@ class Parser {
             a.width = parse_opt_range();
           }
           a.is_reg = true;
+          a.line = cur().line;
           a.name = expect_ident();
           t.args.push_back(std::move(a));
         } while (eat_sym(","));
@@ -255,6 +319,7 @@ class Parser {
 
   Instance parse_instance() {
     Instance inst;
+    inst.line = cur().line;
     inst.module_name = expect_ident();
     inst.inst_name = expect_ident();
     expect_sym("(");
@@ -277,6 +342,7 @@ class Parser {
   // ---- Statements ----------------------------------------------------------
   StmtPtr parse_stmt() {
     auto st = std::make_shared<Stmt>();
+    st->line = cur().line;
     if (eat_sym(";")) {
       st->kind = StmtKind::kNull;
       return st;
@@ -394,12 +460,10 @@ class Parser {
 
   // LHS of an assignment: identifier with optional single element select.
   ExprPtr parse_lvalue() {
-    auto id = std::make_shared<Expr>();
-    id->kind = ExprKind::kIdent;
+    ExprPtr id = node(ExprKind::kIdent, cur().line);
     id->name = expect_ident();
     if (eat_sym("[")) {
-      auto sel = std::make_shared<Expr>();
-      sel->kind = ExprKind::kSelect;
+      ExprPtr sel = node(ExprKind::kSelect, id->line);
       sel->kids.push_back(std::move(id));
       sel->kids.push_back(parse_expr());
       expect_sym("]");
@@ -409,13 +473,20 @@ class Parser {
   }
 
   // ---- Expressions (precedence climbing) ----------------------------------
+  static ExprPtr node(ExprKind kind, int line) {
+    auto e = std::make_shared<Expr>();
+    e->kind = kind;
+    e->line = line;
+    return e;
+  }
+
   ExprPtr parse_expr() { return parse_ternary(); }
 
   ExprPtr parse_ternary() {
-    ExprPtr c = parse_binary(0);
+    BinaryOp look;
+    ExprPtr c = parse_binary(0, &look);
     if (!eat_sym("?")) return c;
-    auto e = std::make_shared<Expr>();
-    e->kind = ExprKind::kTernary;
+    ExprPtr e = node(ExprKind::kTernary, c->line);
     e->kids.push_back(std::move(c));
     e->kids.push_back(parse_ternary());
     expect_sym(":");
@@ -423,50 +494,33 @@ class Parser {
     return e;
   }
 
-  // Binary precedence tiers, loosest first.
-  static int tier_of(const std::string& op) {
-    if (op == "||") return 0;
-    if (op == "&&") return 1;
-    if (op == "|") return 2;
-    if (op == "^" || op == "~^" || op == "^~") return 3;
-    if (op == "&") return 4;
-    if (op == "==" || op == "!=" || op == "===" || op == "!==") return 5;
-    if (op == "<" || op == "<=" || op == ">" || op == ">=") return 6;
-    if (op == "<<" || op == ">>" || op == "<<<" || op == ">>>") return 7;
-    if (op == "+" || op == "-") return 8;
-    if (op == "*" || op == "/" || op == "%") return 9;
-    return -1;
-  }
-  static constexpr int kTiers = 10;
-
-  ExprPtr parse_binary(int tier) {
-    if (tier >= kTiers) return parse_unary();
-    ExprPtr lhs = parse_binary(tier + 1);
-    while (cur().kind == Tok::kSymbol && tier_of(cur().text) == tier) {
-      auto e = std::make_shared<Expr>();
-      e->kind = ExprKind::kBinary;
-      e->name = take().text;
+  // Parses an operand followed by binary operators of tier >= min_tier,
+  // left-associative. On return *look classifies the token after the
+  // expression, so each operator token is looked up exactly once.
+  ExprPtr parse_binary(int min_tier, BinaryOp* look) {
+    ExprPtr lhs = parse_unary();
+    *look = binary_op(cur());
+    while (look->tier >= min_tier) {
+      const BinaryOp op = *look;
+      ++pos_;
+      ExprPtr rhs = parse_binary(op.tier + 1, look);
+      ExprPtr e = node(ExprKind::kBinary, lhs->line);
+      e->op = op.op;
       e->kids.push_back(std::move(lhs));
-      e->kids.push_back(parse_binary(tier + 1));
+      e->kids.push_back(std::move(rhs));
       lhs = std::move(e);
     }
     return lhs;
   }
 
   ExprPtr parse_unary() {
-    if (cur().kind == Tok::kSymbol) {
-      const std::string& s = cur().text;
-      if (s == "-" || s == "+" || s == "~" || s == "!" || s == "&" ||
-          s == "|" || s == "^" || s == "~&" || s == "~|" || s == "~^" ||
-          s == "^~") {
-        auto e = std::make_shared<Expr>();
-        e->kind = ExprKind::kUnary;
-        e->name = take().text;
-        e->kids.push_back(parse_unary());
-        return e;
-      }
-    }
-    return parse_postfix();
+    const Op op = unary_op(cur());
+    if (op == Op::kNone) return parse_postfix();
+    ExprPtr e = node(ExprKind::kUnary, cur().line);
+    e->op = op;
+    ++pos_;
+    e->kids.push_back(parse_unary());
+    return e;
   }
 
   ExprPtr parse_postfix() {
@@ -478,16 +532,14 @@ class Parser {
       ++pos_;
       ExprPtr first = parse_expr();
       if (eat_sym(":")) {
-        auto r = std::make_shared<Expr>();
-        r->kind = ExprKind::kRange;
+        ExprPtr r = node(ExprKind::kRange, e->line);
         r->kids.push_back(std::move(e));
         r->kids.push_back(std::move(first));
         r->kids.push_back(parse_expr());
         expect_sym("]");
         e = std::move(r);
       } else {
-        auto s = std::make_shared<Expr>();
-        s->kind = ExprKind::kSelect;
+        ExprPtr s = node(ExprKind::kSelect, e->line);
         s->kids.push_back(std::move(e));
         s->kids.push_back(std::move(first));
         expect_sym("]");
@@ -498,25 +550,24 @@ class Parser {
   }
 
   ExprPtr parse_primary() {
+    const int line = cur().line;
     if (cur().kind == Tok::kNumber) {
-      const Token t = take();
-      auto e = std::make_shared<Expr>();
-      e->kind = ExprKind::kNumber;
+      const Token& t = cur();
+      ExprPtr e = node(ExprKind::kNumber, line);
       e->num = t.value;
       e->num_width = t.width;
       e->num_sized = t.sized;
       e->num_signed = t.is_signed;
+      ++pos_;
       return e;
     }
     if (cur().kind == Tok::kString) {
-      auto e = std::make_shared<Expr>();
-      e->kind = ExprKind::kString;
+      ExprPtr e = node(ExprKind::kString, line);
       e->str = take().text;
       return e;
     }
     if (cur().kind == Tok::kSysName) {
-      auto e = std::make_shared<Expr>();
-      e->kind = ExprKind::kSysCall;
+      ExprPtr e = node(ExprKind::kSysCall, line);
       e->name = take().text;
       if (e->name == "$time") return e;  // argument-less system function
       expect_sym("(");
@@ -526,8 +577,7 @@ class Parser {
       return e;
     }
     if (cur().kind == Tok::kIdent) {
-      auto e = std::make_shared<Expr>();
-      e->kind = ExprKind::kIdent;
+      ExprPtr e = node(ExprKind::kIdent, line);
       e->name = take().text;
       return e;
     }
@@ -541,11 +591,9 @@ class Parser {
       if (is_sym("{")) {
         // Replication {N{...}}: the inner braces hold a concat list.
         ++pos_;
-        auto r = std::make_shared<Expr>();
-        r->kind = ExprKind::kReplicate;
+        ExprPtr r = node(ExprKind::kReplicate, line);
         r->kids.push_back(std::move(first));  // count
-        auto inner = std::make_shared<Expr>();
-        inner->kind = ExprKind::kConcat;
+        ExprPtr inner = node(ExprKind::kConcat, line);
         do inner->kids.push_back(parse_expr());
         while (eat_sym(","));
         expect_sym("}");
@@ -553,8 +601,7 @@ class Parser {
         expect_sym("}");
         return r;
       }
-      auto c = std::make_shared<Expr>();
-      c->kind = ExprKind::kConcat;
+      ExprPtr c = node(ExprKind::kConcat, line);
       c->kids.push_back(std::move(first));
       while (eat_sym(",")) c->kids.push_back(parse_expr());
       expect_sym("}");
@@ -569,6 +616,37 @@ class Parser {
 };
 
 }  // namespace
+
+const char* to_string(Op op) {
+  switch (op) {
+    case Op::kNone: return "?";
+    case Op::kNeg: case Op::kSub: return "-";
+    case Op::kPlus: case Op::kAdd: return "+";
+    case Op::kBitNot: return "~";
+    case Op::kLogNot: return "!";
+    case Op::kRedAnd: case Op::kAnd: return "&";
+    case Op::kRedNand: return "~&";
+    case Op::kRedOr: case Op::kOr: return "|";
+    case Op::kRedNor: return "~|";
+    case Op::kRedXor: case Op::kXor: return "^";
+    case Op::kRedXnor: case Op::kXnor: return "~^";
+    case Op::kMul: return "*";
+    case Op::kDiv: return "/";
+    case Op::kMod: return "%";
+    case Op::kShl: return "<<";
+    case Op::kShr: return ">>";
+    case Op::kAShr: return ">>>";
+    case Op::kLt: return "<";
+    case Op::kLe: return "<=";
+    case Op::kGt: return ">";
+    case Op::kGe: return ">=";
+    case Op::kEq: return "==";
+    case Op::kNe: return "!=";
+    case Op::kLogAnd: return "&&";
+    case Op::kLogOr: return "||";
+  }
+  return "?";
+}
 
 SourceUnit parse(const std::string& src) { return Parser(lex(src)).parse_unit(); }
 

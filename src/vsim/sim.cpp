@@ -83,7 +83,8 @@ struct Simulation::Compiler {
     for (const auto& label : item.labels) {
       auto eq = std::make_shared<Expr>();
       eq->kind = ExprKind::kBinary;
-      eq->name = "==";
+      eq->op = Op::kEq;
+      eq->line = label->line;
       eq->kids = {subject, label};
       eq->self_w = 1;
       eq->self_sgn = false;
@@ -92,7 +93,8 @@ struct Simulation::Compiler {
       } else {
         auto orr = std::make_shared<Expr>();
         orr->kind = ExprKind::kBinary;
-        orr->name = "||";
+        orr->op = Op::kLogOr;
+        orr->line = acc->line;
         orr->kids = {acc, eq};
         orr->self_w = 1;
         orr->self_sgn = false;
@@ -374,90 +376,111 @@ std::uint64_t Simulation::eval(const Expr& e, int ctx_w, bool ctx_sgn) const {
       return extend((bv >> e.lo) & umask(e.self_w), e.self_w, W, S);
     }
     case ExprKind::kUnary: {
-      const std::string& op = e.name;
-      if (op == "-") return (0 - eval(*e.kids[0], W, S)) & umask(W);
-      if (op == "+") return eval(*e.kids[0], W, S);
-      if (op == "~") return ~eval(*e.kids[0], W, S) & umask(W);
-      const std::uint64_t x = eval_self(*e.kids[0]);
-      const int w = e.kids[0]->self_w;
-      std::uint64_t r = 0;
-      if (op == "!") r = x == 0;
-      else if (op == "&") r = x == umask(w);
-      else if (op == "~&") r = x != umask(w);
-      else if (op == "|") r = x != 0;
-      else if (op == "~|") r = x == 0;
-      else if (op == "^") r = static_cast<std::uint64_t>(
-                               __builtin_parityll(static_cast<long long>(x)));
-      else if (op == "~^" || op == "^~")
-        r = static_cast<std::uint64_t>(
-                !__builtin_parityll(static_cast<long long>(x)));
-      else fail("unknown unary operator '" + op + "'");
+      const Expr& k = *e.kids[0];
+      switch (e.op) {
+        case Op::kNeg: return (0 - eval(k, W, S)) & umask(W);
+        case Op::kPlus: return eval(k, W, S);
+        case Op::kBitNot: return ~eval(k, W, S) & umask(W);
+        default: break;
+      }
+      // ! and the reductions: self-determined operand, 1-bit result.
+      const std::uint64_t x = eval_self(k);
+      const std::uint64_t all = umask(k.self_w);
+      std::uint64_t r;
+      switch (e.op) {
+        case Op::kLogNot: r = x == 0; break;
+        case Op::kRedAnd: r = x == all; break;
+        case Op::kRedNand: r = x != all; break;
+        case Op::kRedOr: r = x != 0; break;
+        case Op::kRedNor: r = x == 0; break;
+        case Op::kRedXor:
+          r = static_cast<std::uint64_t>(
+              __builtin_parityll(static_cast<long long>(x)));
+          break;
+        case Op::kRedXnor:
+          r = static_cast<std::uint64_t>(
+              !__builtin_parityll(static_cast<long long>(x)));
+          break;
+        default:
+          fail(std::string("unknown unary operator '") + to_string(e.op) +
+               "'");
+      }
       return extend(r, 1, W, S);
     }
     case ExprKind::kBinary: {
-      const std::string& op = e.name;
       const Expr& k0 = *e.kids[0];
       const Expr& k1 = *e.kids[1];
-      if (op == "&&" || op == "||") {
-        const bool a = eval_self(k0) != 0;
-        const bool b = eval_self(k1) != 0;
-        return extend(op == "&&" ? (a && b) : (a || b), 1, W, S);
-      }
-      if (op == "==" || op == "!=" || op == "===" || op == "!==" ||
-          op == "<" || op == "<=" || op == ">" || op == ">=") {
-        // Comparison context: operands sized to the larger self width,
-        // compared signed iff both are signed (two-state, so === is ==).
-        const int wc = std::max(k0.self_w, k1.self_w);
-        const bool sc = k0.self_sgn && k1.self_sgn;
-        const std::uint64_t a = eval(k0, wc, sc);
-        const std::uint64_t b = eval(k1, wc, sc);
-        bool r;
-        if (op == "==" || op == "===") r = a == b;
-        else if (op == "!=" || op == "!==") r = a != b;
-        else if (sc) {
-          const long long sa = s64(a, wc), sb = s64(b, wc);
-          r = op == "<" ? sa < sb : op == "<=" ? sa <= sb
-              : op == ">" ? sa > sb : sa >= sb;
-        } else {
-          r = op == "<" ? a < b : op == "<=" ? a <= b
-              : op == ">" ? a > b : a >= b;
+      switch (e.op) {
+        case Op::kLogAnd: case Op::kLogOr: {
+          // Both sides evaluate (no short circuit), like the compiled tapes.
+          const bool a = eval_self(k0) != 0;
+          const bool b = eval_self(k1) != 0;
+          return extend(e.op == Op::kLogAnd ? a && b : a || b, 1, W, S);
         }
-        return extend(r, 1, W, S);
-      }
-      if (op == "<<" || op == "<<<" || op == ">>" || op == ">>>") {
-        // Left operand is context-determined; the amount is self-determined.
-        // >>> is arithmetic only when the propagated expression is signed.
-        const std::uint64_t a = eval(k0, W, S);
-        const std::uint64_t sh = eval_self(k1);
-        if (op == "<<" || op == "<<<")
-          return sh >= 64 ? 0 : (a << sh) & umask(W);
-        if (op == ">>" || !S) return sh >= 64 ? 0 : a >> sh;
-        const long long sa = s64(a, W);
-        return static_cast<std::uint64_t>(sa >> (sh > 63 ? 63 : sh)) &
-               umask(W);
+        case Op::kEq: case Op::kNe:
+        case Op::kLt: case Op::kLe: case Op::kGt: case Op::kGe: {
+          // Comparison context: operands sized to the larger self width,
+          // compared signed iff both are signed (two-state, so === is ==).
+          const int wc = std::max(k0.self_w, k1.self_w);
+          const bool sc = k0.self_sgn && k1.self_sgn;
+          const std::uint64_t a = eval(k0, wc, sc);
+          const std::uint64_t b = eval(k1, wc, sc);
+          const long long sa = sc ? s64(a, wc) : 0, sb = sc ? s64(b, wc) : 0;
+          bool r;
+          switch (e.op) {
+            case Op::kEq: r = a == b; break;
+            case Op::kNe: r = a != b; break;
+            case Op::kLt: r = sc ? sa < sb : a < b; break;
+            case Op::kLe: r = sc ? sa <= sb : a <= b; break;
+            case Op::kGt: r = sc ? sa > sb : a > b; break;
+            default: r = sc ? sa >= sb : a >= b; break;
+          }
+          return extend(r, 1, W, S);
+        }
+        case Op::kShl: case Op::kShr: case Op::kAShr: {
+          // Left operand is context-determined; the amount is
+          // self-determined. >>> is arithmetic only when the propagated
+          // expression is signed.
+          const std::uint64_t a = eval(k0, W, S);
+          const std::uint64_t sh = eval_self(k1);
+          if (e.op == Op::kShl) return sh >= 64 ? 0 : (a << sh) & umask(W);
+          if (e.op == Op::kShr || !S) return sh >= 64 ? 0 : a >> sh;
+          const long long sa = s64(a, W);
+          return static_cast<std::uint64_t>(sa >> (sh > 63 ? 63 : sh)) &
+                 umask(W);
+        }
+        default:
+          break;
       }
       const std::uint64_t a = eval(k0, W, S);
       const std::uint64_t b = eval(k1, W, S);
-      std::uint64_t r = 0;
-      if (op == "+") r = a + b;
-      else if (op == "-") r = a - b;
-      else if (op == "*") r = a * b;
-      else if (op == "/" || op == "%") {
-        if (S) {
-          const long long sa = s64(a, W), sb = s64(b, W);
-          if (sb == 0) r = 0;
-          else if (sb == -1)  // avoid INT64_MIN / -1 overflow
-            r = op == "/" ? 0 - a : 0;
-          else
-            r = static_cast<std::uint64_t>(op == "/" ? sa / sb : sa % sb);
-        } else {
-          r = b == 0 ? 0 : (op == "/" ? a / b : a % b);
+      std::uint64_t r;
+      switch (e.op) {
+        case Op::kAdd: r = a + b; break;
+        case Op::kSub: r = a - b; break;
+        case Op::kMul: r = a * b; break;
+        case Op::kDiv: case Op::kMod: {
+          const bool div = e.op == Op::kDiv;
+          if (S) {
+            const long long sa = s64(a, W), sb = s64(b, W);
+            if (sb == 0) r = 0;
+            else if (sb == -1)  // avoid INT64_MIN / -1 overflow
+              r = div ? 0 - a : 0;
+            else
+              r = static_cast<std::uint64_t>(div ? sa / sb : sa % sb);
+          } else {
+            r = b == 0 ? 0 : (div ? a / b : a % b);
+          }
+          break;
         }
-      } else if (op == "&") r = a & b;
-      else if (op == "|") r = a | b;
-      else if (op == "^") r = a ^ b;
-      else if (op == "~^" || op == "^~") r = ~(a ^ b);
-      else fail("unknown binary operator '" + op + "'");
+        case Op::kAnd: r = a & b; break;
+        case Op::kOr: r = a | b; break;
+        case Op::kXor: r = a ^ b; break;
+        case Op::kXnor: r = ~(a ^ b); break;
+        default:
+          fail(std::string("unknown binary operator '") + to_string(e.op) +
+               "'");
+      }
       return r & umask(W);
     }
     case ExprKind::kTernary:

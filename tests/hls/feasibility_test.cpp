@@ -32,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "hls/builder.h"
 #include "hls/dse.h"
 #include "hls/feasibility.h"
 #include "hls/report.h"
@@ -398,6 +399,64 @@ TEST(Feasibility, DseOptionsValidationRejectsDegenerateSweeps) {
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("max_configs"), std::string::npos);
     EXPECT_NE(std::string(e.what()).find("-3"), std::string::npos);
+  }
+}
+
+// Regression for a redirect finding of the degenerate-directive fuzz soak
+// (HLSW_FUZZ_ITERS=20000): under auto_merge a trip-4 loop unrolled by 9 or
+// more synthesized larger than the same loop unrolled by 4, because the
+// unroll scaled its index expressions by the requested factor although
+// every factor >= 4 unrolls it fully — so the clamped form the
+// feasibility analysis redirects to was not the same design. The program
+// has the fuzz trial's shape: two loops (trips 3 and 4) over three arrays
+// that auto_merge fuses.
+TEST(Feasibility, UnrollPastTheTripCountBuildsTheFullUnroll) {
+  using fixpt::Ovf;
+  using fixpt::Quant;
+  FunctionBuilder fb("two_loops");
+  const int arr0 = fb.add_array("arr0", 13, fx(11, 1), true);
+  fb.add_array("arr1", 9, fx(8, 2), true);
+  const int arr2 = fb.add_array("arr2", 13, fx(10, 3), true);
+  const int in0 = fb.add_var("in0", fx(10, 2), false, PortDir::kIn);
+  const int acc = fb.add_var("acc", fx(30, 12), false, PortDir::kOut);
+  {
+    auto b = fb.block("init");
+    b.var_write(acc, b.cnst(fx(30, 12), 0.0));
+    b.array_write(arr0, {0, 0}, b.var_read(in0));
+  }
+  {
+    auto b = fb.loop("loop0", 3);
+    const int r = b.array_read(arr2, {1, 5});
+    const int v = b.var_read(in0);
+    b.cast(fx(13, 3, false, Quant::kRnd, Ovf::kSat), v);
+    b.cast(fx(14, 4, false, Quant::kRnd, Ovf::kSat), v);
+    const int t = b.add(v, r);
+    b.var_write(acc, b.add(b.var_read(acc), t));
+    b.array_write(arr2, {1, 10}, t);
+  }
+  {
+    auto b = fb.loop("loop1", 4);
+    const int r = b.array_read(arr2, {1, 3});
+    b.var_read(in0);
+    b.add(b.cast(fx(9, 2, false, Quant::kRnd, Ovf::kSat), r), r);
+    const int c = b.cast(fx(14, 2, false, Quant::kRnd, Ovf::kSat), r);
+    b.var_write(acc, b.add(b.var_read(acc), c));
+  }
+  const Function f = fb.build();
+  const TechLibrary tech = TechLibrary::asic90();
+
+  const auto synth = [&](int unroll) {
+    Directives dir;
+    dir.clock_period_ns = 3.0;
+    dir.auto_merge = true;
+    dir.loops["loop1"].unroll = unroll;
+    return run_synthesis(f, dir, tech);
+  };
+  const SynthesisResult full = synth(4);
+  for (const int u : {8, 9, 87}) {
+    const SynthesisResult r = synth(u);
+    EXPECT_EQ(r.latency_cycles(), full.latency_cycles()) << "unroll " << u;
+    EXPECT_DOUBLE_EQ(r.area.total, full.area.total) << "unroll " << u;
   }
 }
 

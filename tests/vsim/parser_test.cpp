@@ -124,6 +124,86 @@ endmodule
   EXPECT_EQ(rhs.kind, ExprKind::kTernary);
 }
 
+// Renders an expression tree fully parenthesized, operators by to_string.
+std::string shape(const Expr& e) {
+  switch (e.kind) {
+    case ExprKind::kIdent:
+      return e.name;
+    case ExprKind::kUnary:
+      return std::string("(") + to_string(e.op) + shape(*e.kids[0]) + ")";
+    case ExprKind::kBinary:
+      return "(" + shape(*e.kids[0]) + " " + to_string(e.op) + " " +
+             shape(*e.kids[1]) + ")";
+    case ExprKind::kTernary:
+      return "(" + shape(*e.kids[0]) + " ? " + shape(*e.kids[1]) + " : " +
+             shape(*e.kids[2]) + ")";
+    default:
+      return "<?>";
+  }
+}
+
+// Parses `expr` as the right-hand side of a continuous assign.
+ExprPtr parse_rhs(const std::string& expr) {
+  const auto su = parse("module m;\n  assign q = " + expr + ";\nendmodule\n");
+  return su.modules.at(0).assigns.at(0).rhs;
+}
+
+TEST(VsimParser, BinaryPrecedenceTiersAndLeftAssociativity) {
+  // One operator from each of the ten tiers, loosest first: every tier
+  // binds tighter than the one before it.
+  EXPECT_EQ(shape(*parse_rhs("a || b && c | d ^ e & f == g < h << i + j * k")),
+            "(a || (b && (c | (d ^ (e & (f == (g < (h << (i + (j * k))))))))))");
+  // ... and the same chain written tightest first groups to the left.
+  EXPECT_EQ(shape(*parse_rhs("a * b + c << d < e == f & g ^ h | i && j || k")),
+            "((((((((((a * b) + c) << d) < e) == f) & g) ^ h) | i) && j) || k)");
+  EXPECT_EQ(shape(*parse_rhs("a - b - c")), "((a - b) - c)");
+  EXPECT_EQ(shape(*parse_rhs("a / b % c * d")), "(((a / b) % c) * d)");
+  EXPECT_EQ(shape(*parse_rhs("a >> b <<< c >>> d")), "(((a >> b) << c) >>> d)");
+  // Unary binds tighter than any binary operator; the ternary is loosest
+  // and right-associative.
+  EXPECT_EQ(shape(*parse_rhs("-a - -b * ~&c")), "((-a) - ((-b) * (~&c)))");
+  EXPECT_EQ(shape(*parse_rhs("a ? b : c ? d : e || f")),
+            "(a ? b : (c ? d : (e || f)))");
+}
+
+TEST(VsimParser, OperatorSpellingsResolveToOps) {
+  // Unary and binary uses of one spelling are distinct ops; spellings
+  // with one two-state meaning share an op.
+  const struct {
+    const char* expr;
+    Op op;
+  } binary[] = {
+      {"a + b", Op::kAdd},   {"a - b", Op::kSub},    {"a * b", Op::kMul},
+      {"a / b", Op::kDiv},   {"a % b", Op::kMod},    {"a & b", Op::kAnd},
+      {"a | b", Op::kOr},    {"a ^ b", Op::kXor},    {"a ~^ b", Op::kXnor},
+      {"a ^~ b", Op::kXnor}, {"a << b", Op::kShl},   {"a <<< b", Op::kShl},
+      {"a >> b", Op::kShr},  {"a >>> b", Op::kAShr}, {"a < b", Op::kLt},
+      {"a <= b", Op::kLe},   {"a > b", Op::kGt},     {"a >= b", Op::kGe},
+      {"a == b", Op::kEq},   {"a === b", Op::kEq},   {"a != b", Op::kNe},
+      {"a !== b", Op::kNe},  {"a && b", Op::kLogAnd}, {"a || b", Op::kLogOr},
+  };
+  for (const auto& c : binary) {
+    const ExprPtr e = parse_rhs(c.expr);
+    EXPECT_EQ(e->kind, ExprKind::kBinary) << c.expr;
+    EXPECT_EQ(e->op, c.op) << c.expr;
+    EXPECT_TRUE(e->name.empty()) << c.expr;
+  }
+  const struct {
+    const char* expr;
+    Op op;
+  } unary[] = {
+      {"-a", Op::kNeg},      {"+a", Op::kPlus},     {"~a", Op::kBitNot},
+      {"!a", Op::kLogNot},   {"&a", Op::kRedAnd},   {"~&a", Op::kRedNand},
+      {"|a", Op::kRedOr},    {"~|a", Op::kRedNor},  {"^a", Op::kRedXor},
+      {"~^a", Op::kRedXnor}, {"^~a", Op::kRedXnor},
+  };
+  for (const auto& c : unary) {
+    const ExprPtr e = parse_rhs(c.expr);
+    EXPECT_EQ(e->kind, ExprKind::kUnary) << c.expr;
+    EXPECT_EQ(e->op, c.op) << c.expr;
+  }
+}
+
 // ---- Negative tests: the parser must throw, with a line number ------------
 
 void expect_parse_error(const std::string& src, const std::string& needle) {
@@ -146,6 +226,14 @@ TEST(VsimParser, RejectsMalformedInput) {
   expect_parse_error("module m;\n  wire [3:0 w;\nendmodule\n", "");
   expect_parse_error("module m;\n  initial begin $finish;\n", "");  // EOF
   expect_parse_error("module m;\n  wire w = ;\nendmodule\n", "");
+  // Literal sizes past 64 are rejected however far past: they used to wrap
+  // through the int cast into a valid width (8 and 9 bits here).
+  expect_parse_error("module m;\n  wire [7:0] w;\n"
+                     "  assign w = 4294967304'hff;\nendmodule\n",
+                     "width");
+  expect_parse_error("module m;\n  wire [8:0] w;\n"
+                     "  assign w = 18446744073709551625'd5;\nendmodule\n",
+                     "width");
 }
 
 TEST(VsimParser, RejectsPartSelectOfComposite) {
@@ -172,6 +260,31 @@ TEST(VsimElab, UndeclaredIdentifierFails) {
   const auto su = parse(
       "module m (output wire q);\n  assign q = ghost;\nendmodule\n");
   EXPECT_THROW(elaborate(su, "m"), std::runtime_error);
+}
+
+TEST(VsimElab, ErrorsNameTheSourceLine) {
+  const auto expect_elab_error = [](const std::string& src,
+                                    const std::string& needle) {
+    try {
+      elaborate(parse(src), "m");
+      FAIL() << "expected elaboration failure for: " << src;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_elab_error("module m (output wire q);\n\n  assign q = ghost;\n"
+                    "endmodule\n",
+                    "at line 3: undeclared identifier 'ghost'");
+  expect_elab_error("module m;\n  wire a;\n  wire a;\nendmodule\n",
+                    "at line 3: duplicate signal 'a'");
+  expect_elab_error("module m;\n  wire [7:0] a;\n  wire b;\n"
+                    "  assign b = a[1:2];\nendmodule\n",
+                    "at line 4: part select bounds out of range");
+  expect_elab_error("module m;\n  initial\n    go(1);\nendmodule\n",
+                    "at line 3: call to unknown task 'go'");
+  expect_elab_error("module m;\n  wire w;\n  nope u0 ();\nendmodule\n",
+                    "at line 3: unknown module 'nope'");
 }
 
 TEST(VsimElab, UnknownTopModuleFails) {
