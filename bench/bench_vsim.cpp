@@ -2,8 +2,11 @@
 // where does executing the emitted TEXT sit relative to the cycle-accurate
 // rtl::Simulator and the untimed interpreter? Sections time the vsim
 // front end (parse + elaborate of the emitted module), the generated
-// self-checking testbench run, per-symbol DutHarness execution, and the
-// serial vs thread-pooled vsim_sweep — producing BENCH_vsim.json
+// self-checking testbench run, per-symbol DutHarness execution, the
+// serial vs thread-pooled vsim_sweep, and lane-packed sweeps on the
+// generated native engine against scalar replay (the only lane-packed
+// engine; without a toolchain its legs run one CompiledSim per lane and
+// the config note says so) — producing BENCH_vsim.json
 // (--reps/--warmup/--json; see bench_main.h). Regenerate the committed
 // baseline from the repo root with:
 //   ./build/bench/bench_vsim --reps 5 --warmup 1
@@ -151,19 +154,14 @@ void run_harness_sections(bench::Harness* h) {
         {.threads = 4, .block_size = batch.size() / 4}, event_cfg));
   });
 
-  // Bit-packed multi-lane sweeps: 64 independent 25-symbol blocks (every
-  // block its own burst, replayed from reset on both legs) through one
-  // scalar compiled sweep vs 8- and 64-lane packed runs of the SAME
-  // blocks. The interpreted-packed legs pin Backend::kCompiled (kAuto now
-  // prefers the generated lane-major engine, which would silently change
-  // this baseline); the packed-codegen legs request kPackedCodegen
-  // explicitly. Every full-sweep leg shares the batched golden reference
-  // (one interpreter context per batch, reset between lanes), so the
-  // packed-vs-packed gap below is pure DUT-engine difference. Throughput
-  // is reported per lane so the lane-scaling efficiency is visible next to
+  // Lane-packed sweeps: 64 independent 25-symbol blocks (every block its
+  // own burst, replayed from reset on both legs) through one scalar
+  // compiled sweep vs 8- and 64-lane runs of the SAME blocks on the
+  // generated lane-major engine, requested explicitly with kPackedCodegen.
+  // Every full-sweep leg shares the batched golden reference (one
+  // interpreter context per batch, reset between lanes). Throughput is
+  // reported per lane so the lane-scaling efficiency is visible next to
   // the raw speedup.
-  vsim::SimConfig interp_packed_cfg;
-  interp_packed_cfg.backend = vsim::Backend::kCompiled;
   vsim::SimConfig packed_cg_cfg;
   packed_cg_cfg.backend = vsim::Backend::kPackedCodegen;
   const int kSweepSymbols = 1600;
@@ -174,16 +172,6 @@ void run_harness_sections(bench::Harness* h) {
     benchmark::DoNotOptimize(
         vsim::vsim_sweep(r.transformed, r.schedule, sweep_batch,
                          {.block_size = kSweepBlock}));
-  });
-  const auto t_sweep8 = h->measure("vsim_sweep_blocks_packed8", [&] {
-    benchmark::DoNotOptimize(vsim::vsim_sweep(
-        r.transformed, r.schedule, sweep_batch,
-        {.block_size = kSweepBlock, .lanes = 8}, interp_packed_cfg));
-  });
-  const auto t_sweep64 = h->measure("vsim_sweep_blocks_packed64", [&] {
-    benchmark::DoNotOptimize(vsim::vsim_sweep(
-        r.transformed, r.schedule, sweep_batch,
-        {.block_size = kSweepBlock, .lanes = 64}, interp_packed_cfg));
   });
   const auto t_sweep8_cg = h->measure("vsim_sweep_blocks_packed8_codegen", [&] {
     benchmark::DoNotOptimize(vsim::vsim_sweep(
@@ -216,14 +204,9 @@ void run_harness_sections(bench::Harness* h) {
       benchmark::DoNotOptimize(dut.run_stream(s));
     }
   });
-  const auto t_dut_packed = h->measure("vsim_sweep_dut_packed64", [&] {
-    vsim::PackedDutHarness dut(r.transformed, pack_plan, kDutLanes,
-                               interp_packed_cfg);
-    benchmark::DoNotOptimize(dut.run_streams(dut_streams));
-  });
-  // Same streams through the generated lane-major engine; the note records
-  // which backend actually ran (toolchain-less machines degrade to the
-  // interpreted packed tier, making this leg ~equal to the one above).
+  // Same streams through one 64-lane native engine; the note records which
+  // backend actually ran (toolchain-less machines degrade to one
+  // CompiledSim per lane, making this leg ~equal to the scalar one above).
   std::string packed_cg_backend = "unknown";
   const auto t_dut_packed_cg =
       h->measure("vsim_sweep_dut_packed64_codegen", [&] {
@@ -246,12 +229,9 @@ void run_harness_sections(bench::Harness* h) {
     throughput_note(label, kSweepSymbols, min_ms, lanes);
   };
   sweep_note("sweep_blocks_scalar", t_sweep1.min_ms, 1);
-  sweep_note("sweep_blocks_packed8", t_sweep8.min_ms, 8);
-  sweep_note("sweep_blocks_packed64", t_sweep64.min_ms, 64);
   sweep_note("sweep_blocks_packed8_codegen", t_sweep8_cg.min_ms, 8);
   sweep_note("sweep_blocks_packed64_codegen", t_sweep64_cg.min_ms, 64);
   sweep_note("sweep_dut_scalar", t_dut_scalar.min_ms, 1);
-  sweep_note("sweep_dut_packed64", t_dut_packed.min_ms, kDutLanes);
   sweep_note("sweep_dut_packed64_codegen", t_dut_packed_cg.min_ms, kDutLanes);
   throughput_note("harness_compiled", kSymbols, t_vsim.min_ms, 1);
   throughput_note("harness_codegen", kSymbols, t_vsim_codegen.min_ms, 1);
@@ -273,23 +253,12 @@ void run_harness_sections(bench::Harness* h) {
   h->note("speedup_compiled_vs_event", t_vsim_event.min_ms / t_vsim.min_ms);
   h->note("speedup_codegen_vs_compiled",
           t_vsim.min_ms / t_vsim_codegen.min_ms);
-  h->note("speedup_packed8_vs_scalar_sweep", t_sweep1.min_ms / t_sweep8.min_ms);
-  h->note("speedup_packed64_vs_scalar_sweep",
-          t_sweep1.min_ms / t_sweep64.min_ms);
   h->note("speedup_packed8_codegen_vs_scalar_sweep",
           t_sweep1.min_ms / t_sweep8_cg.min_ms);
   h->note("speedup_packed64_codegen_vs_scalar_sweep",
           t_sweep1.min_ms / t_sweep64_cg.min_ms);
-  h->note("speedup_packed8_codegen_vs_interp_sweep",
-          t_sweep8.min_ms / t_sweep8_cg.min_ms);
-  h->note("speedup_packed64_codegen_vs_interp_sweep",
-          t_sweep64.min_ms / t_sweep64_cg.min_ms);
-  h->note("speedup_packed64_dut_vs_scalar_dut",
-          t_dut_scalar.min_ms / t_dut_packed.min_ms);
   h->note("speedup_packed64_codegen_dut_vs_scalar_dut",
           t_dut_scalar.min_ms / t_dut_packed_cg.min_ms);
-  h->note("speedup_packed64_codegen_dut_vs_interp_dut",
-          t_dut_packed.min_ms / t_dut_packed_cg.min_ms);
   h->note("speedup_sweep_pool4_vs_serial", t_serial.min_ms / t_par.min_ms);
   h->note("speedup_sweep_pool4_vs_serial_event",
           t_serial_event.min_ms / t_par_event.min_ms);

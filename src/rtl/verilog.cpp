@@ -4,7 +4,10 @@
 #include <cctype>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 #include <vector>
+
+#include "hls/plan.h"
 
 namespace hlsw::rtl {
 
@@ -180,6 +183,17 @@ struct PortSpec {
 std::string emit_verilog(const Function& f, const Schedule& s,
                          const VerilogOptions& opts) {
   assert(f.regions.size() == s.regions.size());
+  // Every datapath value below travels in one kW-bit wire, so a value that
+  // can leave 64 bits would silently disagree with the C model. The golden
+  // plan's interval proof decides exactly that, region by region: a region
+  // it cannot run narrow is refused here.
+  const hls::ExecPlan plan(f, s);
+  for (std::size_t r = 0; r < plan.regions().size(); ++r)
+    if (!plan.regions()[r].narrow)
+      throw std::invalid_argument(
+          "emit_verilog: region '" + s.regions[r].label + "' of '" + f.name +
+          "' can carry values wider than 64 bits; the emitted " + kWs() +
+          "-bit datapath would not match the C model");
   const std::string mod =
       opts.module_name.empty() ? f.name : opts.module_name;
 

@@ -39,6 +39,10 @@ struct VerilogOptions {
 };
 
 // Emits the full module text for a scheduled (post-transform) function.
+// Throws std::invalid_argument naming the region when hls::ExecPlan's
+// interval proof cannot show that every value of some region fits in 64
+// bits: the emitted datapath is 64 bits wide and would silently disagree
+// with the C model there.
 std::string emit_verilog(const hls::Function& f, const hls::Schedule& s,
                          const VerilogOptions& opts = {});
 

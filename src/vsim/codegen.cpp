@@ -1,11 +1,14 @@
 #include "vsim/codegen.h"
 
 #include <dlfcn.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -469,12 +472,11 @@ bool tape_reads_scalar(const TOp& o) {
   }
 }
 
-// One lane-masked process body. The control-flow translation mirrors
-// PackedSim::run_proc instruction by instruction: a LIFO stack of (pc,
-// mask) contexts split off by divergent branches, a `dispatch` switch that
-// re-enters the goto graph at a dynamic pc, and instruction retirement
-// counted as popcount(mask) — the packed oracle's exact accounting
-// (pack_test pins the bit-identity, splits included).
+// One lane-masked process body: a LIFO stack of (pc, mask) contexts split
+// off by divergent branches, a `dispatch` switch that re-enters the goto
+// graph at a dynamic pc, and instruction retirement counted as
+// popcount(mask), so the lane sum equals what L scalar CompiledSim runs
+// retire (pack_test pins the bit-identity against those runs).
 void emit_proc(std::ostream& os, const CompiledDesign& cd, std::size_t p) {
   const std::size_t entry = static_cast<std::size_t>(cd.procs[p].entry);
   const std::size_t end = proc_end(cd, p);
@@ -798,10 +800,10 @@ std::string packed_codegen_source(const CompiledDesign& cd, int lanes) {
 
   // Engine state: one kL-lane plane per signal (2D so runtime-sig paths
   // like set_masked index rows), lane-major arrays, lane-mask ready bits
-  // and the NBA queue — PackedSim's layout with every extent baked. Each
-  // queued NBA carries its value plane (and, for element and bit writes,
-  // its index plane) inline; the empty constructor leaves the planes
-  // uninitialized for the enqueuing instruction to fill.
+  // and the NBA queue, with every extent baked. Each queued NBA carries
+  // its value plane (and, for element and bit writes, its index plane)
+  // inline; the empty constructor leaves the planes uninitialized for the
+  // enqueuing instruction to fill.
   os << "struct Nba {\n"
         "  Nba() {}\n"
         "  std::int32_t sig;\n"
@@ -985,7 +987,7 @@ std::string packed_codegen_source(const CompiledDesign& cd, int lanes) {
   }
 
   // On-demand lazy evaluation at the observation boundary, mirroring
-  // PackedSim::force_lazy: lazy scalar reads inside the tape force their
+  // CompiledSim::force_lazy: lazy scalar reads inside the tape force their
   // own lazy driver first (the dependency set is static, so the recursion
   // is unrolled per case), then the ORIGINAL tape runs as a plain masked
   // store — no events, no triggers, no fanout (logical const).
@@ -1186,10 +1188,48 @@ std::string fnv1a(const std::string& s) {
   return buf;
 }
 
-std::filesystem::path cache_dir() {
+// The shared-object cache directory, or an empty path with the reason in
+// *why. An explicit $HLSW_VSIM_CODEGEN_CACHE is a deployment setting and is
+// used as given. The default, <tmp>/hlsw-vsim-codegen-<euid>, is created
+// with mode 0700, and this process dlopen()s what it finds there, so it is
+// used only when lstat shows a real directory (not a symlink) owned by the
+// effective uid with no group or other write bit: anything else could hold
+// objects planted by another user.
+std::filesystem::path cache_dir(std::string* why) {
   if (const char* e = std::getenv("HLSW_VSIM_CODEGEN_CACHE"))
     if (*e) return e;
-  return std::filesystem::temp_directory_path() / "hlsw-vsim-codegen";
+  std::error_code ec;
+  const std::filesystem::path tmp = std::filesystem::temp_directory_path(ec);
+  if (ec) {
+    *why = "no temp directory for the codegen cache: " + ec.message();
+    return {};
+  }
+  const uid_t euid = ::geteuid();
+  const std::filesystem::path dir =
+      tmp / ("hlsw-vsim-codegen-" + std::to_string(euid));
+  if (::mkdir(dir.c_str(), 0700) != 0 && errno != EEXIST) {
+    *why = "cannot create codegen cache " + dir.string() + ": " +
+           std::strerror(errno);
+    return {};
+  }
+  struct stat st {};
+  std::string bad;
+  if (::lstat(dir.c_str(), &st) != 0)
+    bad = std::strerror(errno);
+  else if (S_ISLNK(st.st_mode))
+    bad = "is a symlink";
+  else if (!S_ISDIR(st.st_mode))
+    bad = "is not a directory";
+  else if (st.st_uid != euid)
+    bad = "is owned by uid " + std::to_string(st.st_uid) + ", not " +
+          std::to_string(euid);
+  else if ((st.st_mode & (S_IWGRP | S_IWOTH)) != 0)
+    bad = "is group- or world-writable";
+  if (!bad.empty()) {
+    *why = "untrusted codegen cache " + dir.string() + ": " + bad;
+    return {};
+  }
+  return dir;
 }
 
 // The whole file, or "" when it cannot be read.
@@ -1229,11 +1269,11 @@ LoadedModule open_and_verify(const std::filesystem::path& so,
   return m;
 }
 
-// Builds (or reuses) the content-keyed shared object for `src`. Returns
-// false with a reason in *why.
-bool build_shared_object(std::string src, std::string* fp_out,
-                         std::string* so_out, void** handle_out,
-                         std::string* why) {
+// Builds (or reuses) the content-keyed shared object for `src` in `dir`.
+// Returns false with a reason in *why.
+bool build_shared_object(std::string src, const std::filesystem::path& dir,
+                         std::string* fp_out, std::string* so_out,
+                         void** handle_out, std::string* why) {
   const std::string cxx = codegen_toolchain();
   if (cxx.empty()) {
     *why = "no host toolchain (set CXX or HLSW_CODEGEN_CXX)";
@@ -1251,7 +1291,6 @@ bool build_shared_object(std::string src, std::string* fp_out,
          "\"; }\n";
 
   obs::ScopedSpan span("vsim.codegen.compile", "vsim");
-  const std::filesystem::path dir = cache_dir();
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
   const std::filesystem::path so = dir / (fp + ".so");
@@ -1344,11 +1383,12 @@ bool build_shared_object(std::string src, std::string* fp_out,
 
 // Builds (or reuses) the shared object and resolves the hlsw_cg_pk_* entry
 // points into *mod, verifying the baked lane count.
-bool build_packed_module(std::string src, int lanes, PackedCodegenModule* mod,
-                         std::string* why) {
+bool build_packed_module(std::string src, int lanes,
+                         const std::filesystem::path& dir,
+                         PackedCodegenModule* mod, std::string* why) {
   void* handle = nullptr;
-  if (!build_shared_object(std::move(src), &mod->fingerprint, &mod->so_path,
-                           &handle, why))
+  if (!build_shared_object(std::move(src), dir, &mod->fingerprint,
+                           &mod->so_path, &handle, why))
     return false;
   const auto sym = [&](const char* name) { return dlsym(handle, name); };
   const auto lanes_fn = reinterpret_cast<int (*)()>(sym("hlsw_cg_pk_lanes"));
@@ -1412,10 +1452,15 @@ std::shared_ptr<const PackedCodegenModule> packed_codegen_plan(
     return nullptr;
   };
 
-  // Toolchain availability is decided BEFORE the memo so disabling codegen
-  // (HLSW_CODEGEN_CXX=none) never poisons the per-(plan, lanes) cache.
+  // Toolchain availability and cache-directory trust are decided BEFORE the
+  // memo, so disabling codegen (HLSW_CODEGEN_CXX=none) or an untrusted
+  // default cache never poisons the per-(plan, lanes) cache, and never
+  // hands out an engine loaded from a directory that is no longer trusted.
   if (!codegen_available())
     return fall("no host toolchain (set CXX or HLSW_CODEGEN_CXX)");
+  std::string dir_why;
+  const std::filesystem::path dir = cache_dir(&dir_why);
+  if (dir.empty()) return fall(dir_why);
   if (plan == nullptr) return fall("no compiled plan");
   if (lanes < 1 || lanes > kMaxLanes)
     return fall("lane count " + std::to_string(lanes) + " out of range");
@@ -1458,7 +1503,7 @@ std::shared_ptr<const PackedCodegenModule> packed_codegen_plan(
   mod->plan = plan;
   mod->lanes = lanes;
   std::string bwhy;
-  if (!build_packed_module(packed_codegen_source(*plan, lanes), lanes,
+  if (!build_packed_module(packed_codegen_source(*plan, lanes), lanes, dir,
                            mod.get(), &bwhy)) {
     memoize(nullptr, bwhy);
     return fall(bwhy);

@@ -1,6 +1,6 @@
 // Codegen backend for vsim: generated native code, the top rung of the
-// backend ladder (event kernel -> compiled tape interpreter -> packed
-// interpreter -> generated native engine).
+// backend ladder (event kernel -> compiled tape interpreter -> generated
+// native engine).
 //
 // The compiled backend (compile.h) already levelizes the design into a
 // combinational DAG of expression tapes plus branch-resolved process
@@ -9,25 +9,31 @@
 // and dlopen()s the result. There is one generator, and the lane count is
 // its parameter: every comb node and process body becomes a fixed-trip
 // `for (l = 0; l < kL; ++l)` loop over lane-major [sig][lane] state planes,
-// with per-lane execution masks and the exact context-splitting divergence
-// semantics of the interpreted PackedSim (pack.h), which serves as the
-// bit-identity oracle. At kL = 1 the host compiler erases the lane loops;
-// that is the engine a scalar Simulation runs (Backend::kPackedCodegen,
-// backend() "codegen"). Wider engines serve PackedDutHarness and packed
-// sweeps. The comb flush is activity-gated like the interpreters
-// (per-node dirty bits, fan-out CSR baked as static tables) and lazy nodes
-// are forced at the peek entry points.
+// with per-lane execution masks; a branch whose lanes disagree splits the
+// mask into contexts that run one after another. L independent scalar
+// CompiledSim runs are the bit-identity oracle (pack_test.cpp). At kL = 1
+// the host compiler erases the lane loops; that is the engine a scalar
+// Simulation runs (Backend::kPackedCodegen, backend() "codegen"). Wider
+// engines serve PackedDutHarness and packed sweeps. The comb flush is
+// activity-gated like the interpreter (per-node dirty bits, fan-out CSR
+// baked as static tables) and lazy nodes are forced at the peek entry
+// points.
 //
 // Fallback (silent, typed, reason recorded): the generator refuses plans
 // with $display/$dumpfile/$dumpvars (testbenches keep the interpreter
 // tiers, which own the display log and VCD writer), and any environment
 // without a working host toolchain. Simulation then degrades to the
 // compiled interpreter with fallback_reason() prefixed "codegen: ";
-// PackedDutHarness degrades to PackedSim with a "packed-codegen: " prefix.
+// PackedDutHarness degrades to one CompiledSim per lane with a
+// "packed-codegen: " prefix.
 //
-// Shared-object cache: artifacts live under $HLSW_VSIM_CODEGEN_CACHE
-// (default <tmp>/hlsw-vsim-codegen) as <fingerprint>.{cpp,so,log}, the
-// same content-keyed discipline as hls::SynthesisCache. The fingerprint is
+// Shared-object cache: artifacts live under $HLSW_VSIM_CODEGEN_CACHE as
+// <fingerprint>.{cpp,so,log}, the same content-keyed discipline as
+// hls::SynthesisCache. The default directory is per user,
+// <tmp>/hlsw-vsim-codegen-<euid>, created with mode 0700; it is used only
+// while lstat shows a real directory owned by the effective uid with no
+// group or other write bit, and codegen falls back with an "untrusted
+// codegen cache <path>: ..." reason otherwise. The fingerprint is
 // FNV-1a-64 over the generated text plus a header naming the toolchain
 // command, the first line of its --version, the compile flags and the ABI
 // revision, so an object built by another compiler or flag set is never
@@ -103,10 +109,11 @@ std::string packed_codegen_source(const CompiledDesign& cd, int lanes);
 
 // Memoized generate+compile+dlopen of the engine, keyed (plan, lanes).
 // Returns nullptr with a human-readable reason in *why (may be nullptr)
-// when no toolchain exists, the lane count is outside [1, kMaxLanes] or the
-// plan has $display/$dump (plan_packable). Success and failure are both
-// memoized per (plan, lanes); the toolchain-disabled case is decided
-// before the memo so re-enabling the toolchain is not poisoned.
+// when no toolchain exists, the default cache directory is untrusted, the
+// lane count is outside [1, kMaxLanes] or the plan has $display/$dump
+// (plan_packable). Success and failure are both memoized per (plan,
+// lanes); the toolchain and cache-directory checks are decided before the
+// memo, so fixing either is never poisoned by an earlier refusal.
 std::shared_ptr<const PackedCodegenModule> packed_codegen_plan(
     const std::shared_ptr<const CompiledDesign>& plan, int lanes,
     std::string* why);
@@ -114,9 +121,9 @@ std::shared_ptr<const PackedCodegenModule> packed_codegen_plan(
 // Execution over one loaded PackedCodegenModule: the PackedEngine contract
 // (pack.h) with the whole settle loop — lane-loop comb flush, masked
 // process scheduling with context splitting, NBA commit — running inside
-// the generated shared object. Bit-identical to the interpreted PackedSim
-// on values, lane masks, divergence counts and SimStats (pack_test
-// certifies it against the oracle at 1, 8 and 64 lanes). A one-lane
+// the generated shared object. Bit-identical to L independent scalar
+// CompiledSim runs on values, arrays, lane masks and lane-summed SimStats
+// (pack_test certifies it at 1, 8 and 64 lanes). A one-lane
 // instance is Simulation's native engine. No $display/VCD support by
 // construction (such plans never reach this backend).
 class PackedCodegenSim final : public PackedEngine {

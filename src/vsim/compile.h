@@ -262,10 +262,11 @@ std::shared_ptr<const CompiledDesign> compile_design(
 std::shared_ptr<const CompiledDesign> compiled_plan(
     const std::shared_ptr<const Design>& design, std::string* why);
 
-// True when the plan can execute under the bit-packed multi-lane engine
-// (vsim/pack.h): PackedSim supports neither $display nor VCD dumping, so a
-// plan touching either must stay on the scalar backends. Shared by
-// vsim_sweep's lane routing and profile_run's packed auto-selection.
+// True when the plan can execute under a lane-packed engine (vsim/pack.h):
+// the native engine supports neither $display nor VCD dumping, so a plan
+// touching either must stay on the scalar backends. Shared by vsim_sweep's
+// lane routing, profile_run's packed auto-selection and the native
+// engine's refusal.
 bool plan_packable(const CompiledDesign& cd);
 
 // The cycle-based execution engine over one CompiledDesign. Mirrors the

@@ -162,7 +162,7 @@ ProfileRunResult profile_run(const hls::Function& f,
     };
     // Packed auto-selection for the compiled leg: when the caller granted a
     // lane budget and the stimulus is at least that wide, run the compiled
-    // plan through the bit-packed engine instead of the scalar harness.
+    // plan through the lane-packed harness instead of the scalar harness.
     // Each lane replays its contiguous block from reset and is checked
     // against a fresh golden replay of that block (the vsim_sweep block
     // contract); counters are per-invocation accumulators, so their lane
@@ -199,7 +199,7 @@ ProfileRunResult profile_run(const hls::Function& f,
       const int L = static_cast<int>(streams.size());
       // SimConfig{} = kAuto: the harness prefers the generated lane-major
       // engine (packed_codegen) when a toolchain exists and degrades to
-      // the interpreted packed tier with the reason recorded per leg.
+      // one CompiledSim per lane with the reason recorded per leg.
       PackedDutHarness h(r.synthesis.transformed, plan, L, SimConfig{});
       const auto got = h.run_streams(streams);
       long long mm = 0;

@@ -28,7 +28,7 @@ namespace hlsw::vsim {
 // Execution engine selection. Each tier degrades silently down its chain,
 // with the reason recorded in fallback_reason():
 //   Simulation:        native (one lane) -> compiled -> event
-//   PackedDutHarness:  native (N lanes)  -> packed interpreter (PackedSim)
+//   PackedDutHarness:  native (N lanes)  -> one CompiledSim per lane
 // kAuto keeps a scalar Simulation on the compiled interpreter (the default
 // path never invokes the host compiler) and lets PackedDutHarness prefer
 // the native engine. The event kernel serves whatever the levelizer
@@ -36,7 +36,8 @@ namespace hlsw::vsim {
 enum class Backend {
   kAuto,           // Simulation: compiled; PackedDutHarness: native
   kEvent,          // stratified event kernel (sim.cpp)
-  kCompiled,       // levelized tape interpreter (compile.cpp, pack.cpp)
+  kCompiled,       // levelized tape interpreter (compile.cpp; per lane
+                   // when packed, pack.cpp)
   kPackedCodegen,  // generated lane-major native engine (codegen.cpp)
 };
 

@@ -13,16 +13,23 @@
 // casts, so its programs fail the plan compiler's int64 proof and run the
 // 128-bit executor and the general (kFull) conversion.
 //
+// The emitted Verilog of every random program is also executed: either the
+// emitter refuses the program (a region can carry values wider than its
+// 64-bit datapath) or the text matches the golden on every vsim engine.
+//
 // Unroll-only transforms are additionally checked against the ORIGINAL
 // program (unrolling must preserve sequential semantics exactly); merges
 // are excluded from that check since iteration-aligned merging legitimately
 // reorders memory traffic (the engine warns).
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <map>
 #include <random>
 #include <regex>
+#include <stdexcept>
 
 #include "hls/builder.h"
 #include "hls/dse.h"
@@ -33,6 +40,10 @@
 #include "hls/verify.h"
 #include "rtl/sim.h"
 #include "rtl/verilog.h"
+#include "vsim/codegen.h"
+#include "vsim/compile.h"
+#include "vsim/harness.h"
+#include "vsim/pack.h"
 
 namespace hlsw::hls {
 namespace {
@@ -285,6 +296,180 @@ TEST(Fuzz, EmittedVerilogIsStructurallySound) {
     for (const auto& [name, n] : driven)
       ASSERT_TRUE(declared.count(name))
           << "trial " << trial << ": assign to undeclared " << name;
+  }
+}
+
+// Points HLSW_VSIM_CODEGEN_CACHE at a fresh directory for one scope, so
+// the native legs below neither read nor leave anything in a shared cache.
+class PrivateCodegenCache {
+ public:
+  PrivateCodegenCache() {
+    std::string tmpl =
+        (std::filesystem::temp_directory_path() / "hlsw-fuzz-cg-XXXXXX")
+            .string();
+    if (::mkdtemp(tmpl.data()) != nullptr) dir_ = tmpl;
+    if (const char* e = std::getenv("HLSW_VSIM_CODEGEN_CACHE")) {
+      had_old_ = true;
+      old_ = e;
+    }
+    ::setenv("HLSW_VSIM_CODEGEN_CACHE", dir_.c_str(), 1);
+  }
+  ~PrivateCodegenCache() {
+    if (had_old_)
+      ::setenv("HLSW_VSIM_CODEGEN_CACHE", old_.c_str(), 1);
+    else
+      ::unsetenv("HLSW_VSIM_CODEGEN_CACHE");
+    std::error_code ec;
+    if (!dir_.empty()) std::filesystem::remove_all(dir_, ec);
+  }
+  PrivateCodegenCache(const PrivateCodegenCache&) = delete;
+  PrivateCodegenCache& operator=(const PrivateCodegenCache&) = delete;
+
+ private:
+  std::string dir_, old_;
+  bool had_old_ = false;
+};
+
+// Every trial emits its program's Verilog. The emitter either refuses it
+// or the text matches the golden on every engine: rtl::Simulator, the vsim
+// event kernel and compiled interpreter (one sequential block each), and a
+// 3-lane PackedDutHarness whose lanes replay prefixes of different
+// lengths, so they freeze at different times and each lane must still
+// equal the golden's prefix. The first few emitted narrow trials also run
+// the native engine, at one lane through Simulation and at three through
+// PackedDutHarness; each native leg costs one .so build.
+TEST(Fuzz, EmittedVerilogMatchesOnEveryEngine) {
+  std::mt19937_64 rng(0x5eed0e1d);
+  const TechLibrary tech = TechLibrary::asic90();
+  const bool native = vsim::codegen_available();
+  PrivateCodegenCache cache;
+  constexpr int kNativeTrials = 3;
+  constexpr std::size_t kVectors = 6;
+  constexpr int kLanes = 3;
+  int run = 0, refused_narrow = 0, refused_wide = 0, native_trials = 0;
+  long long splits = 0;
+
+  const int narrow_trials = fuzz_iters(400), wide_trials = fuzz_iters(150);
+  for (int trial = 0; trial < narrow_trials + wide_trials; ++trial) {
+    const bool wide = trial >= narrow_trials;
+    const RandomProgram p = make_random_program(&rng, wide);
+    const Directives dir = random_directives(p, &rng, /*allow_merge=*/true);
+    const SynthesisResult r = run_synthesis(p.func, dir, tech);
+    std::vector<PortIo> vectors;
+    for (std::size_t i = 0; i < kVectors; ++i)
+      vectors.push_back(random_inputs(p, &rng));
+    std::string verilog;
+    try {
+      verilog = rtl::emit_verilog(r.transformed, r.schedule);
+    } catch (const std::invalid_argument&) {
+      ++(wide ? refused_wide : refused_narrow);
+      continue;
+    }
+    ++run;
+    const auto design = vsim::load_design(verilog, r.transformed.name);
+    const auto plan = vsim::compiled_plan(design, nullptr);
+    ASSERT_NE(plan, nullptr) << "trial " << trial << ": not cycle-schedulable";
+
+    const Function& f = r.transformed;
+    vsim::SimConfig event_cfg, compiled_cfg, native_cfg;
+    event_cfg.backend = vsim::Backend::kEvent;
+    compiled_cfg.backend = vsim::Backend::kCompiled;
+    native_cfg.backend = vsim::Backend::kPackedCodegen;
+    const auto scalar_leg = [&](const vsim::SimConfig& cfg,
+                                const char* backend) -> CosimFactory {
+      return [&f, &design, cfg, backend, trial] {
+        auto h = std::make_shared<vsim::DutHarness>(f, design, cfg);
+        EXPECT_STREQ(h->sim().backend(), backend)
+            << "trial " << trial << ": " << h->sim().fallback_reason();
+        return [h](const std::vector<PortIo>& ins) {
+          return h->run_stream(ins);
+        };
+      };
+    };
+    // Lane l replays the first n - 2l vectors (n, n-2, n-4): a lane that
+    // runs out is frozen while the others keep ticking, and its outputs
+    // must still be the matching prefix of lane 0's full-block outputs.
+    const auto packed_leg = [&](const vsim::SimConfig& cfg,
+                                const char* backend) -> CosimFactory {
+      return [&f, &plan, &splits, cfg, backend, trial] {
+        return [&f, &plan, &splits, cfg, backend,
+                trial](const std::vector<PortIo>& ins) {
+          std::vector<std::vector<PortIo>> streams;
+          for (int l = 0; l < kLanes; ++l)
+            streams.emplace_back(ins.begin(),
+                                 ins.end() - std::min<long>(
+                                                 2L * l, ins.size() - 1));
+          vsim::PackedDutHarness h(f, plan, kLanes, cfg);
+          EXPECT_STREQ(h.backend(), backend)
+              << "trial " << trial << ": " << h.fallback_reason();
+          const auto out = h.run_streams(streams);
+          for (int l = 1; l < kLanes; ++l)
+            for (std::size_t i = 0; i < out[l].size(); ++i)
+              EXPECT_TRUE(out[l][i].vars == out[0][i].vars &&
+                          out[l][i].arrays == out[0][i].arrays)
+                  << "trial " << trial << ": lane " << l << " vector " << i
+                  << " differs from lane 0";
+          splits += h.sim().divergence_splits();
+          return out[0];
+        };
+      };
+    };
+
+    std::vector<CosimLeg> legs = {
+        {"golden",
+         [&f] {
+           return [in = std::make_shared<Interpreter>(f)](
+                      const std::vector<PortIo>& ins) {
+             return in->run_stream(ins);
+           };
+         }},
+        {"rtl",
+         [&f, &r] {
+           return [s = std::make_shared<rtl::Simulator>(f, r.schedule)](
+                      const std::vector<PortIo>& ins) {
+             return s->run_stream(ins);
+           };
+         }},
+        {"vsim-event", scalar_leg(event_cfg, "event")},
+        {"vsim-compiled", scalar_leg(compiled_cfg, "compiled")},
+        {"vsim-packed", packed_leg(compiled_cfg, "compiled")},
+    };
+    if (native && !wide && native_trials < kNativeTrials) {
+      ++native_trials;
+      legs.push_back({"vsim-native", scalar_leg(native_cfg, "codegen")});
+      legs.push_back(
+          {"vsim-native-packed", packed_leg(native_cfg, "packed_codegen")});
+    }
+    const CosimResult res = cosim_sweep_nway(
+        legs, vectors, {.block_size = vectors.size(), .mismatch_limit = 4});
+    ASSERT_TRUE(res.ok()) << "trial " << trial << (wide ? " (wide)" : "")
+                          << ": "
+                          << (res.mismatches.empty() ? ""
+                                                     : res.mismatches.front())
+                          << "\n"
+                          << f.dump();
+    if (HasFailure()) return;
+  }
+
+  std::printf(
+      "[ fuzz     ] emitted-verilog trials: %d run, %d refused narrow, %d "
+      "refused wide, %d native, %lld divergence splits\n",
+      run, refused_narrow, refused_wide, native_trials, splits);
+  RecordProperty("trials_run", run);
+  RecordProperty("refused_narrow", refused_narrow);
+  RecordProperty("refused_wide", refused_wide);
+  RecordProperty("native_trials", native_trials);
+  RecordProperty("divergence_splits", static_cast<int>(splits));
+  // Coverage evidence: the generator still reaches the emitter and, in both
+  // modes, the refusal (the default budget refuses 2 narrow programs and
+  // every wide one), and the native engines really ran. The emitted FSMs
+  // branch only on state, loop counter and start, which stay in lockstep
+  // across the lanes, so no split is expected.
+  EXPECT_GT(run, 0);
+  EXPECT_GT(refused_narrow, 0);
+  EXPECT_GT(refused_wide, 0);
+  if (native) {
+    EXPECT_EQ(native_trials, kNativeTrials);
   }
 }
 

@@ -10,7 +10,9 @@
 #include <set>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 
+#include "hls/builder.h"
 #include "hls/report.h"
 #include "qam/architectures.h"
 #include "qam/decoder_ir.h"
@@ -151,6 +153,36 @@ TEST(Verilog, CustomModuleName) {
   opts.module_name = "qam_decoder_merged";
   const std::string v = emit_verilog(r.transformed, r.schedule, opts);
   EXPECT_NE(v.find("module qam_decoder_merged ("), std::string::npos);
+}
+
+TEST(Verilog, RefusesValuesWiderThan64Bits) {
+  // acc += (a*a*a)^2 over an fx<12,1> array: the cube is a 36-bit product
+  // and its square a 72-bit one, which no 64-bit datapath wire holds. The
+  // emitter must refuse the design, naming the loop, instead of emitting
+  // RTL that drops the top bits.
+  hls::FunctionBuilder fb("cube_sq");
+  const int a = fb.add_array("a", 8, hls::fx(12, 1), false, hls::PortDir::kIn);
+  const int acc =
+      fb.add_var("acc", hls::fx(40, 8), false, hls::PortDir::kOut);
+  {
+    auto b = fb.block("init");
+    b.var_write(acc, b.cnst(hls::fx(40, 8), 0.0));
+  }
+  {
+    auto b = fb.loop("cube_sq_loop", 8);
+    const int x = b.array_read(a, {1, 0});
+    const int cube = b.mul(b.mul(x, x), x);
+    b.var_write(acc, b.add(b.var_read(acc), b.mul(cube, cube)));
+  }
+  const auto r = run_synthesis(fb.build(), {}, TechLibrary::asic90());
+  try {
+    emit_verilog(r.transformed, r.schedule);
+    FAIL() << "a 72-bit product was emitted into a 64-bit datapath";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("'cube_sq_loop'"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

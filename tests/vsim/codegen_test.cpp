@@ -10,8 +10,10 @@
 // pass. The cache directory is pointed at the build tree via
 // HLSW_VSIM_CODEGEN_CACHE (set per test by ctest) and removed by a cleanup
 // fixture, so test artifacts never leak into the user's tmp cache. Tests
-// that tamper with the cache or race builders use a private subdirectory.
+// that tamper with the cache or race builders use a private subdirectory;
+// the default-cache trust tests point TMPDIR at a scratch directory.
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -110,6 +112,61 @@ class ScopedCacheDir {
   std::filesystem::path dir_;
   ScopedEnv env_;
 };
+
+// Leaves HLSW_VSIM_CODEGEN_CACHE empty, so codegen uses its default cache,
+// and points TMPDIR at a fresh scratch directory for one test, so that
+// default is <scratch>/hlsw-vsim-codegen-<euid> and holds only what the
+// test planted there.
+class ScopedDefaultCache {
+ public:
+  ScopedDefaultCache()
+      : scratch_(make_scratch()),
+        tmpdir_("TMPDIR", scratch_.c_str()),
+        cache_env_("HLSW_VSIM_CODEGEN_CACHE", "") {}
+  ~ScopedDefaultCache() {
+    std::error_code ec;
+    std::filesystem::remove_all(scratch_, ec);
+  }
+  const std::filesystem::path& scratch() const { return scratch_; }
+  std::filesystem::path dir() const {
+    return scratch_ / ("hlsw-vsim-codegen-" + std::to_string(::geteuid()));
+  }
+
+ private:
+  static std::filesystem::path make_scratch() {
+    std::string t =
+        (std::filesystem::temp_directory_path() / "hlsw-tmpdir-XXXXXX")
+            .string();
+    if (::mkdtemp(t.data()) == nullptr) ADD_FAILURE() << "mkdtemp failed";
+    return t;
+  }
+  std::filesystem::path scratch_;
+  ScopedEnv tmpdir_;
+  ScopedEnv cache_env_;
+};
+
+// The default cache at `dir` must be refused before anything is read from
+// or written to it: packed_codegen_plan fails naming the path, and
+// Simulation falls back to the compiled interpreter exactly as it does
+// without a toolchain.
+void expect_cache_refused(const std::filesystem::path& dir) {
+  const auto r = synth_merge();
+  const std::string verilog = rtl::emit_verilog(r.transformed, r.schedule);
+  std::string why;
+  EXPECT_EQ(
+      packed_codegen_plan(fresh_plan(verilog, r.transformed.name), 1, &why),
+      nullptr);
+  EXPECT_NE(why.find("untrusted codegen cache " + dir.string()),
+            std::string::npos)
+      << why;
+  SimConfig cfg;
+  cfg.backend = Backend::kPackedCodegen;
+  Simulation sim(load_design(verilog, r.transformed.name), cfg);
+  EXPECT_STREQ(sim.backend(), "compiled");
+  EXPECT_NE(sim.fallback_reason().find(dir.string()), std::string::npos)
+      << sim.fallback_reason();
+  EXPECT_TRUE(std::filesystem::is_empty(dir)) << "wrote into " << dir;
+}
 
 std::string read_text(const std::filesystem::path& p) {
   std::ifstream f(p);
@@ -455,6 +512,48 @@ TEST(VsimCodegen, ProfileRunRecordsCodegenLegAndBackend) {
   const std::string json = res.to_json().dump();
   EXPECT_NE(json.find("\"backend\":\"codegen\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"fallback_reason\""), std::string::npos);
+}
+
+// A default cache directory someone else could write is refused: this
+// process would dlopen() whatever .so (with a matching .cpp) sits there.
+TEST(VsimCodegen, WorldWritableDefaultCacheIsRefused) {
+  REQUIRE_TOOLCHAIN();
+  const ScopedDefaultCache tmp;
+  ASSERT_TRUE(std::filesystem::create_directory(tmp.dir()));
+  std::filesystem::permissions(tmp.dir(), std::filesystem::perms::all);
+  expect_cache_refused(tmp.dir());
+}
+
+// A symlink in the default cache's place is refused even when its target
+// is a private directory of this user: whoever planted the link controls
+// where it points.
+TEST(VsimCodegen, SymlinkedDefaultCacheIsRefused) {
+  REQUIRE_TOOLCHAIN();
+  const ScopedDefaultCache tmp;
+  const std::filesystem::path target = tmp.scratch() / "elsewhere";
+  ASSERT_TRUE(std::filesystem::create_directory(target));
+  std::filesystem::permissions(target, std::filesystem::perms::owner_all,
+                               std::filesystem::perm_options::replace);
+  std::filesystem::create_directory_symlink(target, tmp.dir());
+  expect_cache_refused(tmp.dir());
+}
+
+TEST(VsimCodegen, FreshDefaultCacheIsCreatedPrivate) {
+  REQUIRE_TOOLCHAIN();
+  const ScopedDefaultCache tmp;
+  ASSERT_FALSE(std::filesystem::exists(tmp.dir()));
+  const auto r = synth_merge();
+  const std::string verilog = rtl::emit_verilog(r.transformed, r.schedule);
+  std::string why;
+  const auto mod =
+      packed_codegen_plan(fresh_plan(verilog, r.transformed.name), 1, &why);
+  ASSERT_NE(mod, nullptr) << why;
+  struct stat st {};
+  ASSERT_EQ(::lstat(tmp.dir().c_str(), &st), 0) << tmp.dir();
+  EXPECT_TRUE(S_ISDIR(st.st_mode));
+  EXPECT_EQ(st.st_mode & 07777, 0700u);
+  EXPECT_EQ(st.st_uid, ::geteuid());
+  EXPECT_EQ(mod->so_path.rfind(tmp.dir().string(), 0), 0u) << mod->so_path;
 }
 
 }  // namespace

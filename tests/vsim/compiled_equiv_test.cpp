@@ -10,7 +10,7 @@
 // must actually BE compiled: every architecture's emitted module is
 // required to cycle-schedule with no fallback. The native legs run
 // natively where a host toolchain exists and silently degrade to the
-// compiled interpreter / interpreted packed engine otherwise — either way
+// compiled interpreter / one CompiledSim per lane otherwise — either way
 // they participate, so the battery passes on toolchain-less machines too
 // (the codegen-REQUIRED assertions live in codegen_test.cpp).
 #include <gtest/gtest.h>
@@ -81,8 +81,8 @@ void run_six_way_battery(const Directives& dir, const std::string& name,
       ASSERT_STREQ(probe.backend(), "compiled") << name;
   }
   // The packed leg needs the shared compiled plan; with a toolchain it must
-  // run the generated lane-major engine, without one the interpreted packed
-  // tier — both stay in the differential.
+  // run the generated lane-major engine, without one a CompiledSim per
+  // lane. Both stay in the differential.
   std::string plan_why;
   const auto plan = compiled_plan(design, &plan_why);
   ASSERT_NE(plan, nullptr) << name << ": " << plan_why;

@@ -3,13 +3,14 @@
 // compiled backend must beat the event-driven backend by at least 2x
 // per-symbol while the event kernel stays within 8x of it, the
 // one-lane native engine (Backend::kPackedCodegen through Simulation) must
-// beat the compiled interpreter by at least 2x, and the packed 64-lane
-// engine must beat per-block scalar replay by at least 2x in DUT
+// beat the compiled interpreter by at least 2x, and the 64-lane native
+// engine must beat per-block scalar replay by at least 10x in DUT
 // throughput. Every floor sits below the measured gap (BENCH_vsim.json:
-// ~6x, ~8x and ~3x respectively), so CI noise cannot flake the guards,
-// but they are tight enough to catch a backend silently falling back or
-// regressing to the tier below. A last guard keeps the golden reference
-// every sweep pays for on the compiled plan.
+// ~5.7x, ~8.6x and ~13x respectively; the packed guard's own 10-symbol
+// shape read 11.4-13.8x on a 4-vCPU VM), so CI noise cannot flake the
+// guards, but they are tight enough to catch a backend silently falling
+// back or regressing to the tier below. A last guard keeps the golden
+// reference every sweep pays for on the compiled plan.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -154,11 +155,16 @@ TEST(VsimCodegenGuard, CodegenBeatsCompiledByAtLeast2xOnMergeArch) {
                         << " ms vs codegen " << t_codegen << " ms)";
 }
 
-TEST(VsimPackedGuard, Packed64BeatsScalarReplayByAtLeast2xDutThroughput) {
+TEST(VsimPackedGuard, Packed64BeatsScalarReplayByAtLeast10xDutThroughput) {
   // 64 independent 10-symbol blocks: per-block scalar DutHarness replay vs
-  // one 64-lane PackedDutHarness over the same streams — the DUT-side work
-  // a packed sweep saves (the golden interpreter leg is identical on both
-  // sides of a full sweep, so it is excluded here).
+  // one 64-lane kAuto PackedDutHarness over the same streams — the DUT-side
+  // work a packed sweep saves (the golden interpreter leg is identical on
+  // both sides of a full sweep, so it is excluded here). The harness must
+  // run the generated engine: the 10x floor also catches the kAuto packed
+  // path sliding back to an interpreter, whose lanes cost what scalar
+  // replay does.
+  if (!codegen_available())
+    GTEST_SKIP() << "no host C++ toolchain — packed codegen unavailable";
   const qam::Architecture arch = qam::table1_architectures()[0];
   const auto r = hls::run_synthesis(qam::build_qam_decoder_ir(), arch.dir,
                                     TechLibrary::asic90());
@@ -195,83 +201,26 @@ TEST(VsimPackedGuard, Packed64BeatsScalarReplayByAtLeast2xDutThroughput) {
         .count();
   };
 
-  scalar_ms();  // warm the plan memo and allocator on both paths
+  {
+    PackedDutHarness probe(r.transformed, plan, kLanes);
+    ASSERT_STREQ(probe.backend(), "packed_codegen")
+        << probe.fallback_reason();
+  }
+  scalar_ms();  // warm the plan memo, .so cache and allocator on both paths
   packed_ms();
+  // Best of 5: the packed leg is ~2 ms, so one scheduler hiccup under a
+  // loaded machine is a large share of it.
   double t_scalar = 1e300, t_packed = 1e300;
-  for (int rep = 0; rep < 3; ++rep) {
+  for (int rep = 0; rep < 5; ++rep) {
     t_scalar = std::min(t_scalar, scalar_ms());
     t_packed = std::min(t_packed, packed_ms());
   }
 
   ASSERT_GT(t_packed, 0.0);
   const double ratio = t_scalar / t_packed;
-  EXPECT_GE(ratio, 2.0) << "packed 64-lane engine only " << ratio
+  EXPECT_GE(ratio, 10.0) << "packed 64-lane engine only " << ratio
                         << "x faster than scalar replay (scalar " << t_scalar
                         << " ms vs packed " << t_packed << " ms)";
-}
-
-TEST(VsimPackedGuard, PackedCodegenBeatsInterpretedPackedByAtLeast2x) {
-  // The tentpole ratio of the packed-codegen PR: the generated lane-major
-  // engine vs the interpreted packed engine on the same 64-lane sweep DUT
-  // leg (identical streams, identical lane count — only the execution tier
-  // differs). Measured ~2.4x at 64 lanes and ~5x at 8 (the generated
-  // engine's dispatch-elimination gain shrinks as the interpreter amortizes
-  // its per-op dispatch over more lanes; see EXPERIMENTS.md). best-of-3
-  // minima keep the 2x floor stable under CI load; the guard exists so the
-  // packed kAuto path can never silently regress to op-by-op dispatch
-  // while tests still pass bit-for-bit.
-  if (!codegen_available())
-    GTEST_SKIP() << "no host C++ toolchain — packed codegen unavailable";
-  const qam::Architecture arch = qam::table1_architectures()[0];
-  const auto r = hls::run_synthesis(qam::build_qam_decoder_ir(), arch.dir,
-                                    TechLibrary::asic90());
-  const std::string verilog = rtl::emit_verilog(r.transformed, r.schedule);
-  const auto design = load_design(verilog, r.transformed.name);
-  std::string why;
-  const auto plan = compiled_plan(design, &why);
-  ASSERT_NE(plan, nullptr) << why;
-
-  const int kLanes = 64, kBlock = 10;
-  LinkStimulus stim((LinkConfig()));
-  const auto batch = qam::link_input_batch(&stim, kLanes * kBlock);
-  std::vector<std::vector<PortIo>> streams(kLanes);
-  for (int b = 0; b < kLanes; ++b)
-    streams[static_cast<std::size_t>(b)].assign(
-        batch.begin() + b * kBlock, batch.begin() + (b + 1) * kBlock);
-
-  SimConfig interp_cfg;
-  interp_cfg.backend = Backend::kCompiled;  // pin the interpreted tier
-  SimConfig cg_cfg;
-  cg_cfg.backend = Backend::kPackedCodegen;
-  {
-    PackedDutHarness probe(r.transformed, plan, kLanes, cg_cfg);
-    ASSERT_STREQ(probe.backend(), "packed_codegen")
-        << probe.fallback_reason();
-  }
-
-  const auto run_ms = [&](const SimConfig& cfg) {
-    const auto t0 = std::chrono::steady_clock::now();
-    PackedDutHarness dut(r.transformed, plan, kLanes, cfg);
-    dut.run_streams(streams);
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
-  };
-
-  run_ms(cg_cfg);  // warm: generate+compile+dlopen lands in the .so cache
-  run_ms(interp_cfg);
-  double t_cg = 1e300, t_interp = 1e300;
-  for (int rep = 0; rep < 3; ++rep) {
-    t_cg = std::min(t_cg, run_ms(cg_cfg));
-    t_interp = std::min(t_interp, run_ms(interp_cfg));
-  }
-
-  ASSERT_GT(t_cg, 0.0);
-  const double ratio = t_interp / t_cg;
-  EXPECT_GE(ratio, 2.0) << "packed codegen only " << ratio
-                        << "x faster than the interpreted packed engine "
-                        << "(interpreted " << t_interp << " ms vs generated "
-                        << t_cg << " ms)";
 }
 
 TEST(GoldenGuard, CompiledGoldenKeepsPaceWithCompiledRtlSim) {
