@@ -8,7 +8,7 @@
 //
 // The harness-measured sections additionally track the compiled-plan
 // simulator against its legacy interpretive path (SimOptions::compiled =
-// false) and the batched symbol-stream APIs, producing BENCH_rtl_sim.json
+// false) and the batched run_stream API, producing BENCH_rtl_sim.json
 // (--reps/--warmup/--json; see bench_main.h). Regenerate the committed
 // baseline from the repo root with:
 //   ./build/bench/bench_rtl_sim --reps 5 --warmup 1
@@ -33,7 +33,6 @@ namespace {
 using namespace hlsw;
 using hls::Interpreter;
 using hls::PortIo;
-using hls::PortStream;
 using hls::run_synthesis;
 using hls::TechLibrary;
 using qam::LinkConfig;
@@ -128,12 +127,10 @@ void run_harness_sections(bench::Harness* h) {
   const auto r = run_synthesis(ir, pipe->dir, TechLibrary::asic90());
 
   // Fixed stimulus generated once, outside every timed section, so each
-  // series times simulation only (identical inputs in all three formats).
+  // series times simulation only (identical inputs in every series).
   const int kSymbols = 2000;
   LinkStimulus stim_a((LinkConfig()));
   const std::vector<PortIo> batch = qam::link_input_batch(&stim_a, kSymbols);
-  LinkStimulus stim_b((LinkConfig()));
-  const PortStream flat = qam::link_input_stream(&stim_b, kSymbols);
 
   const auto t_interp = h->measure("interpretive_run", [&] {
     rtl::Simulator sim(r.transformed, r.schedule, {.compiled = false});
@@ -147,13 +144,9 @@ void run_harness_sections(bench::Harness* h) {
     rtl::Simulator sim(r.transformed, r.schedule);
     benchmark::DoNotOptimize(sim.run_stream(batch));
   });
-  const auto t_flat = h->measure("compiled_stream_flat", [&] {
-    rtl::Simulator sim(r.transformed, r.schedule);
-    benchmark::DoNotOptimize(sim.run_stream(flat));
-  });
 
   // Bit-identity audit of what was just timed: outputs, cycle counts and
-  // SimStats must agree across all four series.
+  // SimStats must agree across all three series.
   bool identical = true;
   {
     rtl::Simulator legacy(r.transformed, r.schedule, {.compiled = false});
@@ -163,16 +156,13 @@ void run_harness_sections(bench::Harness* h) {
     for (const auto& in : batch) comp_out.push_back(comp.run(in));
     std::vector<PortIo> legacy_out;
     for (const auto& in : batch) legacy_out.push_back(legacy.run(in));
-    const PortStream flat_out = strm.run_stream(flat);
+    const std::vector<PortIo> strm_out = strm.run_stream(batch);
     for (int n = 0; n < kSymbols && identical; ++n) {
-      identical = comp_out[static_cast<size_t>(n)].arrays ==
-                      legacy_out[static_cast<size_t>(n)].arrays &&
-                  comp_out[static_cast<size_t>(n)].vars ==
-                      legacy_out[static_cast<size_t>(n)].vars;
-      const PortIo row = flat_out.symbol(n);
-      identical = identical &&
-                  row.arrays == comp_out[static_cast<size_t>(n)].arrays &&
-                  row.vars == comp_out[static_cast<size_t>(n)].vars;
+      const PortIo& c = comp_out[static_cast<size_t>(n)];
+      const PortIo& l = legacy_out[static_cast<size_t>(n)];
+      const PortIo& st = strm_out[static_cast<size_t>(n)];
+      identical = c.arrays == l.arrays && c.vars == l.vars &&
+                  st.arrays == c.arrays && st.vars == c.vars;
     }
     identical = identical && legacy.stats() == comp.stats() &&
                 legacy.stats() == strm.stats() &&
@@ -187,15 +177,12 @@ void run_harness_sections(bench::Harness* h) {
           t_interp.min_ms / t_comp.min_ms);
   h->note("speedup_stream_batch_vs_interpretive",
           t_interp.min_ms / t_stream.min_ms);
-  h->note("speedup_stream_vs_interpretive", t_interp.min_ms / t_flat.min_ms);
 
-  // 10k-symbol link sweep: per-symbol run() vs the flat batched stream.
+  // 10k-symbol link sweep: per-symbol run() vs the batched stream.
   const int kSweep = 10000;
   LinkStimulus stim_c((LinkConfig()));
   const std::vector<PortIo> sweep_batch =
       qam::link_input_batch(&stim_c, kSweep);
-  LinkStimulus stim_d((LinkConfig()));
-  const PortStream sweep_flat = qam::link_input_stream(&stim_d, kSweep);
 
   const auto t_sweep_run = h->measure("link10k_per_symbol_run", [&] {
     rtl::Simulator sim(r.transformed, r.schedule);
@@ -203,7 +190,7 @@ void run_harness_sections(bench::Harness* h) {
   });
   const auto t_sweep_stream = h->measure("link10k_run_stream", [&] {
     rtl::Simulator sim(r.transformed, r.schedule);
-    benchmark::DoNotOptimize(sim.run_stream(sweep_flat));
+    benchmark::DoNotOptimize(sim.run_stream(sweep_batch));
   });
   h->note("speedup_stream_vs_per_symbol_10k",
           t_sweep_run.min_ms / t_sweep_stream.min_ms);

@@ -317,7 +317,9 @@ DseResult explore(const Function& f, const DseOptions& opts,
 
   // Appends a candidate unless pruning or the row cap rejects it.
   // Revisits of an original configuration this call already planned
-  // bypass the cap (they cost no schedule and add no row). An infeasible
+  // bypass the cap (they cost no schedule and add no row). A candidate
+  // past the cap is dropped before the feasibility analysis, so it leaves
+  // no prune record: every redirect record names a row. An infeasible
   // candidate is redirected: it keeps its row and name but synthesizes
   // under its clamped directives' canonical key, so metrics-identical
   // twins collapse onto one schedule. A dominated candidate is skipped
@@ -333,6 +335,7 @@ DseResult explore(const Function& f, const DseOptions& opts,
       batch->push_back(std::move(c));
       return;
     }
+    if (planned >= opts.max_configs) return;
     if (opts.prune) {
       const FeasibilityVerdict fv =
           check_feasibility(f, dir, tech, resolved, &fcache);
@@ -361,7 +364,6 @@ DseResult explore(const Function& f, const DseOptions& opts,
         dir = fv.clamped;  // metrics-identical; the row and name survive
       }
     }
-    if (planned >= opts.max_configs) return;
     ++planned;
     seen.insert(orig_key);
     Candidate c;

@@ -32,50 +32,6 @@ struct PortIo {
   std::map<std::string, FxValue> vars;
 };
 
-// Column-batched port values for N consecutive invocations ("symbols"):
-// the flat fast-path currency of the batched stream APIs. Channels are
-// bound to ports by name once per call instead of once per symbol, and the
-// values of each port live in one contiguous vector (symbol-major for
-// arrays: element j of symbol n sits at values[n * length + j]), so a
-// 10k-symbol sweep performs zero per-symbol map construction.
-struct PortStream {
-  struct ArrayChannel {
-    std::string name;
-    int length = 0;
-    std::vector<FxValue> values;  // symbols * length entries
-  };
-  struct VarChannel {
-    std::string name;
-    std::vector<FxValue> values;  // symbols entries
-  };
-  int symbols = 0;
-  std::vector<ArrayChannel> arrays;
-  std::vector<VarChannel> vars;
-
-  ArrayChannel& add_array(const std::string& name, int length) {
-    arrays.push_back({name, length, {}});
-    return arrays.back();
-  }
-  VarChannel& add_var(const std::string& name) {
-    vars.push_back({name, {}});
-    return vars.back();
-  }
-
-  // Row view: symbol n as a per-invocation PortIo (interop and tests).
-  PortIo symbol(int n) const {
-    PortIo io;
-    for (const auto& c : arrays) {
-      const std::size_t base = static_cast<std::size_t>(n) *
-                               static_cast<std::size_t>(c.length);
-      io.arrays[c.name].assign(c.values.begin() + static_cast<long>(base),
-                               c.values.begin() +
-                                   static_cast<long>(base + c.length));
-    }
-    for (const auto& c : vars) io.vars[c.name] = c.values[static_cast<size_t>(n)];
-    return io;
-  }
-};
-
 class Interpreter {
  public:
   // Takes its own copy of the function so callers may pass temporaries

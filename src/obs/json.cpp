@@ -176,6 +176,35 @@ struct Parser {
     return true;
   }
 
+  // RFC 8259 number: -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?, and
+  // its value must be finite. strtod alone would also take "nan", "inf",
+  // hex, leading zeros and "1.", and turn 1e400 into an infinity.
+  bool parse_number(Json* out) {
+    const std::size_t start = pos;
+    const auto digits = [&] {
+      const std::size_t from = pos;
+      while (pos < text.size() && text[pos] >= '0' && text[pos] <= '9') ++pos;
+      return pos > from;
+    };
+    consume('-');
+    if (consume('0')) {
+      if (pos < text.size() && text[pos] >= '0' && text[pos] <= '9')
+        return fail("leading zero in number");
+    } else if (!digits()) {
+      return fail("bad number");
+    }
+    if (consume('.') && !digits()) return fail("bad number fraction");
+    if (consume('e') || consume('E')) {
+      if (!consume('+')) consume('-');
+      if (!digits()) return fail("bad number exponent");
+    }
+    const std::string token(text.substr(start, pos - start));
+    const double v = std::strtod(token.c_str(), nullptr);
+    if (!std::isfinite(v)) return fail("number out of range");
+    *out = Json(v);
+    return true;
+  }
+
   static void append_utf8(std::string* s, unsigned cp) {
     if (cp < 0x80) {
       s->push_back(static_cast<char>(cp));
@@ -290,15 +319,7 @@ struct Parser {
         if (!consume(',')) return fail("expected ',' or '}'");
       }
     }
-    if (c == '-' || (c >= '0' && c <= '9')) {
-      const char* start = text.data() + pos;
-      char* end = nullptr;
-      const double v = std::strtod(start, &end);
-      if (end == start) return fail("bad number");
-      pos += static_cast<std::size_t>(end - start);
-      *out = Json(v);
-      return true;
-    }
+    if (c == '-' || (c >= '0' && c <= '9')) return parse_number(out);
     return fail("unexpected character");
   }
 };

@@ -151,21 +151,6 @@ inline std::vector<hls::PortIo> link_input_batch(LinkStimulus* stim, int n) {
   return ins;
 }
 
-// Same stimulus as one flat symbol-major PortStream ("x_in" channel of
-// length 2): the zero-map-construction fast path for long link sweeps.
-inline hls::PortStream link_input_stream(LinkStimulus* stim, int n) {
-  hls::PortStream in;
-  in.symbols = n;
-  auto& ch = in.add_array("x_in", 2);
-  ch.values.reserve(static_cast<std::size_t>(n) * 2);
-  for (int i = 0; i < n; ++i) {
-    const LinkSample s = stim->next();
-    ch.values.push_back(s.q0);
-    ch.values.push_back(s.q1);
-  }
-  return in;
-}
-
 // Trains the float reference over `n` symbols and returns it (coefficients
 // converged for decision delay cfg.decision_delay).
 inline QamDecoderFloat train_float_reference(LinkStimulus* stim, int n) {

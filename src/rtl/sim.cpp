@@ -19,7 +19,6 @@ using hls::Op;
 using hls::OpKind;
 using hls::PortDir;
 using hls::PortIo;
-using hls::PortStream;
 using hls::Region;
 
 Simulator::Simulator(hls::Function f, hls::Schedule s, SimOptions opts)
@@ -338,106 +337,6 @@ std::vector<PortIo> Simulator::run_stream(const std::vector<PortIo>& ins) {
     m.add("rtl.sim.cycles", static_cast<double>(ran));
   }
   return outs;
-}
-
-PortStream Simulator::run_stream(const PortStream& in) {
-  obs::ScopedSpan span("run_stream", "rtl.sim");
-  const long long cycles_before = cycles_;
-  const int n = in.symbols;
-
-  // Bind every input port to its channel once for the whole batch.
-  std::vector<const PortStream::ArrayChannel*> abind;
-  abind.reserve(in_array_ports_.size());
-  for (const PortSlot& p : in_array_ports_) {
-    const PortStream::ArrayChannel* found = nullptr;
-    for (const auto& c : in.arrays)
-      if (c.name == *p.name) {
-        found = &c;
-        break;
-      }
-    if (!found)
-      throw std::invalid_argument("rtl: missing input array port: " + *p.name);
-    const Array& a = f_.arrays[static_cast<size_t>(p.index)];
-    if (found->length != a.length)
-      throw std::invalid_argument("rtl: input array port size mismatch: " +
-                                  *p.name);
-    if (found->values.size() !=
-        static_cast<std::size_t>(n) * static_cast<std::size_t>(a.length))
-      throw std::invalid_argument("rtl: stream channel size mismatch: " +
-                                  *p.name);
-    abind.push_back(found);
-  }
-  std::vector<const PortStream::VarChannel*> vbind;
-  vbind.reserve(in_var_ports_.size());
-  for (const PortSlot& p : in_var_ports_) {
-    const PortStream::VarChannel* found = nullptr;
-    for (const auto& c : in.vars)
-      if (c.name == *p.name) {
-        found = &c;
-        break;
-      }
-    if (!found)
-      throw std::invalid_argument("rtl: missing input var port: " + *p.name);
-    if (found->values.size() != static_cast<std::size_t>(n))
-      throw std::invalid_argument("rtl: stream channel size mismatch: " +
-                                  *p.name);
-    vbind.push_back(found);
-  }
-
-  PortStream out;
-  out.symbols = n;
-  for (const PortSlot& p : out_array_ports_) {
-    const Array& a = f_.arrays[static_cast<size_t>(p.index)];
-    auto& c = out.add_array(*p.name, a.length);
-    c.values.reserve(static_cast<std::size_t>(n) *
-                     static_cast<std::size_t>(a.length));
-  }
-  for (const PortSlot& p : out_var_ports_) {
-    auto& c = out.add_var(*p.name);
-    c.values.reserve(static_cast<std::size_t>(n));
-  }
-
-  for (int sym = 0; sym < n; ++sym) {
-    ++stats_.invocations;
-    for (std::size_t i = 0; i < in_array_ports_.size(); ++i) {
-      const PortSlot& p = in_array_ports_[i];
-      const Array& a = f_.arrays[static_cast<size_t>(p.index)];
-      auto& dst = array_state_[static_cast<size_t>(p.index)];
-      const std::size_t base = static_cast<std::size_t>(sym) *
-                               static_cast<std::size_t>(a.length);
-      for (int j = 0; j < a.length; ++j)
-        dst[static_cast<size_t>(j)] =
-            fx_convert(abind[i]->values[base + static_cast<size_t>(j)],
-                       a.elem);
-    }
-    for (std::size_t i = 0; i < in_var_ports_.size(); ++i) {
-      const PortSlot& p = in_var_ports_[i];
-      var_state_[static_cast<size_t>(p.index)] =
-          fx_convert(vbind[i]->values[static_cast<size_t>(sym)],
-                     f_.vars[static_cast<size_t>(p.index)].type);
-    }
-    run_regions();
-    for (std::size_t i = 0; i < out_array_ports_.size(); ++i) {
-      const auto& src =
-          array_state_[static_cast<size_t>(out_array_ports_[i].index)];
-      out.arrays[i].values.insert(out.arrays[i].values.end(), src.begin(),
-                                  src.end());
-    }
-    for (std::size_t i = 0; i < out_var_ports_.size(); ++i)
-      out.vars[i].values.push_back(
-          var_state_[static_cast<size_t>(out_var_ports_[i].index)]);
-  }
-
-  if (span.active()) {
-    const long long ran = cycles_ - cycles_before;
-    span.arg("function", f_.name);
-    span.arg("symbols", static_cast<long long>(n));
-    span.arg("cycles", ran);
-    auto& m = obs::MetricsRegistry::instance();
-    m.add("rtl.sim.invocations", static_cast<double>(n));
-    m.add("rtl.sim.cycles", static_cast<double>(ran));
-  }
-  return out;
 }
 
 obs::Json sim_stats_json(const Simulator& sim) {

@@ -93,13 +93,6 @@ class Simulator {
   // bit-identical to the per-symbol loop.
   std::vector<hls::PortIo> run_stream(const std::vector<hls::PortIo>& ins);
 
-  // Flat symbol-stream form: ports are bound to channels by name once per
-  // call and values move through contiguous buffers, eliminating the
-  // per-symbol PortIo map construction entirely — the fast path for long
-  // link sweeps. Requires the compiled plan semantics to be identical;
-  // works on both paths.
-  hls::PortStream run_stream(const hls::PortStream& in);
-
   long long cycles() const { return cycles_; }
   void reset();
 

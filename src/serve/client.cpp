@@ -1,5 +1,7 @@
 #include "serve/client.h"
 
+#include "serve/wire.h"
+
 namespace hlsw::serve {
 
 using obs::Json;
@@ -59,9 +61,11 @@ bool Client::wait(long long id, Json* response, std::string* err) {
       if (err) *err = "unparseable response frame: " + perr;
       return false;
     }
+    // A missing or malformed id parks the response under 0.
     const Json* rid = resp.find("id");
-    const long long got = rid != nullptr && rid->is_number() ? rid->as_int()
-                                                             : 0;
+    long long got = 0;
+    if (rid != nullptr)
+      int_from_json(*rid, "id", -kMaxJsonInt, kMaxJsonInt, &got, nullptr);
     if (got == id) {
       *response = std::move(resp);
       return true;

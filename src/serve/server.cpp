@@ -16,6 +16,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <climits>
+
 namespace hlsw::serve {
 
 using obs::Json;
@@ -227,13 +229,12 @@ void Server::handle_frame(const std::shared_ptr<Connection>& c,
   }
   long long id = 0;
   if (const Json* j = req.find("id")) {
-    if (!j->is_number()) {
+    std::string ierr;
+    if (!int_from_json(*j, "id", -kMaxJsonInt, kMaxJsonInt, &id, &ierr)) {
       ++protocol_errors_;
-      send_json(c, make_error(0, "bad_params", "id: expected number",
-                              "serve.parse"));
+      send_json(c, make_error(0, "bad_params", ierr, "serve.parse"));
       return;
     }
-    id = j->as_int();
   }
   const Json* opj = req.find("op");
   if (opj == nullptr || !opj->is_string()) {
@@ -623,9 +624,14 @@ Json Server::handle_profile(const Json& req) {
     if (!opt->is_object())
       throw JobError{"bad_params", "options: expected object", "serve.params"};
     for (const auto& [key, value] : opt->items()) {
-      if (key == "lanes" && value.is_number())
-        o.lanes = static_cast<int>(value.as_int());
-      else if (key == "run_rtl_sim" && value.is_bool())
+      if (key == "lanes" && value.is_number()) {
+        long long lanes = 0;
+        std::string lerr;
+        if (!int_from_json(value, "options.lanes", INT_MIN, INT_MAX, &lanes,
+                           &lerr))
+          throw JobError{"bad_params", lerr, "serve.params"};
+        o.lanes = static_cast<int>(lanes);
+      } else if (key == "run_rtl_sim" && value.is_bool())
         o.run_rtl_sim = value.as_bool();
       else if (key == "run_vsim_event" && value.is_bool())
         o.run_vsim_event = value.as_bool();

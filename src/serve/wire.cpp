@@ -1,5 +1,7 @@
 #include "serve/wire.h"
 
+#include <climits>
+#include <cmath>
 #include <cstdlib>
 
 namespace hlsw::serve {
@@ -7,6 +9,9 @@ namespace hlsw::serve {
 namespace {
 
 using obs::Json;
+
+constexpr long long kIntMin = INT_MIN;
+constexpr long long kIntMax = INT_MAX;
 
 bool fail(std::string* err, const std::string& what) {
   if (err) *err = what;
@@ -70,15 +75,21 @@ bool want_object(const Json& j, const std::string& path, std::string* err) {
   return fail(err, path + ": expected object");
 }
 
+// Absent keys leave *out untouched.
 bool get_int_field(const Json& obj, const std::string& path,
-                   const std::string& key, long long* out, bool* present,
-                   std::string* err) {
+                   const std::string& key, long long lo, long long hi,
+                   long long* out, std::string* err) {
   const Json* v = obj.find(key);
-  if (present) *present = v != nullptr;
-  if (v == nullptr) return true;
-  if (!v->is_number())
-    return fail(err, path + "." + key + ": expected number");
-  *out = v->as_int();
+  return v == nullptr || int_from_json(*v, path + "." + key, lo, hi, out, err);
+}
+
+// get_int_field for an int destination.
+bool get_int_field(const Json& obj, const std::string& path,
+                   const std::string& key, long long lo, long long hi,
+                   int* out, std::string* err) {
+  long long v = *out;
+  if (!get_int_field(obj, path, key, lo, hi, &v, err)) return false;
+  *out = static_cast<int>(v);
   return true;
 }
 
@@ -105,18 +116,22 @@ bool get_bool_field(const Json& obj, const std::string& path,
 }
 
 bool get_int_list(const Json& obj, const std::string& path,
-                  const std::string& key, std::vector<int>* out,
-                  std::string* err) {
+                  const std::string& key, long long lo, long long hi,
+                  std::vector<int>* out, std::string* err) {
   const Json* v = obj.find(key);
   if (v == nullptr) return true;
-  if (!v->is_array())
-    return fail(err, path + "." + key + ": expected array of numbers");
+  const std::string kp = path + "." + key;
+  if (!v->is_array()) return fail(err, kp + ": expected array of numbers");
+  if (v->size() > kMaxDseAxis)
+    return fail(err, kp + ": at most " + std::to_string(kMaxDseAxis) +
+                         " entries");
   out->clear();
   for (std::size_t i = 0; i < v->size(); ++i) {
-    if (!v->at(i).is_number())
-      return fail(err, path + "." + key + "[" + std::to_string(i) +
-                           "]: expected number");
-    out->push_back(static_cast<int>(v->at(i).as_int()));
+    long long x = 0;
+    if (!int_from_json(v->at(i), kp + "[" + std::to_string(i) + "]", lo, hi,
+                       &x, err))
+      return false;
+    out->push_back(static_cast<int>(x));
   }
   return true;
 }
@@ -155,6 +170,19 @@ bool interface_from_name(const std::string& s, hls::InterfaceKind* out) {
 }
 
 }  // namespace
+
+bool int_from_json(const Json& j, const std::string& path, long long lo,
+                   long long hi, long long* out, std::string* err) {
+  if (!j.is_number()) return fail(err, path + ": expected number");
+  const double d = j.as_double();
+  if (!(d >= static_cast<double>(lo) && d <= static_cast<double>(hi)) ||
+      d != std::trunc(d))
+    return fail(err, path + ": expected an integer in [" +
+                         std::to_string(lo) + ", " + std::to_string(hi) +
+                         "]");
+  *out = static_cast<long long>(d);
+  return true;
+}
 
 Json directives_to_json(const hls::Directives& dir) {
   Json j = Json::object();
@@ -215,6 +243,8 @@ bool directives_from_json(const Json& j, hls::Directives* out,
   if (!get_num_field(j, path, "clock_period_ns", &dir.clock_period_ns,
                      nullptr, err))
     return false;
+  if (!(std::isfinite(dir.clock_period_ns) && dir.clock_period_ns > 0))
+    return fail(err, path + ".clock_period_ns: must be finite and > 0");
   if (const Json* loops = j.find("loops")) {
     if (!want_object(*loops, path + ".loops", err)) return false;
     for (const auto& [label, ld] : loops->items()) {
@@ -222,13 +252,10 @@ bool directives_from_json(const Json& j, hls::Directives* out,
       if (!want_object(ld, lp, err)) return false;
       if (!check_keys(ld, lp, {"unroll", "pipeline_ii"}, err)) return false;
       hls::LoopDirective d;
-      long long v = d.unroll;
-      if (!get_int_field(ld, lp, "unroll", &v, nullptr, err)) return false;
-      d.unroll = static_cast<int>(v);
-      v = d.pipeline_ii;
-      if (!get_int_field(ld, lp, "pipeline_ii", &v, nullptr, err))
+      if (!get_int_field(ld, lp, "unroll", kIntMin, kIntMax, &d.unroll, err) ||
+          !get_int_field(ld, lp, "pipeline_ii", kIntMin, kMaxPipelineIi,
+                         &d.pipeline_ii, err))
         return false;
-      d.pipeline_ii = static_cast<int>(v);
       dir.loops[label] = d;
     }
   }
@@ -272,14 +299,11 @@ bool directives_from_json(const Json& j, hls::Directives* out,
         else
           return fail(err, ap + ".mapping: expected 'registers' or 'memory'");
       }
-      long long v = d.mem_read_ports;
-      if (!get_int_field(ad, ap, "mem_read_ports", &v, nullptr, err))
+      if (!get_int_field(ad, ap, "mem_read_ports", kIntMin, kIntMax,
+                         &d.mem_read_ports, err) ||
+          !get_int_field(ad, ap, "mem_write_ports", kIntMin, kIntMax,
+                         &d.mem_write_ports, err))
         return false;
-      d.mem_read_ports = static_cast<int>(v);
-      v = d.mem_write_ports;
-      if (!get_int_field(ad, ap, "mem_write_ports", &v, nullptr, err))
-        return false;
-      d.mem_write_ports = static_cast<int>(v);
       dir.arrays[name] = d;
     }
   }
@@ -298,10 +322,9 @@ bool directives_from_json(const Json& j, hls::Directives* out,
   }
   if (!get_bool_field(j, path, "handshake", &dir.handshake, err))
     return false;
-  long long mrm = dir.max_real_multipliers;
-  if (!get_int_field(j, path, "max_real_multipliers", &mrm, nullptr, err))
+  if (!get_int_field(j, path, "max_real_multipliers", kIntMin, kIntMax,
+                     &dir.max_real_multipliers, err))
     return false;
-  dir.max_real_multipliers = static_cast<int>(mrm);
   *out = std::move(dir);
   return true;
 }
@@ -331,9 +354,9 @@ bool fxvalue_from_json(const Json& j, hls::FxValue* out, std::string* err) {
     if (!int128_from_string(im->as_string(), &v.im))
       return fail(err, "value.im: not a decimal integer: " + im->as_string());
   }
-  long long fw = 0;
-  if (!get_int_field(j, "value", "fw", &fw, nullptr, err)) return false;
-  v.fw = static_cast<int>(fw);
+  if (!get_int_field(j, "value", "fw", -kMaxFracWidth, kMaxFracWidth, &v.fw,
+                     err))
+    return false;
   *out = v;
   return true;
 }
@@ -433,20 +456,18 @@ bool dse_options_from_json(const Json* j, hls::DseOptions* out,
   if (!get_num_field(*j, path, "clock_period_ns", &out->clock_period_ns,
                      nullptr, err))
     return false;
-  if (!get_int_list(*j, path, "unroll_factors", &out->unroll_factors, err))
-    return false;
-  if (!get_int_list(*j, path, "pipeline_iis", &out->pipeline_iis, err))
+  if (!get_int_list(*j, path, "unroll_factors", kIntMin, kIntMax,
+                    &out->unroll_factors, err) ||
+      !get_int_list(*j, path, "pipeline_iis", kIntMin, kMaxPipelineIi,
+                    &out->pipeline_iis, err))
     return false;
   if (!get_bool_field(*j, path, "try_merge", &out->try_merge, err))
     return false;
   if (!get_bool_field(*j, path, "try_no_merge", &out->try_no_merge, err))
     return false;
   if (!get_bool_field(*j, path, "prune", &out->prune, err)) return false;
-  long long mc = out->max_configs;
-  if (!get_int_field(*j, path, "max_configs", &mc, nullptr, err))
-    return false;
-  out->max_configs = static_cast<int>(mc);
-  return true;
+  return get_int_field(*j, path, "max_configs", kIntMin, kIntMax,
+                       &out->max_configs, err);
 }
 
 bool cosim_options_from_json(const Json* j, hls::CosimOptions* out,
@@ -457,18 +478,14 @@ bool cosim_options_from_json(const Json* j, hls::CosimOptions* out,
   if (!check_keys(*j, path, {"block_size", "mismatch_limit", "lanes"}, err))
     return false;
   long long v = static_cast<long long>(out->block_size);
-  if (!get_int_field(*j, path, "block_size", &v, nullptr, err)) return false;
-  if (v < 1) return fail(err, path + ".block_size: must be >= 1");
+  if (!get_int_field(*j, path, "block_size", 1, kMaxJsonInt, &v, err))
+    return false;
   out->block_size = static_cast<std::size_t>(v);
   v = static_cast<long long>(out->mismatch_limit);
-  if (!get_int_field(*j, path, "mismatch_limit", &v, nullptr, err))
+  if (!get_int_field(*j, path, "mismatch_limit", 0, kMaxJsonInt, &v, err))
     return false;
-  if (v < 0) return fail(err, path + ".mismatch_limit: must be >= 0");
   out->mismatch_limit = static_cast<std::size_t>(v);
-  v = out->lanes;
-  if (!get_int_field(*j, path, "lanes", &v, nullptr, err)) return false;
-  out->lanes = static_cast<int>(v);
-  return true;
+  return get_int_field(*j, path, "lanes", kIntMin, kIntMax, &out->lanes, err);
 }
 
 Json cosim_result_to_json(const hls::CosimResult& r) {

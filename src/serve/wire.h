@@ -15,6 +15,19 @@
 //  * Unknown keys are rejected (typo'd directive names would otherwise
 //    silently synthesize the default architecture — the one result the
 //    submitter did not ask for).
+//  * Every integer a peer sends goes through int_from_json: it must be an
+//    integral number inside the destination's range, never a fraction or
+//    an out-of-range value cast down. Tighter bounds where a value feeds
+//    arithmetic or enumeration:
+//      - loops.<label>.pipeline_ii and each pipeline_iis entry <= 65535
+//        (the schedule multiplies II by the trip count in int);
+//      - value.fw within [-63, 63] (fixed-point conversion shifts a
+//        128-bit raw value by the difference of two fws);
+//      - at most 64 entries in each of unroll_factors and pipeline_iis
+//        (dse enumerates their full product);
+//      - request ids, block_size and mismatch_limit within 2^53 in
+//        magnitude, the integers a JSON number carries exactly.
+//  * clock_period_ns must be finite and > 0.
 #pragma once
 
 #include <string>
@@ -28,6 +41,18 @@
 #include "obs/json.h"
 
 namespace hlsw::serve {
+
+// Bounds of the checked integer reads (see the conventions above).
+inline constexpr long long kMaxPipelineIi = 65535;
+inline constexpr long long kMaxFracWidth = 63;
+inline constexpr std::size_t kMaxDseAxis = 64;
+inline constexpr long long kMaxJsonInt = 1LL << 53;
+
+// The checked integer read: true and *out set when `j` is an integral
+// number in [lo, hi] (|lo|, |hi| <= 2^53, where doubles are exact);
+// otherwise false with "<path>: ..." in *err.
+bool int_from_json(const obs::Json& j, const std::string& path, long long lo,
+                   long long hi, long long* out, std::string* err);
 
 // ---- Directives ----
 obs::Json directives_to_json(const hls::Directives& dir);

@@ -340,9 +340,6 @@ std::string emit_tape(std::ostream& os, const CompiledDesign& cd, int tape,
         push(cond + " != 0 ? " + tv + " : " + ev);
         break;
       }
-      case TOp::kTime:
-        stk.push_back("(0ull)");
-        break;
       case TOp::kLoadElemSx:
         push("sx(ldel(" + arr(o.a) + ", " + alen(o.a) + ", (i64)" + pop() +
              ", l), " + W + ") & " + I);
@@ -480,10 +477,6 @@ bool tape_reads_scalar(const TOp& o) {
 void emit_proc(std::ostream& os, const CompiledDesign& cd, std::size_t p) {
   const std::size_t entry = static_cast<std::size_t>(cd.procs[p].entry);
   const std::size_t end = proc_end(cd, p);
-  int repeat_depth = 0;
-  for (std::size_t pc = entry; pc < end; ++pc)
-    if (cd.prog[pc].code == PInstr::kRepeatInit) ++repeat_depth;
-  const std::string D = std::to_string(repeat_depth);
 
   // Contexts hold disjoint non-empty lane sets, so at most kL exist at
   // once and fixed arrays replace the oracle's vector.
@@ -492,8 +485,6 @@ void emit_proc(std::ostream& os, const CompiledDesign& cd, std::size_t p) {
         "  u64 pl[kL]; u64 ixp[kL];\n"
         "  (void)wk_m; (void)wk_pc; (void)wsp; (void)npc;\n"
         "  (void)pl; (void)ixp; (void)budget;\n";
-  if (repeat_depth > 0)
-    os << "  i64 reps[kL * " << D << "]; int rsp[kL] = {};\n";
   int tmp = 0;
   const char* ind = "      ";  // tape statements sit inside the lane loop
   for (std::size_t pc = entry; pc < end; ++pc) {
@@ -652,41 +643,6 @@ void emit_proc(std::ostream& os, const CompiledDesign& cd, std::size_t p) {
               "    m = gm[0];\n"
               "    npc = gpc[0];\n"
               "    goto dispatch;\n";
-        break;
-      case PInstr::kRepeatInit: {
-        const TapeRef& t = cd.tapes[static_cast<std::size_t>(in.t0)];
-        os << "    for (int l = 0; l < kL; ++l) {\n";
-        const std::string v = emit_tape(os, cd, in.t0, tmp, ind);
-        os << "      if ((m >> l) & 1) reps[l * " << D << " + rsp[l]++] = ";
-        if (t.sgn)
-          os << "sgn64(" << v << ", " << static_cast<int>(t.w) << ");\n";
-        else
-          os << "(i64)" << v << ";\n";
-        os << "    }\n";
-        break;
-      }
-      case PInstr::kRepeatTest:
-        os << "    u64 cont = 0;\n"
-              "    for (int l = 0; l < kL; ++l) {\n"
-              "      if (!((m >> l) & 1)) continue;\n"
-              "      i64& bk = reps[l * "
-           << D
-           << " + rsp[l] - 1];\n"
-              "      if (bk > 0) { --bk; cont |= 1ull << l; } else { "
-              "--rsp[l]; }\n"
-              "    }\n"
-              "    const u64 ex = m & ~cont;\n"
-              "    if (ex == m) goto L"
-           << in.a
-           << ";\n"
-              "    if (ex != 0) { ++S->div_splits; wk_pc[wsp] = "
-           << A << "; wk_m[wsp] = ex; ++wsp; m = cont; }\n";
-        break;
-      case PInstr::kDisplay:
-      case PInstr::kDumpFile:
-      case PInstr::kDumpVars:
-        // Unreachable: packed_codegen_plan refuses such plans.
-        os << "    return 1;\n";
         break;
       case PInstr::kHalt:
         os << "    if (wsp == 0) return 0;\n"
@@ -1489,15 +1445,6 @@ std::shared_ptr<const PackedCodegenModule> packed_codegen_plan(
     e.why = reason;
     c.map[key] = std::move(e);
   };
-
-  // Typed refusal: system tasks stay on the interpreter tiers, which own
-  // the display log and the VCD writer.
-  if (!plan_packable(*plan)) {
-    const std::string reason =
-        "$display/$dump system tasks stay on the interpreter backends";
-    memoize(nullptr, reason);
-    return fall(reason);
-  }
 
   auto mod = std::make_shared<PackedCodegenModule>();
   mod->plan = plan;

@@ -19,13 +19,13 @@
 // baked as static tables) and lazy nodes are forced at the peek entry
 // points.
 //
-// Fallback (silent, typed, reason recorded): the generator refuses plans
-// with $display/$dumpfile/$dumpvars (testbenches keep the interpreter
-// tiers, which own the display log and VCD writer), and any environment
-// without a working host toolchain. Simulation then degrades to the
-// compiled interpreter with fallback_reason() prefixed "codegen: ";
-// PackedDutHarness degrades to one CompiledSim per lane with a
-// "packed-codegen: " prefix.
+// Every compiled plan is a plain DUT (compile_design refuses system tasks,
+// `repeat` and `$time`, which only the event kernel runs), so the
+// generator takes any plan. Fallback (silent, typed, reason recorded) is
+// for environments without a working host toolchain or with an untrusted
+// cache directory: Simulation then degrades to the compiled interpreter
+// with fallback_reason() prefixed "codegen: "; PackedDutHarness degrades
+// to one CompiledSim per lane with a "packed-codegen: " prefix.
 //
 // Shared-object cache: artifacts live under $HLSW_VSIM_CODEGEN_CACHE as
 // <fingerprint>.{cpp,so,log}, the same content-keyed discipline as
@@ -109,11 +109,11 @@ std::string packed_codegen_source(const CompiledDesign& cd, int lanes);
 
 // Memoized generate+compile+dlopen of the engine, keyed (plan, lanes).
 // Returns nullptr with a human-readable reason in *why (may be nullptr)
-// when no toolchain exists, the default cache directory is untrusted, the
-// lane count is outside [1, kMaxLanes] or the plan has $display/$dump
-// (plan_packable). Success and failure are both memoized per (plan,
-// lanes); the toolchain and cache-directory checks are decided before the
-// memo, so fixing either is never poisoned by an earlier refusal.
+// when no toolchain exists, the default cache directory is untrusted or
+// the lane count is outside [1, kMaxLanes]. Success and failure are both
+// memoized per (plan, lanes); the toolchain and cache-directory checks
+// are decided before the memo, so fixing either is never poisoned by an
+// earlier refusal.
 std::shared_ptr<const PackedCodegenModule> packed_codegen_plan(
     const std::shared_ptr<const CompiledDesign>& plan, int lanes,
     std::string* why);
@@ -124,8 +124,7 @@ std::shared_ptr<const PackedCodegenModule> packed_codegen_plan(
 // the generated shared object. Bit-identical to L independent scalar
 // CompiledSim runs on values, arrays, lane masks and lane-summed SimStats
 // (pack_test certifies it at 1, 8 and 64 lanes). A one-lane
-// instance is Simulation's native engine. No $display/VCD support by
-// construction (such plans never reach this backend).
+// instance is Simulation's native engine.
 class PackedCodegenSim final : public PackedEngine {
  public:
   PackedCodegenSim(std::shared_ptr<const PackedCodegenModule> mod,

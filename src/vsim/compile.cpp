@@ -1,17 +1,13 @@
 #include "vsim/compile.h"
 
 #include <algorithm>
-#include <cctype>
 #include <mutex>
-#include <set>
-#include <sstream>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "rtl/vcd.h"
 
 namespace hlsw::vsim {
 
@@ -292,11 +288,8 @@ struct TapeBuilder {
         return;
       }
       case ExprKind::kSysCall:
-        if (e.name == "$time") {
-          op(TOp::kTime);
-          ext(64, W, S);
-          return;
-        }
+        // Simulation time is the event kernel's; nothing advances it here.
+        if (e.name == "$time") fallback("$time");
         // $signed/$unsigned: self-determined argument, reinterpreted.
         cx_self(*e.kids[0]);
         ext(e.self_w, W, S);
@@ -312,7 +305,6 @@ struct TapeBuilder {
       case TOp::kLoad:
       case TOp::kLoadSx:
       case TOp::kLoadTr:
-      case TOp::kTime:
       case TOp::kRangeL:
       case TOp::kLoadShlC:
         return 1;
@@ -594,14 +586,12 @@ struct TapeBuilder {
   // Seals the ops emitted since `begin` into a registered TapeRef:
   // runs the superinstruction peephole, appends the kHalt sentinel the
   // interpreter loop stops on and sizes the shared evaluation stack.
-  int finish_tape(std::uint32_t begin, int w, bool sgn) {
+  int finish_tape(std::uint32_t begin) {
     compact(begin);
     op(TOp::kHalt);
     TapeRef t;
     t.begin = begin;
     t.len = static_cast<std::uint32_t>(cd->ops.size()) - begin;
-    t.w = static_cast<std::uint8_t>(w);
-    t.sgn = sgn;
     int depth = 0, max_depth = 0;
     for (std::uint32_t i = begin; i < begin + t.len; ++i) {
       depth += delta(cd->ops[i].code);
@@ -615,7 +605,7 @@ struct TapeBuilder {
   int make_tape(const Expr& e, int W, bool S) {
     const auto begin = static_cast<std::uint32_t>(cd->ops.size());
     cx(e, W, S);
-    return finish_tape(begin, e.self_w, e.self_sgn);
+    return finish_tape(begin);
   }
 
   int make_tape_self(const Expr& e) { return make_tape(e, e.self_w, e.self_sgn); }
@@ -625,7 +615,7 @@ struct TapeBuilder {
   int make_index_tape(const Expr& e) {
     const auto begin = static_cast<std::uint32_t>(cd->ops.size());
     cx_index(e);
-    return finish_tape(begin, 64, e.self_sgn);
+    return finish_tape(begin);
   }
 };
 
@@ -767,111 +757,7 @@ struct ProgBuilder {
       tb->op(TOp::kEq);
       if (i > 0) tb->op(TOp::kOr);
     }
-    return tb->finish_tape(begin, 1, false);
-  }
-
-  void sys_task(const Stmt& st) {
-    const std::string& c = st.callee;
-    if (c == "$display" || c == "$write") {
-      PInstr in;
-      in.code = PInstr::kDisplay;
-      in.a = build_display(st);
-      emit(in);
-      return;
-    }
-    if (c == "$dumpfile") {
-      if (!st.args.empty() && st.args[0]->kind == ExprKind::kString) {
-        PInstr in;
-        in.code = PInstr::kDumpFile;
-        in.a = static_cast<std::int32_t>(cd->dumpfiles.size());
-        cd->dumpfiles.push_back(st.args[0]->str);
-        emit(in);
-      }
-      return;
-    }
-    if (c == "$dumpvars") {
-      PInstr in;
-      in.code = PInstr::kDumpVars;
-      emit(in);
-      return;
-    }
-    if (c == "$finish" || c == "$stop")
-      fallback(c + " interactivity");
-    fallback("unsupported system task '" + c + "'");
-  }
-
-  int build_display(const Stmt& st) {
-    DisplayEntry e;
-    if (st.args.empty() || st.args[0]->kind != ExprKind::kString) {
-      e.bare = true;
-      for (const auto& a : st.args) {
-        if (a->kind == ExprKind::kString)
-          fallback("string literal used as a value");
-        DisplayEntry::Arg da;
-        da.tape = tb->make_tape_self(*a);
-        da.w = a->self_w;
-        da.sgn = a->self_sgn;
-        e.args.push_back(std::move(da));
-      }
-    } else {
-      const std::string& fmt = st.args[0]->str;
-      std::size_t next_arg = 1;
-      auto bind = [&](bool want_string) -> int {
-        if (next_arg >= st.args.size())
-          fallback("$display format has more specifiers than arguments");
-        const Expr& a = *st.args[next_arg++];
-        DisplayEntry::Arg da;
-        if (want_string) {
-          if (a.kind != ExprKind::kString) fallback("%s needs a string argument");
-          da.str = a.str;
-        } else {
-          if (a.kind == ExprKind::kString)
-            fallback("string literal used as a value");
-          da.tape = tb->make_tape_self(a);
-          da.w = a.self_w;
-          da.sgn = a.self_sgn;
-        }
-        e.args.push_back(std::move(da));
-        return static_cast<int>(e.args.size()) - 1;
-      };
-      std::string lit;
-      auto flush_lit = [&] {
-        if (lit.empty()) return;
-        DisplayEntry::Piece p;
-        p.lit = std::move(lit);
-        lit.clear();
-        e.pieces.push_back(std::move(p));
-      };
-      for (std::size_t i = 0; i < fmt.size(); ++i) {
-        if (fmt[i] != '%') {
-          lit.push_back(fmt[i]);
-          continue;
-        }
-        ++i;
-        while (i < fmt.size() &&
-               std::isdigit(static_cast<unsigned char>(fmt[i])))
-          ++i;
-        if (i >= fmt.size()) fallback("dangling '%' in $display format");
-        const char c =
-            static_cast<char>(std::tolower(static_cast<unsigned char>(fmt[i])));
-        if (c == '%') {
-          lit.push_back('%');
-          continue;
-        }
-        if (c != 'd' && c != 't' && c != 'h' && c != 'x' && c != 'b' &&
-            c != 's')
-          fallback(std::string("unsupported $display format specifier '%") +
-                   c + "'");
-        flush_lit();
-        DisplayEntry::Piece p;
-        p.spec = c == 'x' ? 'h' : c;
-        p.arg = bind(c == 's');
-        e.pieces.push_back(std::move(p));
-      }
-      flush_lit();
-    }
-    cd->displays.push_back(std::move(e));
-    return static_cast<int>(cd->displays.size()) - 1;
+    return tb->finish_tape(begin);
   }
 
   void stmt(const Stmt& st) {
@@ -937,31 +823,17 @@ struct ProgBuilder {
         for (const int j : exits) cd->prog[static_cast<size_t>(j)].a = size();
         return;
       }
-      case StmtKind::kRepeat: {
-        PInstr init;
-        init.code = PInstr::kRepeatInit;
-        init.t0 = tb->make_index_tape(*st.cond);
-        emit(init);
-        PInstr test;
-        test.code = PInstr::kRepeatTest;
-        const int t = emit(test);
-        stmt(*st.sub[0]);
-        PInstr jmp;
-        jmp.code = PInstr::kJump;
-        jmp.a = t;
-        emit(jmp);
-        cd->prog[static_cast<size_t>(t)].a = size();
-        return;
-      }
+      // Testbench constructs: the event kernel owns them.
+      case StmtKind::kRepeat:
+        fallback("repeat loop");
+      case StmtKind::kSysTask:
+        fallback("system task " + st.callee);
       case StmtKind::kForever:
         fallback("forever loop");
       case StmtKind::kEventCtrl:
         fallback("event control inside a process body");
       case StmtKind::kDelay:
         fallback("# delay");
-      case StmtKind::kSysTask:
-        sys_task(st);
-        return;
       case StmtKind::kNull:
         return;
       case StmtKind::kTaskCall:
@@ -1152,55 +1024,48 @@ std::shared_ptr<const CompiledDesign> compile_design(
     // is equivalent unless the spliced expression reads a signal some
     // process blocking-writes (the tape could then run mid-proc between
     // the write and the next flush and see the new value where the stored
-    // wire would still be stale) — such producers stay eager. VCD dumping
-    // observes every wire, so a design that can start dumping fuses
-    // nothing.
+    // wire would still be stale) — such producers stay eager.
     cd->node_of.assign(nsig, -1);
     for (std::size_t ai = 0; ai < A; ++ai)
       cd->node_of[static_cast<size_t>(cd->nodes[ai].target)] =
           static_cast<std::int32_t>(ai);
     cd->node_lazy.assign(A, 0);
-    bool can_dump = false;
-    for (const PInstr& in : cd->prog)
-      if (in.code == PInstr::kDumpVars) can_dump = true;
 
-    std::vector<char> live(nsig, static_cast<char>(can_dump ? 1 : 0));
+    std::vector<char> live(nsig, 0);
     std::vector<std::int32_t> reads(nsig, 0);  // load sites across all tapes
     std::vector<char> blocked(nsig, 0);        // blocking-write targets
-    if (!can_dump) {
-      for (const TOp& o : cd->ops)
-        if (reads_scalar(o) || reads_array(o))
-          ++reads[static_cast<size_t>(o.a)];
-      for (const PInstr& in : cd->prog) {
-        switch (in.code) {
-          case PInstr::kCaseJump:
-          case PInstr::kJumpIfFalseSig:
-          case PInstr::kNbBit:  // commit does a read-modify-write of sig
-            live[static_cast<size_t>(in.sig)] = 1;
-            break;
-          case PInstr::kAssignCopy:
-            live[static_cast<size_t>(in.a)] = 1;
-            blocked[static_cast<size_t>(in.sig)] = 1;
-            break;
-          case PInstr::kNbCopy:
-            live[static_cast<size_t>(in.a)] = 1;
-            break;
-          case PInstr::kAssign:
-          case PInstr::kAssignConst:
-          case PInstr::kAssignElem:
-            blocked[static_cast<size_t>(in.sig)] = 1;
-            break;
-          case PInstr::kAssignBit:
-            live[static_cast<size_t>(in.sig)] = 1;
-            blocked[static_cast<size_t>(in.sig)] = 1;
-            break;
-          default:
-            break;
-        }
+    for (const TOp& o : cd->ops)
+      if (reads_scalar(o) || reads_array(o))
+        ++reads[static_cast<size_t>(o.a)];
+    for (const PInstr& in : cd->prog) {
+      switch (in.code) {
+        case PInstr::kCaseJump:
+        case PInstr::kJumpIfFalseSig:
+        case PInstr::kNbBit:  // commit does a read-modify-write of sig
+          live[static_cast<size_t>(in.sig)] = 1;
+          break;
+        case PInstr::kAssignCopy:
+          live[static_cast<size_t>(in.a)] = 1;
+          blocked[static_cast<size_t>(in.sig)] = 1;
+          break;
+        case PInstr::kNbCopy:
+          live[static_cast<size_t>(in.a)] = 1;
+          break;
+        case PInstr::kAssign:
+        case PInstr::kAssignConst:
+        case PInstr::kAssignElem:
+          blocked[static_cast<size_t>(in.sig)] = 1;
+          break;
+        case PInstr::kAssignBit:
+          live[static_cast<size_t>(in.sig)] = 1;
+          blocked[static_cast<size_t>(in.sig)] = 1;
+          break;
+        default:
+          break;
       }
-      for (const auto& [sig, ti] : trig_pairs)
-        live[static_cast<size_t>(sig)] = 1;
     }
+    for (const auto& [sig, ti] : trig_pairs)
+      live[static_cast<size_t>(sig)] = 1;
 
     // Expand node bodies in topological order so a spliced producer is
     // itself already fully expanded, tracking per node whether its
@@ -1248,93 +1113,91 @@ std::shared_ptr<const CompiledDesign> compile_design(
           out->push_back(TOp{TOp::kSext, o.w, 0, o.imm});
       }
     };
-    std::vector<char> eager_n(A, static_cast<char>(can_dump ? 1 : 0));
-    if (!can_dump) {
-      for (const std::int32_t uu : topo) {
-        if (static_cast<std::size_t>(uu) >= A) continue;
-        const std::size_t ai = static_cast<std::size_t>(uu);
-        std::vector<TOp>& out = xops[ai];
-        const TapeRef& t =
-            cd->tapes[static_cast<size_t>(cd->nodes[ai].tape)];
-        for (std::uint32_t i = t.begin; i < t.begin + t.len; ++i) {
-          const TOp& o = cd->ops[i];
-          if (o.code == TOp::kHalt) break;
-          const std::int32_t src = fusable_src(o);
-          if (src < 0) {
-            out.push_back(o);
-            if ((reads_scalar(o) || reads_array(o)) &&
-                blocked[static_cast<size_t>(o.a)])
-              tb_flag[ai] = 1;
-            continue;
-          }
-          if (tb_flag[static_cast<size_t>(src)]) tb_flag[ai] = 1;
-          splice_load(&out, o, src);
+    std::vector<char> eager_n(A, 0);
+    for (const std::int32_t uu : topo) {
+      if (static_cast<std::size_t>(uu) >= A) continue;
+      const std::size_t ai = static_cast<std::size_t>(uu);
+      std::vector<TOp>& out = xops[ai];
+      const TapeRef& t =
+          cd->tapes[static_cast<size_t>(cd->nodes[ai].tape)];
+      for (std::uint32_t i = t.begin; i < t.begin + t.len; ++i) {
+        const TOp& o = cd->ops[i];
+        if (o.code == TOp::kHalt) break;
+        const std::int32_t src = fusable_src(o);
+        if (src < 0) {
+          out.push_back(o);
+          if ((reads_scalar(o) || reads_array(o)) &&
+              blocked[static_cast<size_t>(o.a)])
+            tb_flag[ai] = 1;
+          continue;
         }
+        if (tb_flag[static_cast<size_t>(src)]) tb_flag[ai] = 1;
+        splice_load(&out, o, src);
       }
+    }
 
-      // Process tapes (NBA values/indices, conditions, $display args):
-      // same splice, in place — the tape slot is rewritten so every
-      // PInstr/display reference picks up the fused body — but only of
-      // producers whose expanded fanin is never blocking-written.
-      const std::size_t ntapes = cd->tapes.size();
-      std::vector<char> is_node_tape(ntapes, 0);
-      for (std::size_t ai = 0; ai < A; ++ai)
-        is_node_tape[static_cast<size_t>(cd->nodes[ai].tape)] = 1;
-      std::vector<TOp> pout;
-      std::vector<std::int32_t> eager_work;
-      const auto mark_eager = [&](std::int32_t n) {
-        if (n >= 0 && !eager_n[static_cast<size_t>(n)]) {
-          eager_n[static_cast<size_t>(n)] = 1;
-          eager_work.push_back(n);
-        }
-      };
-      // Read sites are final from here on: re-seals may fold loads into
-      // xL superinstructions.
-      tb.fuse_loads = true;
-      for (std::size_t ti = 0; ti < ntapes; ++ti) {
-        if (is_node_tape[ti]) continue;
-        const TapeRef t = cd->tapes[ti];  // copy: the slot is rewritten
-        pout.clear();
-        for (std::uint32_t i = t.begin; i < t.begin + t.len; ++i) {
-          const TOp& o = cd->ops[i];
-          if (o.code == TOp::kHalt) break;
-          const std::int32_t src = fusable_src(o);
-          if (src < 0 || tb_flag[static_cast<size_t>(src)]) {
-            pout.push_back(o);
-            continue;
-          }
-          splice_load(&pout, o, src);
-        }
-        // Whatever the final body loads must be stored at flush time —
-        // including loads inside just-spliced producer bodies. Scanned
-        // before sealing, so loads hidden by folding are still seen.
-        for (const TOp& o : pout)
-          if (reads_scalar(o))
-            mark_eager(cd->node_of[static_cast<size_t>(o.a)]);
-        // Unconditional re-seal (not just when a splice changed the
-        // body): load folding only applies now.
-        const auto begin = static_cast<std::uint32_t>(cd->ops.size());
-        cd->ops.insert(cd->ops.end(), pout.begin(), pout.end());
-        const int nt = tb.finish_tape(begin, t.w, t.sgn);
-        cd->tapes[ti] = cd->tapes[static_cast<size_t>(nt)];
-        cd->tapes.pop_back();
+    // Process tapes (NBA values/indices, conditions): same splice, in
+    // place — the tape slot is rewritten so every PInstr reference picks
+    // up the fused body — but only of
+    // producers whose expanded fanin is never blocking-written.
+    const std::size_t ntapes = cd->tapes.size();
+    std::vector<char> is_node_tape(ntapes, 0);
+    for (std::size_t ai = 0; ai < A; ++ai)
+      is_node_tape[static_cast<size_t>(cd->nodes[ai].tape)] = 1;
+    std::vector<TOp> pout;
+    std::vector<std::int32_t> eager_work;
+    const auto mark_eager = [&](std::int32_t n) {
+      if (n >= 0 && !eager_n[static_cast<size_t>(n)]) {
+        eager_n[static_cast<size_t>(n)] = 1;
+        eager_work.push_back(n);
       }
+    };
+    // Read sites are final from here on: re-seals may fold loads into
+    // xL superinstructions.
+    tb.fuse_loads = true;
+    for (std::size_t ti = 0; ti < ntapes; ++ti) {
+      if (is_node_tape[ti]) continue;
+      const TapeRef t = cd->tapes[ti];  // copy: the slot is rewritten
+      pout.clear();
+      for (std::uint32_t i = t.begin; i < t.begin + t.len; ++i) {
+        const TOp& o = cd->ops[i];
+        if (o.code == TOp::kHalt) break;
+        const std::int32_t src = fusable_src(o);
+        if (src < 0 || tb_flag[static_cast<size_t>(src)]) {
+          pout.push_back(o);
+          continue;
+        }
+        splice_load(&pout, o, src);
+      }
+      // Whatever the final body loads must be stored at flush time —
+      // including loads inside just-spliced producer bodies. Scanned
+      // before sealing, so loads hidden by folding are still seen.
+      for (const TOp& o : pout)
+        if (reads_scalar(o))
+          mark_eager(cd->node_of[static_cast<size_t>(o.a)]);
+      // Unconditional re-seal (not just when a splice changed the
+      // body): load folding only applies now.
+      const auto begin = static_cast<std::uint32_t>(cd->ops.size());
+      cd->ops.insert(cd->ops.end(), pout.begin(), pout.end());
+      const int nt = tb.finish_tape(begin);
+      cd->tapes[ti] = cd->tapes[static_cast<size_t>(nt)];
+      cd->tapes.pop_back();
+    }
 
-      // Eagerness is a transitive closure from what must be stored in
-      // val_ at flush time: live wires and wires whose kept load sites
-      // sit in a process tape or in another eager node's exec body.
-      // Everything outside the closure — including multi-reader wires
-      // every reader duplicated — is recomputed on demand instead.
-      for (std::size_t ai = 0; ai < A; ++ai)
-        if (live[static_cast<size_t>(cd->nodes[ai].target)])
-          mark_eager(static_cast<std::int32_t>(ai));
-      while (!eager_work.empty()) {
-        const std::int32_t n = eager_work.back();
-        eager_work.pop_back();
-        for (const TOp& o : xops[static_cast<size_t>(n)])
-          if (reads_scalar(o))
-            mark_eager(cd->node_of[static_cast<size_t>(o.a)]);
-      }
+    // Eagerness is a transitive closure from what must be stored in
+    // val_ at flush time: live wires and wires whose kept load sites
+    // sit in a process tape or in another eager node's exec body.
+    // Everything outside the closure — including multi-reader wires
+    // every reader duplicated — is recomputed on demand instead.
+    for (std::size_t ai = 0; ai < A; ++ai)
+      if (live[static_cast<size_t>(cd->nodes[ai].target)])
+        mark_eager(static_cast<std::int32_t>(ai));
+    while (!eager_work.empty()) {
+      const std::int32_t n = eager_work.back();
+      eager_work.pop_back();
+      for (const TOp& o : xops[static_cast<size_t>(n)])
+        if (reads_scalar(o))
+          mark_eager(cd->node_of[static_cast<size_t>(o.a)]);
     }
 
     cd->num_eager = 0;
@@ -1346,17 +1209,12 @@ std::shared_ptr<const CompiledDesign> compile_design(
         continue;
       }
       ++cd->num_eager;
-      if (xops[ai].empty()) {  // can_dump: nothing was expanded
-        n.exec_tape = n.tape;
-        continue;
-      }
       // Re-sealed even when no splice touched the body so the exec copy
       // gets the load-folded superinstructions the original cannot carry
       // (the original tape stays splice-grade for lazy forcing).
       const auto begin = static_cast<std::uint32_t>(cd->ops.size());
       cd->ops.insert(cd->ops.end(), xops[ai].begin(), xops[ai].end());
-      const TapeRef& orig = cd->tapes[static_cast<size_t>(n.tape)];
-      n.exec_tape = tb.finish_tape(begin, orig.w, orig.sgn);
+      n.exec_tape = tb.finish_tape(begin);
     }
 
     // Fanout CSR: signal -> *eager* assign nodes whose exec tape reads it
@@ -1476,27 +1334,7 @@ std::shared_ptr<const CompiledDesign> compiled_plan(
   return plan;
 }
 
-bool plan_packable(const CompiledDesign& cd) {
-  for (const PInstr& in : cd.prog)
-    if (in.code == PInstr::kDisplay || in.code == PInstr::kDumpFile ||
-        in.code == PInstr::kDumpVars)
-      return false;
-  return true;
-}
-
 // ---- CompiledSim ------------------------------------------------------------
-
-struct CompiledSim::Dump {
-  rtl::VcdCore core;
-  // Signals touched since the last flush ((signal, element), element -1 for
-  // scalars). Coalesced and emitted in ascending handle order at settle
-  // boundaries so the VCD records net per-slot state deltas — the same
-  // canonical form the event kernel emits, which is what makes dumps
-  // byte-identical across backends.
-  std::set<std::pair<int, long long>> pending;
-  explicit Dump(const std::string& scope)
-      : core(/*timescale_ns=*/1.0, scope, "hlsw vsim") {}
-};
 
 CompiledSim::CompiledSim(std::shared_ptr<const CompiledDesign> cd,
                          const SimConfig& cfg)
@@ -1528,7 +1366,6 @@ CompiledSim::CompiledSim(std::shared_ptr<const CompiledDesign> cd,
   }
 
   ready_.assign(cd_->procs.size(), 0);
-  reps_.resize(cd_->procs.size());
   for (std::size_t p = 0; p < cd_->procs.size(); ++p) {
     if (cd_->procs[p].initially_ready) {
       ready_[p] = 1;
@@ -1542,6 +1379,8 @@ CompiledSim::CompiledSim(std::shared_ptr<const CompiledDesign> cd,
 CompiledSim::~CompiledSim() {
   if (obs::enabled()) {
     auto& m = obs::MetricsRegistry::instance();
+    m.add("vsim.events", static_cast<double>(stats_.events));
+    m.add("vsim.nba_commits", static_cast<double>(stats_.nba_commits));
     m.add("vsim.compiled.comb_evals", static_cast<double>(comb_evals_));
     m.add("vsim.compiled.gated_evals", static_cast<double>(gated_evals_));
   }
@@ -1617,7 +1456,7 @@ std::uint64_t CompiledSim::run_tape(int tape) {
       &&lbl_kNe,        &&lbl_kLtU,    &&lbl_kLeU,    &&lbl_kGtU,
       &&lbl_kGeU,       &&lbl_kLtS,    &&lbl_kLeS,    &&lbl_kGtS,
       &&lbl_kGeS,       &&lbl_kShl,    &&lbl_kShrU,   &&lbl_kShrS,
-      &&lbl_kConcatAcc, &&lbl_kRepl,   &&lbl_kMux,    &&lbl_kTime,
+      &&lbl_kConcatAcc, &&lbl_kRepl,   &&lbl_kMux,
       &&lbl_kLoadElemSx, &&lbl_kLoadElemTr,
       &&lbl_kAddC,      &&lbl_kSubC,   &&lbl_kMulC,   &&lbl_kOrC,
       &&lbl_kXorC,      &&lbl_kShlC,   &&lbl_kConcatC,
@@ -1843,9 +1682,6 @@ std::uint64_t CompiledSim::run_tape(int tape) {
     sp -= 2;
     sp[-1] = sp[-1] != 0 ? sp[0] : sp[1];
     VSIM_NEXT;
-  VSIM_OP(kTime):
-    *sp++ = 0;  // this backend never advances time
-    VSIM_NEXT;
   VSIM_OP(kLoadElemSx): {
     const long long idx = static_cast<long long>(sp[-1]);
     const auto& a = arr_[static_cast<size_t>(op->a)];
@@ -1926,12 +1762,6 @@ std::uint64_t CompiledSim::run_tape(int tape) {
 #undef VSIM_OP
 #undef VSIM_NEXT
 
-long long CompiledSim::run_tape_signed(int tape) {
-  const TapeRef& t = cd_->tapes[static_cast<size_t>(tape)];
-  const std::uint64_t v = run_tape(tape);
-  return t.sgn ? s64(v, t.w) : static_cast<long long>(v);
-}
-
 void CompiledSim::mark_fanout(int sig) {
   const auto b = cd_->fan_index[static_cast<size_t>(sig)];
   const auto e = cd_->fan_index[static_cast<size_t>(sig) + 1];
@@ -1952,7 +1782,6 @@ void CompiledSim::set_scalar(int sig, std::uint64_t v) {
   if (old == v) return;
   val_[static_cast<size_t>(sig)] = v;
   ++stats_.events;
-  if (dumping_) dump_change(sig, -1);
   mark_fanout(sig);
   const auto b = cd_->trig_index[static_cast<size_t>(sig)];
   const auto e = cd_->trig_index[static_cast<size_t>(sig) + 1];
@@ -1981,7 +1810,6 @@ void CompiledSim::set_elem(int sig, long long index, std::uint64_t v) {
   if (a[static_cast<size_t>(index)] == v) return;
   a[static_cast<size_t>(index)] = v;
   ++stats_.events;
-  if (dumping_) dump_change(sig, index);
   mark_fanout(sig);  // element writes never wake edge waits (kernel parity)
 }
 
@@ -2035,7 +1863,6 @@ void CompiledSim::run_proc(int p) {
   running_proc_ = p;
   ready_[static_cast<size_t>(p)] = 0;
   --ready_count_;
-  auto& reps = reps_[static_cast<size_t>(p)];
   int pc = cd_->procs[static_cast<size_t>(p)].entry;
   for (;;) {
     const PInstr& in = cd_->prog[static_cast<size_t>(pc)];
@@ -2131,32 +1958,6 @@ void CompiledSim::run_proc(int p) {
         pc = (it != t.arms.end() && it->first == v) ? it->second : t.def_pc;
         break;
       }
-      case PInstr::kRepeatInit:
-        reps.push_back(run_tape_signed(in.t0));
-        ++pc;
-        break;
-      case PInstr::kRepeatTest:
-        if (reps.back() > 0) {
-          --reps.back();
-          ++pc;
-        } else {
-          reps.pop_back();
-          pc = in.a;
-        }
-        break;
-      case PInstr::kDisplay:
-        display_.push_back(
-            format_display(cd_->displays[static_cast<size_t>(in.a)]));
-        ++pc;
-        break;
-      case PInstr::kDumpFile:
-        dump_name_ = cd_->dumpfiles[static_cast<size_t>(in.a)];
-        ++pc;
-        break;
-      case PInstr::kDumpVars:
-        start_dump();
-        ++pc;
-        break;
       case PInstr::kHalt:
         running_proc_ = -1;
         return;
@@ -2183,126 +1984,10 @@ void CompiledSim::settle() {
     commit_nba();
     ++stats_.delta_cycles;
   }
-  if (dumping_) flush_dump();
 }
 
 void CompiledSim::poke(int sig, std::uint64_t value) {
   set_scalar(sig, value);
-}
-
-RunResult CompiledSim::run() {
-  obs::ScopedSpan span("vsim.run", "vsim");
-  if (span.active()) span.arg("backend", "compiled");
-  settle();
-  if (obs::enabled()) {
-    auto& m = obs::MetricsRegistry::instance();
-    m.add("vsim.events", static_cast<double>(stats_.events));
-    m.add("vsim.nba_commits", static_cast<double>(stats_.nba_commits));
-  }
-  RunResult r;
-  r.end_time = 0;
-  r.display = display_;
-  r.vcd_name = dump_name_;
-  if (dumping_) r.vcd_text = dump_->core.str(0);
-  return r;
-}
-
-std::string CompiledSim::format_display(const DisplayEntry& de) {
-  std::ostringstream os;
-  auto as_signed = [&](const DisplayEntry::Arg& a) -> long long {
-    const std::uint64_t v = run_tape(a.tape);
-    return a.sgn ? s64(v, a.w) : static_cast<long long>(v);
-  };
-  if (de.bare) {
-    for (std::size_t i = 0; i < de.args.size(); ++i) {
-      if (i) os << " ";
-      os << as_signed(de.args[i]);
-    }
-    return os.str();
-  }
-  for (const auto& p : de.pieces) {
-    if (p.spec == 0) {
-      os << p.lit;
-      continue;
-    }
-    const DisplayEntry::Arg& a = de.args[static_cast<size_t>(p.arg)];
-    switch (p.spec) {
-      case 'd':
-        os << as_signed(a);
-        break;
-      case 't':
-        os << static_cast<long long>(run_tape(a.tape));
-        break;
-      case 'h': {
-        std::ostringstream hx;
-        hx << std::hex << run_tape(a.tape);
-        os << hx.str();
-        break;
-      }
-      case 'b': {
-        const std::uint64_t v = run_tape(a.tape);
-        for (int bit = std::max(a.w, 1) - 1; bit >= 0; --bit)
-          os << ((v >> bit) & 1 ? '1' : '0');
-        break;
-      }
-      case 's':
-        os << a.str;
-        break;
-    }
-  }
-  return os.str();
-}
-
-void CompiledSim::start_dump() {
-  if (dumping_) return;
-  const Design& d = *cd_->design;
-  dump_ = std::make_unique<Dump>(d.top);
-  const auto n = d.signals.size();
-  dump_handle_.assign(n, -1);
-  dump_elem_handle_.assign(n, {});
-  // Mark everything pending rather than snapshotting the mid-slot state at
-  // the instant $dumpvars ran: the flush at the end of this time slot then
-  // records every signal's SETTLED time-0 value, which does not depend on
-  // how the engine interleaved the other time-0 processes.
-  for (std::size_t i = 0; i < n; ++i) {
-    const Signal& s = d.signals[i];
-    if (s.array_len > 0) {
-      for (int j = 0; j < s.array_len; ++j) {
-        const int h = dump_->core.add_signal(
-            s.name + "[" + std::to_string(j) + "]", s.width);
-        dump_elem_handle_[i].push_back(h);
-        dump_->pending.emplace(static_cast<int>(i), j);
-      }
-    } else {
-      const int h = dump_->core.add_signal(s.name, s.width);
-      dump_handle_[i] = h;
-      dump_->pending.emplace(static_cast<int>(i), -1);
-    }
-  }
-  dumping_ = true;
-}
-
-void CompiledSim::dump_change(int sig, long long index) const {
-  dump_->pending.emplace(sig, index);
-}
-
-void CompiledSim::flush_dump() const {
-  for (const auto& [sig, index] : dump_->pending) {
-    if (index < 0) {
-      const int h = dump_handle_[static_cast<size_t>(sig)];
-      if (h >= 0)
-        dump_->core.change(
-            0, h, static_cast<long long>(val_[static_cast<size_t>(sig)]));
-      continue;
-    }
-    const auto& hs = dump_elem_handle_[static_cast<size_t>(sig)];
-    if (index < static_cast<long long>(hs.size()))
-      dump_->core.change(
-          0, hs[static_cast<size_t>(index)],
-          static_cast<long long>(
-              arr_[static_cast<size_t>(sig)][static_cast<size_t>(index)]));
-  }
-  dump_->pending.clear();
 }
 
 }  // namespace hlsw::vsim

@@ -21,16 +21,20 @@
 // event-driven engine (compile_design returns nullptr with a reason):
 //   - explicit `#` delays or `forever` loops (time control),
 //   - nested event control inside a process body,
-//   - $finish/$stop interactivity (testbenches keep the event kernel),
+//   - testbench constructs, which only the event kernel implements: every
+//     system task ($display/$write, $dumpfile/$dumpvars, $finish/$stop),
+//     `repeat` and `$time` (the reason names the construct),
 //   - zero-delay combinational feedback (a cycle through assigns and/or
 //     blocking writes of sensitivity-triggered always blocks),
 //   - constructs the event kernel itself only rejects dynamically
 //     (string operands, register files read without a select, ...).
+// Every plan compile_design returns is therefore a plain DUT that both
+// this interpreter and the generated native engine (codegen.h) execute.
 // The dispatch lives in Simulation (sim.h): every backend but kEvent
 // selects this one when the design compiles (kPackedCodegen runs the
 // native engine generated from the same plan), silently keeping the event
-// engine otherwise. $display, VCD dumping, DutHarness pokes and SimStats
-// event/NBA accounting behave identically on both backends.
+// engine otherwise. DutHarness pokes and SimStats event/NBA accounting
+// behave identically on both backends.
 #pragma once
 
 #include <cstdint>
@@ -82,7 +86,6 @@ struct TOp {
     kConcatAcc, // pop kid, acc; push (acc << w) | kid
     kRepl,      // pop v; push v repeated a times at width w
     kMux,       // pop else_v, then_v, cond; push cond ? then_v : else_v
-    kTime,      // push current simulation time (always 0 on this backend)
     // Superinstructions, formed by the finish_tape peephole. The xC family
     // folds a kConst operand into the binop (constant in `a`, except the
     // maskless bitwise ops which keep it in `imm`); the xL family folds a
@@ -112,13 +115,10 @@ struct TOp {
 
 // A compiled expression: a [begin, begin+len) slice of CompiledDesign::ops
 // leaving one value on the stack, masked to the expression's context
-// width. `w`/`sgn` record the self-determined type for consumers that
-// need a signed reinterpretation ($display %d, repeat counts).
+// width.
 struct TapeRef {
   std::uint32_t begin = 0;
   std::uint32_t len = 0;
-  std::uint8_t w = 0;
-  bool sgn = false;
 };
 
 // One program instruction of a compiled process body.
@@ -138,11 +138,6 @@ struct PInstr {
     kJumpIfFalse, // pc = tape(t0) != 0 ? pc + 1 : a
     kJumpIfFalseSig,  // pc = val[sig] != 0 ? pc + 1 : a (ident condition)
     kCaseJump,    // pc = case_tables[a] lookup of val[sig] (FSM dispatch)
-    kRepeatInit,  // push signed tape(t0) on the repeat stack
-    kRepeatTest,  // top > 0 ? (top--, fall through) : (pop, pc = a)
-    kDisplay,     // format displays[a] against live state
-    kDumpFile,    // dump_name = dumpfiles[a]
-    kDumpVars,    // start VCD recording
     kHalt,        // body done: initial -> dead, always -> park for trigger
   };
   Code code;
@@ -151,25 +146,6 @@ struct PInstr {
   std::int32_t t1 = -1;
   std::int32_t a = 0;
   std::uint64_t imm = 0;  // kAssignConst / kNbConst payload
-};
-
-// Pre-parsed $display/$write call: literal pieces interleaved with
-// conversion specs, each spec bound to a compiled argument tape.
-struct DisplayEntry {
-  struct Arg {
-    int tape = -1;  // -1 for string arguments
-    int w = 0;
-    bool sgn = false;
-    std::string str;
-  };
-  struct Piece {
-    std::string lit;   // literal text when spec == 0
-    char spec = 0;     // 'd', 't', 'h', 'b', 's' (lowercased)
-    int arg = -1;
-  };
-  bool bare = false;   // $display(expr, ...) without a format string
-  std::vector<Piece> pieces;
-  std::vector<Arg> args;
 };
 
 // The immutable compiled form of one Design. Shared (like the Design
@@ -202,8 +178,7 @@ struct CompiledDesign {
   // no other eager assign) — typically an output port at the end of a
   // fused chain — so it is excluded from delta scheduling entirely and
   // recomputed on demand by CompiledSim::peek. num_eager counts the nodes
-  // that still run in flush_comb. Designs that can start VCD dumping keep
-  // every node eager and unfused (the dump observes every wire).
+  // that still run in flush_comb.
   std::vector<std::int32_t> node_of;
   std::vector<std::uint8_t> node_lazy;
   int num_eager = 0;
@@ -242,9 +217,6 @@ struct CompiledDesign {
   };
   std::vector<CaseTable> case_tables;
 
-  std::vector<DisplayEntry> displays;
-  std::vector<std::string> dumpfiles;
-
   std::vector<std::uint64_t> sig_mask;  // per-signal width mask
 };
 
@@ -262,18 +234,13 @@ std::shared_ptr<const CompiledDesign> compile_design(
 std::shared_ptr<const CompiledDesign> compiled_plan(
     const std::shared_ptr<const Design>& design, std::string* why);
 
-// True when the plan can execute under a lane-packed engine (vsim/pack.h):
-// the native engine supports neither $display nor VCD dumping, so a plan
-// touching either must stay on the scalar backends. Shared by vsim_sweep's
-// lane routing, profile_run's packed auto-selection and the native
-// engine's refusal.
-bool plan_packable(const CompiledDesign& cd);
-
 // The cycle-based execution engine over one CompiledDesign. Mirrors the
 // externally observable behavior of the event kernel: poke/settle
 // delta-cycle semantics (flush changed comb cone in level order, run the
-// lowest-index ready process, commit NBAs in assignment order, repeat),
-// $display logs, VCD text, and SimStats events/nba_commits/delta_cycles.
+// lowest-index ready process, commit NBAs in assignment order, repeat)
+// and SimStats events/nba_commits/delta_cycles. Time never advances on
+// this engine. Its event and commit totals reach the metrics registry as
+// vsim.events / vsim.nba_commits when it is destroyed.
 class CompiledSim {
  public:
   CompiledSim(std::shared_ptr<const CompiledDesign> cd, const SimConfig& cfg);
@@ -293,11 +260,8 @@ class CompiledSim {
   long long peek_signed(int sig) const;
   std::uint64_t peek_elem(int sig, int index) const;
   void settle();
-  RunResult run();  // no timers on this backend: settle and report
 
-  long long now() const { return 0; }
   const SimStats& stats() const { return stats_; }
-  const std::vector<std::string>& display_log() const { return display_; }
 
   // Activity-gating observability (also flushed to MetricsRegistry as
   // vsim.compiled.comb_evals / vsim.compiled.gated_evals on destruction).
@@ -307,7 +271,6 @@ class CompiledSim {
  private:
   [[noreturn]] void fail_budget(int proc) const;
   std::uint64_t run_tape(int tape);
-  long long run_tape_signed(int tape);
   void set_scalar(int sig, std::uint64_t v);
   void set_elem(int sig, long long index, std::uint64_t v);
   void force_lazy(int node);
@@ -316,10 +279,6 @@ class CompiledSim {
   void flush_comb();
   void commit_nba();
   void run_proc(int p);
-  std::string format_display(const DisplayEntry& d);
-  void start_dump();
-  void dump_change(int sig, long long index) const;
-  void flush_dump() const;
 
   std::shared_ptr<const CompiledDesign> cd_;
   SimConfig cfg_;
@@ -335,7 +294,6 @@ class CompiledSim {
   std::vector<char> ready_;
   int ready_count_ = 0;
   int running_proc_ = -1;
-  std::vector<std::vector<long long>> reps_;  // per-proc repeat stacks
 
   struct NbaEntry {
     int sig;
@@ -349,13 +307,6 @@ class CompiledSim {
   SimStats stats_;
   long long comb_evals_ = 0;
   long long gated_evals_ = 0;
-  std::vector<std::string> display_;
-  std::string dump_name_;
-  bool dumping_ = false;
-  struct Dump;  // rtl::VcdCore, pimpl'd like the event kernel's
-  std::unique_ptr<Dump> dump_;
-  std::vector<int> dump_handle_;
-  std::vector<std::vector<int>> dump_elem_handle_;
 };
 
 }  // namespace hlsw::vsim

@@ -366,9 +366,9 @@ hls::CosimResult vsim_sweep(const hls::Function& f, const hls::Schedule& s,
   const int lanes = std::clamp(opts.lanes, 1, kMaxLanes);
   if (lanes > 1 && cfg.backend != Backend::kEvent) {
     std::string why;
-    if (auto plan = compiled_plan(design, &why); plan && plan_packable(*plan))
+    if (auto plan = compiled_plan(design, &why))
       return vsim_sweep_packed(f, plan, vectors, opts, cfg, lanes);
-    // Not cycle-schedulable (or a dumping design): scalar fallback below.
+    // Not cycle-schedulable: scalar fallback below.
   }
   return hls::cosim_sweep(interp_factory(f), vsim_factory(f, design, cfg),
                           vectors, opts);

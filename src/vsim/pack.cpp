@@ -5,8 +5,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "obs/metrics.h"
-#include "obs/trace.h"
 #include "rtl/testbench.h"
 #include "vsim/codegen.h"
 
@@ -45,14 +43,6 @@ class CompiledLanes final : public PackedEngine {
   }
   CompiledLanes(const CompiledLanes&) = delete;
   CompiledLanes& operator=(const CompiledLanes&) = delete;
-  ~CompiledLanes() override {
-    if (obs::enabled()) {
-      const SimStats& s = stats();
-      auto& m = obs::MetricsRegistry::instance();
-      m.add("vsim.events", static_cast<double>(s.events));
-      m.add("vsim.nba_commits", static_cast<double>(s.nba_commits));
-    }
-  }
 
   int lanes() const override { return static_cast<int>(lanes_.size()); }
   std::uint64_t full_mask() const override { return full_mask_; }

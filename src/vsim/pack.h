@@ -82,12 +82,12 @@ class PackedEngine {
 };
 
 // Builds the lane-packed engine `cfg.backend` selects for `plan`. kAuto and
-// kPackedCodegen select the generated native engine (codegen.h); without a
-// host toolchain, or for a plan it refuses, they fall back to L scalar
-// CompiledSims behind this interface and store the native tier's refusal,
-// prefixed "packed-codegen: ", in *fallback_reason. kCompiled and kEvent
-// select the per-lane CompiledSims directly. Throws when `lanes` is
-// outside [1, kMaxLanes].
+// kPackedCodegen select the generated native engine (codegen.h), which
+// takes every compiled plan; without a usable host toolchain they fall
+// back to L scalar CompiledSims behind this interface and store the native
+// tier's reason, prefixed "packed-codegen: ", in *fallback_reason.
+// kCompiled and kEvent select the per-lane CompiledSims directly. Throws
+// when `lanes` is outside [1, kMaxLanes].
 std::unique_ptr<PackedEngine> make_packed_engine(
     const std::shared_ptr<const CompiledDesign>& plan, int lanes,
     const SimConfig& cfg, std::string* fallback_reason);

@@ -181,12 +181,6 @@ ProfileRunResult profile_run(const hls::Function& f,
             "cycle-schedulable: " + why + "); compiled leg ran scalar");
         return false;
       }
-      if (!plan_packable(*plan)) {
-        r.notes.push_back(
-            "packed auto-selection unavailable ($display/$dump in the "
-            "design); compiled leg ran scalar");
-        return false;
-      }
       const std::size_t n = vectors.size();
       const std::size_t bs =
           (n + static_cast<std::size_t>(lanes) - 1) /

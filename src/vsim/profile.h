@@ -58,7 +58,8 @@ struct ProfileRunOptions {
   // perf counters are summed across lanes (every counter accumulates per
   // invocation, so the sum equals the scalar sequential measurement). The
   // choice is surfaced per leg as "lanes" in profile_run.json plus a note;
-  // unpackable designs fall back to the scalar compiled leg with a note.
+  // designs that are not cycle-schedulable fall back to the scalar
+  // compiled leg with a note.
   int lanes = 1;
   // When non-empty, write_profile_run_json() is called on the result.
   std::string report_path;

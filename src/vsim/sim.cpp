@@ -228,8 +228,7 @@ struct Simulation::Dump {
   // element -1 for scalars. Changes are coalesced here and emitted in
   // ascending (signal, element) order at time-slot boundaries, so the VCD
   // records each slot's NET state delta — independent of the order the
-  // engine happened to evaluate processes in. This is what makes the event
-  // kernel and the compiled/codegen interpreters byte-identical dumpers.
+  // engine happened to evaluate processes in.
   std::set<std::pair<int, long long>> pending;
   explicit Dump(const std::string& scope)
       : core(/*timescale_ns=*/1.0, scope, "hlsw vsim") {}
@@ -244,11 +243,10 @@ Simulation::Simulation(std::shared_ptr<const Design> design,
     // Cycle-schedulable designs run on the levelized compiled backend, or
     // on the one-lane native engine generated from the same plan when
     // kPackedCodegen asks for it (degrading to the compiled interpreter
-    // when no host toolchain is available or the design uses constructs
-    // the generator refuses: $display, VCD dumping). Everything else
-    // (delays, $finish/$stop, feedback) silently keeps the event kernel
-    // below. The plan is memoized per Design, so sweep legs and harness
-    // replays share one compilation.
+    // when no host toolchain is available). Everything else (delays,
+    // system tasks, repeat, $time, feedback) silently keeps the event
+    // kernel below. The plan is memoized per Design, so sweep legs and
+    // harness replays share one compilation.
     std::string why;
     auto plan = compiled_plan(design_, &why);
     if (cfg_.backend == Backend::kPackedCodegen) {
@@ -730,15 +728,15 @@ void Simulation::settle() {
 }
 
 RunResult Simulation::run() {
-  if (native_) {
-    // No timers on the native engine: settle and report. Its event and
-    // commit totals reach the metrics registry when the engine retires.
+  if (native_ || compiled_) {
+    // No timers, output or dumps on the cycle-based engines: settle and
+    // report. Their event and commit totals reach the metrics registry
+    // when the engine retires.
     obs::ScopedSpan span("vsim.run", "vsim");
-    if (span.active()) span.arg("backend", "codegen");
-    native_->settle();
+    if (span.active()) span.arg("backend", backend());
+    settle();
     return {};
   }
-  if (compiled_) return compiled_->run();
   obs::ScopedSpan span("vsim.run", "vsim");
   const bool metrics = obs::enabled();
   long long ev_base = stats_.events;
@@ -841,8 +839,7 @@ long long Simulation::peek_signed(int sig) const {
 }
 
 long long Simulation::now() const {
-  if (native_) return 0;
-  return compiled_ ? compiled_->now() : time_;
+  return time_;  // never advanced on the cycle-based engines
 }
 
 const SimStats& Simulation::stats() const {
@@ -851,8 +848,7 @@ const SimStats& Simulation::stats() const {
 }
 
 const std::vector<std::string>& Simulation::display_log() const {
-  if (compiled_) return compiled_->display_log();
-  return display_;  // also the native engine's: always empty
+  return display_;  // always empty on the cycle-based engines
 }
 
 const char* Simulation::backend() const {

@@ -12,7 +12,9 @@
 // system tasks — so multi-statement behavioral code (the generated
 // testbench with its tasks, repeat loops and @(edge) waits) runs without
 // recursion or coroutines. $display/$finish/$stop complete the testbench
-// contract; $dumpfile/$dumpvars record a VCD through rtl::VcdCore.
+// contract; $dumpfile/$dumpvars record a VCD through rtl::VcdCore. This
+// kernel is the only engine for those testbench constructs (with `#`,
+// `repeat` and `$time`): the cycle-based engines run plain DUTs.
 #pragma once
 
 #include <cstdint>
@@ -32,7 +34,7 @@ namespace hlsw::vsim {
 // kAuto keeps a scalar Simulation on the compiled interpreter (the default
 // path never invokes the host compiler) and lets PackedDutHarness prefer
 // the native engine. The event kernel serves whatever the levelizer
-// refuses (delays, $finish/$stop, zero-delay feedback).
+// refuses (delays, system tasks, repeat, $time, zero-delay feedback).
 enum class Backend {
   kAuto,           // Simulation: compiled; PackedDutHarness: native
   kEvent,          // stratified event kernel (sim.cpp)

@@ -31,6 +31,7 @@
 #include <regex>
 #include <stdexcept>
 
+#include "../fuzz_iters.h"
 #include "hls/builder.h"
 #include "hls/dse.h"
 #include "hls/feasibility.h"
@@ -47,19 +48,6 @@
 
 namespace hlsw::hls {
 namespace {
-
-// Iteration budget, overridable for soak runs: HLSW_FUZZ_ITERS=20000
-// ctest -L fuzz. The value scales every trial loop proportionally to its
-// default so relative coverage stays the same.
-int fuzz_iters(int dflt) {
-  if (const char* s = std::getenv("HLSW_FUZZ_ITERS")) {
-    const long v = std::strtol(s, nullptr, 10);
-    if (v > 0)
-      return static_cast<int>(
-          std::max(1L, v * dflt / 400));  // 400 = the largest default
-  }
-  return dflt;
-}
 
 struct RandomProgram {
   Function func;

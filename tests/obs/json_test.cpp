@@ -39,6 +39,12 @@ TEST(obs_json, NonIntegralNumbersRoundTrip) {
     const Json parsed = parse_ok(Json(v).dump());
     EXPECT_EQ(parsed.as_double(), v) << Json(v).dump();
   }
+  // Hand-written RFC 8259 spellings the writer never emits parse too.
+  EXPECT_EQ(parse_ok("-0").as_double(), 0.0);
+  EXPECT_EQ(parse_ok("-12.5").as_double(), -12.5);
+  EXPECT_EQ(parse_ok("1e3").as_double(), 1000.0);
+  EXPECT_EQ(parse_ok("2.5E-1").as_double(), 0.25);
+  EXPECT_EQ(parse_ok("-1.5e+2").as_double(), -150.0);
 }
 
 TEST(obs_json, CompactObjectHasNoSpaces) {
@@ -111,8 +117,13 @@ TEST(obs_json, ParseRejectsMalformedInput) {
   std::string err;
   for (const char* bad :
        {"", "{", "[1,", "{\"a\":}", "tru", "\"unterminated", "1 2",
-        "{\"a\":1} trailing", "[1 2]", "{\"a\" 1}", "nul", "+5"}) {
+        "{\"a\":1} trailing", "[1 2]", "{\"a\" 1}", "nul", "+5",
+        // Numbers outside the RFC 8259 grammar, or not finite.
+        "-nan", "-infinity", "-inf", "1e400", "-1e400", "[1e400]", "0x10",
+        "01", "-01", "1.", "-", ".5", "1e", "1e+", "1.e5"}) {
+    err.clear();
     EXPECT_FALSE(Json::parse(bad, &out, &err)) << "accepted: " << bad;
+    EXPECT_FALSE(err.empty()) << bad;
   }
 }
 

@@ -28,7 +28,6 @@ namespace {
 using hls::Directives;
 using hls::Interpreter;
 using hls::PortIo;
-using hls::PortStream;
 using hls::run_synthesis;
 using hls::TechLibrary;
 using qam::LinkConfig;
@@ -134,9 +133,9 @@ TEST(SimEquiv, RandomizedDirectiveSets) {
 }
 
 TEST(SimEquiv, StreamFormsMatchPerSymbolRun) {
-  // Batched APIs vs the per-symbol loop, identical stimulus in all three
-  // formats: outputs, cycle counts and SimStats must be bit-identical, on
-  // the pipelined architecture where the plan is most intricate.
+  // The batched API vs the per-symbol loop on identical stimulus: outputs,
+  // cycle counts and SimStats must be bit-identical, on the pipelined
+  // architecture where the plan is most intricate.
   const auto archs = qam::exploration_architectures();
   const qam::Architecture* pipe = nullptr;
   for (const auto& a : archs)
@@ -146,13 +145,11 @@ TEST(SimEquiv, StreamFormsMatchPerSymbolRun) {
                                TechLibrary::asic90());
 
   const int kSymbols = 500;
-  LinkStimulus sa((LinkConfig())), sb((LinkConfig())), sc((LinkConfig()));
+  LinkStimulus sa((LinkConfig())), sc((LinkConfig()));
   const std::vector<PortIo> batch = qam::link_input_batch(&sa, kSymbols);
-  const PortStream flat = qam::link_input_stream(&sb, kSymbols);
 
   Simulator per_symbol(r.transformed, r.schedule);
   Simulator batched(r.transformed, r.schedule);
-  Simulator streamed(r.transformed, r.schedule);
 
   std::vector<PortIo> ref;
   for (int n = 0; n < kSymbols; ++n) {
@@ -162,20 +159,13 @@ TEST(SimEquiv, StreamFormsMatchPerSymbolRun) {
     ref.push_back(per_symbol.run(io));
   }
   const std::vector<PortIo> got_batch = batched.run_stream(batch);
-  const PortStream got_flat = streamed.run_stream(flat);
 
   ASSERT_EQ(got_batch.size(), ref.size());
-  ASSERT_EQ(got_flat.symbols, kSymbols);
-  for (int n = 0; n < kSymbols; ++n) {
+  for (int n = 0; n < kSymbols; ++n)
     expect_same_io(ref[static_cast<size_t>(n)],
                    got_batch[static_cast<size_t>(n)], "run_stream(batch)", n);
-    expect_same_io(ref[static_cast<size_t>(n)], got_flat.symbol(n),
-                   "run_stream(flat)", n);
-  }
   EXPECT_TRUE(per_symbol.stats() == batched.stats());
-  EXPECT_TRUE(per_symbol.stats() == streamed.stats());
   EXPECT_EQ(per_symbol.cycles(), batched.cycles());
-  EXPECT_EQ(per_symbol.cycles(), streamed.cycles());
 }
 
 TEST(SimEquiv, StreamFormsWorkOnLegacyPathToo) {
@@ -186,16 +176,18 @@ TEST(SimEquiv, StreamFormsWorkOnLegacyPathToo) {
                                TechLibrary::asic90());
   const int kSymbols = 200;
   LinkStimulus sa((LinkConfig())), sb((LinkConfig()));
-  const PortStream flat = qam::link_input_stream(&sa, kSymbols);
-  const std::vector<PortIo> batch = qam::link_input_batch(&sb, kSymbols);
+  const std::vector<PortIo> batch_l = qam::link_input_batch(&sa, kSymbols);
+  const std::vector<PortIo> batch_c = qam::link_input_batch(&sb, kSymbols);
 
   Simulator legacy(r.transformed, r.schedule, {.compiled = false});
   Simulator compiled(r.transformed, r.schedule);
-  const PortStream out_l = legacy.run_stream(flat);
-  const std::vector<PortIo> out_c = compiled.run_stream(batch);
-  ASSERT_EQ(out_l.symbols, kSymbols);
+  const std::vector<PortIo> out_l = legacy.run_stream(batch_l);
+  const std::vector<PortIo> out_c = compiled.run_stream(batch_c);
+  ASSERT_EQ(out_l.size(), static_cast<std::size_t>(kSymbols));
+  ASSERT_EQ(out_c.size(), static_cast<std::size_t>(kSymbols));
   for (int n = 0; n < kSymbols; ++n)
-    expect_same_io(out_l.symbol(n), out_c[static_cast<size_t>(n)],
+    expect_same_io(out_l[static_cast<size_t>(n)],
+                   out_c[static_cast<size_t>(n)],
                    "legacy-stream vs compiled-batch", n);
   EXPECT_TRUE(legacy.stats() == compiled.stats());
 }
@@ -205,9 +197,8 @@ TEST(SimEquiv, MissingStreamPortThrows) {
   const auto r = run_synthesis(qam::build_qam_decoder_ir(), a.dir,
                                TechLibrary::asic90());
   Simulator sim(r.transformed, r.schedule);
-  PortStream in;
-  in.symbols = 3;  // no "x_in" channel bound
-  EXPECT_THROW(sim.run_stream(in), std::invalid_argument);
+  // No "x_in" port bound.
+  EXPECT_THROW(sim.run_stream({PortIo{}}), std::invalid_argument);
 }
 
 }  // namespace

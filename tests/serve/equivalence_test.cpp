@@ -7,6 +7,7 @@
 // silently corrupt.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <unistd.h>
 #include <vector>
@@ -107,6 +108,116 @@ TEST(WireCodec, VectorsRoundTripFullWidthRawValuesExactly) {
   std::vector<hls::PortIo> back2;
   ASSERT_TRUE(vectors_from_json(reparsed, &back2, &err)) << err;
   EXPECT_TRUE(back2[0].arrays.at("a") == vectors[0].arrays.at("a"));
+}
+
+// A clock that is not finite and positive never reaches the scheduler: a
+// NaN budget never fits any op (placement grows without end) and an
+// infinite one reports a latency of 0 ns.
+TEST(WireCodec, DirectivesRefuseClocksThatAreNotFiniteAndPositive) {
+  for (const double clock : {std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::quiet_NaN(), 0.0,
+                             -2.0}) {
+    hls::Directives dir;
+    std::string err;
+    EXPECT_FALSE(directives_from_json(
+        Json::object().set("clock_period_ns", clock), &dir, &err))
+        << clock;
+    EXPECT_NE(err.find("directives.clock_period_ns"), std::string::npos)
+        << err;
+  }
+  hls::Directives dir;
+  std::string err;
+  EXPECT_TRUE(directives_from_json(
+      Json::object().set("clock_period_ns", 2.5), &dir, &err))
+      << err;
+  EXPECT_EQ(dir.clock_period_ns, 2.5);
+}
+
+// Integers from a peer must be integral and inside the destination's
+// range (plus the documented bounds): a cast of 1e30 is undefined, 2^32+2
+// and 2.7 would silently become 2.
+TEST(WireCodec, IntegersMustBeIntegralAndInRange) {
+  const auto loops = [](const char* key, Json v) {
+    return Json::object().set(
+        "loops", Json::object().set("ffe", Json::object().set(key, v)));
+  };
+  struct Case {
+    Json directives;
+    const char* path;
+  };
+  const Case bad_dirs[] = {
+      {loops("unroll", Json(1e30)), "directives.loops.ffe.unroll"},
+      {loops("unroll", Json(4294967298.0)), "directives.loops.ffe.unroll"},
+      {loops("unroll", Json(2.7)), "directives.loops.ffe.unroll"},
+      {loops("unroll", Json("2")), "directives.loops.ffe.unroll"},
+      {loops("pipeline_ii", Json(2147483647.0)),
+       "directives.loops.ffe.pipeline_ii"},
+      {loops("pipeline_ii", Json(65536.0)),
+       "directives.loops.ffe.pipeline_ii"},
+      {Json::object().set("max_real_multipliers", Json(-1e19)),
+       "directives.max_real_multipliers"},
+  };
+  for (const Case& c : bad_dirs) {
+    hls::Directives dir;
+    std::string err;
+    EXPECT_FALSE(directives_from_json(c.directives, &dir, &err))
+        << c.directives.dump();
+    EXPECT_EQ(err.rfind(c.path, 0), 0u) << err;
+  }
+  hls::Directives dir;
+  std::string err;
+  ASSERT_TRUE(directives_from_json(loops("pipeline_ii", Json(65535.0)), &dir,
+                                   &err))
+      << err;
+  EXPECT_EQ(dir.loops.at("ffe").pipeline_ii, 65535);
+
+  const auto value = [](double fw) {
+    return Json::object().set("re", "5").set("fw", fw);
+  };
+  hls::FxValue fx;
+  for (const double fw : {64.0, -64.0, 1e30, 3.5}) {
+    EXPECT_FALSE(fxvalue_from_json(value(fw), &fx, &err)) << fw;
+    EXPECT_EQ(err.rfind("value.fw", 0), 0u) << err;
+  }
+  ASSERT_TRUE(fxvalue_from_json(value(-63), &fx, &err)) << err;
+  EXPECT_EQ(fx.fw, -63);
+
+  Json long_axis = Json::array();
+  for (int i = 0; i < 65; ++i) long_axis.push(i + 1);
+  Json full_axis = Json::array();
+  for (int i = 0; i < 64; ++i) full_axis.push(i + 1);
+  const Case bad_opts[] = {
+      {Json::object().set("unroll_factors", long_axis),
+       "options.unroll_factors"},
+      {Json::object().set("pipeline_iis", long_axis), "options.pipeline_iis"},
+      {Json::object().set("pipeline_iis", Json::array().push(65536)),
+       "options.pipeline_iis[0]"},
+      {Json::object().set("unroll_factors", Json::array().push(2).push(1e30)),
+       "options.unroll_factors[1]"},
+      {Json::object().set("max_configs", 2.5), "options.max_configs"},
+  };
+  for (const Case& c : bad_opts) {
+    hls::DseOptions o;
+    EXPECT_FALSE(dse_options_from_json(&c.directives, &o, &err))
+        << c.directives.dump();
+    EXPECT_EQ(err.rfind(c.path, 0), 0u) << err;
+  }
+  hls::DseOptions o;
+  const Json ok_opts = Json::object()
+                           .set("unroll_factors", full_axis)
+                           .set("pipeline_iis", full_axis);
+  ASSERT_TRUE(dse_options_from_json(&ok_opts, &o, &err)) << err;
+  EXPECT_EQ(o.unroll_factors.size(), 64u);
+
+  for (const Json& bad : {Json::object().set("block_size", 0),
+                          Json::object().set("block_size", 2.5),
+                          Json::object().set("mismatch_limit", -1),
+                          Json::object().set("lanes", 1e30)}) {
+    hls::CosimOptions co;
+    EXPECT_FALSE(cosim_options_from_json(&bad, &co, &err)) << bad.dump();
+    EXPECT_EQ(err.rfind("options.", 0), 0u) << err;
+  }
 }
 
 TEST_F(EquivalenceTest, SynthMetricsMatchDirectCallExactly) {

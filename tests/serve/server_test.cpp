@@ -121,6 +121,7 @@ TEST(Server, PayloadErrorsAreTypedAndLeaveTheConnectionUsable) {
   opts.unix_path = test_socket("proto_errors");
   opts.workers = 1;
   Server server(opts);
+  server.register_design("tiny", build_tiny);
   std::string err;
   ASSERT_TRUE(server.start(&err)) << err;
 
@@ -159,7 +160,50 @@ TEST(Server, PayloadErrorsAreTypedAndLeaveTheConnectionUsable) {
       roundtrip("{\"op\": \"cosim\", \"id\": 9, \"design\": \"qam_decoder\"}"),
       "bad_params", 9);
 
-  // After ten straight protocol errors the connection still works.
+  // Integers are checked reads: a fractional or out-of-range number, or a
+  // value past the bounds in serve/wire.h, is a bad_params, never a cast.
+  expect_error(roundtrip("{\"op\": \"ping\", \"id\": 1e30}"), "bad_params",
+               0);
+  expect_error(roundtrip("{\"op\": \"ping\", \"id\": 2.5}"), "bad_params",
+               0);
+  const std::string synth = "{\"op\": \"synth\", \"design\": \"tiny\", ";
+  const auto loop = [](const char* key, const char* v) {
+    return std::string("\"directives\": {\"loops\": {\"scale\": {\"") + key +
+           "\": " + v + "}}}}";
+  };
+  expect_error(roundtrip(synth + "\"id\": 11, " + loop("unroll", "1e30")),
+               "bad_params", 11);
+  expect_error(
+      roundtrip(synth + "\"id\": 12, " + loop("unroll", "4294967298")),
+      "bad_params", 12);
+  expect_error(roundtrip(synth + "\"id\": 13, " + loop("unroll", "2.7")),
+               "bad_params", 13);
+  expect_error(
+      roundtrip(synth + "\"id\": 14, " + loop("pipeline_ii", "2147483647")),
+      "bad_params", 14);
+  const auto vectors = [](const char* fw) {
+    std::string v = "[{\"arrays\": {\"a\": [";
+    for (int i = 0; i < 4; ++i)
+      v += std::string(i ? ", " : "") + "{\"re\": \"1\", \"fw\": " +
+           (i == 3 ? fw : "0") + "}";
+    return v + "]}}]";
+  };
+  expect_error(roundtrip("{\"op\": \"cosim\", \"id\": 15, \"design\": "
+                         "\"tiny\", \"vectors\": " +
+                         vectors("64") + "}"),
+               "bad_params", 15);
+  std::string axis = "[1";
+  for (int i = 2; i <= 65; ++i) axis += ", " + std::to_string(i);
+  expect_error(roundtrip("{\"op\": \"dse\", \"id\": 16, \"design\": "
+                         "\"tiny\", \"options\": {\"unroll_factors\": " +
+                         axis + "]}}"),
+               "bad_params", 16);
+  expect_error(roundtrip("{\"op\": \"profile\", \"id\": 17, \"design\": "
+                         "\"tiny\", \"vectors\": " +
+                         vectors("0") + ", \"options\": {\"lanes\": 1e30}}"),
+               "bad_params", 17);
+
+  // After nineteen straight protocol errors the connection still works.
   const Json pong = roundtrip("{\"op\": \"ping\", \"id\": 99}");
   EXPECT_TRUE(pong.find("ok")->as_bool());
   EXPECT_EQ(pong.find("id")->as_int(), 99);

@@ -1,11 +1,12 @@
 // Backend selection and fallback behavior of the compiled cycle-based
 // vsim engine (compile.h): cycle-schedulable designs silently get the
-// levelized backend, anything with time control / $finish / zero-delay
-// feedback silently keeps the event kernel — and the two backends are
-// observably identical (values, $display text, VCD bytes, stats-visible
-// protocol) wherever both can run.
+// levelized backend, anything with time control, a testbench construct
+// (system tasks, repeat, $time) or zero-delay feedback silently keeps the
+// event kernel — and the two backends are observably identical (values,
+// stats-visible protocol) wherever both can run.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -166,48 +167,63 @@ TEST(VsimCompiled, EventBackendForcesEventKernel) {
   EXPECT_EQ(sim->fallback_reason(), "");
 }
 
-// ---- Observable-output equivalence -----------------------------------------
+// ---- Testbench constructs --------------------------------------------------
 
-TEST(VsimCompiled, DisplayOutputMatchesEventBackend) {
-  const char* src = R"(
-module m;
-  reg signed [7:0] a;
-  reg [11:0] u;
-  initial begin
-    a = -8'sd5;
-    u = 12'hABC;
-    $display("a=%d u=%h b=%b", a, u, u[3:0]);
-    $display(a, u);
-    $display("100%% done");
-  end
-endmodule
-)";
-  auto c = make_sim(src, "m");
-  auto e = make_sim(src, "m", event_cfg());
-  ASSERT_STREQ(c->backend(), "compiled");
-  const RunResult rc = c->run();
-  const RunResult re = e->run();
-  EXPECT_EQ(rc.display, re.display);
-  ASSERT_EQ(rc.display.size(), 3u);
-  EXPECT_EQ(rc.display[0], "a=-5 u=abc b=1100");
-  EXPECT_EQ(rc.display[2], "100% done");
-}
-
-TEST(VsimCompiled, VcdBytesIdenticalAcrossBackends) {
-  // External-driver session with $dumpvars: both backends must record the
-  // same signals in the same order with the same value-change bytes.
-  const char* src = R"(
+// Every system task, `repeat` and `$time` belong to the event kernel alone:
+// compile_design refuses each with a reason naming it, the default
+// Simulation runs the design on the event kernel, and the result equals an
+// explicit kEvent run in display lines, VCD text and values. Each case
+// adds its construct to one clocked design that an external driver pokes
+// for three cycles before run() reports.
+TEST(VsimCompiled, TestbenchConstructsRunOnlyOnTheEventKernel) {
+  struct Case {
+    const char* construct;
+    const char* extra;  // module items added to the base design
+    std::function<void(const Simulation&, const RunResult&)> ran;
+  };
+  const Case cases[] = {
+      {"$display", "  always @(posedge clk) $display(\"a=%d b=%b\", a, b);\n",
+       [](const Simulation&, const RunResult& r) {
+         ASSERT_EQ(r.display.size(), 3u);
+         EXPECT_EQ(r.display[0], "a=3 b=0010");
+       }},
+      {"$write", "  always @(posedge clk) $write(\"n=%h\", n + 8'hf0);\n",
+       [](const Simulation&, const RunResult& r) {
+         ASSERT_EQ(r.display.size(), 3u);
+         EXPECT_EQ(r.display[2], "n=f0");
+       }},
+      {"$dumpfile",
+       "  initial begin $dumpfile(\"wave.vcd\"); $dumpvars; end\n",
+       [](const Simulation&, const RunResult& r) {
+         EXPECT_EQ(r.vcd_name, "wave.vcd");
+         EXPECT_NE(r.vcd_text.find("$var"), std::string::npos);
+       }},
+      {"$dumpvars", "  initial $dumpvars;\n",
+       [](const Simulation&, const RunResult& r) {
+         EXPECT_EQ(r.vcd_name, "");
+         EXPECT_NE(r.vcd_text.find("$enddefinitions"), std::string::npos);
+       }},
+      {"repeat", "  always @(posedge clk) repeat (a) n = n + 8'd1;\n",
+       [](const Simulation& s, const RunResult&) {
+         EXPECT_EQ(s.peek("n"), 3u + 4u + 11u);  // a before each edge
+       }},
+      {"$time", "  assign t = $time + 8'd7;\n",
+       [](const Simulation& s, const RunResult&) {
+         EXPECT_EQ(s.peek("t"), 7u);
+       }},
+  };
+  const std::string base_head = R"(
 module m (input wire clk, input wire [3:0] x);
   reg [3:0] a;
+  reg [7:0] n;
   wire [3:0] b;
+  wire [7:0] t;
   assign b = x ^ a;
   initial begin
-    $dumpfile("wave.vcd");
-    $dumpvars;
     a = 4'd3;
+    n = 8'd0;
   end
   always @(posedge clk) a <= a + x;
-endmodule
 )";
   auto drive = [](Simulation& s) {
     for (unsigned long long x : {1ull, 7ull, 2ull}) {
@@ -219,15 +235,29 @@ endmodule
     }
     return s.run();
   };
-  auto c = make_sim(src, "m");
-  auto e = make_sim(src, "m", event_cfg());
-  ASSERT_STREQ(c->backend(), "compiled");
-  const RunResult rc = drive(*c);
-  const RunResult re = drive(*e);
-  EXPECT_EQ(rc.vcd_name, "wave.vcd");
-  EXPECT_EQ(rc.vcd_name, re.vcd_name);
-  EXPECT_EQ(rc.vcd_text, re.vcd_text) << "VCD bytes diverged";
-  EXPECT_NE(rc.vcd_text.find("$var"), std::string::npos);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.construct);
+    const auto design =
+        load_design(base_head + c.extra + "endmodule\n", "m");
+    std::string why;
+    EXPECT_EQ(compiled_plan(design, &why), nullptr);
+    EXPECT_NE(why.find(c.construct), std::string::npos) << why;
+
+    Simulation def(design);
+    Simulation ev(design, event_cfg());
+    EXPECT_STREQ(def.backend(), "event");
+    EXPECT_EQ(def.fallback_reason(), why);
+    const RunResult rd = drive(def);
+    const RunResult re = drive(ev);
+    EXPECT_EQ(rd.display, re.display);
+    EXPECT_EQ(rd.vcd_name, re.vcd_name);
+    EXPECT_EQ(rd.vcd_text, re.vcd_text);
+    EXPECT_EQ(rd.end_time, re.end_time);
+    EXPECT_EQ(rd.finished, re.finished);
+    for (const char* sig : {"a", "b", "n", "t"})
+      EXPECT_EQ(def.peek(sig), ev.peek(sig)) << sig;
+    c.ran(def, rd);
+  }
 }
 
 // ---- Cache observability ----------------------------------------------------

@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "../fuzz_iters.h"
 #include "hls/report.h"
 #include "qam/architectures.h"
 #include "qam/decoder_ir.h"
@@ -32,16 +33,6 @@
 
 namespace hlsw::vsim {
 namespace {
-
-// Iteration budget, scaled like the hls fuzz suite's: HLSW_FUZZ_ITERS
-// relative to a default of 400.
-int fuzz_iters(int dflt) {
-  if (const char* s = std::getenv("HLSW_FUZZ_ITERS")) {
-    const long v = std::strtol(s, nullptr, 10);
-    if (v > 0) return static_cast<int>(std::max(1L, v * dflt / 400));
-  }
-  return dflt;
-}
 
 struct Source {
   std::string text;
