@@ -6,13 +6,17 @@
 // serial vs thread-pooled vsim_sweep, and lane-packed sweeps on the
 // generated native engine against scalar replay (the only lane-packed
 // engine; without a toolchain its legs run one CompiledSim per lane and
-// the config note says so) — producing BENCH_vsim.json
+// the config note says so), and per Table 1 design the 64-lane native DUT
+// against 64 one-lane native engines — producing BENCH_vsim.json
 // (--reps/--warmup/--json; see bench_main.h). Regenerate the committed
 // baseline from the repo root with:
 //   ./build/bench/bench_vsim --reps 5 --warmup 1
 #include <benchmark/benchmark.h>
 
+#include <cctype>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_main.h"
@@ -216,6 +220,32 @@ void run_harness_sections(bench::Harness* h) {
         benchmark::DoNotOptimize(dut.run_streams(dut_streams));
       });
 
+  // What the lane dimension buys on each Table 1 design: the same 64
+  // blocks through one 64-lane native engine vs 64 one-lane native engines
+  // (one DutHarness per block, Backend::kPackedCodegen). Both legs run
+  // generated code; ROADMAP's rule drops the lanes below 2.5x.
+  std::vector<std::pair<std::string, double>> lane_ratios;
+  for (const qam::Architecture& a : qam::table1_architectures()) {
+    const auto ra = hls::run_synthesis(ir, a.dir, TechLibrary::asic90());
+    const auto da = vsim::load_design(
+        rtl::emit_verilog(ra.transformed, ra.schedule), ra.transformed.name);
+    const auto pa = vsim::compiled_plan(da, nullptr);
+    std::string tag = a.name;
+    for (char& c : tag)
+      if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
+    const auto t_wide = h->measure("vsim_dut_packed64_" + tag, [&] {
+      vsim::PackedDutHarness dut(ra.transformed, pa, kDutLanes, packed_cg_cfg);
+      benchmark::DoNotOptimize(dut.run_streams(dut_streams));
+    });
+    const auto t_one = h->measure("vsim_dut_lane1x64_" + tag, [&] {
+      for (const auto& s : dut_streams) {
+        vsim::DutHarness dut(ra.transformed, da, codegen_cfg);
+        benchmark::DoNotOptimize(dut.run_stream(s));
+      }
+    });
+    lane_ratios.emplace_back(tag, t_one.min_ms / t_wide.min_ms);
+  }
+
   const auto throughput_note = [&](const std::string& label, int symbols,
                                    double min_ms, int lanes) {
     const double sym_per_sec = symbols / (min_ms / 1000.0);
@@ -259,6 +289,8 @@ void run_harness_sections(bench::Harness* h) {
           t_sweep1.min_ms / t_sweep64_cg.min_ms);
   h->note("speedup_packed64_codegen_dut_vs_scalar_dut",
           t_dut_scalar.min_ms / t_dut_packed_cg.min_ms);
+  for (const auto& [tag, ratio] : lane_ratios)
+    h->note("speedup_packed64_vs_lane1_dut_" + tag, ratio);
   h->note("speedup_sweep_pool4_vs_serial", t_serial.min_ms / t_par.min_ms);
   h->note("speedup_sweep_pool4_vs_serial_event",
           t_serial_event.min_ms / t_par_event.min_ms);

@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cctype>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -39,7 +40,34 @@ constexpr int kCgAbi = 3;
 struct Probe {
   bool ok = false;
   std::string version;  // first line of `cmd --version`
+  // " -march=<level>" for cpu_isa_level() when the toolchain accepts it,
+  // else empty (the toolchain's default target).
+  std::string march;
 };
+
+// The highest x86-64 ISA level (v4, else v3) this CPU runs, or null. Only
+// feature names that GCC and Clang both accept are tested; a CPU with
+// these also has the rest of the level (F16C, LZCNT, MOVBE, XSAVE).
+const char* cpu_isa_level() {
+#if defined(__x86_64__) && defined(__GNUC__)
+  const bool v3 = __builtin_cpu_supports("popcnt") &&
+                  __builtin_cpu_supports("sse4.2") &&
+                  __builtin_cpu_supports("avx") &&
+                  __builtin_cpu_supports("avx2") &&
+                  __builtin_cpu_supports("fma") &&
+                  __builtin_cpu_supports("bmi") &&
+                  __builtin_cpu_supports("bmi2");
+  if (!v3) return nullptr;
+  const bool v4 = __builtin_cpu_supports("avx512f") &&
+                  __builtin_cpu_supports("avx512bw") &&
+                  __builtin_cpu_supports("avx512cd") &&
+                  __builtin_cpu_supports("avx512dq") &&
+                  __builtin_cpu_supports("avx512vl");
+  return v4 ? "x86-64-v4" : "x86-64-v3";
+#else
+  return nullptr;
+#endif
+}
 
 // Probe results are memoized per candidate command; the environment
 // variables themselves are re-read on every call so a test can disable
@@ -61,6 +89,12 @@ Probe probe_cxx(const std::string& cmd) {
     while (!p.version.empty() &&
            (p.version.back() == '\n' || p.version.back() == '\r'))
       p.version.pop_back();
+  }
+  if (const char* level = cpu_isa_level(); p.ok && level != nullptr) {
+    const std::string march = std::string(" -march=") + level;
+    const std::string check =
+        cmd + march + " -fsyntax-only -x c++ /dev/null > /dev/null 2>&1";
+    if (std::system(check.c_str()) == 0) p.march = march;
   }
   memo[cmd] = p;
   return p;
@@ -96,24 +130,43 @@ std::string hx(std::uint64_t v) {
   return buf;
 }
 
-// Emits the statements evaluating one tape and returns the expression (a
-// temp name or literal) holding its value. Every op result becomes its own
-// `const u64` temp so operands are never textually duplicated; `tmp` is
-// the caller-scoped temp counter keeping names unique per function. The
-// emitted statements live inside a `for (l = 0; l < kL; ++l)` lane loop:
-// signal loads index the lane plane and element loads pass the lane
-// through to the lane-major ldel.
-std::string emit_tape(std::ostream& os, const CompiledDesign& cd, int tape,
-                      int& tmp, const char* ind) {
+// One tape as lane-loop text: `body` holds the statements of the final
+// `for (l = 0; l < kL; ++l)` loop and `value` the expression (a temp name
+// or literal) of the tape's value inside it. Every op result becomes its
+// own `const u64` temp so operands are never textually duplicated; `tmp` is
+// the caller-scoped temp counter keeping names unique per function. Signal
+// loads index the lane plane. With `split`, an array read whose index is
+// not a constant ends the lane loop: the index goes to an `i64 ixN[kL]`
+// plane, the temps still on the stack to `u64 pN[kL]` planes, and ldrow
+// reads the element plane `rwN` (one row when every lane agrees on the
+// index) before the next loop resumes. `pre` holds those earlier loops and
+// reads, whole statements that run before the final loop. Without
+// `split` (one lane, where nothing vectorizes) `pre` is empty and element
+// loads pass the lane through to the per-lane ldel.
+struct LaneTape {
+  std::string pre, body, value;
+};
+
+LaneTape lane_tape(const CompiledDesign& cd, int tape, int& tmp,
+                   const std::string& ind, bool split) {
   const TapeRef& t = cd.tapes[static_cast<std::size_t>(tape)];
-  std::vector<std::string> stk;
+  const std::string bind = ind + "  ";  // statements sit inside the loop
+  LaneTape out;
+  std::ostringstream os;  // the open loop's statements
+  // Stack entries: a literal, a temp of the open loop, or a plane element
+  // ("pN[l]", "rwN[l]") that outlives it.
+  struct Ent {
+    std::string expr;
+    bool temp;
+  };
+  std::vector<Ent> stk;
   const auto push = [&](const std::string& expr) {
     std::string name = "t" + std::to_string(tmp++);
-    os << ind << "const u64 " << name << " = " << expr << ";\n";
-    stk.push_back(std::move(name));
+    os << bind << "const u64 " << name << " = " << expr << ";\n";
+    stk.push_back({std::move(name), true});
   };
   const auto pop = [&] {
-    std::string v = std::move(stk.back());
+    std::string v = std::move(stk.back().expr);
     stk.pop_back();
     return v;
   };
@@ -127,6 +180,31 @@ std::string emit_tape(std::ostream& os, const CompiledDesign& cd, int tape,
     return std::to_string(cd.design->signals[static_cast<std::size_t>(a)]
                               .array_len);
   };
+  // An element read of array `a` at index expression `idx` (an i64), as an
+  // expression valid in the open loop. A literal index stays a per-lane
+  // ldel: its loop reads one row already.
+  const auto load_elem = [&](std::int32_t a, const std::string& u,
+                             const std::string& idx) -> std::string {
+    if (!split || u.rfind("(0x", 0) == 0)
+      return "ldel(" + arr(a) + ", " + alen(a) + ", " + idx + ", l)";
+    const std::string n = std::to_string(tmp++);
+    std::string decl = ind + "i64 ix" + n + "[kL];";
+    std::string keep;
+    for (Ent& e : stk) {
+      if (!e.temp) continue;
+      const std::string p = "p" + e.expr.substr(1);
+      decl += " u64 " + p + "[kL];";
+      keep += bind + p + "[l] = " + e.expr + ";\n";
+      e = {p + "[l]", false};
+    }
+    out.pre += decl + "\n" + ind + "for (int l = 0; l < kL; ++l) {\n" +
+               os.str() + keep + bind + "ix" + n + "[l] = " + idx + ";\n" +
+               ind + "}\n" + ind + "u64 rw" + n + "[kL];\n" + ind +
+               "ldrow(rw" + n + ", " + arr(a) + ", " + alen(a) + ", ix" + n +
+               ");\n";
+    os.str("");
+    return "rw" + n + "[l]";
+  };
   for (std::uint32_t i = t.begin; i < t.begin + t.len; ++i) {
     const TOp& o = cd.ops[i];
     const std::string W = std::to_string(o.w);
@@ -137,7 +215,7 @@ std::string emit_tape(std::ostream& os, const CompiledDesign& cd, int tape,
         hx(static_cast<std::uint64_t>(static_cast<std::uint32_t>(o.a)));
     switch (o.code) {
       case TOp::kConst:
-        stk.push_back("(" + I + ")");
+        stk.push_back({"(" + I + ")", false});
         break;
       case TOp::kLoad:
         push(sig(o.a));
@@ -152,7 +230,7 @@ std::string emit_tape(std::ostream& os, const CompiledDesign& cd, int tape,
         const std::string u = pop();
         const std::string idx =
             o.w ? "(i64)sx(" + u + ", " + W + ")" : "(i64)" + u;
-        push("ldel(" + arr(o.a) + ", " + alen(o.a) + ", " + idx + ", l)");
+        push(load_elem(o.a, u, idx));
         break;
       }
       case TOp::kTrunc:
@@ -340,16 +418,16 @@ std::string emit_tape(std::ostream& os, const CompiledDesign& cd, int tape,
         push(cond + " != 0 ? " + tv + " : " + ev);
         break;
       }
-      case TOp::kLoadElemSx:
-        push("sx(ldel(" + arr(o.a) + ", " + alen(o.a) + ", (i64)" + pop() +
-             ", l), " + W + ") & " + I);
+      case TOp::kLoadElemSx: {
+        const std::string u = pop();
+        push("sx(" + load_elem(o.a, u, "(i64)" + u) + ", " + W + ") & " + I);
         break;
+      }
       case TOp::kLoadElemTr: {
         const std::string u = pop();
         const std::string idx =
             o.w ? "(i64)sx(" + u + ", " + W + ")" : "(i64)" + u;
-        push("ldel(" + arr(o.a) + ", " + alen(o.a) + ", " + idx + ", l) & " +
-             I);
+        push(load_elem(o.a, u, idx) + " & " + I);
         break;
       }
       case TOp::kAddC:
@@ -400,11 +478,13 @@ std::string emit_tape(std::ostream& os, const CompiledDesign& cd, int tape,
       case TOp::kLoadShlC:
         push("(" + sig(o.a) + " << " + W + ") & " + I);
         break;
-      case TOp::kHalt:
-        return stk.back();
+      case TOp::kHalt:  // the tape's last op
+        break;
     }
   }
-  return stk.back();  // unreachable: every tape ends in kHalt
+  out.body = os.str();
+  out.value = stk.back().expr;
+  return out;
 }
 
 // End of proc p's slice of CompiledDesign::prog (entries are built
@@ -474,19 +554,19 @@ bool tape_reads_scalar(const TOp& o) {
 // graph at a dynamic pc, and instruction retirement counted as
 // popcount(mask), so the lane sum equals what L scalar CompiledSim runs
 // retire (pack_test pins the bit-identity against those runs).
-void emit_proc(std::ostream& os, const CompiledDesign& cd, std::size_t p) {
+void emit_proc(std::ostream& os, const CompiledDesign& cd, std::size_t p,
+               bool split) {
   const std::size_t entry = static_cast<std::size_t>(cd.procs[p].entry);
   const std::size_t end = proc_end(cd, p);
 
   // Contexts hold disjoint non-empty lane sets, so at most kL exist at
   // once and fixed arrays replace the oracle's vector.
-  os << "PK_SIMD static int proc" << p << "(St* S, u64 m, i64 budget) {\n"
+  os << "static int proc" << p << "(St* S, u64 m, i64 budget) {\n"
         "  u64 wk_m[kL]; int wk_pc[kL]; int wsp = 0; int npc = 0;\n"
         "  u64 pl[kL]; u64 ixp[kL];\n"
         "  (void)wk_m; (void)wk_pc; (void)wsp; (void)npc;\n"
         "  (void)pl; (void)ixp; (void)budget;\n";
   int tmp = 0;
-  const char* ind = "      ";  // tape statements sit inside the lane loop
   for (std::size_t pc = entry; pc < end; ++pc) {
     const PInstr& in = cd.prog[pc];
     const std::string SIG = std::to_string(in.sig);
@@ -496,9 +576,27 @@ void emit_proc(std::ostream& os, const CompiledDesign& cd, std::size_t p) {
     // Evaluates a tape for every lane into `dest[l]` (pure, so computing
     // lanes outside the mask is harmless — oracle does the same).
     const auto plane_tape = [&](int tape, const char* dest) {
-      os << "    for (int l = 0; l < kL; ++l) {\n";
-      const std::string v = emit_tape(os, cd, tape, tmp, ind);
-      os << "      " << dest << "[l] = " << v << ";\n    }\n";
+      const LaneTape t = lane_tape(cd, tape, tmp, "    ", split);
+      os << t.pre << "    for (int l = 0; l < kL; ++l) {\n" << t.body
+         << "      " << dest << "[l] = " << t.value << ";\n    }\n";
+    };
+    // A conditional jump on the lanes whose condition reads zero (`cz`,
+    // counted in `nf` over every lane). The count decides the lockstep
+    // cases (every lane jumps, or none does) in a vectorizable loop; the
+    // lane mask `tk` is built only when the lanes disagree.
+    const auto cond_jump = [&]() {
+      os << "    u64 tk = 0;\n"
+            "    if (nf == (u64)kL) {\n"
+            "      tk = m;\n"
+            "    } else if (nf != 0) {\n"
+            "      for (int l = 0; l < kL; ++l) tk |= cz[l] << l;\n"
+            "      tk &= m;\n"
+            "    }\n"
+            "    if (tk == m) goto L"
+         << in.a
+         << ";\n"
+            "    if (tk != 0) { ++S->div_splits; wk_pc[wsp] = "
+         << A << "; wk_m[wsp] = tk; ++wsp; m &= ~tk; }\n";
     };
     os << "  L" << pc << ": S->instrs += popc(m);\n";
     os << "  {\n";
@@ -585,33 +683,27 @@ void emit_proc(std::ostream& os, const CompiledDesign& cd, std::size_t p) {
         os << "    goto L" << in.a << ";\n";
         break;
       case PInstr::kJumpIfFalse: {
-        os << "    u64 tk = 0;\n"
-              "    for (int l = 0; l < kL; ++l) {\n";
-        const std::string c = emit_tape(os, cd, in.t0, tmp, ind);
-        os << "      tk |= (u64)(" << c
-           << " == 0) << l;\n"
-              "    }\n"
-              "    tk &= m;\n"
-              "    if (tk == m) goto L"
-           << in.a
-           << ";\n"
-              "    if (tk != 0) { ++S->div_splits; wk_pc[wsp] = "
-           << A << "; wk_m[wsp] = tk; ++wsp; m &= ~tk; }\n";
+        const LaneTape t = lane_tape(cd, in.t0, tmp, "    ", split);
+        os << t.pre
+           << "    u64 cz[kL]; u64 nf = 0;\n"
+              "    for (int l = 0; l < kL; ++l) {\n"
+           << t.body << "      cz[l] = (u64)(" << t.value
+           << " == 0);\n"
+              "      nf += cz[l];\n"
+              "    }\n";
+        cond_jump();
         break;
       }
       case PInstr::kJumpIfFalseSig:
-        os << "    u64 tk = 0;\n"
+        os << "    u64 cz[kL]; u64 nf = 0;\n"
               "    const u64* s = S->v["
            << SIG
            << "];\n"
-              "    for (int l = 0; l < kL; ++l) tk |= (u64)(s[l] == 0) << "
-              "l;\n"
-              "    tk &= m;\n"
-              "    if (tk == m) goto L"
-           << in.a
-           << ";\n"
-              "    if (tk != 0) { ++S->div_splits; wk_pc[wsp] = "
-           << A << "; wk_m[wsp] = tk; ++wsp; m &= ~tk; }\n";
+              "    for (int l = 0; l < kL; ++l) {\n"
+              "      cz[l] = (u64)(s[l] == 0);\n"
+              "      nf += cz[l];\n"
+              "    }\n";
+        cond_jump();
         break;
       case PInstr::kCaseJump:
         // Lockstep fast path dispatches all lanes in one shot (no split
@@ -665,6 +757,10 @@ std::string packed_codegen_source(const CompiledDesign& cd, int lanes) {
   const std::size_t nproc = cd.procs.size();
   const std::uint64_t full =
       lanes == 64 ? ~0ULL : (1ULL << lanes) - 1ULL;
+  // One lane has nothing to vectorize, and splitting its tapes slowed the
+  // one-lane engine by 1.5-5.5% on three of the four Table 1 designs, so
+  // they keep a single loop.
+  const bool split = lanes > 1;
   std::ostringstream os;
 
   // The lane count is part of the generated text (kL below), so every
@@ -675,21 +771,6 @@ std::string packed_codegen_source(const CompiledDesign& cd, int lanes) {
         "// compiled and dlopen()ed at runtime. One translation unit per\n"
         "// (design fingerprint, lane count).\n"
         "#include <cstddef>\n#include <cstdint>\n#include <vector>\n";
-  // One lane has nothing to vectorize: plain functions compile faster and
-  // skip the ifunc dispatch. Wider engines clone the hot loops per ISA
-  // level. The generated object is always compiled uninstrumented by the
-  // host toolchain, so the ifunc resolvers target_clones emits are safe
-  // even when the loading process runs under ThreadSanitizer (unlike
-  // pack.cpp, which must guard its own attribute).
-  if (lanes == 1)
-    os << "#define PK_SIMD\n";
-  else
-    os << "#ifndef __has_attribute\n#define __has_attribute(x) 0\n#endif\n"
-          "#if defined(__x86_64__) && defined(__ELF__) && "
-          "__has_attribute(target_clones)\n"
-          "#define PK_SIMD __attribute__((target_clones(\"default\", "
-          "\"arch=x86-64-v3\", \"arch=x86-64-v4\")))\n"
-          "#else\n#define PK_SIMD\n#endif\n";
   os << "namespace {\n"
         "typedef std::uint64_t u64;\ntypedef long long i64;\n"
         "constexpr int kL = "
@@ -708,6 +789,35 @@ std::string packed_codegen_source(const CompiledDesign& cd, int lanes) {
         "1)) v |= ~um(w); return v; }\n"
         "inline u64 ldel(const u64* A, i64 n, i64 i, int l) { return (i >= 0 "
         "&& i < n) ? A[(std::size_t)i * kL + l] : 0; }\n"
+        // Element plane of A at index plane ix: one row copy when every lane
+        // reads the same index, zeros when that index is out of range, and
+        // per-lane bounds-checked reads when the lanes disagree. Inlined, so
+        // the planes stay in the caller's frame.
+        "__attribute__((always_inline)) inline void ldrow(u64* __restrict "
+        "out, const u64* __restrict A, i64 n, const i64* __restrict ix) {\n"
+        "  u64 d = 0;\n"
+        "  for (int l = 0; l < kL; ++l) d |= (u64)(ix[l] ^ ix[0]);\n"
+        "  if (d != 0) {\n"
+        "    for (int l = 0; l < kL; ++l) out[l] = ldel(A, n, ix[l], l);\n"
+        "  } else if (ix[0] >= 0 && ix[0] < n) {\n"
+        "    const u64* row = A + (std::size_t)ix[0] * kL;\n"
+        "    for (int l = 0; l < kL; ++l) out[l] = row[l];\n"
+        "  } else {\n"
+        "    for (int l = 0; l < kL; ++l) out[l] = 0;\n"
+        "  }\n"
+        "}\n"
+        // Stores plane nv & sm over plane v, which it must not overlap, and
+        // returns how many lanes changed.
+        "__attribute__((always_inline)) inline u64 stplane(u64* __restrict v, "
+        "const u64* __restrict nv, u64 sm) {\n"
+        "  u64 nch = 0;\n"
+        "  for (int l = 0; l < kL; ++l) {\n"
+        "    const u64 n = nv[l] & sm;\n"
+        "    nch += (u64)(v[l] != n);\n"
+        "    v[l] = n;\n"
+        "  }\n"
+        "  return nch;\n"
+        "}\n"
         "inline u64 bitsel(u64 base, i64 i, int w) { return (i >= 0 && i < "
         "w) ? (base >> i) & 1 : 0; }\n"
         "inline u64 divs(u64 a, u64 b, int w, u64 imm) { const i64 sa = "
@@ -828,13 +938,21 @@ std::string packed_codegen_source(const CompiledDesign& cd, int lanes) {
         "}\n\n";
 
   // The one lane-masked write path — branchless full-context fast path,
-  // guarded partial path, popcount event accounting, bit-0 edge masks.
-  os << "PK_SIMD static void set_masked(St* S, int sig, const u64* nv, u64 "
-        "mask) {\n"
+  // guarded partial path, popcount event accounting, bit-0 edge masks. A
+  // full-context write to a signal no process waits on only counts its
+  // changed lanes (stplane, a loop the host compiler vectorizes).
+  os << "static void set_masked(St* S, int sig, const u64* nv, u64 mask) {\n"
         "  if (mask == 0) return;\n"
         "  const u64 sm = kMask[sig];\n"
         "  u64* v = S->v[sig];\n"
         "  u64 ch = 0, pos = 0, neg = 0;\n"
+        "  if (mask == kFull && !kHasTrig[sig] && nv != v) {\n"
+        "    const u64 nch = stplane(v, nv, sm);\n"
+        "    if (nch == 0) return;\n"
+        "    S->events += (i64)nch;\n"
+        "    if (kHasFan[sig]) { S->comb_dirty = true; mark_fan(S, sig); }\n"
+        "    return;\n"
+        "  }\n"
         "  if (mask == kFull) {\n"
         "    for (int l = 0; l < kL; ++l) {\n"
         "      const u64 n = nv[l] & sm;\n"
@@ -896,7 +1014,7 @@ std::string packed_codegen_source(const CompiledDesign& cd, int lanes) {
                      [&](std::size_t a, std::size_t b) {
                        return cd.nodes[a].level < cd.nodes[b].level;
                      });
-    os << "PK_SIMD static void flush(St* S) {\n  ++S->flushes;\n";
+    os << "static void flush(St* S) {\n  ++S->flushes;\n";
     int tmp = 0;
     for (const std::size_t n : order) {
       const CompiledDesign::Node& nd = cd.nodes[n];
@@ -908,29 +1026,35 @@ std::string packed_codegen_source(const CompiledDesign& cd, int lanes) {
       const bool has_trig =
           cd.trig_index[static_cast<std::size_t>(nd.target)] <
           cd.trig_index[static_cast<std::size_t>(nd.target) + 1];
+      const LaneTape t = lane_tape(cd, nd.exec_tape, tmp, "    ", split);
       os << "  if (!S->nclean[" << n << "]) { // node " << n << " level "
          << nd.level << " -> "
          << d.signals[static_cast<std::size_t>(nd.target)].name << "\n"
-         << "    S->nclean[" << n
-         << "] = 1;\n"
-            "    u64* v = S->v["
-         << nd.target
-         << "];\n"
-            "    u64 ch = 0, pos = 0, neg = 0;\n"
-            "    (void)pos; (void)neg;\n"
-            "    for (int l = 0; l < kL; ++l) {\n";
-      const std::string v =
-          emit_tape(os, cd, nd.exec_tape, tmp, "      ");
-      os << "      const u64 n = " << v << " & " << SM
+         << "    S->nclean[" << n << "] = 1;\n"
+         << t.pre << "    u64* v = S->v[" << nd.target << "];\n";
+      // Only a process trigger needs the changed lanes and edges as masks;
+      // any other target counts its changed lanes.
+      if (has_trig)
+        os << "    u64 ch = 0, pos = 0, neg = 0;\n";
+      else
+        os << "    u64 nch = 0;\n";
+      os << "    for (int l = 0; l < kL; ++l) {\n"
+         << t.body << "      const u64 n = " << t.value << " & " << SM
          << ";\n"
             "      const u64 o = v[l];\n"
-            "      v[l] = n;\n"
-            "      ch |= (u64)(o != n) << l;\n"
-            "      pos |= ((~o & n) & 1) << l;\n"
-            "      neg |= ((o & ~n) & 1) << l;\n"
-            "    }\n"
-            "    if (ch) {\n"
-            "      S->events += popc(ch);\n";
+            "      v[l] = n;\n";
+      if (has_trig)
+        os << "      ch |= (u64)(o != n) << l;\n"
+              "      pos |= ((~o & n) & 1) << l;\n"
+              "      neg |= ((o & ~n) & 1) << l;\n"
+              "    }\n"
+              "    if (ch) {\n"
+              "      S->events += popc(ch);\n";
+      else
+        os << "      nch += (u64)(o != n);\n"
+              "    }\n"
+              "    if (nch) {\n"
+              "      S->events += (i64)nch;\n";
       if (has_fan)
         os << "      S->comb_dirty = true;\n"
               "      mark_fan(S, "
@@ -967,11 +1091,11 @@ std::string packed_codegen_source(const CompiledDesign& cd, int lanes) {
       }
       for (const std::int32_t m : deps)
         os << "      force_lazy(S, " << m << ");\n";
-      os << "      u64* v = S->v[" << nd.target
+      const LaneTape lt = lane_tape(cd, nd.tape, tmp, "      ", split);
+      os << lt.pre << "      u64* v = S->v[" << nd.target
          << "];\n"
-            "      for (int l = 0; l < kL; ++l) {\n";
-      const std::string v = emit_tape(os, cd, nd.tape, tmp, "        ");
-      os << "        v[l] = " << v << " & "
+            "      for (int l = 0; l < kL; ++l) {\n"
+         << lt.body << "        v[l] = " << lt.value << " & "
          << hx(cd.sig_mask[static_cast<std::size_t>(nd.target)])
          << ";\n      }\n      break;\n    }\n";
     }
@@ -987,7 +1111,7 @@ std::string packed_codegen_source(const CompiledDesign& cd, int lanes) {
   }
   if (!cd.case_tables.empty()) os << "\n";
 
-  for (std::size_t p = 0; p < nproc; ++p) emit_proc(os, cd, p);
+  for (std::size_t p = 0; p < nproc; ++p) emit_proc(os, cd, p, split);
 
   os << "static int run_proc(St* S, int p, u64 m, i64 budget) {\n"
         "  S->running = p;\n  int r = 0;\n"
@@ -1001,7 +1125,9 @@ std::string packed_codegen_source(const CompiledDesign& cd, int lanes) {
   // Commits apply in enqueue order. Nothing in a commit enqueues another
   // NBA (set_masked only wakes processes), so the queue is walked in place
   // and cleared once drained.
-  os << "PK_SIMD static void commit_nba(St* S) {\n"
+  // A full-mask element write whose lanes agree on the index stores one
+  // row and counts its changed lanes.
+  os << "static void commit_nba(St* S) {\n"
         "  for (const Nba& e : S->nba) {\n"
         "    S->nba_commits += popc(e.mask);\n"
         "    const u64* v = e.v;\n"
@@ -1010,6 +1136,21 @@ std::string packed_codegen_source(const CompiledDesign& cd, int lanes) {
         "      const u64 sm = kMask[e.sig];\n"
         "      const i64 n = kALen[e.sig];\n"
         "      u64* A = arrp(S, e.sig);\n"
+        "      if (e.mask == kFull) {\n"
+        "        u64 d = 0;\n"
+        "        for (int l = 0; l < kL; ++l) d |= (u64)(ix[l] ^ ix[0]);\n"
+        "        if (d == 0) {\n"
+        "          if (ix[0] < 0 || ix[0] >= n) continue;  // silent drop\n"
+        "          const u64 nch =\n"
+        "              stplane(A + (std::size_t)ix[0] * kL, v, sm);\n"
+        "          S->events += (i64)nch;\n"
+        "          if (nch != 0 && kHasFan[e.sig]) {\n"
+        "            S->comb_dirty = true;\n"
+        "            mark_fan(S, e.sig);\n"
+        "          }\n"
+        "          continue;\n"
+        "        }\n"
+        "      }\n"
         "      bool changed = false;\n"
         "      for (int l = 0; l < kL; ++l) {\n"
         "        if (!((e.mask >> l) & 1)) continue;\n"
@@ -1130,6 +1271,10 @@ std::string packed_codegen_source(const CompiledDesign& cd, int lanes) {
 namespace {
 
 // Compile flags; part of the fingerprinted text (see build_shared_object).
+// Each object is compiled once, and build_shared_object appends the
+// toolchain's Probe::march, so the lane loops vectorize at the widest ISA
+// level this process can run. A process that picks another level computes
+// another fingerprint, so it never loads the object.
 constexpr const char* kCxxFlags = "-std=c++17 -O2 -fPIC -shared";
 
 std::string fnv1a(const std::string& s) {
@@ -1201,6 +1346,42 @@ struct LoadedModule {
   std::string error;
 };
 
+// Removes the least recently used <fp>.{so,cpp,log} triples from `dir`
+// until at most kCodegenCacheObjects objects remain, ordered by .so mtime
+// (a disk hit refreshes it). `keep` is never removed, and neither is
+// anything not named like a fingerprint, such as a builder's .tmp<pid>
+// files. A process that loses its object between exists() and dlopen()
+// rebuilds it, and an object already mapped survives the unlink.
+void evict_lru(const std::filesystem::path& dir,
+               const std::filesystem::path& keep) {
+  namespace fs = std::filesystem;
+  std::vector<std::pair<fs::file_time_type, fs::path>> objs;
+  std::error_code ec;
+  for (fs::directory_iterator it(dir, ec), end; !ec && it != end;
+       it.increment(ec)) {
+    const fs::path& p = it->path();
+    const std::string stem = p.stem().string();
+    if (p.extension() != ".so" || stem.size() != 16 ||
+        !std::all_of(stem.begin(), stem.end(),
+                     [](unsigned char c) { return std::isxdigit(c); }))
+      continue;
+    std::error_code tec;
+    const fs::file_time_type t = fs::last_write_time(p, tec);
+    if (!tec) objs.emplace_back(t, p);
+  }
+  if (objs.size() <= kCodegenCacheObjects) return;
+  std::sort(objs.begin(), objs.end());  // oldest first
+  std::size_t excess = objs.size() - kCodegenCacheObjects;
+  for (const auto& obj : objs) {
+    if (excess == 0) break;
+    if (obj.second == keep) continue;
+    fs::path p = obj.second;
+    for (const char* ext : {".cpp", ".log", ".so"})
+      fs::remove(p.replace_extension(ext), ec);
+    --excess;
+  }
+}
+
 // dlopen + fingerprint/ABI verification. The handle is never dlclose()d:
 // generated code may be referenced by live engines for the process
 // lifetime, and re-opening the same path returns the same handle anyway.
@@ -1239,8 +1420,10 @@ bool build_shared_object(std::string src, const std::filesystem::path& dir,
   // toolchain command and the first line of its --version, the flags, the
   // ABI revision and the generated text. The embedded fp symbol is
   // appended after hashing so the hash stays well-defined.
-  src = "// toolchain: " + cxx + "\n// version: " + probe_cxx(cxx).version +
-        "\n// flags: " + kCxxFlags + "\n// abi: " + std::to_string(kCgAbi) +
+  const Probe tc = probe_cxx(cxx);
+  const std::string flags = kCxxFlags + tc.march;
+  src = "// toolchain: " + cxx + "\n// version: " + tc.version +
+        "\n// flags: " + flags + "\n// abi: " + std::to_string(kCgAbi) +
         "\n" + src;
   const std::string fp = fnv1a(src);
   src += "\nextern \"C\" const char* hlsw_cg_fp() { return \"" + fp +
@@ -1272,6 +1455,9 @@ bool build_shared_object(std::string src, const std::filesystem::path& dir,
   if (std::filesystem::exists(so, ec) && read_file(cpp) == src) {
     lm = open_and_verify(so, fp);
     cache_hit = lm.handle != nullptr;
+    if (cache_hit)  // eviction follows use, not build time
+      std::filesystem::last_write_time(
+          so, std::filesystem::file_time_type::clock::now(), ec);
   }
   if (!cache_hit) {
     // The source keeps its .cpp suffix: the compiler picks the language
@@ -1288,7 +1474,7 @@ bool build_shared_object(std::string src, const std::filesystem::path& dir,
         return false;
       }
     }
-    const std::string cmd = cxx + " " + kCxxFlags + " -o '" + tmp.string() +
+    const std::string cmd = cxx + " " + flags + " -o '" + tmp.string() +
                             "' '" + cpp_tmp.string() + "' > '" +
                             log_tmp.string() + "' 2>&1";
     if (metrics)
@@ -1318,6 +1504,7 @@ bool build_shared_object(std::string src, const std::filesystem::path& dir,
       *why = "freshly built shared object failed to load: " + lm.error;
       return false;
     }
+    evict_lru(dir, so);
   }
   if (metrics)
     obs::MetricsRegistry::instance().add(

@@ -19,6 +19,23 @@
 // baked as static tables) and lazy nodes are forced at the peek entry
 // points.
 //
+// Wider engines are written so that the host compiler vectorizes their
+// lane loops. An array read whose index is not a constant splits a tape's
+// lane loop: the index goes to a plane, and when every lane agrees on it
+// (a lockstep sweep's loop counter) the read copies one contiguous row,
+// or zeros when the index is out of range; lanes that disagree take
+// per-lane bounds-checked reads. A comb node or full-mask write
+// whose target no process waits on counts its changed lanes instead of
+// building a lane mask bit by bit; conditional jumps count their false
+// lanes and build the split mask only when lanes disagree; a full-mask
+// element NBA with one index stores one row. Every path keeps the
+// per-lane values, masks and counters of the scalar oracle. One lane,
+// where nothing vectorizes, keeps a single loop per tape. Each object is
+// compiled once, with -march=x86-64-v4 or -v3 when the loading CPU has
+// that level's features (x86-64 hosts, checked with
+// __builtin_cpu_supports) and the toolchain accepts the flag, else for the
+// toolchain's default target.
+//
 // Every compiled plan is a plain DUT (compile_design refuses system tasks,
 // `repeat` and `$time`, which only the event kernel runs), so the
 // generator takes any plan. Fallback (silent, typed, reason recorded) is
@@ -36,14 +53,17 @@
 // codegen cache <path>: ..." reason otherwise. The fingerprint is
 // FNV-1a-64 over the generated text plus a header naming the toolchain
 // command, the first line of its --version, the compile flags and the ABI
-// revision, so an object built by another compiler or flag set is never
-// reused. On an on-disk hit the stored <fingerprint>.cpp is compared in
-// full with the text about to be compiled before dlopen() (a hash
-// collision or a tampered entry rebuilds), and the loaded object is
+// revision, so an object built by another compiler, flag set or ISA level
+// is never reused. On an on-disk hit the stored <fingerprint>.cpp is
+// compared in full with the text about to be compiled before dlopen() (a
+// hash collision or a tampered entry rebuilds), and the loaded object is
 // verified against its embedded fingerprint and ABI revision. Compilation
 // is serialized process-wide, and every artifact is written under a
 // per-pid name and installed by atomic rename, so processes building one
-// fingerprint concurrently never read or load a partial file. Counters:
+// fingerprint concurrently never read or load a partial file. The cache
+// is bounded: installing a new object removes the least recently used
+// <fingerprint>.{so,cpp,log} triples beyond kCodegenCacheObjects, ordered
+// by .so mtime, which an on-disk hit refreshes. Counters:
 // vsim.codegen.so_cache.{hits,misses}, vsim.codegen.compiles,
 // vsim.codegen.fallbacks; the toolchain invocation runs under a
 // "vsim.codegen.compile" span. Toolchain resolution: $HLSW_CODEGEN_CXX
@@ -52,6 +72,7 @@
 // --version.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -94,6 +115,10 @@ struct PackedCodegenModule {
   // divergence_splits} into out[0..5].
   void (*stats)(void*, long long*) = nullptr;
 };
+
+// Objects the shared-object cache keeps: installing a new one evicts the
+// least recently used beyond this count (see the header comment).
+inline constexpr std::size_t kCodegenCacheObjects = 64;
 
 // True when a host C++ toolchain is available to this process (and codegen
 // has not been disabled via HLSW_CODEGEN_CXX=none). Cheap after the first

@@ -278,7 +278,11 @@ hls::CosimFactory vsim_factory(const hls::Function& f,
 // untouched (every batch's harness starts from reset, and lanes are
 // state-disjoint), the golden leg stays the per-block untimed interpreter,
 // and mismatch reports reuse hls::compare_outputs / cap_mismatches so the
-// output is byte-identical with the scalar sweep.
+// output is byte-identical with the scalar sweep. A sweep that fits one
+// batch runs on an engine of exactly its block count. Otherwise every
+// batch runs on the engine built at the lane budget: the ragged last batch
+// gives its spare lanes empty streams, which clock only through reset,
+// instead of compiling an engine of its own width.
 hls::CosimResult vsim_sweep_packed(
     const hls::Function& f, std::shared_ptr<const CompiledDesign> plan,
     const std::vector<PortIo>& vectors, const hls::CosimOptions& opts,
@@ -290,7 +294,8 @@ hls::CosimResult vsim_sweep_packed(
   const std::size_t bs = std::max<std::size_t>(1, opts.block_size);
   const std::size_t nblocks = (vectors.size() + bs - 1) / bs;
   result.blocks = nblocks;
-  const std::size_t nlanes = static_cast<std::size_t>(lanes);
+  const std::size_t nlanes =
+      std::min(static_cast<std::size_t>(lanes), nblocks);
   const std::size_t nbatches = (nblocks + nlanes - 1) / nlanes;
 
   obs::ScopedSpan span("vsim_sweep.packed", "vsim");
@@ -304,7 +309,7 @@ hls::CosimResult vsim_sweep_packed(
     const std::size_t first_blk = batch * nlanes;
     const int L = static_cast<int>(
         std::min(nlanes, nblocks - first_blk));
-    std::vector<std::vector<PortIo>> streams(static_cast<std::size_t>(L));
+    std::vector<std::vector<PortIo>> streams(nlanes);
     for (int l = 0; l < L; ++l) {
       const std::size_t begin = (first_blk + static_cast<std::size_t>(l)) * bs;
       const std::size_t end = std::min(begin + bs, vectors.size());
@@ -312,7 +317,7 @@ hls::CosimResult vsim_sweep_packed(
           vectors.begin() + static_cast<long>(begin),
           vectors.begin() + static_cast<long>(end));
     }
-    PackedDutHarness harness(f, plan, L, cfg);
+    PackedDutHarness harness(f, plan, static_cast<int>(nlanes), cfg);
     const auto got = harness.run_streams(streams);
     std::vector<std::string> mism;
     // One golden evaluation context per batch, reset() between lanes:

@@ -191,10 +191,13 @@ ProfileRunResult profile_run(const hls::Function& f,
             vectors.begin() + static_cast<long>(begin),
             vectors.begin() + static_cast<long>(std::min(begin + bs, n)));
       const int L = static_cast<int>(streams.size());
+      // The engine is built at the lane budget, so every stimulus length
+      // shares one engine; the lanes past the last stream get empty ones.
+      streams.resize(static_cast<std::size_t>(lanes));
       // SimConfig{} = kAuto: the harness prefers the generated lane-major
       // engine (packed_codegen) when a toolchain exists and degrades to
       // one CompiledSim per lane with the reason recorded per leg.
-      PackedDutHarness h(r.synthesis.transformed, plan, L, SimConfig{});
+      PackedDutHarness h(r.synthesis.transformed, plan, lanes, SimConfig{});
       const auto got = h.run_streams(streams);
       long long mm = 0;
       // One golden context across the lanes, reset() between streams.

@@ -57,7 +57,9 @@ struct ProfileRunOptions {
   // stimulus), outputs check against a per-block golden replay, and the
   // perf counters are summed across lanes (every counter accumulates per
   // invocation, so the sum equals the scalar sequential measurement). The
-  // choice is surfaced per leg as "lanes" in profile_run.json plus a note;
+  // engine is built at the lane budget whatever the block count, so every
+  // stimulus length shares one compiled engine. The lanes that carried a
+  // block are surfaced per leg as "lanes" in profile_run.json plus a note;
   // designs that are not cycle-schedulable fall back to the scalar
   // compiled leg with a note.
   int lanes = 1;

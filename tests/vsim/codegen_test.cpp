@@ -17,6 +17,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -204,8 +205,8 @@ TEST(VsimCodegen, BackendRunsNativelyAndMatchesGolden) {
 }
 
 // The one-lane engine Simulation runs: the whole ABI with C linkage,
-// nothing but standard headers, and no per-ISA clones (one lane has
-// nothing to vectorize).
+// nothing but standard headers, and no per-ISA clones (every object is
+// compiled once, for the loading CPU).
 TEST(VsimCodegen, GeneratedSourceIsSelfContained) {
   REQUIRE_TOOLCHAIN();
   const auto r = synth_merge();
@@ -411,6 +412,7 @@ TEST(VsimCodegen, PackedGeneratedSourceIsSelfContained) {
         "hlsw_cg_pk_nonzero", "hlsw_cg_pk_settle", "hlsw_cg_pk_stats"})
     EXPECT_NE(src.find(sym), std::string::npos) << sym;
   EXPECT_NE(src.find("constexpr int kL = 8;"), std::string::npos);
+  EXPECT_EQ(src.find("target_clones"), std::string::npos);
 }
 
 // The .so cache is keyed by a fingerprint over the generated text, and the
@@ -512,6 +514,160 @@ TEST(VsimCodegen, ProfileRunRecordsCodegenLegAndBackend) {
   const std::string json = res.to_json().dump();
   EXPECT_NE(json.find("\"backend\":\"codegen\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"fallback_reason\""), std::string::npos);
+}
+
+// A sweep whose block count is not a multiple of the lane budget runs its
+// short last batch on the engine the full batches use: 26 blocks at 8
+// lanes build one 8-lane engine, not an 8-lane and a 2-lane one, and the
+// result equals the scalar sweep's. A sweep that fits one batch keeps an
+// engine of exactly its block count, whose lanes all run in lockstep.
+TEST(VsimCodegen, RaggedLastBatchRunsOnTheLaneBudgetEngine) {
+  REQUIRE_TOOLCHAIN();
+  const ScopedCacheDir cache("ragged");
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  auto& m = obs::MetricsRegistry::instance();
+  // No other test here builds this architecture, so the per-(plan, lanes)
+  // memo is as cold as the private cache.
+  const qam::Architecture a = qam::table1_architectures()[3];
+  const auto r = hls::run_synthesis(qam::build_qam_decoder_ir(), a.dir,
+                                    TechLibrary::asic90());
+  qam::LinkStimulus stim((qam::LinkConfig()));
+  const auto vectors = qam::link_input_batch(&stim, 26 * 5);
+  SimConfig cfg;
+  cfg.backend = Backend::kPackedCodegen;
+
+  const double compiles0 = m.counter_value("vsim.codegen.compiles");
+  const hls::CosimResult packed = vsim_sweep(
+      r.transformed, r.schedule, vectors, {.block_size = 5, .lanes = 8}, cfg);
+  EXPECT_EQ(m.counter_value("vsim.codegen.compiles"), compiles0 + 1.0)
+      << "the short last batch compiled an engine of its own";
+  const hls::CosimResult scalar = vsim_sweep(r.transformed, r.schedule,
+                                             vectors, {.block_size = 5});
+  EXPECT_TRUE(packed.ok());
+  EXPECT_EQ(packed.blocks, 26u);
+  EXPECT_EQ(packed.vectors, scalar.vectors);
+  EXPECT_EQ(packed.blocks, scalar.blocks);
+  EXPECT_EQ(packed.total_mismatches, scalar.total_mismatches);
+  EXPECT_EQ(packed.mismatches, scalar.mismatches);
+
+  // Two blocks at 8 lanes build the 2-lane engine: a fresh plan of the
+  // same text then loads it from disk instead of compiling.
+  const double compiles1 = m.counter_value("vsim.codegen.compiles");
+  const hls::CosimResult two =
+      vsim_sweep(r.transformed, r.schedule,
+                 {vectors.begin(), vectors.begin() + 10},
+                 {.block_size = 5, .lanes = 8}, cfg);
+  EXPECT_TRUE(two.ok());
+  EXPECT_EQ(two.blocks, 2u);
+  EXPECT_EQ(m.counter_value("vsim.codegen.compiles"), compiles1 + 1.0);
+  std::string why;
+  ASSERT_NE(packed_codegen_plan(
+                fresh_plan(rtl::emit_verilog(r.transformed, r.schedule),
+                           r.transformed.name),
+                2, &why),
+            nullptr)
+      << why;
+  EXPECT_EQ(m.counter_value("vsim.codegen.compiles"), compiles1 + 1.0)
+      << "the one-batch sweep did not run on a 2-lane engine";
+  obs::set_enabled(was_enabled);
+}
+
+// profile_run's packed leg builds its engine at the lane budget, so 100
+// and then 130 vectors at 64 lanes (50 and 44 blocks) share one engine.
+TEST(VsimCodegen, ProfilePackedLegBuildsOneEngineAtTheLaneBudget) {
+  REQUIRE_TOOLCHAIN();
+  const ScopedCacheDir cache("profile-lanes");
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  auto& m = obs::MetricsRegistry::instance();
+  const qam::Architecture a = qam::table1_architectures()[0];
+  qam::LinkStimulus stim((qam::LinkConfig()));
+  const auto vectors = qam::link_input_batch(&stim, 130);
+  ProfileRunOptions opts;
+  opts.run_vsim_event = false;
+  opts.lanes = 64;
+
+  const double compiles0 = m.counter_value("vsim.codegen.compiles");
+  const ProfileRunResult first = profile_run(
+      qam::build_qam_decoder_ir(), a.dir, TechLibrary::asic90(),
+      {vectors.begin(), vectors.begin() + 100}, opts);
+  const ProfileRunResult second =
+      profile_run(qam::build_qam_decoder_ir(), a.dir, TechLibrary::asic90(),
+                  vectors, opts);
+  EXPECT_EQ(m.counter_value("vsim.codegen.compiles"), compiles0 + 1.0)
+      << "each stimulus length compiled an engine of its own";
+  for (const ProfileRunResult* res : {&first, &second}) {
+    EXPECT_TRUE(res->ok()) << (res->cross_issues.empty()
+                                   ? "leg deviation"
+                                   : res->cross_issues.front());
+    ASSERT_EQ(res->leg_backends.size(), 2u);
+    EXPECT_EQ(res->leg_backends[1], "packed_codegen");
+  }
+  // The leg reports the lanes that carried a block.
+  EXPECT_EQ(first.leg_lanes[1], 50);
+  EXPECT_EQ(second.leg_lanes[1], 44);
+  obs::set_enabled(was_enabled);
+}
+
+// The shared-object cache keeps at most kCodegenCacheObjects objects:
+// installing one removes the least recently used <fp>.{so,cpp,log}
+// triples by .so mtime, a disk hit counts as a use, and a builder's
+// .tmp<pid> files are never touched.
+TEST(VsimCodegen, CacheEvictsLeastRecentlyUsedObjectsBeyondTheBound) {
+  REQUIRE_TOOLCHAIN();
+  namespace fs = std::filesystem;
+  const ScopedCacheDir cache("evict");
+  const auto r = synth_merge();
+  const std::string verilog = rtl::emit_verilog(r.transformed, r.schedule);
+  std::string why;
+  const auto first =
+      packed_codegen_plan(fresh_plan(verilog, r.transformed.name), 1, &why);
+  ASSERT_NE(first, nullptr) << why;
+
+  // Old fake triples past the bound (fakes[0] oldest), a builder's temp
+  // file older still, and the real object oldest of all.
+  const auto now = fs::file_time_type::clock::now();
+  const std::size_t kFakes = kCodegenCacheObjects + 1;
+  std::vector<std::string> fakes;
+  for (std::size_t i = 0; i < kFakes; ++i) {
+    char fp[17];
+    std::snprintf(fp, sizeof fp, "%016zx", i);
+    for (const char* ext : {".so", ".cpp", ".log"})
+      std::ofstream(cache.dir() / (fp + std::string(ext))) << "fake\n";
+    fs::last_write_time(cache.dir() / (fp + std::string(".so")),
+                        now - std::chrono::hours(2) + std::chrono::seconds(i));
+    fakes.push_back(fp);
+  }
+  const fs::path tmp = cache.dir() / (fakes[0] + ".tmp1.so");
+  std::ofstream(tmp) << "partial\n";
+  fs::last_write_time(tmp, now - std::chrono::hours(4));
+  fs::last_write_time(first->so_path, now - std::chrono::hours(3));
+
+  // A disk hit (a fresh plan on the same text) makes the real object the
+  // most recently used; then a new object is installed.
+  ASSERT_NE(
+      packed_codegen_plan(fresh_plan(verilog, r.transformed.name), 1, &why),
+      nullptr)
+      << why;
+  const auto second =
+      packed_codegen_plan(fresh_plan(verilog, r.transformed.name), 2, &why);
+  ASSERT_NE(second, nullptr) << why;
+
+  std::size_t objects = 0;
+  for (const fs::directory_entry& e : fs::directory_iterator(cache.dir()))
+    if (e.path().extension() == ".so" &&
+        e.path().stem().extension().empty())
+      ++objects;
+  EXPECT_EQ(objects, kCodegenCacheObjects);
+  EXPECT_TRUE(fs::exists(first->so_path)) << "a disk hit did not count as use";
+  EXPECT_TRUE(fs::exists(second->so_path));
+  EXPECT_TRUE(fs::exists(tmp)) << "a builder's temp file was removed";
+  // Three objects over the bound: the three oldest fakes go, whole.
+  for (std::size_t i = 0; i < kFakes; ++i)
+    for (const char* ext : {".so", ".cpp", ".log"})
+      EXPECT_EQ(fs::exists(cache.dir() / (fakes[i] + ext)), i >= 3)
+          << fakes[i] << ext;
 }
 
 // A default cache directory someone else could write is refused: this

@@ -9,8 +9,10 @@
 // ~5.7x, ~8.6x and ~13x respectively; the packed guard's own 10-symbol
 // shape read 11.4-13.8x on a 4-vCPU VM), so CI noise cannot flake the
 // guards, but they are tight enough to catch a backend silently falling
-// back or regressing to the tier below. A last guard keeps the golden
-// reference every sweep pays for on the compiled plan.
+// back or regressing to the tier below. The 64-lane native engine must
+// also beat 64 one-lane native engines by at least 2.5x, the line below
+// which lane packing would not pay for itself. A last guard keeps the
+// golden reference every sweep pays for on the compiled plan.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -218,9 +220,79 @@ TEST(VsimPackedGuard, Packed64BeatsScalarReplayByAtLeast10xDutThroughput) {
 
   ASSERT_GT(t_packed, 0.0);
   const double ratio = t_scalar / t_packed;
+  RecordProperty("ratio", std::to_string(ratio));
   EXPECT_GE(ratio, 10.0) << "packed 64-lane engine only " << ratio
                         << "x faster than scalar replay (scalar " << t_scalar
                         << " ms vs packed " << t_packed << " ms)";
+}
+
+TEST(VsimPackedGuard, Packed64BeatsOneLaneNativeByAtLeast2_5x) {
+  // 64 independent 25-symbol blocks of merge: one one-lane native engine
+  // per block (DutHarness, Backend::kPackedCodegen) vs one 64-lane native
+  // PackedDutHarness over the same streams. Both legs run generated code,
+  // so the ratio is what the lane dimension buys; below 2.5x a sweep would
+  // do as well on one-lane engines, one block per pool task.
+  if (!codegen_available())
+    GTEST_SKIP() << "no host C++ toolchain — packed codegen unavailable";
+  const qam::Architecture arch = qam::table1_architectures()[0];
+  const auto r = hls::run_synthesis(qam::build_qam_decoder_ir(), arch.dir,
+                                    TechLibrary::asic90());
+  const std::string verilog = rtl::emit_verilog(r.transformed, r.schedule);
+  const auto design = load_design(verilog, r.transformed.name);
+  std::string why;
+  const auto plan = compiled_plan(design, &why);
+  ASSERT_NE(plan, nullptr) << why;
+
+  const int kLanes = 64, kBlock = 25;
+  LinkStimulus stim((LinkConfig()));
+  const auto batch = qam::link_input_batch(&stim, kLanes * kBlock);
+  std::vector<std::vector<PortIo>> streams(kLanes);
+  for (int b = 0; b < kLanes; ++b)
+    streams[static_cast<std::size_t>(b)].assign(
+        batch.begin() + b * kBlock, batch.begin() + (b + 1) * kBlock);
+  SimConfig cfg;
+  cfg.backend = Backend::kPackedCodegen;
+
+  const auto lane1_ms = [&] {
+    const auto t0 = std::chrono::steady_clock::now();
+    for (const auto& s : streams) {
+      DutHarness dut(r.transformed, design, cfg);
+      dut.run_stream(s);
+    }
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - t0)
+        .count();
+  };
+  const auto packed_ms = [&] {
+    const auto t0 = std::chrono::steady_clock::now();
+    PackedDutHarness dut(r.transformed, plan, kLanes, cfg);
+    dut.run_streams(streams);
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - t0)
+        .count();
+  };
+
+  {
+    DutHarness one(r.transformed, design, cfg);
+    ASSERT_STREQ(one.sim().backend(), "codegen")
+        << one.sim().fallback_reason();
+    PackedDutHarness wide(r.transformed, plan, kLanes, cfg);
+    ASSERT_STREQ(wide.backend(), "packed_codegen") << wide.fallback_reason();
+  }
+  lane1_ms();  // warm the .so memo and the allocator on both paths
+  packed_ms();
+  double t_lane1 = 1e300, t_packed = 1e300;
+  for (int rep = 0; rep < 5; ++rep) {
+    t_lane1 = std::min(t_lane1, lane1_ms());
+    t_packed = std::min(t_packed, packed_ms());
+  }
+
+  ASSERT_GT(t_packed, 0.0);
+  const double ratio = t_lane1 / t_packed;
+  RecordProperty("ratio", std::to_string(ratio));
+  EXPECT_GE(ratio, 2.5) << "64-lane engine only " << ratio
+                        << "x the throughput of 64 one-lane engines (one-lane "
+                        << t_lane1 << " ms vs 64-lane " << t_packed << " ms)";
 }
 
 TEST(GoldenGuard, CompiledGoldenKeepsPaceWithCompiledRtlSim) {

@@ -245,6 +245,166 @@ TEST(PackedLanes, NativeLanesEqualScalarRuns) {
   }
 }
 
+// The lockstep fast paths: reads of a 6-entry array at the counter k
+// (the same in every lane while every lane is clocked) and at x[2:0]
+// (per lane), both in comb assigns (flushed every delta, since hk and hx
+// copy them) and in the process, element NBAs at k and at y[2:0], and
+// branches on k and on x[0]. Indices 6 and 7 fall outside the array, so
+// both the zero row and the dropped element write are reached.
+const char* kLockstepSrc = R"(
+module lockstep(input wire clk, input wire rst,
+                input wire [7:0] x, input wire [7:0] y,
+                output reg [7:0] acc, output reg [7:0] hk,
+                output reg [7:0] hx, output wire [7:0] rk,
+                output wire [7:0] rx);
+  reg [7:0] mem [0:5];
+  reg [2:0] k;
+  assign rk = mem[k];
+  assign rx = mem[x[2:0]];
+  always @(posedge clk) begin
+    if (rst) begin
+      k <= 0; acc <= 0; hk <= 0; hx <= 0;
+    end else begin
+      k <= k + 3'd1;
+      hk <= rk;
+      hx <= rx;
+      mem[k] <= x ^ y;
+      mem[y[2:0]] <= acc + x;
+      if (k == 3'd2) acc <= acc + mem[k];
+      else if (x[0]) acc <= acc ^ mem[x[2:0]];
+      else acc <= acc - 8'd1;
+    end
+  end
+endmodule
+)";
+
+struct LockstepHandles {
+  explicit LockstepHandles(const Design& d)
+      : clk(d.find("clk")), rst(d.find("rst")), x(d.find("x")),
+        y(d.find("y")), acc(d.find("acc")), hk(d.find("hk")),
+        hx(d.find("hx")), rk(d.find("rk")), rx(d.find("rx")),
+        k(d.find("k")), mem(d.find("mem")) {}
+  int clk, rst, x, y, acc, hk, hx, rk, rx, k, mem;
+};
+
+struct LockstepState {
+  std::uint64_t acc = 0, hk = 0, hx = 0, rk = 0, rx = 0, k = 0;
+  std::array<std::uint64_t, 6> mem{};
+  bool operator==(const LockstepState&) const = default;
+};
+
+void PrintTo(const LockstepState& s, std::ostream* os) {
+  *os << "{acc " << s.acc << ", hk " << s.hk << ", hx " << s.hx << ", rk "
+      << s.rk << ", rx " << s.rx << ", k " << s.k << ", mem";
+  for (const std::uint64_t v : s.mem) *os << " " << v;
+  *os << "}";
+}
+
+constexpr int kLockstepSteps = 24;
+
+// With `gated`, steps 4-8 clock only the even lanes, so k (and with it
+// the array rows read and written at k) differs across lanes afterwards.
+bool clocked(bool gated, int lane, int step) {
+  return !gated || step < 4 || step > 8 || lane % 2 == 0;
+}
+
+LockstepState lockstep_scalar_run(
+    const std::shared_ptr<const CompiledDesign>& plan,
+    const LockstepHandles& h, int lane, bool gated, SimStats* sum) {
+  CompiledSim sim(plan, {});
+  auto tick = [&] {
+    sim.poke(h.clk, 1);
+    sim.settle();
+    sim.poke(h.clk, 0);
+    sim.settle();
+  };
+  sim.poke(h.clk, 0);
+  sim.poke(h.rst, 1);
+  tick();
+  sim.poke(h.rst, 0);
+  for (int s = 0; s < kLockstepSteps; ++s) {
+    sim.poke(h.x, stim(lane, s, 0));
+    sim.poke(h.y, stim(lane, s, 1));
+    if (clocked(gated, lane, s))
+      tick();
+    else
+      sim.settle();  // the packed engine settles every lane each step
+  }
+  LockstepState out{sim.peek(h.acc), sim.peek(h.hk), sim.peek(h.hx),
+                    sim.peek(h.rk),  sim.peek(h.rx), sim.peek(h.k),
+                    {}};
+  for (int e = 0; e < 6; ++e)
+    out.mem[static_cast<std::size_t>(e)] = sim.peek_elem(h.mem, e);
+  sum->events += sim.stats().events;
+  sum->nba_commits += sim.stats().nba_commits;
+  sum->instrs += sim.stats().instrs;
+  return out;
+}
+
+TEST(PackedLanes, LockstepRowsAndBranchesEqualScalarRuns) {
+  if (!codegen_available())
+    GTEST_SKIP() << "no host C++ toolchain (HLSW_CODEGEN_CXX/CXX)";
+  auto design = load_design(kLockstepSrc, "lockstep");
+  std::string why;
+  auto plan = compiled_plan(design, &why);
+  ASSERT_NE(plan, nullptr) << why;
+  const LockstepHandles h(*design);
+
+  for (const bool gated : {false, true}) {
+    for (const int lanes : {1, 8, 64}) {
+      SCOPED_TRACE("lanes = " + std::to_string(lanes) +
+                   (gated ? ", gated" : ""));
+      const auto ps = native_engine(plan, lanes);
+      std::uint64_t even = 0;
+      for (int l = 0; l < lanes; l += 2) even |= 1ULL << l;
+      auto tick = [&](std::uint64_t m) {
+        ps->poke(h.clk, 1, m);
+        ps->settle();
+        ps->poke(h.clk, 0, m);
+        ps->settle();
+      };
+      ps->poke(h.clk, 0, ps->full_mask());
+      ps->poke(h.rst, 1, ps->full_mask());
+      tick(ps->full_mask());
+      ps->poke(h.rst, 0, ps->full_mask());
+      for (int s = 0; s < kLockstepSteps; ++s) {
+        for (int l = 0; l < lanes; ++l) {
+          ps->poke_lane(h.x, l, stim(l, s, 0));
+          ps->poke_lane(h.y, l, stim(l, s, 1));
+        }
+        // An odd lane is clocked exactly on the ungated steps.
+        tick(clocked(gated, 1, s) ? ps->full_mask() : even);
+      }
+
+      SimStats sum;
+      std::uint64_t acc_nz = 0, rk_nz = 0, rx_nz = 0;
+      for (int l = 0; l < lanes; ++l) {
+        const LockstepState want =
+            lockstep_scalar_run(plan, h, l, gated, &sum);
+        LockstepState got{ps->peek(h.acc, l), ps->peek(h.hk, l),
+                          ps->peek(h.hx, l),  ps->peek(h.rk, l),
+                          ps->peek(h.rx, l),  ps->peek(h.k, l),
+                          {}};
+        for (int e = 0; e < 6; ++e)
+          got.mem[static_cast<std::size_t>(e)] = ps->peek_elem(h.mem, e, l);
+        EXPECT_EQ(got, want) << "lane " << l << " diverged from its scalar run";
+        if (want.acc != 0) acc_nz |= 1ULL << l;
+        if (want.rk != 0) rk_nz |= 1ULL << l;
+        if (want.rx != 0) rx_nz |= 1ULL << l;
+      }
+      EXPECT_EQ(ps->peek_nonzero_mask(h.acc), acc_nz);
+      EXPECT_EQ(ps->peek_nonzero_mask(h.rk), rk_nz);
+      EXPECT_EQ(ps->peek_nonzero_mask(h.rx), rx_nz);
+      EXPECT_EQ(ps->stats().events, sum.events);
+      EXPECT_EQ(ps->stats().nba_commits, sum.nba_commits);
+      EXPECT_EQ(ps->stats().instrs, sum.instrs);
+      if (lanes == 1) {
+        EXPECT_EQ(ps->divergence_splits(), 0);
+      }
+    }
+  }
+}
+
 TEST(PackedLanes, PlanePokesAndNonzeroMaskMatchLaneAccessors) {
   auto design = load_design(kDivergeSrc, "diverge");
   auto plan = compiled_plan(design, nullptr);
@@ -294,7 +454,8 @@ TEST(PackedLanes, PackedSweepMatchesScalarSweepOnDecoder) {
   const auto vectors = qam::link_input_batch(&s, 70);
 
   // 7 blocks of 10 symbols over 5 lanes: one full batch plus a partial
-  // one, so the tail path (fewer blocks than lanes) is covered too.
+  // one, so the tail path (fewer blocks than lanes, the spare lanes idle)
+  // is covered too.
   const hls::CosimResult scalar = vsim_sweep(
       r.transformed, r.schedule, vectors, {.block_size = 10, .lanes = 1});
   const hls::CosimResult packed = vsim_sweep(
