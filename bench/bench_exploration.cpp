@@ -8,6 +8,8 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "bench_main.h"
 #include "hls/dse.h"
@@ -170,66 +172,72 @@ void print_dse(hlsw::bench::Harness& h) {
                 pick->name.c_str(), pick->latency_cycles, pick->area);
 }
 
-// Feasibility pruning on/off at both sweep widths, on the redirect-heavy
-// axes (tight clock, unrolled MAC loops, a dense pipeline-II axis): the
+// Feasibility pruning on/off on the redirect-heavy axes (unrolled MAC
+// loops, a dense pipeline-II axis) at the three clocks perfbench's
+// dse_explore draws from, plus the narrower cap-256 sweep at 3 ns: the
 // matrix EXPERIMENTS.md discusses. Pruning never changes the front; the
-// candidate analysis costs a fraction of the schedules it stands beside,
-// and redirects collapse below-floor II requests onto their clamped twins.
+// legs record what the redirects save in schedules against what the
+// analysis costs in wall time.
 void print_prune(hlsw::bench::Harness& h) {
   const auto ir = qam::build_qam_decoder_ir();
   const auto tech = TechLibrary::asic90();
   hls::DseOptions base;
-  base.clock_period_ns = 3.0;
   base.unroll_factors = {1, 2, 4, 8, 16};
   base.pipeline_iis = {0, 1, 2, 3};
   base.threads = 1;
 
-  std::printf("-- feasibility pruning (clock 3.0 ns, unroll x{1,2,4,8,16}, "
-              "II {0,1,2,3}) --\n");
-  std::printf("%5s %6s | %5s %9s %6s %5s %6s | %9s\n", "cap", "prune",
-              "rows", "schedules", "redir", "dom", "front", "min ms");
+  std::printf("-- feasibility pruning (unroll x{1,2,4,8,16}, "
+              "II {0,1,2,3}, one thread) --\n");
+  std::printf("%5s %5s %6s | %5s %9s %6s %6s | %9s\n", "clock", "cap",
+              "prune", "rows", "schedules", "redir", "front", "min ms");
   obs::Json legs = obs::Json::array();
-  double wall[2][2] = {};
-  std::size_t fronts[2][2] = {};
-  for (const int cap : {256, 1024}) {
+  bool fronts_identical = true;
+  const struct {
+    double clock_ns;
+    int cap;
+    const char* suffix;  // keeps the 3 ns labels of earlier artifacts
+  } sweeps[] = {{3.0, 256, ""}, {3.0, 1024, ""}, {4.0, 1024, "_4ns"},
+                {5.0, 1024, "_5ns"}};
+  for (const auto& sw : sweeps) {
+    double wall[2] = {};
+    std::vector<std::string> fronts[2];
     for (const bool prune : {false, true}) {
       hls::DseOptions opts = base;
-      opts.max_configs = cap;
+      opts.clock_period_ns = sw.clock_ns;
+      opts.max_configs = sw.cap;
       opts.prune = prune;
       hls::DseResult r;
       char label[64];
-      std::snprintf(label, sizeof label, "dse_prune_%d_%s", cap,
-                    prune ? "on" : "off");
+      std::snprintf(label, sizeof label, "dse_prune_%d_%s%s", sw.cap,
+                    prune ? "on" : "off", sw.suffix);
       const auto t = h.measure(label, [&] {
         opts.cache = std::make_shared<hls::SynthesisCache>();  // cold
         r = hls::explore(ir, opts, tech);
       });
-      const auto front = r.pareto_front();
-      std::printf("%5d %6s | %5zu %9zu %6zu %5zu %6zu | %9.3f\n", cap,
-                  prune ? "on" : "off", r.points.size(), r.cache_misses,
-                  r.pruned_infeasible, r.pruned_dominated, front.size(),
+      for (const auto* p : r.pareto_front()) fronts[prune].push_back(p->name);
+      std::printf("%5.1f %5d %6s | %5zu %9zu %6zu %6zu | %9.3f\n",
+                  sw.clock_ns, sw.cap, prune ? "on" : "off", r.points.size(),
+                  r.cache_misses, r.pruned_infeasible, fronts[prune].size(),
                   t.min_ms);
-      wall[cap == 1024][prune] = t.min_ms;
-      fronts[cap == 1024][prune] = front.size();
+      wall[prune] = t.min_ms;
       legs.push(obs::Json::object()
-                    .set("cap", static_cast<long long>(cap))
+                    .set("clock_ns", sw.clock_ns)
+                    .set("cap", static_cast<long long>(sw.cap))
                     .set("prune", prune)
                     .set("rows", static_cast<long long>(r.points.size()))
                     .set("schedules", static_cast<long long>(r.cache_misses))
                     .set("pruned_infeasible",
                          static_cast<long long>(r.pruned_infeasible))
-                    .set("pruned_dominated",
-                         static_cast<long long>(r.pruned_dominated))
-                    .set("front", static_cast<long long>(front.size()))
+                    .set("front",
+                         static_cast<long long>(fronts[prune].size()))
                     .set("min_ms", t.min_ms));
     }
+    fronts_identical = fronts_identical && fronts[0] == fronts[1];
+    std::printf("  %.1f ns cap %d: pruned sweep %.2fx the unpruned wall\n",
+                sw.clock_ns, sw.cap, wall[1] / wall[0]);
   }
-  std::printf("pruned full-width sweep vs unpruned: %.2fx wall at cap 1024, "
-              "identical fronts: %s\n\n",
-              wall[1][1] / wall[1][0],
-              fronts[0][0] == fronts[0][1] && fronts[1][0] == fronts[1][1]
-                  ? "yes"
-                  : "NO -- BUG");
+  std::printf("identical fronts with pruning on and off: %s\n\n",
+              fronts_identical ? "yes" : "NO -- BUG");
   h.note("prune", std::move(legs));
 }
 

@@ -13,6 +13,9 @@
 //                   code, e.g. cache hit rates and hw.* profile metrics) as
 //                   a "metrics" section of the artifact, so timings and
 //                   counters land in one diffable document
+//
+// Every artifact records the machine it ran on in a "machine" object:
+// nproc, compiler, build type and the git sha of the source tree.
 #pragma once
 
 #include <algorithm>
@@ -22,13 +25,43 @@
 #include <cstring>
 #include <ctime>
 #include <string>
+#include <thread>
 #include <utility>
 
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
 
+// Set by bench/CMakeLists.txt; other includers record "unknown".
+#ifndef HLSW_BENCH_COMPILER
+#define HLSW_BENCH_COMPILER "unknown"
+#endif
+#ifndef HLSW_BENCH_BUILD_TYPE
+#define HLSW_BENCH_BUILD_TYPE "unknown"
+#endif
+#ifndef HLSW_BENCH_SOURCE_DIR
+#define HLSW_BENCH_SOURCE_DIR "."
+#endif
+
 namespace hlsw::bench {
+
+// HEAD of the source tree the bench was built from, suffixed "-dirty"
+// when tracked files differ from it, or "unknown" when git or the
+// repository is unavailable.
+inline std::string source_git_sha() {
+  std::string sha;
+  if (FILE* p = ::popen("git -C '" HLSW_BENCH_SOURCE_DIR
+                        "' describe --always --dirty --abbrev=40 "
+                        "--exclude='*' 2>/dev/null",
+                        "r")) {
+    char buf[80];
+    if (std::fgets(buf, sizeof buf, p) != nullptr) sha = buf;
+    ::pclose(p);
+  }
+  while (!sha.empty() && (sha.back() == '\n' || sha.back() == '\r'))
+    sha.pop_back();
+  return sha.empty() ? "unknown" : sha;
+}
 
 struct Timing {
   double min_ms = 0;
@@ -131,6 +164,12 @@ class Harness {
             .set("reps", reps_)
             .set("warmup", warmup_)
             .set("timestamp", static_cast<long long>(std::time(nullptr)))
+            .set("machine",
+                 obs::Json::object()
+                     .set("nproc", std::thread::hardware_concurrency())
+                     .set("compiler", HLSW_BENCH_COMPILER)
+                     .set("build_type", HLSW_BENCH_BUILD_TYPE)
+                     .set("git_sha", source_git_sha()))
             .set("measurements", measurements_)
             .set("notes", notes_);
     if (embed_metrics_)

@@ -77,10 +77,9 @@ int main(int argc, char** argv) {
                           : hlsw::util::ThreadPool::default_thread_count());
   const hls::DseResult r = hls::explore(ir, dse, tech);
   std::printf("%zu configurations (%zu scheduled, %zu served from cache, "
-              "%zu redirected as infeasible, %zu pruned as dominated); "
-              "Pareto front:\n",
+              "%zu redirected as infeasible); Pareto front:\n",
               r.points.size(), r.cache_misses, r.cache_hits,
-              r.pruned_infeasible, r.pruned_dominated);
+              r.pruned_infeasible);
   for (const auto* p : r.pareto_front())
     std::printf("  %-24s %3d cycles  %8.0f gates\n", p->name.c_str(),
                 p->latency_cycles, p->area);

@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
   std::printf("%s: predicted %d cycles (schedule), feasibility floor %d, "
               "%zu counters, %zu legs\n\n",
               res.function.c_str(), res.synthesis.latency_cycles(),
-              res.feasibility.bounds.min_latency_cycles,
+              res.bounds.min_latency_cycles,
               res.counter_map.size(), res.counters.size());
   for (const hls::ProfileReport& rep : res.reports) {
     std::printf("[%s] measured %lld active cycles/invocation "

@@ -147,8 +147,7 @@ void run_batch(const std::vector<Candidate>& cands, const Function& f,
     if (opts.progress)
       opts.progress(out->points.back(),
                     DseProgress{index, out->points.size(), planned_total,
-                                p.hit, wall_ms(), out->pruned_infeasible,
-                                out->pruned_dominated});
+                                p.hit, wall_ms(), out->pruned_infeasible});
   }
 }
 
@@ -303,28 +302,13 @@ DseResult explore(const Function& f, const DseOptions& opts,
   // shape entry, so a prune decision costs little more than a map lookup.
   FeasibilityCache fcache;
 
-  // Already-resolved points the feasibility analysis may cite for
-  // domination. Rebuilt between batches (points only settle batch-wise),
-  // so every prune decision is made against fully-deterministic data on
-  // the calling thread.
-  std::vector<ResolvedPoint> resolved;
-  const auto snapshot_resolved = [&] {
-    resolved.clear();
-    resolved.reserve(out.points.size());
-    for (const auto& p : out.points)
-      resolved.push_back({p.latency_cycles, p.area});
-  };
-
-  // Appends a candidate unless pruning or the row cap rejects it.
-  // Revisits of an original configuration this call already planned
-  // bypass the cap (they cost no schedule and add no row). A candidate
-  // past the cap is dropped before the feasibility analysis, so it leaves
-  // no prune record: every redirect record names a row. An infeasible
-  // candidate is redirected: it keeps its row and name but synthesizes
-  // under its clamped directives' canonical key, so metrics-identical
-  // twins collapse onto one schedule. A dominated candidate is skipped
-  // outright — it can never join the Pareto front, so dropping its row
-  // changes nothing the front reports.
+  // Appends a candidate unless the row cap rejects it. Revisits of an
+  // original configuration this call already planned bypass the cap (they
+  // cost no schedule and add no row). A candidate past the cap is dropped
+  // before the feasibility analysis, so it leaves no prune record: every
+  // redirect record names a row. An infeasible candidate is redirected: it
+  // keeps its row and name but synthesizes under its clamped directives'
+  // canonical key, so metrics-identical twins collapse onto one schedule.
   const auto plan = [&](std::vector<Candidate>* batch, std::string name,
                         Directives dir) {
     const std::string orig_key = dse_cache_key(fp, dir, tech);
@@ -338,28 +322,13 @@ DseResult explore(const Function& f, const DseOptions& opts,
     if (planned >= opts.max_configs) return;
     if (opts.prune) {
       const FeasibilityVerdict fv =
-          check_feasibility(f, dir, tech, resolved, &fcache);
-      if (fv.status == FeasibilityStatus::kBounded) {
-        ++out.pruned_dominated;
-        std::ostringstream os;
-        os << "bounds (latency >= " << fv.bounds.min_latency_cycles
-           << ", area >= " << fv.bounds.min_area << ") dominated by '"
-           << out.points[static_cast<size_t>(fv.dominated_by)].name << "'";
-        if (obs::enabled())
-          obs::TraceSession::instance().instant(
-              name, "dse.prune",
-              obs::Json::object().set("kind", "dominated").set("row", false));
-        out.pruned.push_back({std::move(name), "dominated", os.str()});
-        return;
-      }
+          check_feasibility(f, dir, tech, nullptr, &fcache);
       if (fv.status == FeasibilityStatus::kInfeasible) {
         ++out.pruned_infeasible;
         if (obs::enabled())
           obs::TraceSession::instance().instant(
               name, "dse.prune",
-              obs::Json::object()
-                  .set("kind", to_string(fv.kind))
-                  .set("row", true));
+              obs::Json::object().set("kind", to_string(fv.kind)));
         out.pruned.push_back({name, to_string(fv.kind), fv.reason});
         dir = fv.clamped;  // metrics-identical; the row and name survive
       }
@@ -426,7 +395,6 @@ DseResult explore(const Function& f, const DseOptions& opts,
   std::vector<char> refined;
   for (int round = 0; round < 64; ++round) {
     refined.resize(out.points.size(), 0);
-    snapshot_resolved();
     const std::size_t rows_before = out.points.size();
     std::vector<Candidate> refine;
     for (std::size_t i = 0; i < rows_before; ++i) {
@@ -473,7 +441,6 @@ DseResult explore(const Function& f, const DseOptions& opts,
   }
   mark_pareto(out.points);
   demote_metric_ties(out.points);
-  out.scheduled = out.points.size();
 
   const double wall_ms = std::chrono::duration<double, std::milli>(
                              std::chrono::steady_clock::now() - t_start)
@@ -486,14 +453,12 @@ DseResult explore(const Function& f, const DseOptions& opts,
     span.arg("cache_hits", out.cache_hits);
     span.arg("cache_misses", out.cache_misses);
     span.arg("pruned_infeasible", out.pruned_infeasible);
-    span.arg("pruned_dominated", out.pruned_dominated);
     auto& m = obs::MetricsRegistry::instance();
     m.add("dse.explores");
     m.add("dse.points", static_cast<double>(out.points.size()));
     m.add("dse.cache_hits", static_cast<double>(out.cache_hits));
     m.add("dse.cache_misses", static_cast<double>(out.cache_misses));
     m.add("dse.prune.infeasible", static_cast<double>(out.pruned_infeasible));
-    m.add("dse.prune.dominated", static_cast<double>(out.pruned_dominated));
   }
   if (!opts.report_path.empty())
     obs::StructuredReport::write_json_file(opts.report_path,
@@ -507,7 +472,7 @@ obs::Json dse_run_json(const DseResult& r, const DseOptions& opts,
   seed_hex << "0x" << std::hex << r.seed;
   obs::Json doc = obs::Json::object()
                       .set("tool", "hlsw.dse")
-                      .set("schema_version", 2)
+                      .set("schema_version", 3)
                       .set("wall_ms", wall_ms)
                       .set("clock_period_ns", opts.clock_period_ns)
                       .set("threads", opts.threads)
@@ -515,8 +480,6 @@ obs::Json dse_run_json(const DseResult& r, const DseOptions& opts,
                       .set("cache_hits", r.cache_hits)
                       .set("cache_misses", r.cache_misses)
                       .set("pruned_infeasible", r.pruned_infeasible)
-                      .set("pruned_dominated", r.pruned_dominated)
-                      .set("scheduled", r.scheduled)
                       .set("seed", seed_hex.str());
   obs::Json points = obs::Json::array();
   for (const auto& p : r.points)

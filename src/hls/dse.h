@@ -54,11 +54,10 @@ struct DseProgress {
   std::size_t planned = 0;  // configurations planned so far (grows per phase)
   bool from_cache = false;  // this point came from the memoization cache
   double wall_ms = 0;       // elapsed wall time since explore() started
-  // Cumulative prune counters at the time this point resolved (see the
-  // DseResult fields of the same names). Prune decisions happen during
-  // enumeration on the calling thread, so these are deterministic too.
+  // Cumulative redirect count at the time this point resolved (see
+  // DseResult::pruned_infeasible). Prune decisions happen during
+  // enumeration on the calling thread, so it is deterministic too.
   std::size_t pruned_infeasible = 0;
-  std::size_t pruned_dominated = 0;
 };
 
 struct DseOptions {
@@ -76,18 +75,21 @@ struct DseOptions {
   bool try_merge = true;
   bool try_no_merge = true;
   // Static feasibility pruning (hls/feasibility.h): candidates whose
-  // directives provably synthesize identically to an already-planned
-  // canonical form are redirected to it (served from the cache, no extra
-  // schedule), and candidates provably dominated by an already-resolved
-  // point are skipped outright. Pruning never changes the Pareto front —
-  // the soundness oracle in tests/hls/feasibility_test.cpp enforces this —
-  // it only removes redundant scheduler work. Off = schedule everything.
+  // directives provably synthesize identically to a canonical clamped form
+  // are redirected to it (same row and name, served from the cache when
+  // the clamped form is already planned). Pruning never changes a row's
+  // metrics or the Pareto front — the soundness oracle in
+  // tests/hls/feasibility_test.cpp enforces this — it only removes
+  // redundant scheduler work. Off = schedule everything.
   bool prune = true;
   // Cap on the number of synthesized configurations (the sweep is
   // exponential in principle; we sweep a common factor across all loops
-  // plus per-loop refinements of the best points). Raised from the
-  // historical 256 now that feasibility pruning makes the II axis and
-  // deeper refinement nearly free (see bench_exploration's prune legs).
+  // plus per-loop refinements of the best points). The default covers the
+  // whole redirect-heavy QAM space (unroll {1,2,4,8,16} x II {0,1,2,3}) at
+  // 3-5 ns. Pruning does not make that sweep cheaper: on one thread it adds
+  // 5-7 ms to a 20-24 ms unpruned sweep and saves 16, 0 and 0 of 359, 294
+  // and 356 schedules at 3, 4 and 5 ns (bench_exploration's prune legs,
+  // BENCH_exploration.json).
   int max_configs = 1024;
   // Worker threads for the synthesis batch. 0 = hardware concurrency;
   // 1 = legacy serial path (no pool is created). Any value produces
@@ -122,14 +124,12 @@ struct DseOptions {
   std::string report_path;
 };
 
-// One prune decision made during enumeration (DseResult::pruned). A
-// "dominated" record is a candidate skipped outright (it has no DsePoint
-// row); every other kind is an infeasible candidate redirected to its
-// metrics-equivalent clamped form (its row exists under the same name and
-// usually resolves as a cache hit).
+// One prune decision made during enumeration (DseResult::pruned): an
+// infeasible candidate redirected to its metrics-equivalent clamped form.
+// Its row exists under the same name and usually resolves as a cache hit.
 struct DsePruned {
   std::string name;
-  std::string kind;    // to_string(InfeasibleKind) or "dominated"
+  std::string kind;    // to_string(InfeasibleKind)
   std::string reason;  // human-readable explanation
 };
 
@@ -139,15 +139,10 @@ struct DseResult {
   // (refinement revisits + warm-cache lookups), misses = schedules run.
   std::size_t cache_hits = 0;
   std::size_t cache_misses = 0;
-  // Feasibility-prune counters (hls/feasibility.h). pruned_infeasible =
-  // candidates redirected to a clamped canonical form (row kept, schedule
-  // usually saved); pruned_dominated = candidates skipped because a
-  // resolved point provably dominates their metric lower bounds (no row);
-  // scheduled = candidate rows actually evaluated (== points.size()).
+  // Candidates redirected to a clamped canonical form (hls/feasibility.h;
+  // row kept, schedule usually saved).
   std::size_t pruned_infeasible = 0;
-  std::size_t pruned_dominated = 0;
-  std::size_t scheduled = 0;
-  std::vector<DsePruned> pruned;  // one record per prune decision
+  std::vector<DsePruned> pruned;  // one record per redirect
   // Tie-break seed the points were ranked with (copied from DseOptions).
   std::uint64_t seed = 0x9e3779b97f4a7c15ull;
 
@@ -174,14 +169,16 @@ DseResult explore(const Function& f, const DseOptions& opts,
                   const TechLibrary& tech);
 
 // The dse_run.json document explore() writes for DseOptions::report_path:
-// {"tool":"hlsw.dse", "schema_version":2, "wall_ms":..., "threads":...,
+// {"tool":"hlsw.dse", "schema_version":3, "wall_ms":..., "threads":...,
 //  "cache_hits":..., "cache_misses":..., "seed":"0x...",
-//  "pruned_infeasible":..., "pruned_dominated":..., "scheduled":...,
+//  "pruned_infeasible":...,
 //  "points":[{"name","latency_cycles","latency_ns","area","pareto"}...],
 //  "pruned":[{"name","kind","reason"}...], "pareto_front":["name"...]}.
-// Schema history: v2 added the three prune counters and the "pruned"
-// array (PR 6); v1 had neither. Exposed so tools and tests can build the
-// same artifact from an in-memory result.
+// Schema history: v3 dropped the domination-prune counter (domination
+// pruning is gone) and "scheduled" (it always equalled the number of
+// points); v2 added the prune counters and the "pruned" array; v1 had
+// neither. Exposed so tools and tests can build the same artifact from an
+// in-memory result.
 obs::Json dse_run_json(const DseResult& r, const DseOptions& opts,
                        double wall_ms);
 

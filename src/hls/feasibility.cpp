@@ -541,241 +541,31 @@ double area_lb(const Function& f, const Directives& dir,
          tech.io_area_per_bit * static_cast<double>(io_bits);
 }
 
-// The subset of area_lb that does not depend on the loop transforms,
-// evaluated on the ORIGINAL function with array mappings resolved from the
-// directives. Every term kept here is transform-invariant or transform-
-// monotone: unroll duplicates ops (same per-op FU demand), preserves
-// per-element write counts, and only adds variable writers; merge
-// concatenates bodies. Register-array READ steering muxes are the one term
-// unrolling can shrink (a full partition leaves 1-input muxes), so like
-// pipeline registers they are omitted here and return in the tight tier.
-// The FSM/counter term depends on the transformed structure and is added
-// by the caller.
-double area_static_lb(const Function& f, const Directives& dir,
-                      const TechLibrary& tech) {
-  double max_mul = 0, max_add = 0;
-  long long storage_bits = 0, mem_bits = 0, io_bits = 0, io_reg_bits = 0;
-  int mem_ports = 0;
-  double mux = 0;
-
-  std::vector<ArrayMapping> mapping(f.arrays.size());
-  for (std::size_t a = 0; a < f.arrays.size(); ++a)
-    mapping[a] = dir.array_directive(f.arrays[a].name).mapping;
-
-  for (const auto& region : f.regions) {
-    const Block& b = region.is_loop ? region.loop.body : region.straight;
-    for (std::size_t i = 0; i < b.ops.size(); ++i) {
-      const OpCost cst = op_cost(f, b, static_cast<int>(i), tech);
-      if (cst.real_mults > 0)
-        max_mul = std::max(max_mul,
-                           cst.real_mults * tech.mul_area(cst.wa, cst.wb));
-      if (cst.real_adds > 0)
-        max_add = std::max(max_add, cst.real_adds * tech.add_area(cst.add_w));
-    }
-  }
-
-  for (const auto& v : f.vars) storage_bits += value_bits(v.type);
-  for (std::size_t a = 0; a < f.arrays.size(); ++a) {
-    const Array& arr = f.arrays[a];
-    const long long bits =
-        static_cast<long long>(arr.length) * value_bits(arr.elem);
-    if (mapping[a] == ArrayMapping::kMemory) {
-      const ArrayDirective ad = dir.array_directive(arr.name);
-      mem_bits += bits;
-      mem_ports += std::max(1, ad.mem_read_ports) +
-                   std::max(1, ad.mem_write_ports);
-    } else {
-      storage_bits += bits;
-    }
-  }
-
-  std::vector<int> var_writers(f.vars.size(), 0);
-  std::vector<std::vector<int>> elem_writers(f.arrays.size());
-  for (std::size_t a = 0; a < f.arrays.size(); ++a)
-    elem_writers[a].assign(static_cast<size_t>(f.arrays[a].length), 0);
-  for (const auto& region : f.regions) {
-    const Block& b = region.is_loop ? region.loop.body : region.straight;
-    const int trip = region.is_loop ? region.loop.trip : 1;
-    for (const Op& op : b.ops) {
-      if (op.kind == OpKind::kVarWrite) {
-        ++var_writers[static_cast<size_t>(op.var)];
-      } else if (op.kind == OpKind::kArrayWrite &&
-                 mapping[static_cast<size_t>(op.array)] ==
-                     ArrayMapping::kRegisters) {
-        const int g = op.guard_trip < 0 ? trip : op.guard_trip;
-        for (int k = 0; k < g; ++k) {
-          const int idx = op.idx.eval(k);
-          if (idx >= 0 && idx < f.arrays[static_cast<size_t>(op.array)].length)
-            ++elem_writers[static_cast<size_t>(op.array)]
-                          [static_cast<size_t>(idx)];
-        }
-      }
-    }
-  }
-  for (std::size_t v = 0; v < f.vars.size(); ++v)
-    mux += tech.mux_area(var_writers[v], value_bits(f.vars[v].type));
-  for (std::size_t a = 0; a < f.arrays.size(); ++a)
-    for (int w : elem_writers[a])
-      mux += tech.mux_area(w, value_bits(f.arrays[a].elem));
-
-  auto iface_of = [&](const std::string& name) {
-    auto it = dir.interfaces.find(name);
-    return it == dir.interfaces.end() ? InterfaceKind::kWire : it->second;
-  };
-  for (const auto& v : f.vars) {
-    if (v.port == PortDir::kNone) continue;
-    const int bits = value_bits(v.type);
-    switch (iface_of(v.name)) {
-      case InterfaceKind::kRegistered:
-        io_reg_bits += bits;
-        io_bits += bits;
-        break;
-      case InterfaceKind::kHandshake:
-        io_reg_bits += bits;
-        io_bits += bits + 2;
-        break;
-      default:
-        io_bits += bits;
-        break;
-    }
-  }
-  for (const auto& a : f.arrays) {
-    if (a.port == PortDir::kNone) continue;
-    const long long full =
-        static_cast<long long>(a.length) * value_bits(a.elem);
-    switch (iface_of(a.name)) {
-      case InterfaceKind::kStream:
-        io_bits += value_bits(a.elem) + 2;
-        break;
-      case InterfaceKind::kRegistered:
-        io_reg_bits += full;
-        io_bits += full;
-        break;
-      case InterfaceKind::kHandshake:
-        io_reg_bits += full;
-        io_bits += full + 2;
-        break;
-      default:
-        io_bits += full;
-        break;
-    }
-  }
-
-  return max_mul + max_add +
-         tech.reg_area(static_cast<int>(storage_bits + io_reg_bits)) + mux +
-         (mem_bits > 0 ? tech.mem_area(static_cast<int>(mem_bits), mem_ports)
-                       : 0) +
-         tech.io_area_per_bit * static_cast<double>(io_bits);
-}
-
-// Serialized array-mapping + interface environment — the directive axes
-// the cross-shape memos below additionally depend on.
-std::string array_iface_key(const Directives& d) {
-  std::string key;
-  key.reserve(64);
-  char buf[48];
-  key += "arr=";
-  for (const auto& [name, ad] : d.arrays) {
-    if (ad.mapping == ArrayMapping::kRegisters && ad.mem_read_ports == 1 &&
-        ad.mem_write_ports == 1)
-      continue;
-    key += name;
-    std::snprintf(buf, sizeof buf, ":%d:%d:%d,", static_cast<int>(ad.mapping),
-                  ad.mem_read_ports, ad.mem_write_ports);
-    key += buf;
-  }
-  key += ";if=";
-  for (const auto& [name, kind] : d.interfaces) {
-    key += name;
-    std::snprintf(buf, sizeof buf, ":%d,", static_cast<int>(kind));
-    key += buf;
-  }
-  return key;
-}
-
 }  // namespace
 
 // One analyzed transform shape: the expensive, pipeline-II-independent
 // part of a verdict. Candidates differing only in requested IIs share an
 // entry; their floors accumulate lazily per loop label.
-//
-// The bounds come in two tiers. The weak tier (populate) is near-free: one
-// cycle per region body and the schedule-independent area floor. The tight
-// tier (tighten: the relaxed schedule replay and the FSM-aware area bound)
-// is computed only when something can use the extra precision — a direct
-// caller, or a resolved point that dominates the weak bounds and needs the
-// claim re-proved against the tight ones. Since weak <= tight
-// component-wise, screening domination on weak bounds never misses a
-// candidate the tight bounds would have pruned.
 struct FeasibilityCache::Impl {
   struct Entry {
-    TransformResult tf;   // materialized on demand (floor misses, tight tier)
+    TransformResult tf;  // materialized on demand (floor misses, bounds)
     bool has_tf = false;
-    struct RegionInfo {
-      bool is_loop;
-      std::string label;
-      int trip;
-      int rc = 1;  // relaxed cycle count of the region body (tight only)
-    };
-    std::vector<RegionInfo> regions;  // the simulated transformed structure
-    int stream_lat = 0;               // latency addend from stream ports
-    bool tight = false;               // relaxed schedule computed?
-    double area = 0;                  // area bound at the current tier
-    std::string env_key;  // array/interface fragment for cross-shape memos
+    std::string env_key;  // array/interface fragment for the floor memo
     std::map<std::string, std::pair<int, int>> floors;  // label -> (bw, rec)
   };
   std::unordered_map<std::string, Entry> entries;
-  // Cross-shape memos: the same merged/unrolled loop body recurs across
-  // many shapes (a sibling loop's directives change the shape key but not
-  // this body), and the schedule-independent area term depends only on the
-  // array-mapping/interface environment. Hits on these avoid materializing
-  // the transform at all.
+  // Cross-shape floor memo: the same merged/unrolled loop body recurs
+  // across many shapes (a sibling loop's directives change the shape key
+  // but not this body). Hits avoid materializing the transform at all.
   std::unordered_map<std::string, std::pair<int, int>> floor_memo;
-  std::unordered_map<std::string, double> static_area_memo;
 
-  void populate(const Function& f, const Directives& shape,
-                const std::vector<SimRegion>& structure,
-                const TechLibrary& tech, Entry* e);
-  void materialize(const Function& f, const Directives& shape, Entry* e);
-  void tighten(const Function& f, const Directives& shape,
-               const TechLibrary& tech, Entry* e);
+  static void materialize(const Function& f, const Directives& shape,
+                          const std::vector<SimRegion>& structure, Entry* e);
 };
 
-void FeasibilityCache::Impl::populate(const Function& f,
-                                      const Directives& shape,
-                                      const std::vector<SimRegion>& structure,
-                                      const TechLibrary& tech, Entry* e) {
-  // Weak tier, without running the transform engine: region list and trips
-  // from the canonicalization's structure simulation, one FSM state per
-  // region body, the memoized schedule-independent area term.
-  int fsm_states = shape.handshake ? 1 : 0;
-  int counter_bits = 0;
-  e->regions.reserve(structure.size());
-  for (const auto& s : structure) {
-    e->regions.push_back({s.is_loop, s.label, s.trip});
-    ++fsm_states;
-    if (s.is_loop)
-      counter_bits +=
-          fixpt::clog2(static_cast<unsigned long long>(s.trip) + 1);
-  }
-  for (const auto& a : f.arrays) {
-    if (a.port == PortDir::kNone) continue;
-    auto it = shape.interfaces.find(a.name);
-    if (it != shape.interfaces.end() &&
-        it->second == InterfaceKind::kStream) {
-      e->stream_lat += a.length;
-      counter_bits +=
-          fixpt::clog2(static_cast<unsigned long long>(a.length) + 1);
-    }
-  }
-  e->env_key = array_iface_key(shape);
-  auto [it, fresh] = static_area_memo.try_emplace(e->env_key, 0.0);
-  if (fresh) it->second = area_static_lb(f, shape, tech);
-  e->area = it->second + tech.fsm_area(fsm_states, counter_bits);
-}
-
-void FeasibilityCache::Impl::materialize(const Function& f,
-                                         const Directives& shape, Entry* e) {
+void FeasibilityCache::Impl::materialize(
+    const Function& f, const Directives& shape,
+    const std::vector<SimRegion>& structure, Entry* e) {
   if (e->has_tf) return;
   // The transformed design the scheduler would actually see. Canonical and
   // original directives transform to metrics-identical IR by construction.
@@ -783,12 +573,12 @@ void FeasibilityCache::Impl::materialize(const Function& f,
   e->has_tf = true;
   // Floors and bounds index into the simulated structure; it must mirror
   // the engine exactly. Fail loudly on any divergence.
-  bool ok = e->tf.func.regions.size() == e->regions.size();
-  for (std::size_t r = 0; ok && r < e->regions.size(); ++r) {
+  bool ok = e->tf.func.regions.size() == structure.size();
+  for (std::size_t r = 0; ok && r < structure.size(); ++r) {
     const auto& region = e->tf.func.regions[r];
-    ok = region.is_loop == e->regions[r].is_loop &&
-         (!region.is_loop || (region.loop.label == e->regions[r].label &&
-                              region.loop.trip == e->regions[r].trip));
+    ok = region.is_loop == structure[r].is_loop &&
+         (!region.is_loop || (region.loop.label == structure[r].label &&
+                              region.loop.trip == structure[r].trip));
   }
   if (!ok)
     throw std::logic_error(
@@ -796,36 +586,17 @@ void FeasibilityCache::Impl::materialize(const Function& f,
         "apply_transforms");
 }
 
-void FeasibilityCache::Impl::tighten(const Function& f,
-                                     const Directives& shape,
-                                     const TechLibrary& tech, Entry* e) {
-  if (e->tight) return;
-  materialize(f, shape, e);
-  std::vector<int> relaxed;
-  relaxed.reserve(e->tf.func.regions.size());
-  for (std::size_t r = 0; r < e->tf.func.regions.size(); ++r) {
-    const auto& region = e->tf.func.regions[r];
-    const Block& b = region.is_loop ? region.loop.body : region.straight;
-    const int rc =
-        relaxed_block_cycles(e->tf.func, b, e->regions[r].trip, shape, tech);
-    relaxed.push_back(rc);
-    e->regions[r].rc = rc;
-  }
-  e->area = area_lb(e->tf.func, shape, tech, relaxed);
-  e->tight = true;
-}
-
 FeasibilityCache::FeasibilityCache() : impl_(std::make_unique<Impl>()) {}
 FeasibilityCache::~FeasibilityCache() = default;
-std::size_t FeasibilityCache::size() const { return impl_->entries.size(); }
 
-FeasibilityVerdict check_feasibility(
-    const Function& f, const Directives& dir, const TechLibrary& tech,
-    const std::vector<ResolvedPoint>& resolved_points,
-    FeasibilityCache* cache) {
+FeasibilityVerdict check_feasibility(const Function& f, const Directives& dir,
+                                     const TechLibrary& tech,
+                                     DesignBounds* bounds,
+                                     FeasibilityCache* cache) {
   Canon canon;
   canon.dir = dir;
   canonicalize_structure(f, &canon);
+  const std::vector<SimRegion>& structure = canon.structure;
 
   // The transform, the relaxed schedule and the area bound never read
   // pipeline_ii (transforms are unroll/merge/array-mapping only; the II
@@ -838,16 +609,13 @@ FeasibilityVerdict check_feasibility(
   auto [eit, fresh] =
       impl->entries.try_emplace(dse_cache_key(0, shape, tech));
   FeasibilityCache::Impl::Entry* e = &eit->second;
-  if (fresh) impl->populate(f, shape, canon.structure, tech, e);
-  // Direct callers get the tight bounds unconditionally — the documented
-  // relaxed-schedule precision, at one-shot cost.
-  if (!cache) impl->tighten(f, shape, tech, e);
+  if (fresh) append_directive_env_key(shape, &e->env_key);
 
   // Pipeline II floors on the transformed bodies: the scheduler raises a
   // requested II to at least max(recurrence, bandwidth); a request below
   // that floor synthesizes identically to the floor itself.
-  for (std::size_t r = 0; r < e->regions.size(); ++r) {
-    const auto& info = e->regions[r];
+  for (std::size_t r = 0; r < structure.size(); ++r) {
+    const SimRegion& info = structure[r];
     if (!info.is_loop) continue;
     const LoopDirective ld = canon.dir.loop_directive(info.label);
     if (ld.pipeline_ii < 1) continue;
@@ -866,14 +634,14 @@ FeasibilityVerdict check_feasibility(
                     shape.clock_period_ns, shape.max_real_multipliers,
                     info.trip);
       mkey += buf;
-      for (const auto& [src, u] : canon.structure[r].members) {
+      for (const auto& [src, u] : info.members) {
         mkey += src;
         std::snprintf(buf, sizeof buf, ":%d,", u);
         mkey += buf;
       }
       auto [mit, mfresh] = impl->floor_memo.try_emplace(mkey);
       if (mfresh) {
-        impl->materialize(f, shape, e);
+        impl->materialize(f, shape, structure, e);
         const Block& body = e->tf.func.regions[r].loop.body;
         mit->second = {
             bandwidth_min_ii(e->tf.func, body, shape, tech),
@@ -899,63 +667,44 @@ FeasibilityVerdict check_feasibility(
     }
   }
 
-  // Bounds: cached per-region cycle counts (relaxed-schedule values at the
-  // tight tier, 1 per body at the weak tier) recombined with the
-  // candidate's (clamped) initiation intervals.
-  const auto combined_lat = [&] {
+  // Bounds: each transformed region body's relaxed cycle count recombined
+  // with the candidate's (clamped) initiation intervals, plus one cycle
+  // per element of every streamed array port.
+  if (bounds) {
+    impl->materialize(f, shape, structure, e);
+    const Function& tf = e->tf.func;
+    std::vector<int> relaxed(tf.regions.size());
     int min_lat = 0;
-    for (const auto& info : e->regions) {
-      if (!info.is_loop) {
-        min_lat += info.rc;
+    for (std::size_t r = 0; r < tf.regions.size(); ++r) {
+      const auto& region = tf.regions[r];
+      const Block& b = region.is_loop ? region.loop.body : region.straight;
+      const int trip = structure[r].trip;
+      const int rc = relaxed_block_cycles(tf, b, trip, shape, tech);
+      relaxed[r] = rc;
+      if (!region.is_loop) {
+        min_lat += rc;
         continue;
       }
-      const LoopDirective ld = canon.dir.loop_directive(info.label);
-      min_lat += ld.pipeline_ii >= 1
-                     ? info.rc + (info.trip - 1) * ld.pipeline_ii
-                     : info.trip * info.rc;
+      const int ii = canon.dir.loop_directive(structure[r].label).pipeline_ii;
+      min_lat += ii >= 1 ? rc + (trip - 1) * ii : trip * rc;
     }
-    return min_lat + e->stream_lat;
-  };
-  // Domination: a resolved point at or inside the bounds, strictly better
-  // in at least one axis, proves this candidate can never join the front.
-  const auto dominated_by = [&](const DesignBounds& bounds) {
-    for (std::size_t i = 0; i < resolved_points.size(); ++i) {
-      const ResolvedPoint& q = resolved_points[i];
-      if (q.latency_cycles <= bounds.min_latency_cycles &&
-          q.area <= bounds.min_area &&
-          (q.latency_cycles < bounds.min_latency_cycles ||
-           q.area < bounds.min_area))
-        return static_cast<int>(i);
+    for (const auto& a : f.arrays) {
+      if (a.port == PortDir::kNone) continue;
+      auto it = shape.interfaces.find(a.name);
+      if (it != shape.interfaces.end() && it->second == InterfaceKind::kStream)
+        min_lat += a.length;
     }
-    return -1;
-  };
+    bounds->min_latency_cycles = min_lat;
+    bounds->min_area = area_lb(tf, shape, tech, relaxed);
+  }
 
   FeasibilityVerdict v;
-  v.bounds.min_latency_cycles = combined_lat();
-  v.bounds.min_area = e->area;
-
   if (canon.changed) {
-    v.clamped = std::move(canon.dir);
     v.status = FeasibilityStatus::kInfeasible;
     v.kind = canon.kind;
     v.reason = std::move(canon.reason);
-    return v;
-  }
-  int dom = dominated_by(v.bounds);
-  if (dom >= 0 && !e->tight) {
-    // A point dominates the weak bounds; re-prove the claim against the
-    // tight ones before pruning (they can only move the bounds up, which
-    // may clear the candidate — never condemn a cleared one).
-    impl->tighten(f, shape, tech, e);
-    v.bounds.min_latency_cycles = combined_lat();
-    v.bounds.min_area = e->area;
-    dom = dominated_by(v.bounds);
   }
   v.clamped = std::move(canon.dir);
-  if (dom >= 0) {
-    v.status = FeasibilityStatus::kBounded;
-    v.dominated_by = dom;
-  }
   return v;
 }
 

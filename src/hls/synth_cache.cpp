@@ -74,23 +74,29 @@ std::string dse_cache_key(std::uint64_t func_fingerprint, const Directives& dir,
     }
     key += '|';
   }
-  key += ";arr=";
+  key += ';';
+  append_directive_env_key(dir, &key);
+  return key;
+}
+
+void append_directive_env_key(const Directives& dir, std::string* key) {
+  char buf[48];
+  *key += "arr=";
   for (const auto& [name, ad] : dir.arrays) {
     if (ad.mapping == ArrayMapping::kRegisters && ad.mem_read_ports == 1 &&
         ad.mem_write_ports == 1)
       continue;  // default: omit
-    key += name;
+    *key += name;
     std::snprintf(buf, sizeof buf, ":%d:%d:%d,", static_cast<int>(ad.mapping),
                   ad.mem_read_ports, ad.mem_write_ports);
-    key += buf;
+    *key += buf;
   }
-  key += ";if=";
+  *key += ";if=";
   for (const auto& [name, kind] : dir.interfaces) {
-    key += name;
+    *key += name;
     std::snprintf(buf, sizeof buf, ":%d,", static_cast<int>(kind));
-    key += buf;
+    *key += buf;
   }
-  return key;
 }
 
 bool SynthesisCache::contains(const std::string& key) const {

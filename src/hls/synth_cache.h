@@ -49,6 +49,12 @@ std::uint64_t tech_fingerprint(const TechLibrary& tech);
 std::string dse_cache_key(std::uint64_t func_fingerprint,
                           const Directives& dir, const TechLibrary& tech);
 
+// Appends dse_cache_key's array-mapping and interface fragment,
+// "arr=<name>:<mapping>:<rports>:<wports>,...;if=<name>:<kind>,...", to
+// `key`, omitting default array entries. The feasibility analysis keys its
+// cross-shape floor memo on the same fragment.
+void append_directive_env_key(const Directives& dir, std::string* key);
+
 class SynthesisCache {
  public:
   // What a DsePoint needs from a synthesis run.

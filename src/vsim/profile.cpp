@@ -81,9 +81,8 @@ obs::Json ProfileRunResult::to_json() const {
                .set("clock_ns", synthesis.schedule.clock_ns))
       .set("feasibility",
            obs::Json::object()
-               .set("min_latency_cycles",
-                    feasibility.bounds.min_latency_cycles)
-               .set("min_area", feasibility.bounds.min_area))
+               .set("min_latency_cycles", bounds.min_latency_cycles)
+               .set("min_area", bounds.min_area))
       .set("counter_map", hls::instrument_map_json(counter_map))
       .set("legs", std::move(legs))
       .set("cross_issues", std::move(cross))
@@ -102,7 +101,7 @@ ProfileRunResult profile_run(const hls::Function& f,
   r.function = r.synthesis.transformed.name;
   // Bounds are certified against the ORIGINAL IR + directives: the measured
   // hardware may never beat them no matter what the transforms did.
-  r.feasibility = hls::check_feasibility(f, dir, tech);
+  hls::check_feasibility(f, dir, tech, &r.bounds);
 
   hls::InstrumentOptions inst = opts.instrument;
   inst.enabled = true;
@@ -129,7 +128,7 @@ ProfileRunResult profile_run(const hls::Function& f,
     r.output_mismatches.push_back(mm);
     r.reports.push_back(hls::reconcile_profile(
         r.synthesis.transformed, r.synthesis.schedule, r.counter_map, values,
-        &r.feasibility.bounds));
+        &r.bounds));
     r.counters.push_back(std::move(values));
     r.leg_backends.push_back(std::move(backend));
     r.leg_fallbacks.push_back(std::move(fallback));

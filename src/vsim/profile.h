@@ -72,7 +72,7 @@ struct ProfileRunResult {
   std::string verilog;  // instrumented module text
   std::vector<hls::PerfCounter> counter_map;
   hls::SynthesisResult synthesis;
-  hls::FeasibilityVerdict feasibility;     // bounds certified on original IR
+  hls::DesignBounds bounds;                  // certified on the original IR
   std::vector<hls::CounterValues> counters;  // one per executed leg
   std::vector<hls::ProfileReport> reports;   // reconciled, aligned with ^
   // Aligned with `counters`: the backend that actually executed each leg

@@ -5,8 +5,7 @@
 //
 //   * the Pareto front is identical with pruning on and off;
 //   * pruning never schedules MORE configurations (redirects collapse
-//     below-floor II requests onto their clamped twins, domination skips
-//     never cost a schedule);
+//     below-floor II requests onto their clamped twins);
 //   * the full-width pruned sweep covers the whole space — strictly more
 //     rows than the truncated 256-row sweep reaches;
 //   * the candidate analysis is cheap: the pruned full-width sweep stays

@@ -90,8 +90,7 @@ TEST(Dse, RespectsConfigCap) {
 
 TEST(Dse, CandidatesPastTheCapLeaveNoPruneRecords) {
   // The redirect-heavy axes at 3 ns under a cap that binds early: a
-  // redirect record describes a row, so every record other than
-  // "dominated" (which has no row by design) must name one.
+  // redirect record describes a row, so every record must name one.
   DseOptions opts;
   opts.clock_period_ns = 3.0;
   opts.unroll_factors = {1, 2, 4, 8, 16};
@@ -102,15 +101,12 @@ TEST(Dse, CandidatesPastTheCapLeaveNoPruneRecords) {
                               TechLibrary::asic90());
   EXPECT_LE(r.points.size(), 8u);
   ASSERT_FALSE(r.pruned.empty());
-  std::size_t redirects = 0;
   for (const DsePruned& p : r.pruned) {
-    if (p.kind == "dominated") continue;
-    ++redirects;
     bool has_row = false;
     for (const DsePoint& pt : r.points) has_row = has_row || pt.name == p.name;
     EXPECT_TRUE(has_row) << p.kind << " record '" << p.name << "' has no row";
   }
-  EXPECT_EQ(redirects, r.pruned_infeasible);
+  EXPECT_EQ(r.pruned.size(), r.pruned_infeasible);
 }
 
 }  // namespace

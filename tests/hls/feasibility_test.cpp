@@ -1,16 +1,16 @@
 // Differential soundness oracle for the static feasibility analysis
-// (hls/feasibility.h). The analysis makes three kinds of claims and every
-// one is checked here against the scheduler itself — the ground truth it
-// is supposed to predict without running:
+// (hls/feasibility.h). The analysis makes two kinds of claims and both are
+// checked here against the scheduler itself — the ground truth it is
+// supposed to predict without running:
 //
 //  - kInfeasible("redirect"): the candidate synthesizes *identically* to
 //    its clamped canonical form. We force-schedule both and require equal
 //    latency and area, exactly — a single divergence is a false prune.
 //  - bounds: min_latency_cycles / min_area are true lower bounds on the
 //    scheduled metrics for every verdict kind.
-//  - kBounded("dominated"): the resolved point named by dominated_by must
-//    strictly dominate the candidate's *actual* scheduled metrics, not
-//    just its bounds.
+//
+// A FeasibilityCache shared across calls, as explore() uses one, must not
+// change either claim: cached verdicts and bounds equal the direct ones.
 //
 // The oracle runs over thirteen architectures — the ten from
 // qam::exploration_architectures() plus three built here to force the
@@ -142,7 +142,9 @@ TEST(Feasibility, DifferentialOracleOverThirteenArchitectures) {
   const auto archs = oracle_architectures();
   ASSERT_EQ(archs.size(), 13u);
 
-  std::vector<ResolvedPoint> resolved;
+  const std::uint64_t fp = function_fingerprint(f);
+  // One memo for the whole loop, as explore() keeps one per sweep.
+  FeasibilityCache cache;
   std::size_t infeasible_seen = 0;
   std::size_t bandwidth_seen = 0, recurrence_seen = 0;
 
@@ -155,12 +157,25 @@ TEST(Feasibility, DifferentialOracleOverThirteenArchitectures) {
       for (int m = 0; m < sample % 4; ++m) mutate(dir, rng);
       SCOPED_TRACE(archs[ai].name + " sample " + std::to_string(sample));
 
-      const FeasibilityVerdict v = check_feasibility(f, dir, tech, resolved);
+      DesignBounds bounds;
+      const FeasibilityVerdict v = check_feasibility(f, dir, tech, &bounds);
       const SynthesisResult actual = run_synthesis(f, dir, tech);
 
+      // The cached call answers exactly as the direct one.
+      DesignBounds cached_bounds;
+      const FeasibilityVerdict cached =
+          check_feasibility(f, dir, tech, &cached_bounds, &cache);
+      EXPECT_EQ(cached.status, v.status);
+      EXPECT_EQ(cached.kind, v.kind);
+      EXPECT_EQ(cached.reason, v.reason);
+      EXPECT_EQ(dse_cache_key(fp, cached.clamped, tech),
+                dse_cache_key(fp, v.clamped, tech));
+      EXPECT_EQ(cached_bounds.min_latency_cycles, bounds.min_latency_cycles);
+      EXPECT_EQ(cached_bounds.min_area, bounds.min_area);
+
       // Claim 1: bounds are true lower bounds, whatever the verdict.
-      EXPECT_LE(v.bounds.min_latency_cycles, actual.latency_cycles());
-      EXPECT_LE(v.bounds.min_area, actual.area.total + 1e-9);
+      EXPECT_LE(bounds.min_latency_cycles, actual.latency_cycles());
+      EXPECT_LE(bounds.min_area, actual.area.total + 1e-9);
 
       if (v.status == FeasibilityStatus::kInfeasible) {
         ++infeasible_seen;
@@ -174,79 +189,26 @@ TEST(Feasibility, DifferentialOracleOverThirteenArchitectures) {
         EXPECT_EQ(actual.latency_cycles(), clamped.latency_cycles());
         EXPECT_DOUBLE_EQ(actual.area.total, clamped.area.total);
         // The clamped form is a fixpoint of the analysis.
-        const FeasibilityVerdict again = check_feasibility(f, v.clamped, tech);
+        DesignBounds again_bounds;
+        const FeasibilityVerdict again =
+            check_feasibility(f, v.clamped, tech, &again_bounds);
         EXPECT_NE(again.status, FeasibilityStatus::kInfeasible)
             << "clamping must converge in one step, got: " << again.reason;
-        EXPECT_EQ(again.bounds.min_latency_cycles,
-                  v.bounds.min_latency_cycles);
-        EXPECT_DOUBLE_EQ(again.bounds.min_area, v.bounds.min_area);
+        EXPECT_EQ(again_bounds.min_latency_cycles, bounds.min_latency_cycles);
+        EXPECT_DOUBLE_EQ(again_bounds.min_area, bounds.min_area);
       } else {
         EXPECT_EQ(v.kind, InfeasibleKind::kNone);
         EXPECT_TRUE(v.reason.empty());
       }
-
-      if (v.status == FeasibilityStatus::kBounded) {
-        // Claim 3: the cited point strictly dominates the *scheduled*
-        // metrics, so skipping this candidate cannot lose a front member.
-        ASSERT_GE(v.dominated_by, 0);
-        ASSERT_LT(static_cast<std::size_t>(v.dominated_by), resolved.size());
-        const ResolvedPoint& q = resolved[v.dominated_by];
-        EXPECT_LE(q.latency_cycles, actual.latency_cycles());
-        EXPECT_LE(q.area, actual.area.total + 1e-9);
-        EXPECT_TRUE(q.latency_cycles < actual.latency_cycles() ||
-                    q.area < actual.area.total)
-            << "dominated verdict without strict improvement";
-      }
-
-      resolved.push_back({actual.latency_cycles(), actual.area.total});
     }
   }
 
   // The sweep must actually exercise the analysis: redirects of both II
   // floors. (The three extra architectures exist precisely to force
-  // them.) Domination verdicts cannot occur organically on this design
-  // space — every fast QAM configuration is also big — and are covered by
-  // the crafted-resolved-set test below.
+  // them.)
   EXPECT_GT(infeasible_seen, 0u);
   EXPECT_GT(bandwidth_seen, 0u);
   EXPECT_GT(recurrence_seen, 0u);
-}
-
-// Domination verdicts, exercised with resolved sets crafted from each
-// architecture's own bounds: a point one area unit inside the candidate's
-// lower-bound box forces kBounded, and claim 3 — the cited point strictly
-// dominates the *actual* scheduled metrics — must then hold, because the
-// bounds are true lower bounds. Points outside the box must never trigger
-// a skip.
-TEST(Feasibility, DominatedVerdictCitesATrulyDominatingPoint) {
-  const Function f = qam::build_qam_decoder_ir();
-  const TechLibrary tech = TechLibrary::asic90();
-
-  for (const auto& arch : oracle_architectures()) {
-    SCOPED_TRACE(arch.name);
-    const FeasibilityVerdict base = check_feasibility(f, arch.dir, tech);
-    if (base.status == FeasibilityStatus::kInfeasible) continue;
-
-    const SynthesisResult actual = run_synthesis(f, arch.dir, tech);
-    const ResolvedPoint inside{base.bounds.min_latency_cycles,
-                               base.bounds.min_area - 1.0};
-    const ResolvedPoint outside{base.bounds.min_latency_cycles + 1,
-                                base.bounds.min_area + 1.0};
-
-    const FeasibilityVerdict hit =
-        check_feasibility(f, arch.dir, tech, {outside, inside});
-    ASSERT_EQ(hit.status, FeasibilityStatus::kBounded);
-    EXPECT_EQ(hit.dominated_by, 1) << "must cite the dominating point";
-    // The cited point beats what the scheduler would actually produce:
-    // skipping this candidate loses nothing.
-    EXPECT_LE(inside.latency_cycles, actual.latency_cycles());
-    EXPECT_LT(inside.area, actual.area.total);
-
-    const FeasibilityVerdict miss =
-        check_feasibility(f, arch.dir, tech, {outside});
-    EXPECT_EQ(miss.status, FeasibilityStatus::kFeasible)
-        << "a point outside the bound box must never cause a skip";
-  }
 }
 
 TEST(Feasibility, VerdictTaxonomy) {
@@ -291,10 +253,11 @@ TEST(Feasibility, VerdictTaxonomy) {
   {  // a feasible verdict carries usable bounds and an unchanged spelling
     Directives d;
     d.loops["ffe"].unroll = 2;
-    const auto v = check_feasibility(f, d, tech);
+    DesignBounds bounds;
+    const auto v = check_feasibility(f, d, tech, &bounds);
     EXPECT_EQ(v.status, FeasibilityStatus::kFeasible);
-    EXPECT_GT(v.bounds.min_latency_cycles, 0);
-    EXPECT_GT(v.bounds.min_area, 0.0);
+    EXPECT_GT(bounds.min_latency_cycles, 0);
+    EXPECT_GT(bounds.min_area, 0.0);
     EXPECT_EQ(v.clamped.loop_directive("ffe").unroll, 2);
   }
   // to_string covers every kind with a stable spelling (the dse_run.json
@@ -333,13 +296,10 @@ TEST(Feasibility, ExploreFrontIsIdenticalWithPruningOnAndOff) {
 
   // Prune-off does no feasibility work at all.
   EXPECT_EQ(r_off.pruned_infeasible, 0u);
-  EXPECT_EQ(r_off.pruned_dominated, 0u);
   EXPECT_TRUE(r_off.pruned.empty());
 
   // Counter bookkeeping on the pruned run.
-  EXPECT_EQ(r_on.scheduled, r_on.points.size());
-  EXPECT_EQ(r_on.pruned.size(),
-            r_on.pruned_infeasible + r_on.pruned_dominated);
+  EXPECT_EQ(r_on.pruned.size(), r_on.pruned_infeasible);
   EXPECT_GT(r_on.pruned_infeasible, 0u)
       << "a 3ns sweep with the II axis must hit recurrence floors";
 

@@ -558,13 +558,14 @@ TEST(Fuzz, FeasibilityVerdictsAreStableAndSoundOnDegenerateDirectives) {
     const Directives dir = degenerate_directives(p, &rng);
     const std::uint64_t fp = function_fingerprint(p.func);
 
-    const FeasibilityVerdict v1 = check_feasibility(p.func, dir, tech);
-    const FeasibilityVerdict v2 = check_feasibility(p.func, dir, tech);
+    DesignBounds b1, b2;
+    const FeasibilityVerdict v1 = check_feasibility(p.func, dir, tech, &b1);
+    const FeasibilityVerdict v2 = check_feasibility(p.func, dir, tech, &b2);
     ASSERT_EQ(v1.status, v2.status) << "trial " << trial;
     ASSERT_EQ(v1.kind, v2.kind) << "trial " << trial;
     ASSERT_EQ(v1.reason, v2.reason) << "trial " << trial;
-    ASSERT_EQ(v1.bounds.min_latency_cycles, v2.bounds.min_latency_cycles);
-    ASSERT_EQ(v1.bounds.min_area, v2.bounds.min_area);
+    ASSERT_EQ(b1.min_latency_cycles, b2.min_latency_cycles);
+    ASSERT_EQ(b1.min_area, b2.min_area);
     ASSERT_EQ(dse_cache_key(fp, v1.clamped, tech),
               dse_cache_key(fp, v2.clamped, tech))
         << "trial " << trial << ": clamped form not deterministic";
@@ -585,9 +586,9 @@ TEST(Fuzz, FeasibilityVerdictsAreStableAndSoundOnDegenerateDirectives) {
         << v1.reason << "\n"
         << p.func.dump();
     ASSERT_DOUBLE_EQ(orig.area.total, clamp.area.total) << "trial " << trial;
-    ASSERT_LE(v1.bounds.min_latency_cycles, orig.latency_cycles())
+    ASSERT_LE(b1.min_latency_cycles, orig.latency_cycles())
         << "trial " << trial;
-    ASSERT_LE(v1.bounds.min_area, orig.area.total + 1e-9)
+    ASSERT_LE(b1.min_area, orig.area.total + 1e-9)
         << "trial " << trial;
   }
 }

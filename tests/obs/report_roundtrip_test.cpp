@@ -65,7 +65,7 @@ TEST(ReportRoundtrip, DseRunJson) {
   const auto r =
       hls::explore(qam::build_qam_decoder_ir(), opts, hls::TechLibrary::asic90());
   ASSERT_FALSE(r.points.empty());
-  const obs::Json doc = parse_enveloped(slurp(path), "hlsw.dse", 2);
+  const obs::Json doc = parse_enveloped(slurp(path), "hlsw.dse", 3);
   std::remove(path.c_str());
   const obs::Json* points = doc.find("points");
   ASSERT_NE(points, nullptr);
@@ -111,6 +111,10 @@ TEST(ReportRoundtrip, BenchArtifactJson) {
   EXPECT_NE(m->find("busy_work")->find("min_ms"), nullptr);
   EXPECT_NE(doc.find("metrics"), nullptr)
       << "--metrics must embed the registry snapshot";
+  const obs::Json* machine = doc.find("machine");
+  ASSERT_NE(machine, nullptr);
+  for (const char* key : {"nproc", "compiler", "build_type", "git_sha"})
+    EXPECT_NE(machine->find(key), nullptr) << key;
 }
 
 TEST(ReportRoundtrip, BenchArtifactOmitsMetricsByDefault) {

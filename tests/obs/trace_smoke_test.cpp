@@ -143,7 +143,7 @@ TEST_F(trace_smoke, DseRunReportMatchesResult) {
   std::remove(path.c_str());
 
   EXPECT_EQ(doc.find("tool")->as_string(), "hlsw.dse");
-  EXPECT_EQ(doc.find("schema_version")->as_int(), 2);
+  EXPECT_EQ(doc.find("schema_version")->as_int(), 3);
   EXPECT_EQ(doc.find("threads")->as_int(), 2);
   EXPECT_GT(doc.find("wall_ms")->as_double(), 0.0);
   EXPECT_EQ(doc.find("cache_hits")->as_int(),

@@ -62,7 +62,7 @@ ProfileRunResult run_profile(const Directives& dir, const std::string& name,
     EXPECT_TRUE(rep.bounds_checked) << name;
     EXPECT_TRUE(rep.bounds_respected) << name << " leg " << rep.source;
     EXPECT_GE(rep.measured_active_cycles,
-              static_cast<long long>(res.feasibility.bounds.min_latency_cycles))
+              static_cast<long long>(res.bounds.min_latency_cycles))
         << name << " leg " << rep.source;
     if (rep.source == "rtl_sim") {
       // The rtl::Simulator executes the schedule model: measurements match
