@@ -2,12 +2,12 @@
 // where does executing the emitted TEXT sit relative to the cycle-accurate
 // rtl::Simulator and the untimed interpreter? Sections time the vsim
 // front end (parse + elaborate of the emitted module), the generated
-// self-checking testbench run, per-symbol DutHarness execution, the
+// self-checking testbench run, one-lane PackedDutHarness execution, the
 // serial vs thread-pooled vsim_sweep, and lane-packed sweeps on the
 // generated native engine against scalar replay (the only lane-packed
-// engine; without a toolchain its legs run one CompiledSim per lane and
-// the config note says so), and per Table 1 design the 64-lane native DUT
-// against 64 one-lane native engines — producing BENCH_vsim.json
+// engine; without a toolchain its legs run one compiled Simulation per
+// lane and the config note says so), and per Table 1 design the 64-lane
+// native DUT against 64 one-lane native engines — producing BENCH_vsim.json
 // (--reps/--warmup/--json; see bench_main.h). Regenerate the committed
 // baseline from the repo root with:
 //   ./build/bench/bench_vsim --reps 5 --warmup 1
@@ -80,14 +80,14 @@ void run_harness_sections(bench::Harness* h) {
     for (const auto& in : batch) benchmark::DoNotOptimize(sim.run(in));
   });
   const auto t_vsim = h->measure("vsim_harness_100_symbols", [&] {
-    vsim::DutHarness dut(r.transformed, design);
-    for (const auto& in : batch) benchmark::DoNotOptimize(dut.run(in));
+    vsim::PackedDutHarness dut(r.transformed, design, 1);
+    benchmark::DoNotOptimize(dut.run_streams({batch}));
   });
   vsim::SimConfig event_cfg;
   event_cfg.backend = vsim::Backend::kEvent;
   const auto t_vsim_event = h->measure("vsim_harness_100_symbols_event", [&] {
-    vsim::DutHarness dut(r.transformed, design, event_cfg);
-    for (const auto& in : batch) benchmark::DoNotOptimize(dut.run(in));
+    vsim::PackedDutHarness dut(r.transformed, design, 1, event_cfg);
+    benchmark::DoNotOptimize(dut.run_streams({batch}));
   });
 
   // Native engine at one lane: same harness loop through the generated
@@ -100,9 +100,9 @@ void run_harness_sections(bench::Harness* h) {
   std::string codegen_backend = "unknown";
   const auto t_vsim_codegen =
       h->measure("vsim_harness_100_symbols_codegen", [&] {
-        vsim::DutHarness dut(r.transformed, design, codegen_cfg);
-        codegen_backend = dut.sim().backend();
-        for (const auto& in : batch) benchmark::DoNotOptimize(dut.run(in));
+        vsim::PackedDutHarness dut(r.transformed, design, 1, codegen_cfg);
+        codegen_backend = dut.backend();
+        benchmark::DoNotOptimize(dut.run_streams({batch}));
       });
 
   // Instrumentation overhead: the same 100 symbols through a module
@@ -115,8 +115,8 @@ void run_harness_sections(bench::Harness* h) {
   auto design_inst = vsim::load_design(verilog_inst, r.transformed.name);
   const auto t_vsim_inst =
       h->measure("vsim_harness_100_symbols_instrumented", [&] {
-        vsim::DutHarness dut(r.transformed, design_inst);
-        for (const auto& in : batch) benchmark::DoNotOptimize(dut.run(in));
+        vsim::PackedDutHarness dut(r.transformed, design_inst, 1);
+        benchmark::DoNotOptimize(dut.run_streams({batch}));
       });
 
   // The end-to-end testbench path the examples use: module + generated
@@ -189,7 +189,7 @@ void run_harness_sections(bench::Harness* h) {
             {.block_size = kSweepBlock, .lanes = 64}, packed_cg_cfg));
       });
   // DUT-only throughput pair: the same 64 blocks replayed per-block
-  // through scalar DutHarnesses vs one 64-lane PackedDutHarness. A full
+  // through one-lane harnesses vs one 64-lane PackedDutHarness. A full
   // differential sweep runs the golden interpreter leg identically on both
   // sides (an Amdahl floor the lane count cannot touch), so this pair
   // isolates what lane packing actually accelerates — the simulator-side
@@ -204,13 +204,13 @@ void run_harness_sections(bench::Harness* h) {
                 sweep_batch.begin() + (b + 1) * static_cast<long>(kSweepBlock));
   const auto t_dut_scalar = h->measure("vsim_sweep_dut_scalar", [&] {
     for (const auto& s : dut_streams) {
-      vsim::DutHarness dut(r.transformed, design);
-      benchmark::DoNotOptimize(dut.run_stream(s));
+      vsim::PackedDutHarness dut(r.transformed, design, 1);
+      benchmark::DoNotOptimize(dut.run_streams({s}));
     }
   });
   // Same streams through one 64-lane native engine; the note records which
-  // backend actually ran (toolchain-less machines degrade to one
-  // CompiledSim per lane, making this leg ~equal to the scalar one above).
+  // backend actually ran (toolchain-less machines degrade to one compiled
+  // Simulation per lane, making this leg ~equal to the scalar one above).
   std::string packed_cg_backend = "unknown";
   const auto t_dut_packed_cg =
       h->measure("vsim_sweep_dut_packed64_codegen", [&] {
@@ -222,7 +222,7 @@ void run_harness_sections(bench::Harness* h) {
 
   // What the lane dimension buys on each Table 1 design: the same 64
   // blocks through one 64-lane native engine vs 64 one-lane native engines
-  // (one DutHarness per block, Backend::kPackedCodegen). Both legs run
+  // (a one-lane harness per block, Backend::kPackedCodegen). Both legs run
   // generated code; ROADMAP's rule drops the lanes below 2.5x.
   std::vector<std::pair<std::string, double>> lane_ratios;
   for (const qam::Architecture& a : qam::table1_architectures()) {
@@ -239,8 +239,8 @@ void run_harness_sections(bench::Harness* h) {
     });
     const auto t_one = h->measure("vsim_dut_lane1x64_" + tag, [&] {
       for (const auto& s : dut_streams) {
-        vsim::DutHarness dut(ra.transformed, da, codegen_cfg);
-        benchmark::DoNotOptimize(dut.run_stream(s));
+        vsim::PackedDutHarness dut(ra.transformed, da, 1, codegen_cfg);
+        benchmark::DoNotOptimize(dut.run_streams({s}));
       }
     });
     lane_ratios.emplace_back(tag, t_one.min_ms / t_wide.min_ms);
@@ -303,13 +303,13 @@ void BM_VsimSymbol(benchmark::State& state) {
                                     TechLibrary::asic90());
   const std::string verilog = rtl::emit_verilog(r.transformed, r.schedule);
   auto design = vsim::load_design(verilog, r.transformed.name);
-  vsim::DutHarness dut(r.transformed, design);
+  vsim::PackedDutHarness dut(r.transformed, design, 1);
   LinkStimulus stim((LinkConfig()));
   for (auto _ : state) {
     const auto s = stim.next();
     PortIo io;
     io.arrays["x_in"] = {s.q0, s.q1};
-    benchmark::DoNotOptimize(dut.run(io));
+    benchmark::DoNotOptimize(dut.run_streams({{io}}));
   }
   state.SetItemsProcessed(state.iterations());
   state.SetLabel(arch.name);

@@ -7,9 +7,9 @@
 // per-loop iteration and cycle-occupancy counters, pipeline-serialization
 // stall counters, per-array memory-port activity, invocation and active-
 // cycle totals — all in the reserved `perf_` signal namespace, readable
-// either by peeking the simulated design (vsim::DutHarness::read_counters)
-// or through an optional perf_sel/perf_rdata readback mux for real
-// hardware.
+// either by peeking the simulated design
+// (vsim::PackedDutHarness::read_counters) or through an optional
+// perf_sel/perf_rdata readback mux for real hardware.
 //
 // instrument_map() is the counter map: the deterministic list of counters
 // a (function, schedule, options) triple synthesizes, shared by the

@@ -61,10 +61,10 @@ struct CosimOptions {
   // failure in repetition; `total_mismatches` still counts everything.
   std::size_t mismatch_limit = 0;
   // Independent stimulus streams executed per model instance (clamped to
-  // [1, 64]). Only honored by backends that support multi-lane execution
-  // (vsim::vsim_sweep's bit-packed compiled path); everything else treats
-  // any value as 1. With lanes = N, N consecutive blocks share one
-  // multi-lane DUT — block independence (replay from reset) is unchanged.
+  // [1, 64]). Only vsim::vsim_sweep honors it: N consecutive blocks share
+  // one N-lane PackedDutHarness, and block independence (replay from
+  // reset) is unchanged. cosim_sweep and cosim_sweep_nway treat any value
+  // as 1.
   int lanes = 1;
 };
 
@@ -104,9 +104,9 @@ CosimResult cosim_sweep_nway(const std::vector<CosimLeg>& legs,
 
 // ---- Sweep report plumbing (shared with external sweep drivers) ----
 //
-// vsim::vsim_sweep's packed multi-lane path reimplements the block loop
-// (one multi-lane DUT covers many blocks) but must emit byte-identical
-// mismatch reports; it reuses these instead of duplicating the format.
+// vsim::vsim_sweep reimplements the block loop (one multi-lane DUT covers
+// many blocks) but must emit byte-identical mismatch reports; it reuses
+// these instead of duplicating the format.
 
 // Compares one vector's outputs; appends reports tagged with the global
 // vector index so merged lists read in stimulus order.

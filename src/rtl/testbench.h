@@ -27,8 +27,8 @@ std::vector<TestVector> capture_vectors(const hls::Function& f,
 
 // One flattened Verilog pin of the emitted module: scalar ports map to one
 // pin (two when complex), array ports to one pin per element/component.
-// Shared by the testbench emitter and vsim::DutHarness so both agree with
-// emit_verilog on pin naming.
+// Shared by the testbench emitter and vsim::PackedDutHarness so both agree
+// with emit_verilog on pin naming.
 struct PortPin {
   std::string name;  // Verilog pin name (e.g. "x_in_0_re")
   int width;

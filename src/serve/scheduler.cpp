@@ -4,16 +4,11 @@ namespace hlsw::serve {
 
 FairScheduler::FairScheduler(SchedulerOptions opts) : opts_(opts) {
   if (opts_.max_queue_depth == 0) opts_.max_queue_depth = 1;
-  if (opts_.default_weight < 1) opts_.default_weight = 1;
 }
 
-FairScheduler::Tenant& FairScheduler::tenant_locked(const std::string& name) {
-  auto it = tenants_.find(name);
-  if (it == tenants_.end()) {
-    it = tenants_.emplace(name, Tenant{}).first;
-    it->second.weight = opts_.default_weight;
-    order_.push_back(name);
-  }
+FairScheduler::Queue& FairScheduler::queue_locked(const std::string& tenant) {
+  const auto [it, fresh] = queues_.try_emplace(tenant);
+  if (fresh) rotation_.push_back(tenant);
   return it->second;
 }
 
@@ -22,9 +17,11 @@ PushStatus FairScheduler::push(const std::string& tenant,
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (draining_) return PushStatus::kStopped;
-    Tenant& t = tenant_locked(tenant);
-    if (t.q.size() >= opts_.max_queue_depth) return PushStatus::kBusy;
-    t.q.push_back(std::move(unit));
+    Queue& q = queue_locked(tenant);
+    // A fresh queue is empty and the cap is >= 1, so a refused push never
+    // leaves an empty queue behind.
+    if (q.size() >= opts_.max_queue_depth) return PushStatus::kBusy;
+    q.push_back(std::move(unit));
     ++queued_;
   }
   cv_.notify_one();
@@ -36,8 +33,7 @@ bool FairScheduler::push_unbounded(const std::string& tenant,
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (draining_) return false;
-    Tenant& t = tenant_locked(tenant);
-    t.q.push_back(std::move(unit));
+    queue_locked(tenant).push_back(std::move(unit));
     ++queued_;
   }
   cv_.notify_one();
@@ -46,34 +42,23 @@ bool FairScheduler::push_unbounded(const std::string& tenant,
 
 bool FairScheduler::pop(std::function<void()>* unit) {
   std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
-    cv_.wait(lock, [&] { return queued_ > 0 || draining_; });
-    if (queued_ == 0) return false;  // draining and empty: worker exits
+  cv_.wait(lock, [&] { return queued_ > 0 || draining_; });
+  if (queued_ == 0) return false;  // draining and empty: worker exits
 
-    // Weighted round-robin: serve the cursor tenant while it has queued
-    // units and burst budget left this visit; otherwise move on, zeroing
-    // its visit counter so the next arrival starts a fresh burst. order_
-    // is non-empty here because queued_ > 0 implies a tenant exists.
-    for (std::size_t visited = 0; visited <= order_.size(); ++visited) {
-      Tenant& t = tenants_[order_[cursor_]];
-      if (!t.q.empty() && t.served < t.weight) {
-        ++t.served;
-        *unit = std::move(t.q.front());
-        t.q.pop_front();
-        --queued_;
-        return true;
-      }
-      t.served = 0;
-      cursor_ = (cursor_ + 1) % order_.size();
-    }
-    // All tenants visited without finding a unit — impossible while
-    // queued_ > 0, but loop back to the wait defensively.
-  }
-}
-
-void FairScheduler::set_weight(const std::string& tenant, int weight) {
-  std::lock_guard<std::mutex> lock(mu_);
-  tenant_locked(tenant).weight = weight < 1 ? 1 : weight;
+  // Round-robin, one unit per visit: serve the tenant at the front of the
+  // rotation, then move it to the back, or forget it when its queue is
+  // empty. queued_ > 0 means the rotation is non-empty, and every tenant in
+  // it has at least one unit.
+  const auto it = queues_.find(rotation_.front());
+  *unit = std::move(it->second.front());
+  it->second.pop_front();
+  --queued_;
+  if (it->second.empty())
+    queues_.erase(it);
+  else
+    rotation_.push_back(rotation_.front());
+  rotation_.pop_front();
+  return true;
 }
 
 void FairScheduler::drain() {
@@ -92,7 +77,7 @@ bool FairScheduler::draining() const {
 std::map<std::string, std::size_t> FairScheduler::queue_depths() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::map<std::string, std::size_t> out;
-  for (const auto& [name, t] : tenants_) out[name] = t.q.size();
+  for (const auto& [name, q] : queues_) out[name] = q.size();
   return out;
 }
 

@@ -1634,7 +1634,6 @@ std::shared_ptr<const PackedCodegenModule> packed_codegen_plan(
   };
 
   auto mod = std::make_shared<PackedCodegenModule>();
-  mod->plan = plan;
   mod->lanes = lanes;
   std::string bwhy;
   if (!build_packed_module(packed_codegen_source(*plan, lanes), lanes, dir,
@@ -1649,8 +1648,9 @@ std::shared_ptr<const PackedCodegenModule> packed_codegen_plan(
 // ---- PackedCodegenSim -------------------------------------------------------
 
 PackedCodegenSim::PackedCodegenSim(
+    std::shared_ptr<const CompiledDesign> plan,
     std::shared_ptr<const PackedCodegenModule> mod, const SimConfig& cfg)
-    : mod_(std::move(mod)), cfg_(cfg) {
+    : plan_(std::move(plan)), mod_(std::move(mod)), cfg_(cfg) {
   full_mask_ = mod_->lanes == 64 ? ~0ULL : (1ULL << mod_->lanes) - 1ULL;
   st_ = mod_->create();
   settle();  // time 0: all comb evaluates once, initial bodies run
@@ -1694,7 +1694,7 @@ std::uint64_t PackedCodegenSim::peek(int sig, int lane) const {
 
 long long PackedCodegenSim::peek_signed(int sig, int lane) const {
   const int w =
-      mod_->plan->design->signals[static_cast<std::size_t>(sig)].width;
+      plan_->design->signals[static_cast<std::size_t>(sig)].width;
   std::uint64_t v = peek(sig, lane);
   if (w < 64 && ((v >> (w - 1)) & 1))
     v |= ~((w >= 64 ? ~0ULL : (1ULL << w) - 1ULL));
@@ -1704,7 +1704,7 @@ long long PackedCodegenSim::peek_signed(int sig, int lane) const {
 std::uint64_t PackedCodegenSim::peek_elem(int sig, int index,
                                           int lane) const {
   const Signal& s =
-      mod_->plan->design->signals[static_cast<std::size_t>(sig)];
+      plan_->design->signals[static_cast<std::size_t>(sig)];
   if (index < 0 || index >= s.array_len)
     fail("element " + std::to_string(index) + " out of range for '" +
          s.name + "'");
@@ -1723,7 +1723,7 @@ void PackedCodegenSim::settle() {
   if (r != 0)
     fail("instruction budget exceeded without time advancing "
          "(zero-delay loop in " +
-         mod_->plan->procs[static_cast<std::size_t>(r - 1)].origin + "?)");
+         plan_->procs[static_cast<std::size_t>(r - 1)].origin + "?)");
 }
 
 void PackedCodegenSim::refresh_stats() const {

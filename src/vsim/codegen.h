@@ -41,8 +41,9 @@
 // generator takes any plan. Fallback (silent, typed, reason recorded) is
 // for environments without a working host toolchain or with an untrusted
 // cache directory: Simulation then degrades to the compiled interpreter
-// with fallback_reason() prefixed "codegen: "; PackedDutHarness degrades
-// to one CompiledSim per lane with a "packed-codegen: " prefix.
+// with fallback_reason() prefixed "codegen: "; a wider engine degrades to
+// one Simulation per lane at kCompiled with a "packed-codegen: " prefix
+// (make_packed_engine, pack.h).
 //
 // Shared-object cache: artifacts live under $HLSW_VSIM_CODEGEN_CACHE as
 // <fingerprint>.{cpp,so,log}, the same content-keyed discipline as
@@ -88,9 +89,9 @@ namespace hlsw::vsim {
 // pair. The dlopen handle is retained for the process lifetime (never
 // dlclose()d); engines only hold resolved entry points. Immutable and
 // shared across every PackedCodegenSim built from it, like CompiledDesign
-// itself.
+// itself. It does not own its plan (each engine does), so the memo that
+// hands it out never keeps a plan, or the Design it owns, alive.
 struct PackedCodegenModule {
-  std::shared_ptr<const CompiledDesign> plan;
   int lanes = 0;
   std::string fingerprint;
   std::string so_path;
@@ -152,7 +153,9 @@ std::shared_ptr<const PackedCodegenModule> packed_codegen_plan(
 // instance is Simulation's native engine.
 class PackedCodegenSim final : public PackedEngine {
  public:
-  PackedCodegenSim(std::shared_ptr<const PackedCodegenModule> mod,
+  // `mod` must come from packed_codegen_plan(plan, ...).
+  PackedCodegenSim(std::shared_ptr<const CompiledDesign> plan,
+                   std::shared_ptr<const PackedCodegenModule> mod,
                    const SimConfig& cfg);
   ~PackedCodegenSim() override;
   PackedCodegenSim(const PackedCodegenSim&) = delete;
@@ -160,7 +163,7 @@ class PackedCodegenSim final : public PackedEngine {
 
   int lanes() const override { return mod_->lanes; }
   std::uint64_t full_mask() const override { return full_mask_; }
-  const CompiledDesign& compiled() const override { return *mod_->plan; }
+  const Design& design() const override { return *plan_->design; }
 
   void poke(int sig, std::uint64_t value, std::uint64_t mask) override;
   void poke_lane(int sig, int lane, std::uint64_t value) override;
@@ -179,6 +182,7 @@ class PackedCodegenSim final : public PackedEngine {
  private:
   void refresh_stats() const;
 
+  std::shared_ptr<const CompiledDesign> plan_;
   std::shared_ptr<const PackedCodegenModule> mod_;
   SimConfig cfg_;
   std::uint64_t full_mask_;

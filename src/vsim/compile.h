@@ -33,7 +33,7 @@
 // The dispatch lives in Simulation (sim.h): every backend but kEvent
 // selects this one when the design compiles (kPackedCodegen runs the
 // native engine generated from the same plan), silently keeping the event
-// engine otherwise. DutHarness pokes and SimStats event/NBA accounting
+// engine otherwise. Harness pokes and SimStats event/NBA accounting
 // behave identically on both backends.
 #pragma once
 

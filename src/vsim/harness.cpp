@@ -1,9 +1,9 @@
 #include "vsim/harness.h"
 
 #include <algorithm>
+#include <atomic>
 #include <list>
 #include <mutex>
-#include <stdexcept>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -99,96 +99,6 @@ std::shared_ptr<const Design> load_design(const std::string& verilog,
   return design;
 }
 
-// ---- DutHarness -------------------------------------------------------------
-
-DutHarness::DutHarness(const hls::Function& f,
-                       std::shared_ptr<const Design> design,
-                       const SimConfig& cfg)
-    : pins_(rtl::flatten_port_pins(f)), sim_(std::move(design), cfg) {
-  pin_handle_.reserve(pins_.size());
-  for (const auto& p : pins_) pin_handle_.push_back(sim_.signal_handle(p.name));
-  h_clk_ = sim_.signal_handle("clk");
-  h_rst_ = sim_.signal_handle("rst");
-  h_start_ = sim_.signal_handle("start");
-  h_done_ = sim_.signal_handle("done");
-  reset();
-}
-
-void DutHarness::tick() {
-  sim_.poke(h_clk_, 1);
-  sim_.settle();
-  sim_.poke(h_clk_, 0);
-  sim_.settle();
-}
-
-void DutHarness::reset() {
-  sim_.poke(h_clk_, 0);
-  sim_.poke(h_start_, 0);
-  sim_.poke(h_rst_, 1);
-  for (int i = 0; i < 3; ++i) tick();
-  sim_.poke(h_rst_, 0);
-  sim_.settle();
-}
-
-PortIo DutHarness::run(const PortIo& in) {
-  for (std::size_t i = 0; i < pins_.size(); ++i) {
-    const auto& p = pins_[i];
-    if (!p.is_input) continue;
-    sim_.poke(pin_handle_[i],
-              static_cast<unsigned long long>(rtl::pin_value(p, in)));
-  }
-  sim_.poke(h_start_, 1);
-  tick();
-  sim_.poke(h_start_, 0);
-  long long cycles = 1;
-  while (sim_.peek(h_done_) == 0) {
-    if (++cycles > 1'000'000)
-      throw std::runtime_error(
-          "vsim harness: done never asserted — emitted FSM hung");
-    tick();
-  }
-  last_cycles_ = cycles;
-
-  PortIo out;
-  for (std::size_t i = 0; i < pins_.size(); ++i) {
-    const auto& p = pins_[i];
-    if (p.is_input) continue;
-    const long long raw =
-        p.sgn ? sim_.peek_signed(pin_handle_[i])
-              : static_cast<long long>(sim_.peek(pin_handle_[i]));
-    FxValue* slot;
-    if (p.from_array) {
-      auto& vec = out.arrays[p.port];
-      if (vec.size() <= static_cast<size_t>(p.index))
-        vec.resize(static_cast<size_t>(p.index) + 1);
-      slot = &vec[static_cast<size_t>(p.index)];
-    } else {
-      slot = &out.vars[p.port];
-    }
-    slot->fw = p.fw;
-    slot->cplx = p.cplx;
-    (p.re ? slot->re : slot->im) = raw;
-  }
-  return out;
-}
-
-std::vector<PortIo> DutHarness::run_stream(const std::vector<PortIo>& ins) {
-  std::vector<PortIo> outs;
-  outs.reserve(ins.size());
-  for (const auto& in : ins) outs.push_back(run(in));
-  return outs;
-}
-
-hls::CounterValues DutHarness::read_counters(
-    const std::vector<hls::PerfCounter>& map) const {
-  hls::CounterValues out;
-  out.source = std::string("vsim_") + sim_.backend();
-  for (const hls::PerfCounter& c : map)
-    out.values[c.name] =
-        static_cast<long long>(sim_.peek(sim_.signal_handle(c.name)));
-  return out;
-}
-
 // ---- Testbench runner -------------------------------------------------------
 
 TestbenchResult run_testbench(const std::string& sources,
@@ -217,36 +127,49 @@ TestbenchResult run_testbench(const std::string& sources,
 
 namespace {
 
-// Golden-leg factory with a batched evaluation context: Interpreter
+// Golden evaluation contexts shared by a sweep's workers. Interpreter
 // construction copies the Function and rebuilds its name indices, and the
 // sweep used to pay that per block — at sweep block counts the reference
 // leg's setup dominated and capped every DUT-side speedup (the Amdahl
-// analysis in EXPERIMENTS.md). Instances are pooled per sweep instead;
-// a checked-out context is reset() between blocks, which restores exactly
-// the state a fresh instance would start with.
-hls::CosimFactory interp_factory(const hls::Function& f) {
-  struct Pool {
-    std::mutex mu;
-    std::vector<std::unique_ptr<hls::Interpreter>> idle;
-  };
-  auto pool = std::make_shared<Pool>();
-  return [&f, pool]() -> hls::CosimModel {
-    return [&f, pool](const std::vector<PortIo>& ins) {
-      std::unique_ptr<hls::Interpreter> interp;
-      {
-        std::lock_guard<std::mutex> lk(pool->mu);
-        if (!pool->idle.empty()) {
-          interp = std::move(pool->idle.back());
-          pool->idle.pop_back();
-        }
+// analysis in EXPERIMENTS.md). A context taken from the pool is reset(),
+// which restores exactly the state a fresh instance would start with.
+class GoldenPool {
+ public:
+  explicit GoldenPool(const hls::Function& f) : f_(f) {}
+
+  std::unique_ptr<hls::Interpreter> take() {
+    std::unique_ptr<hls::Interpreter> in;
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      if (!idle_.empty()) {
+        in = std::move(idle_.back());
+        idle_.pop_back();
       }
-      if (interp == nullptr)
-        interp = std::make_unique<hls::Interpreter>(f);
-      else
-        interp->reset();
-      auto outs = interp->run_stream(ins);
-      std::lock_guard<std::mutex> lk(pool->mu);
-      pool->idle.push_back(std::move(interp));
+    }
+    if (in == nullptr) return std::make_unique<hls::Interpreter>(f_);
+    in->reset();
+    return in;
+  }
+  void give(std::unique_ptr<hls::Interpreter> in) {
+    std::lock_guard<std::mutex> lk(mu_);
+    idle_.push_back(std::move(in));
+  }
+
+ private:
+  const hls::Function& f_;
+  std::mutex mu_;
+  std::vector<std::unique_ptr<hls::Interpreter>> idle_;
+};
+
+// Golden-leg factory over one pool: each call replays its block on a
+// pooled context.
+hls::CosimFactory interp_factory(const hls::Function& f) {
+  auto pool = std::make_shared<GoldenPool>(f);
+  return [pool]() -> hls::CosimModel {
+    return [pool](const std::vector<PortIo>& ins) {
+      auto in = pool->take();
+      auto outs = in->run_stream(ins);
+      pool->give(std::move(in));
       return outs;
     };
   };
@@ -262,31 +185,15 @@ hls::CosimFactory rtl_factory(const hls::Function& f,
   };
 }
 
-hls::CosimFactory vsim_factory(const hls::Function& f,
-                               std::shared_ptr<const Design> design,
-                               const SimConfig& cfg) {
-  return [&f, design, cfg]() -> hls::CosimModel {
-    auto harness = std::make_shared<DutHarness>(f, design, cfg);
-    return [harness](const std::vector<PortIo>& ins) {
-      return harness->run_stream(ins);
-    };
-  };
-}
+}  // namespace
 
-// Multi-lane sweep: up to `lanes` consecutive blocks share one
-// PackedDutHarness, each block in its own lane. Block independence is
-// untouched (every batch's harness starts from reset, and lanes are
-// state-disjoint), the golden leg stays the per-block untimed interpreter,
-// and mismatch reports reuse hls::compare_outputs / cap_mismatches so the
-// output is byte-identical with the scalar sweep. A sweep that fits one
-// batch runs on an engine of exactly its block count. Otherwise every
-// batch runs on the engine built at the lane budget: the ragged last batch
-// gives its spare lanes empty streams, which clock only through reset,
-// instead of compiling an engine of its own width.
-hls::CosimResult vsim_sweep_packed(
-    const hls::Function& f, std::shared_ptr<const CompiledDesign> plan,
-    const std::vector<PortIo>& vectors, const hls::CosimOptions& opts,
-    const SimConfig& cfg, int lanes) {
+hls::CosimResult vsim_sweep(const hls::Function& f, const hls::Schedule& s,
+                            const std::vector<PortIo>& vectors,
+                            const hls::CosimOptions& opts,
+                            const SimConfig& cfg) {
+  obs::ScopedSpan span("vsim_sweep", "vsim");
+  const std::string verilog = rtl::emit_verilog(f, s);
+  auto design = load_design(verilog, f.name);
   hls::CosimResult result;
   result.vectors = vectors.size();
   if (vectors.empty()) return result;
@@ -294,57 +201,55 @@ hls::CosimResult vsim_sweep_packed(
   const std::size_t bs = std::max<std::size_t>(1, opts.block_size);
   const std::size_t nblocks = (vectors.size() + bs - 1) / bs;
   result.blocks = nblocks;
-  const std::size_t nlanes =
-      std::min(static_cast<std::size_t>(lanes), nblocks);
+  const std::size_t nlanes = std::min(
+      static_cast<std::size_t>(std::clamp(opts.lanes, 1, kMaxLanes)),
+      nblocks);
   const std::size_t nbatches = (nblocks + nlanes - 1) / nlanes;
-
-  obs::ScopedSpan span("vsim_sweep.packed", "vsim");
   if (span.active()) {
-    span.arg("lanes", static_cast<long long>(lanes));
+    span.arg("lanes", static_cast<long long>(nlanes));
     span.arg("blocks", static_cast<long long>(nblocks));
     span.arg("batches", static_cast<long long>(nbatches));
   }
 
+  GoldenPool golden(f);
+  std::atomic<std::size_t> taken{0};
   const auto run_batch = [&](std::size_t batch) -> std::vector<std::string> {
     const std::size_t first_blk = batch * nlanes;
-    const int L = static_cast<int>(
-        std::min(nlanes, nblocks - first_blk));
+    const std::size_t L = std::min(nlanes, nblocks - first_blk);
     std::vector<std::vector<PortIo>> streams(nlanes);
-    for (int l = 0; l < L; ++l) {
-      const std::size_t begin = (first_blk + static_cast<std::size_t>(l)) * bs;
+    for (std::size_t l = 0; l < L; ++l) {
+      const std::size_t begin = (first_blk + l) * bs;
       const std::size_t end = std::min(begin + bs, vectors.size());
-      streams[static_cast<std::size_t>(l)].assign(
-          vectors.begin() + static_cast<long>(begin),
-          vectors.begin() + static_cast<long>(end));
+      streams[l].assign(vectors.begin() + static_cast<long>(begin),
+                        vectors.begin() + static_cast<long>(end));
     }
-    PackedDutHarness harness(f, plan, static_cast<int>(nlanes), cfg);
+    PackedDutHarness harness(f, design, static_cast<int>(nlanes), cfg);
     const auto got = harness.run_streams(streams);
+    // The batch keeps one golden context, reset() between lanes, so the
+    // context stays in this worker's cache (handing pooled contexts from
+    // worker to worker block by block measured slower on 64-lane sweeps).
+    // Each lane is compared as soon as its reference exists, so one block
+    // of reference outputs is alive at a time.
+    auto ref = golden.take();
+    ++taken;
     std::vector<std::string> mism;
-    // One golden evaluation context per batch, reset() between lanes:
-    // identical outputs to a fresh Interpreter per block, without paying
-    // Function copy + index construction L times.
-    hls::Interpreter golden(f);
-    for (int l = 0; l < L; ++l) {
-      const std::size_t blk = first_blk + static_cast<std::size_t>(l);
-      const std::size_t begin = blk * bs;
-      const auto& block = streams[static_cast<std::size_t>(l)];
-      if (l > 0) golden.reset();
-      const std::vector<PortIo> want = golden.run_stream(block);
-      if (want.size() != block.size() ||
-          got[static_cast<std::size_t>(l)].size() != block.size()) {
-        mism.push_back("block " + std::to_string(blk) +
-                       ": model returned wrong vector count");
-        continue;
-      }
-      for (std::size_t i = 0; i < block.size(); ++i)
-        hls::compare_outputs(begin + i, want[i],
-                             got[static_cast<std::size_t>(l)][i], &mism);
+    for (std::size_t l = 0; l < L; ++l) {
+      if (l > 0) ref->reset();
+      const std::vector<PortIo> want = ref->run_stream(streams[l]);
+      for (std::size_t i = 0; i < want.size(); ++i)
+        hls::compare_outputs((first_blk + l) * bs + i, want[i], got[l][i],
+                             &mism);
     }
+    // Only a batch yet to take a context can reuse this one; otherwise it
+    // is freed here, on the worker that used it (freeing every context on
+    // the caller after the sweep measured 3-6% slower on 64-lane sweeps).
+    if (taken.load() < nbatches) golden.give(std::move(ref));
     return mism;
   };
 
   // Deterministic merge: batches in order, lanes within a batch in block
-  // order — the global mismatch list reads exactly as the scalar sweep's.
+  // order — the global mismatch list reads in stimulus order no matter
+  // which worker finished first.
   std::unique_ptr<util::ThreadPool> owned;
   util::ThreadPool* pool = opts.pool;
   if (pool == nullptr && opts.threads > 0) {
@@ -357,26 +262,6 @@ hls::CosimResult vsim_sweep_packed(
                              mism.end());
   hls::cap_mismatches(opts.mismatch_limit, &result);
   return result;
-}
-
-}  // namespace
-
-hls::CosimResult vsim_sweep(const hls::Function& f, const hls::Schedule& s,
-                            const std::vector<PortIo>& vectors,
-                            const hls::CosimOptions& opts,
-                            const SimConfig& cfg) {
-  obs::ScopedSpan span("vsim_sweep", "vsim");
-  const std::string verilog = rtl::emit_verilog(f, s);
-  auto design = load_design(verilog, f.name);
-  const int lanes = std::clamp(opts.lanes, 1, kMaxLanes);
-  if (lanes > 1 && cfg.backend != Backend::kEvent) {
-    std::string why;
-    if (auto plan = compiled_plan(design, &why))
-      return vsim_sweep_packed(f, plan, vectors, opts, cfg, lanes);
-    // Not cycle-schedulable: scalar fallback below.
-  }
-  return hls::cosim_sweep(interp_factory(f), vsim_factory(f, design, cfg),
-                          vectors, opts);
 }
 
 VerifyEmittedResult verify_emitted(const hls::Function& f,
@@ -392,7 +277,13 @@ VerifyEmittedResult verify_emitted(const hls::Function& f,
   const std::vector<hls::CosimLeg> legs = {
       {"golden", interp_factory(f)},
       {"rtl", rtl_factory(f, s)},
-      {"vsim", vsim_factory(f, design, {})},
+      {"vsim",
+       [&f, design]() -> hls::CosimModel {
+         auto h = std::make_shared<PackedDutHarness>(f, design, 1);
+         return [h](const std::vector<PortIo>& ins) {
+           return h->run_streams({ins}).front();
+         };
+       }},
   };
   r.cosim = hls::cosim_sweep_nway(legs, vectors, opts);
 

@@ -24,29 +24,24 @@ int find_signal(const Design& d, const std::string& name) {
   return h;
 }
 
-// The per-lane fallback: one scalar CompiledSim per lane, all sharing one
-// plan. A masked poke reaches only the lanes in its mask, which is how the
-// harness keeps frozen lanes frozen. Lanes never share a context, so
-// nothing ever splits, and each lane is by construction the independent
-// scalar run the native engine is checked against.
-class CompiledLanes final : public PackedEngine {
+// One Simulation per lane, every lane at the same backend. A masked poke
+// reaches only the lanes in its mask, which is how the harness keeps frozen
+// lanes frozen. Lanes never share a context, so nothing ever splits, and
+// each lane is by construction the independent run the generated engine is
+// checked against.
+class SimulationLanes final : public PackedEngine {
  public:
-  CompiledLanes(const std::shared_ptr<const CompiledDesign>& plan, int lanes,
-                const SimConfig& cfg)
-      : plan_(plan) {
-    if (lanes < 1 || lanes > kMaxLanes)
-      fail("packed lane count " + std::to_string(lanes) + " outside [1, " +
-           std::to_string(kMaxLanes) + "]");
-    full_mask_ = lanes == 64 ? ~0ULL : (1ULL << lanes) - 1ULL;
+  SimulationLanes(const std::shared_ptr<const Design>& design, int lanes,
+                  const SimConfig& cfg)
+      : design_(design),
+        full_mask_(lanes == 64 ? ~0ULL : (1ULL << lanes) - 1ULL) {
     for (int l = 0; l < lanes; ++l)
-      lanes_.push_back(std::make_unique<CompiledSim>(plan, cfg));
+      lanes_.push_back(std::make_unique<Simulation>(design, cfg));
   }
-  CompiledLanes(const CompiledLanes&) = delete;
-  CompiledLanes& operator=(const CompiledLanes&) = delete;
 
   int lanes() const override { return static_cast<int>(lanes_.size()); }
   std::uint64_t full_mask() const override { return full_mask_; }
-  const CompiledDesign& compiled() const override { return *plan_; }
+  const Design& design() const override { return *design_; }
 
   void poke(int sig, std::uint64_t value, std::uint64_t mask) override {
     for (std::uint64_t m = mask & full_mask_; m != 0; m &= m - 1)
@@ -93,53 +88,73 @@ class CompiledLanes final : public PackedEngine {
     return stats_;
   }
   long long divergence_splits() const override { return 0; }
-  const char* backend() const override { return "compiled"; }
+  const char* backend() const override { return lanes_[0]->backend(); }
+  Simulation* simulation(int lane) override {
+    return lanes_[static_cast<std::size_t>(lane)].get();
+  }
 
  private:
   // The lane of the lowest set bit of a nonzero mask.
-  CompiledSim& lane(std::uint64_t m) {
+  Simulation& lane(std::uint64_t m) {
     return *lanes_[static_cast<std::size_t>(std::countr_zero(m))];
   }
 
-  std::shared_ptr<const CompiledDesign> plan_;
-  std::uint64_t full_mask_ = 0;
-  std::vector<std::unique_ptr<CompiledSim>> lanes_;
+  std::shared_ptr<const Design> design_;
+  std::uint64_t full_mask_;
+  std::vector<std::unique_ptr<Simulation>> lanes_;
   mutable SimStats stats_;
 };
 
 }  // namespace
 
 std::unique_ptr<PackedEngine> make_packed_engine(
-    const std::shared_ptr<const CompiledDesign>& plan, int lanes,
+    const std::shared_ptr<const Design>& design, int lanes,
     const SimConfig& cfg, std::string* fallback_reason) {
-  if (cfg.backend == Backend::kAuto ||
-      cfg.backend == Backend::kPackedCodegen) {
+  if (lanes < 1 || lanes > kMaxLanes)
+    fail("packed lane count " + std::to_string(lanes) + " outside [1, " +
+         std::to_string(kMaxLanes) + "]");
+  SimConfig lane_cfg = cfg;
+  if (lanes > 1 && (cfg.backend == Backend::kAuto ||
+                    cfg.backend == Backend::kPackedCodegen)) {
     std::string why;
-    if (auto mod = packed_codegen_plan(plan, lanes, &why))
-      return std::make_unique<PackedCodegenSim>(std::move(mod), cfg);
+    if (auto plan = compiled_plan(design, &why)) {
+      if (auto mod = packed_codegen_plan(plan, lanes, &why))
+        return std::make_unique<PackedCodegenSim>(std::move(plan),
+                                                  std::move(mod), cfg);
+    }
     *fallback_reason = "packed-codegen: " + why;
+    lane_cfg.backend = Backend::kCompiled;
   }
-  return std::make_unique<CompiledLanes>(plan, lanes, cfg);
+  auto sims = std::make_unique<SimulationLanes>(design, lanes, lane_cfg);
+  if (fallback_reason->empty())
+    *fallback_reason = sims->simulation(0)->fallback_reason();
+  return sims;
 }
 
 // ---- PackedDutHarness -------------------------------------------------------
 
 PackedDutHarness::PackedDutHarness(const hls::Function& f,
-                                   std::shared_ptr<const CompiledDesign> plan,
+                                   std::shared_ptr<const Design> design,
                                    int lanes, const SimConfig& cfg)
     : pins_(rtl::flatten_port_pins(f)) {
   // Built in the body (not the init list): the factory records the
   // degrade reason into fallback_reason_, declared after sim_
-  sim_ = make_packed_engine(plan, lanes, cfg, &fallback_reason_);
-  const Design& d = *plan->design;
+  sim_ = make_packed_engine(design, lanes, cfg, &fallback_reason_);
+  const Design& d = *design;
   pin_handle_.reserve(pins_.size());
   for (const auto& p : pins_) pin_handle_.push_back(find_signal(d, p.name));
   h_clk_ = find_signal(d, "clk");
   h_rst_ = find_signal(d, "rst");
   h_start_ = find_signal(d, "start");
   h_done_ = find_signal(d, "done");
+  last_cycles_.assign(static_cast<std::size_t>(lanes), 0);
   reset();
 }
+
+PackedDutHarness::PackedDutHarness(
+    const hls::Function& f, const std::shared_ptr<const CompiledDesign>& plan,
+    int lanes, const SimConfig& cfg)
+    : PackedDutHarness(f, plan->design, lanes, cfg) {}
 
 void PackedDutHarness::tick(std::uint64_t mask) {
   sim_->poke(h_clk_, 1, mask);
@@ -188,16 +203,19 @@ std::vector<std::vector<hls::PortIo>> PackedDutHarness::run_streams(
     sim_->poke(h_start_, 1, active);
     tick(active);
     sim_->poke(h_start_, 0, active);
-    std::uint64_t waiting = active & ~sim_->peek_nonzero_mask(h_done_);
-    long long cycles = 1;
     // Lanes whose done arrived are clock-gated out of subsequent ticks, so
-    // every lane sees exactly the edges its scalar replay would.
-    while (waiting != 0) {
-      if (++cycles > 1'000'000)
+    // every lane sees exactly the edges its one-lane replay would.
+    std::uint64_t waiting = active;
+    for (long long cycles = 1;; ++cycles) {
+      const std::uint64_t done = waiting & sim_->peek_nonzero_mask(h_done_);
+      for (std::uint64_t m = done; m != 0; m &= m - 1)
+        last_cycles_[static_cast<std::size_t>(std::countr_zero(m))] = cycles;
+      waiting &= ~done;
+      if (waiting == 0) break;
+      if (cycles >= 1'000'000)
         throw std::runtime_error(
             "vsim harness: done never asserted — emitted FSM hung");
       tick(waiting);
-      waiting &= ~sim_->peek_nonzero_mask(h_done_);
     }
 
     for (int l = 0; l < L; ++l) {
@@ -231,10 +249,10 @@ std::vector<std::vector<hls::PortIo>> PackedDutHarness::run_streams(
 hls::CounterValues PackedDutHarness::read_counters(
     const std::vector<hls::PerfCounter>& map) const {
   hls::CounterValues out;
-  out.source = "vsim_packed";
-  const Design& d = *sim_->compiled().design;
+  out.source = sim_->lanes() > 1 ? std::string("vsim_packed")
+                                 : std::string("vsim_") + sim_->backend();
   for (const hls::PerfCounter& c : map) {
-    const int h = find_signal(d, c.name);
+    const int h = find_signal(sim_->design(), c.name);
     long long total = 0;
     for (int l = 0; l < sim_->lanes(); ++l)
       total += static_cast<long long>(sim_->peek(h, l));

@@ -1,5 +1,5 @@
-// Lane-packed execution: up to 64 independent stimulus streams through one
-// engine, one lane per stream.
+// The one DUT harness and the lane-packed engines under it: up to 64
+// independent stimulus streams through one engine, one lane per stream.
 //
 // PackedEngine is the contract: lane-masked pokes, per-lane peeks, one
 // settle over every lane and lane-summed accounting. Two engines implement
@@ -8,16 +8,16 @@
 //     [sig][lane] state planes, every node and process body a loop over the
 //     lanes, processes run under a lane mask and a branch whose lanes
 //     disagree splits the mask (counted as vsim.packed.divergence_splits);
-//   - its fallback, L scalar CompiledSims sharing one plan (pack.cpp), for
-//     machines without a host toolchain and for kCompiled/kEvent requests.
+//   - one Simulation per lane (pack.cpp), each at the requested backend:
+//     the event kernel, the compiled interpreter or Simulation's one-lane
+//     native engine.
 //
 // Equivalence contract (tests/vsim/pack_test.cpp): running L lanes packed
-// is bit-identical to L independent scalar CompiledSim runs of the same
-// streams, including events, NBA commits and instructions summed over the
-// lanes. The per-lane fallback is that oracle by construction. The packed
-// harness freezes finished lanes (clock gated via masked pokes) so a lane
-// that asserts `done` early sees exactly the clock edges its scalar replay
-// would.
+// is bit-identical to L independent one-lane runs of the same streams,
+// including events, NBA commits and instructions summed over the lanes.
+// The per-lane engine is that oracle by construction. The harness freezes
+// finished lanes (clock gated via masked pokes) so a lane that asserts
+// `done` early sees exactly the clock edges its one-lane replay would.
 #pragma once
 
 #include <cstdint>
@@ -37,9 +37,8 @@ namespace hlsw::vsim {
 inline constexpr int kMaxLanes = 64;
 
 // The multi-lane engine contract shared by the generated native engine and
-// its per-lane CompiledSim fallback. PackedDutHarness selects whichever
-// SimConfig::backend admits (make_packed_engine) and drives it through this
-// interface; a one-lane native engine is also Simulation's native engine.
+// one Simulation per lane. PackedDutHarness builds whichever
+// make_packed_engine selects and drives it through this interface.
 class PackedEngine {
  public:
   virtual ~PackedEngine() = default;
@@ -47,9 +46,8 @@ class PackedEngine {
   virtual int lanes() const = 0;
   // All-ones over the configured lane count.
   virtual std::uint64_t full_mask() const = 0;
-  // The shared plan this engine executes (signal handles resolve through
-  // its elaborated design).
-  virtual const CompiledDesign& compiled() const = 0;
+  // The elaborated design every lane executes (signal handles index it).
+  virtual const Design& design() const = 0;
 
   // Sets signal `sig` to `value` on every lane in `mask` (other lanes are
   // untouched — the masked poke is how the harness freezes lanes).
@@ -69,45 +67,55 @@ class PackedEngine {
   // Runs delta cycles at the current time until every lane is quiescent.
   virtual void settle() = 0;
 
-  // Aggregate over all lanes; equals the sum of the per-lane scalar runs
+  // Aggregate over all lanes; equals the sum of the per-lane one-lane runs
   // (delta_cycles included).
   virtual const SimStats& stats() const = 0;
   // Contexts created by divergent branches (0 = lanes stayed in lockstep;
-  // always 0 on the per-lane fallback, whose lanes never share a context).
+  // always 0 on the per-lane engine, whose lanes never share a context).
   virtual long long divergence_splits() const = 0;
 
-  // Which engine this is: "packed_codegen" or "compiled" (the per-lane
-  // fallback keeps the name profile_run has always recorded for it).
+  // Which engine runs the lanes: "packed_codegen" for the generated
+  // engine, else the lanes' Simulation::backend() ("codegen", "compiled"
+  // or "event").
   virtual const char* backend() const = 0;
+  // The Simulation running `lane` (its free-run mode and the event
+  // kernel's VCD), or nullptr on the generated engine, whose lanes share
+  // one state.
+  virtual Simulation* simulation(int /*lane*/) { return nullptr; }
 };
 
-// Builds the lane-packed engine `cfg.backend` selects for `plan`. kAuto and
-// kPackedCodegen select the generated native engine (codegen.h), which
-// takes every compiled plan; without a usable host toolchain they fall
-// back to L scalar CompiledSims behind this interface and store the native
-// tier's reason, prefixed "packed-codegen: ", in *fallback_reason.
-// kCompiled and kEvent select the per-lane CompiledSims directly. Throws
-// when `lanes` is outside [1, kMaxLanes].
+// Builds the engine for `lanes` lanes of `design`, by one rule. More than
+// one lane under kAuto or kPackedCodegen builds the generated L-lane engine
+// (codegen.h); when it cannot be built (no host toolchain, an untrusted
+// cache, a design that is not cycle-schedulable) the lanes run one
+// Simulation each at kCompiled and *fallback_reason holds the reason,
+// prefixed "packed-codegen: ". Every other request builds one Simulation
+// per lane at cfg.backend, and *fallback_reason is that Simulation's own
+// fallback_reason(). So one lane behaves exactly as one Simulation: kAuto
+// runs the compiled interpreter and never invokes the host compiler.
+// Throws when `lanes` is outside [1, kMaxLanes].
 std::unique_ptr<PackedEngine> make_packed_engine(
-    const std::shared_ptr<const CompiledDesign>& plan, int lanes,
+    const std::shared_ptr<const Design>& design, int lanes,
     const SimConfig& cfg, std::string* fallback_reason);
 
-// Lockstep multi-lane DutHarness: each lane is an independent block of a
-// sweep, driven through the same clk/rst/start/done protocol as
-// vsim::DutHarness. Lanes whose stream is exhausted — or whose `done`
-// arrived before the slowest lane's — are frozen by clock-gating their
-// lane in the masked pokes, preserving bit-identity with per-lane scalar
-// replay.
-//
-// Engine selection is make_packed_engine's: kAuto/kPackedCodegen run the
-// generated engine and degrade to per-lane CompiledSims with a
-// "packed-codegen: " prefixed fallback_reason(); kEvent/kCompiled run the
-// per-lane CompiledSims.
+// The harness for every run of an emitted FSM, one lane included: each lane
+// is an independent stimulus stream (a sweep block) driven through the
+// clk/rst/start/done protocol. It pokes the flattened input pins, pulses
+// start, clocks until done and reads the flattened output pins back into
+// PortIo form. Lanes whose stream is exhausted — or whose `done` arrived
+// before the slowest lane's — are frozen by clock-gating their lane in the
+// masked pokes, preserving bit-identity with one-lane replay. State
+// (register files, adaptive weights) carries across run_streams() calls
+// exactly as in rtl::Simulator. Engine selection is make_packed_engine's.
 class PackedDutHarness {
  public:
   PackedDutHarness(const hls::Function& f,
-                   std::shared_ptr<const CompiledDesign> plan, int lanes,
+                   std::shared_ptr<const Design> design, int lanes,
                    const SimConfig& cfg = {});
+  // The same harness over the design a compiled plan was built from.
+  PackedDutHarness(const hls::Function& f,
+                   const std::shared_ptr<const CompiledDesign>& plan,
+                   int lanes, const SimConfig& cfg = {});
 
   void reset();  // rst high across 3 edges, all lanes
 
@@ -116,18 +124,31 @@ class PackedDutHarness {
   std::vector<std::vector<hls::PortIo>> run_streams(
       const std::vector<std::vector<hls::PortIo>>& streams);
 
-  // Reads the instrumented design's perf_* counters summed across lanes.
-  // Every counter accumulates per invocation, so the lane sum equals what
-  // one scalar harness replaying all the lanes' streams back to back would
-  // measure — the identity profile_run's packed leg relies on.
+  // Posedges from start assertion until done was observed high for the
+  // most recent vector `lane` ran (== schedule latency_cycles + 1 for the
+  // emitted FSM).
+  long long last_cycles(int lane = 0) const {
+    return last_cycles_[static_cast<std::size_t>(lane)];
+  }
+
+  // Reads the instrumented design's perf_* counter registers (cumulative
+  // since the last reset), summed across lanes — the measurement leg of
+  // hls::reconcile_profile. Every counter accumulates per invocation, so
+  // the lane sum equals what one lane replaying all the streams back to
+  // back would measure. The source reads "vsim_packed" for several lanes,
+  // else "vsim_" + backend(). Throws if a mapped counter does not exist in
+  // the design; the map must come from the InstrumentOptions the module
+  // was emitted with.
   hls::CounterValues read_counters(
       const std::vector<hls::PerfCounter>& map) const;
 
   PackedEngine& sim() { return *sim_; }
-  // "packed_codegen" or "compiled" — which tier actually runs the lanes.
+  // Which engine runs the lanes (PackedEngine::backend()).
   const char* backend() const { return sim_->backend(); }
-  // Why the generated tier was not used ("" when it runs, or when the
-  // per-lane tier was requested explicitly); prefixed "packed-codegen: ".
+  // Why a preferred engine was not used ("" when the requested one runs,
+  // or when a lower tier was requested explicitly): "packed-codegen: "
+  // when the generated L-lane engine degraded, else the lanes'
+  // Simulation::fallback_reason().
   const std::string& fallback_reason() const { return fallback_reason_; }
 
  private:
@@ -138,6 +159,7 @@ class PackedDutHarness {
   std::string fallback_reason_;
   std::vector<int> pin_handle_;
   std::vector<std::uint64_t> in_plane_;  // staging for per-pin input pokes
+  std::vector<long long> last_cycles_;   // per lane
   int h_clk_ = -1;
   int h_rst_ = -1;
   int h_start_ = -1;

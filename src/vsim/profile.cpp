@@ -145,84 +145,72 @@ ProfileRunResult profile_run(const hls::Function& f,
   if (opts.run_vsim_event || opts.run_vsim_compiled ||
       opts.run_vsim_codegen) {
     auto design = load_design(r.verilog, r.function);
-    auto run_vsim = [&](Backend want, const char* wanted_name) {
-      SimConfig cfg;
-      cfg.backend = want;
-      DutHarness h(r.synthesis.transformed, design, cfg);
-      const std::string got = h.sim().backend();
-      if (got != wanted_name)
-        r.notes.push_back(std::string(wanted_name) +
-                          " backend fell back to " + got + ": " +
-                          h.sim().fallback_reason());
-      const long long mm = mismatches(h.run_stream(vectors));
-      vsim_legs.push_back(r.counters.size());
-      add_leg(h.read_counters(r.counter_map), mm, got,
-              h.sim().fallback_reason());
-    };
-    // Packed auto-selection for the compiled leg: when the caller granted a
-    // lane budget and the stimulus is at least that wide, run the compiled
-    // plan through the lane-packed harness instead of the scalar harness.
-    // Each lane replays its contiguous block from reset and is checked
-    // against a fresh golden replay of that block (the vsim_sweep block
-    // contract); counters are per-invocation accumulators, so their lane
-    // sum equals the scalar sequential measurement and every cross-leg
-    // check below still applies bit for bit.
-    auto run_packed = [&]() -> bool {
-      const int lanes = std::clamp(opts.lanes, 1, kMaxLanes);
-      if (lanes <= 1 ||
-          vectors.size() < static_cast<std::size_t>(lanes))
-        return false;
-      std::string why;
-      auto plan = compiled_plan(design, &why);
-      if (plan == nullptr) {
-        r.notes.push_back(
-            "packed auto-selection unavailable (design not "
-            "cycle-schedulable: " + why + "); compiled leg ran scalar");
-        return false;
-      }
+    // Every vsim leg runs on the one harness. At one lane it replays every
+    // vector in order. With `lanes` > 1 the vectors split into contiguous
+    // blocks, each replayed from reset in its own lane (the vsim_sweep
+    // block contract) and checked against a golden replay of that block;
+    // counters are per-invocation accumulators, so their lane sum equals
+    // the sequential measurement and every cross-leg check below still
+    // applies bit for bit. The engine is built at the lane budget, so
+    // every stimulus length shares one engine; lanes past the last block
+    // get empty streams.
+    auto run_leg = [&](Backend want, const char* wanted_name, int lanes) {
       const std::size_t n = vectors.size();
-      const std::size_t bs =
-          (n + static_cast<std::size_t>(lanes) - 1) /
-          static_cast<std::size_t>(lanes);
+      const std::size_t bs = std::max<std::size_t>(
+          1, (n + static_cast<std::size_t>(lanes) - 1) /
+                 static_cast<std::size_t>(lanes));
       std::vector<std::vector<PortIo>> streams;
       for (std::size_t begin = 0; begin < n; begin += bs)
         streams.emplace_back(
             vectors.begin() + static_cast<long>(begin),
             vectors.begin() + static_cast<long>(std::min(begin + bs, n)));
-      const int L = static_cast<int>(streams.size());
-      // The engine is built at the lane budget, so every stimulus length
-      // shares one engine; the lanes past the last stream get empty ones.
+      const int used = static_cast<int>(streams.size());
       streams.resize(static_cast<std::size_t>(lanes));
-      // SimConfig{} = kAuto: the harness prefers the generated lane-major
-      // engine (packed_codegen) when a toolchain exists and degrades to
-      // one CompiledSim per lane with the reason recorded per leg.
-      PackedDutHarness h(r.synthesis.transformed, plan, lanes, SimConfig{});
+      SimConfig cfg;
+      cfg.backend = want;
+      PackedDutHarness h(r.synthesis.transformed, design, lanes, cfg);
       const auto got = h.run_streams(streams);
       long long mm = 0;
-      // One golden context across the lanes, reset() between streams.
-      hls::Interpreter packed_golden(r.synthesis.transformed);
-      for (int l = 0; l < L; ++l) {
-        if (l > 0) packed_golden.reset();
-        const std::vector<PortIo> want =
-            packed_golden.run_stream(streams[static_cast<std::size_t>(l)]);
-        const auto& lane_got = got[static_cast<std::size_t>(l)];
-        for (std::size_t i = 0; i < want.size(); ++i)
-          if (!io_equal(lane_got[i], want[i])) ++mm;
+      if (used == 1) {
+        mm = mismatches(got[0]);  // one stream of every vector
+      } else {
+        // One golden context across the lanes, reset() between streams.
+        hls::Interpreter lane_golden(r.synthesis.transformed);
+        for (int l = 0; l < used; ++l) {
+          if (l > 0) lane_golden.reset();
+          const auto& in = streams[static_cast<std::size_t>(l)];
+          const std::vector<PortIo> lane_want = lane_golden.run_stream(in);
+          for (std::size_t i = 0; i < in.size(); ++i)
+            if (!io_equal(got[static_cast<std::size_t>(l)][i], lane_want[i]))
+              ++mm;
+        }
       }
+      const std::string backend = h.backend();
+      if (lanes > 1)
+        r.notes.push_back(
+            "compiled leg auto-selected the packed backend: " +
+            std::to_string(n) + " vectors >= " + std::to_string(lanes) +
+            " lanes (ran " + std::to_string(used) + " lanes on " + backend +
+            ")");
+      else if (backend != wanted_name)
+        r.notes.push_back(std::string(wanted_name) + " backend fell back to " +
+                          backend + ": " + h.fallback_reason());
       vsim_legs.push_back(r.counters.size());
-      add_leg(h.read_counters(r.counter_map), mm, h.backend(),
-              h.fallback_reason(), L);
-      r.notes.push_back(
-          "compiled leg auto-selected the packed backend: " +
-          std::to_string(n) + " vectors >= " + std::to_string(lanes) +
-          " lanes (ran " + std::to_string(L) + " lanes on " + h.backend() +
-          ")");
-      return true;
+      add_leg(h.read_counters(r.counter_map), mm, backend,
+              h.fallback_reason(), std::max(used, 1));
     };
-    if (opts.run_vsim_event) run_vsim(Backend::kEvent, "event");
-    if (opts.run_vsim_compiled && !run_packed())
-      run_vsim(Backend::kCompiled, "compiled");
-    if (opts.run_vsim_codegen) run_vsim(Backend::kPackedCodegen, "codegen");
+    // Packed auto-selection for the compiled leg: when the caller granted a
+    // lane budget and the stimulus is at least that wide, the leg runs at
+    // the budget under kAuto, which prefers the generated lane-major engine
+    // and degrades to one compiled Simulation per lane.
+    const int lanes = std::clamp(opts.lanes, 1, kMaxLanes);
+    const bool packed =
+        lanes > 1 && vectors.size() >= static_cast<std::size_t>(lanes);
+    if (opts.run_vsim_event) run_leg(Backend::kEvent, "event", 1);
+    if (opts.run_vsim_compiled)
+      run_leg(packed ? Backend::kAuto : Backend::kCompiled, "compiled",
+              packed ? lanes : 1);
+    if (opts.run_vsim_codegen) run_leg(Backend::kPackedCodegen, "codegen", 1);
   }
 
   // ---- Cross-leg agreement ----

@@ -3,11 +3,13 @@
 // Synthesizes (run_synthesis), certifies the feasibility lower bounds on
 // the ORIGINAL IR (PR 6), emits the Verilog with on-chip perf counters
 // (rtl::VerilogOptions::instrument), then drives the same stimulus through
-// up to three measurement legs —
+// up to four measurement legs —
 //   * rtl::Simulator          (schedule timing model, counters from SimStats),
 //   * vsim event engine       (emitted FSM, counters peeked from the design),
-//   * vsim compiled backend   (same FSM through the cycle-based engine)
-// — checks every leg's outputs against the untimed golden interpreter,
+//   * vsim compiled backend   (same FSM through the cycle-based engine),
+//   * vsim codegen backend    (opt-in: the one-lane native engine)
+// — every vsim leg on PackedDutHarness (pack.h) —
+// checks every leg's outputs against the untimed golden interpreter,
 // reconciles every leg's counters against the schedule predictions and the
 // feasibility floors (hls::reconcile_profile), and cross-checks the legs
 // against each other: counters that are timing-model independent
@@ -50,18 +52,17 @@ struct ProfileRunOptions {
   bool run_vsim_compiled = true;
   bool run_vsim_codegen = false;
   // Lane budget for the compiled leg (clamped to [1, 64]). When > 1 and the
-  // stimulus has at least `lanes` vectors, the compiled leg auto-selects
-  // the bit-packed multi-lane backend: the vectors split into `lanes`
+  // stimulus has at least `lanes` vectors, the compiled leg runs that many
+  // lanes under Backend::kAuto (the generated lane-major engine, else one
+  // compiled Simulation per lane): the vectors split into `lanes`
   // contiguous blocks, each block replays from reset in its own lane (the
   // vsim_sweep block contract — stateful designs need block-independent
   // stimulus), outputs check against a per-block golden replay, and the
   // perf counters are summed across lanes (every counter accumulates per
   // invocation, so the sum equals the scalar sequential measurement). The
   // engine is built at the lane budget whatever the block count, so every
-  // stimulus length shares one compiled engine. The lanes that carried a
-  // block are surfaced per leg as "lanes" in profile_run.json plus a note;
-  // designs that are not cycle-schedulable fall back to the scalar
-  // compiled leg with a note.
+  // stimulus length shares one engine. The lanes that carried a block are
+  // surfaced per leg as "lanes" in profile_run.json plus a note.
   int lanes = 1;
   // When non-empty, write_profile_run_json() is called on the result.
   std::string report_path;

@@ -252,7 +252,8 @@ Simulation::Simulation(std::shared_ptr<const Design> design,
     if (cfg_.backend == Backend::kPackedCodegen) {
       if (plan != nullptr) {
         if (auto mod = packed_codegen_plan(plan, 1, &why)) {
-          native_ = std::make_unique<PackedCodegenSim>(std::move(mod), cfg_);
+          native_ = std::make_unique<PackedCodegenSim>(std::move(plan),
+                                                       std::move(mod), cfg_);
           return;
         }
       }
@@ -799,14 +800,7 @@ long long Simulation::peek_signed(const std::string& name) const {
 
 unsigned long long Simulation::peek_elem(const std::string& name,
                                          int index) const {
-  const int sig = require(name);
-  if (native_) return native_->peek_elem(sig, index, 0);
-  if (compiled_) return compiled_->peek_elem(sig, index);
-  const auto& a = arr_[static_cast<size_t>(sig)];
-  if (index < 0 || index >= static_cast<int>(a.size()))
-    fail("element " + std::to_string(index) + " out of range for '" + name +
-         "'");
-  return a[static_cast<size_t>(index)];
+  return peek_elem(require(name), index);
 }
 
 int Simulation::signal_handle(const std::string& name) const {
@@ -836,6 +830,16 @@ long long Simulation::peek_signed(int sig) const {
   if (compiled_) return compiled_->peek_signed(sig);
   return s64(val_[static_cast<size_t>(sig)],
              design_->signals[static_cast<size_t>(sig)].width);
+}
+
+unsigned long long Simulation::peek_elem(int sig, int index) const {
+  if (native_) return native_->peek_elem(sig, index, 0);
+  if (compiled_) return compiled_->peek_elem(sig, index);
+  const auto& a = arr_[static_cast<size_t>(sig)];
+  if (index < 0 || index >= static_cast<int>(a.size()))
+    fail("element " + std::to_string(index) + " out of range for '" +
+         design_->signals[static_cast<size_t>(sig)].name + "'");
+  return a[static_cast<size_t>(index)];
 }
 
 long long Simulation::now() const {

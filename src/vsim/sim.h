@@ -27,19 +27,19 @@
 
 namespace hlsw::vsim {
 
-// Execution engine selection. Each tier degrades silently down its chain,
-// with the reason recorded in fallback_reason():
-//   Simulation:        native (one lane) -> compiled -> event
-//   PackedDutHarness:  native (N lanes)  -> one CompiledSim per lane
-// kAuto keeps a scalar Simulation on the compiled interpreter (the default
-// path never invokes the host compiler) and lets PackedDutHarness prefer
-// the native engine. The event kernel serves whatever the levelizer
-// refuses (delays, system tasks, repeat, $time, zero-delay feedback).
+// Execution engine selection. A Simulation runs one lane and degrades
+// silently down native (one lane) -> compiled -> event, with the reason
+// recorded in fallback_reason(); kAuto runs the compiled interpreter, so
+// the default path never invokes the host compiler. PackedDutHarness
+// (pack.h) runs one Simulation per lane at the same backend, except that
+// more than one lane under kAuto or kPackedCodegen runs the generated
+// L-lane engine, which degrades to per-lane Simulations at kCompiled. The
+// event kernel serves whatever the levelizer refuses (delays, system
+// tasks, repeat, $time, zero-delay feedback).
 enum class Backend {
-  kAuto,           // Simulation: compiled; PackedDutHarness: native
+  kAuto,           // one lane: compiled; several lanes: native
   kEvent,          // stratified event kernel (sim.cpp)
-  kCompiled,       // levelized tape interpreter (compile.cpp; per lane
-                   // when packed, pack.cpp)
+  kCompiled,       // levelized tape interpreter (compile.cpp)
   kPackedCodegen,  // generated lane-major native engine (codegen.cpp)
 };
 
@@ -85,17 +85,18 @@ class Simulation {
   Simulation(const Simulation&) = delete;
   Simulation& operator=(const Simulation&) = delete;
 
-  // ---- External-driver mode (DutHarness): poke, then settle ----
+  // ---- Poke-and-settle mode (PackedDutHarness) ----
   void poke(const std::string& name, unsigned long long value);
   unsigned long long peek(const std::string& name) const;
   long long peek_signed(const std::string& name) const;
   unsigned long long peek_elem(const std::string& name, int index) const;
-  // Handle-based access for hot drivers (DutHarness): resolve the name
-  // once, then poke/peek by signal index on either backend.
+  // Handle-based access for hot callers (PackedDutHarness): resolve the
+  // name once, then poke/peek by signal index on any backend.
   int signal_handle(const std::string& name) const;
   void poke(int sig, unsigned long long value);
   unsigned long long peek(int sig) const;
   long long peek_signed(int sig) const;
+  unsigned long long peek_elem(int sig, int index) const;
   // Runs delta cycles at the current time until quiescent.
   void settle();
 

@@ -37,18 +37,14 @@ DseOptions axes(int max_configs, bool prune) {
   return o;
 }
 
-double best_of_3_ms(const Function& f, const TechLibrary& tech,
-                    DseOptions opts, DseResult* out) {
-  double best = 1e300;
-  for (int rep = 0; rep < 3; ++rep) {
-    opts.cache = std::make_shared<SynthesisCache>();  // cold every rep
-    const auto t0 = std::chrono::steady_clock::now();
-    *out = explore(f, opts, tech);
-    const auto t1 = std::chrono::steady_clock::now();
-    best = std::min(
-        best, std::chrono::duration<double, std::milli>(t1 - t0).count());
-  }
-  return best;
+// Wall time of one cold sweep (a fresh synthesis cache).
+double sweep_ms(const Function& f, const TechLibrary& tech, DseOptions opts,
+                DseResult* out) {
+  opts.cache = std::make_shared<SynthesisCache>();
+  const auto t0 = std::chrono::steady_clock::now();
+  *out = explore(f, opts, tech);
+  const auto t1 = std::chrono::steady_clock::now();
+  return std::chrono::duration<double, std::milli>(t1 - t0).count();
 }
 
 void expect_same_front(const DseResult& a, const DseResult& b) {
@@ -67,10 +63,17 @@ TEST(DsePruneGuard, PruningKeepsTheFrontCutsSchedulesAndStaysCheap) {
   const TechLibrary tech = TechLibrary::asic90();
 
   DseResult off256, on256, off1024, on1024;
-  best_of_3_ms(f, tech, axes(256, false), &off256);
-  best_of_3_ms(f, tech, axes(256, true), &on256);
-  const double wall_off = best_of_3_ms(f, tech, axes(1024, false), &off1024);
-  const double wall_on = best_of_3_ms(f, tech, axes(1024, true), &on1024);
+  sweep_ms(f, tech, axes(256, false), &off256);
+  sweep_ms(f, tech, axes(256, true), &on256);
+  // The timed legs alternate rep by rep, and each keeps its best of 5, so
+  // a neighbour's load lands on both legs instead of on one block of reps.
+  double wall_off = 1e300, wall_on = 1e300;
+  for (int rep = 0; rep < 5; ++rep) {
+    wall_off =
+        std::min(wall_off, sweep_ms(f, tech, axes(1024, false), &off1024));
+    wall_on =
+        std::min(wall_on, sweep_ms(f, tech, axes(1024, true), &on1024));
+  }
 
   // Pruning is metrics-invisible: identical fronts at both widths.
   expect_same_front(off256, on256);

@@ -366,11 +366,11 @@ TEST(Fuzz, EmittedVerilogMatchesOnEveryEngine) {
     const auto scalar_leg = [&](const vsim::SimConfig& cfg,
                                 const char* backend) -> CosimFactory {
       return [&f, &design, cfg, backend, trial] {
-        auto h = std::make_shared<vsim::DutHarness>(f, design, cfg);
-        EXPECT_STREQ(h->sim().backend(), backend)
-            << "trial " << trial << ": " << h->sim().fallback_reason();
+        auto h = std::make_shared<vsim::PackedDutHarness>(f, design, 1, cfg);
+        EXPECT_STREQ(h->backend(), backend)
+            << "trial " << trial << ": " << h->fallback_reason();
         return [h](const std::vector<PortIo>& ins) {
-          return h->run_stream(ins);
+          return h->run_streams({ins}).front();
         };
       };
     };

@@ -1,6 +1,7 @@
-// FairScheduler semantics: deterministic weighted round-robin order,
-// typed backpressure, the push_unbounded bypass for job-internal shards,
-// and the drain contract (every accepted unit runs, then poppers exit).
+// FairScheduler semantics: deterministic round-robin order, typed
+// backpressure, the push_unbounded bypass for job-internal shards, the
+// drain contract (every accepted unit runs, then poppers exit) and that a
+// drained tenant leaves nothing behind.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,32 +16,8 @@
 namespace hlsw::serve {
 namespace {
 
-// Single-consumer pops observe the WRR schedule exactly: tenant A (weight
-// 2) and B (weight 1), four units each, pre-queued, must interleave as
-// A A B | A A B | B B (A drains inside round 3's visit).
-TEST(FairScheduler, WeightedRoundRobinOrderIsDeterministic) {
-  FairScheduler sched;
-  sched.set_weight("A", 2);
-  sched.set_weight("B", 1);
-  std::vector<std::string> order;
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_EQ(sched.push("A", [&order] { order.push_back("A"); }),
-              PushStatus::kAccepted);
-  }
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_EQ(sched.push("B", [&order] { order.push_back("B"); }),
-              PushStatus::kAccepted);
-  }
-  std::function<void()> unit;
-  for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(sched.pop(&unit));
-    unit();
-  }
-  EXPECT_EQ(order, (std::vector<std::string>{"A", "A", "B", "A", "A", "B",
-                                             "B", "B"}));
-  EXPECT_EQ(sched.total_depth(), 0u);
-}
-
+// Single-consumer pops observe the round-robin schedule exactly: one unit
+// per tenant per visit.
 TEST(FairScheduler, EqualWeightsAlternate) {
   FairScheduler sched;
   std::vector<std::string> order;
@@ -137,6 +114,42 @@ TEST(FairScheduler, ConcurrentProducersConsumersLoseNothing) {
 
   for (const auto& r : runs) EXPECT_EQ(r.load(), 1);
   EXPECT_EQ(sched.total_depth(), 0u);
+}
+
+// A tenant exists only while it has queued units: distinct tenant names,
+// pushed and drained, leave no per-tenant state behind, and a drained
+// tenant that comes back rejoins the rotation behind the waiting ones.
+TEST(FairScheduler, DrainedTenantsAreForgotten) {
+  FairScheduler sched;
+  constexpr int kTenants = 100;
+  for (int t = 0; t < kTenants; ++t)
+    ASSERT_EQ(sched.push("tenant" + std::to_string(t), [] {}),
+              PushStatus::kAccepted);
+  EXPECT_EQ(sched.queue_depths().size(), static_cast<std::size_t>(kTenants));
+  std::function<void()> unit;
+  for (int t = 0; t < kTenants; ++t) {
+    ASSERT_TRUE(sched.pop(&unit));
+    unit();
+  }
+  EXPECT_TRUE(sched.queue_depths().empty());
+  EXPECT_EQ(sched.total_depth(), 0u);
+
+  std::vector<std::string> order;
+  sched.push("a", [&order] { order.push_back("a"); });
+  sched.push("a", [&order] { order.push_back("a"); });
+  sched.push("b", [&order] { order.push_back("b"); });
+  ASSERT_TRUE(sched.pop(&unit));  // a
+  unit();
+  ASSERT_TRUE(sched.pop(&unit));  // b, which drains and is forgotten
+  unit();
+  sched.push("b", [&order] { order.push_back("b"); });
+  sched.push("c", [&order] { order.push_back("c"); });
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(sched.pop(&unit));
+    unit();
+  }
+  EXPECT_EQ(order, (std::vector<std::string>{"a", "b", "a", "b", "c"}));
+  EXPECT_TRUE(sched.queue_depths().empty());
 }
 
 TEST(FairScheduler, QueueDepthsSnapshotPerTenant) {

@@ -37,6 +37,7 @@
 #include "rtl/verilog.h"
 #include "vsim/codegen.h"
 #include "vsim/harness.h"
+#include "vsim/pack.h"
 #include "vsim/parser.h"
 #include "vsim/profile.h"
 
@@ -57,6 +58,13 @@ hls::SynthesisResult synth_merge() {
                             qam::table1_architectures()[0].dir,
                             TechLibrary::asic90());
 }
+
+// A two-register DUT: cheap to generate and compile.
+const char* kSmallSrc = R"(
+module small(input wire clk, input wire [7:0] x, output reg [7:0] q);
+  always @(posedge clk) q <= q + x;
+endmodule
+)";
 
 // A fresh elaboration of `verilog` bypasses the design cache and the
 // per-(plan, lanes) memo, so packed_codegen_plan re-fingerprints it.
@@ -184,16 +192,15 @@ TEST(VsimCodegen, BackendRunsNativelyAndMatchesGolden) {
 
   SimConfig cfg;
   cfg.backend = Backend::kPackedCodegen;
-  DutHarness dut(r.transformed, design, cfg);
-  ASSERT_STREQ(dut.sim().backend(), "codegen")
-      << dut.sim().fallback_reason();
-  EXPECT_TRUE(dut.sim().fallback_reason().empty());
+  PackedDutHarness dut(r.transformed, design, 1, cfg);
+  ASSERT_STREQ(dut.backend(), "codegen") << dut.fallback_reason();
+  EXPECT_TRUE(dut.fallback_reason().empty());
 
   hls::Interpreter golden(r.transformed);
   qam::LinkStimulus stim((qam::LinkConfig()));
   const auto vectors = qam::link_input_batch(&stim, 8);
   const auto want = golden.run_stream(vectors);
-  const auto got = dut.run_stream(vectors);
+  const auto got = dut.run_streams({vectors}).front();
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < want.size(); ++i) {
     EXPECT_EQ(got[i].vars, want[i].vars) << "symbol " << i;
@@ -202,6 +209,67 @@ TEST(VsimCodegen, BackendRunsNativelyAndMatchesGolden) {
   // The generated engine keeps the interpreter's accounting contract.
   EXPECT_GT(dut.sim().stats().events, 0);
   EXPECT_GT(dut.sim().stats().nba_commits, 0);
+}
+
+// The default path never invokes the host compiler: a kAuto one-lane
+// harness runs the compiled interpreter, and so does verify_emitted, even
+// with a cold private cache where any native engine would compile.
+TEST(VsimCodegen, DefaultOneLaneHarnessAndVerifyNeverCompile) {
+  REQUIRE_TOOLCHAIN();
+  const ScopedCacheDir cache("default-no-compile");
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  auto& m = obs::MetricsRegistry::instance();
+  const auto r = synth_merge();
+  const std::string verilog = rtl::emit_verilog(r.transformed, r.schedule);
+  qam::LinkStimulus stim((qam::LinkConfig()));
+  const auto vectors = qam::link_input_batch(&stim, 4);
+
+  const double compiles0 = m.counter_value("vsim.codegen.compiles");
+  const double loads0 = m.counter_value("vsim.codegen.so_cache.hits") +
+                        m.counter_value("vsim.codegen.so_cache.misses");
+  {
+    // A fresh elaboration: no earlier plan or module memo can answer.
+    PackedDutHarness dut(r.transformed,
+                         elaborate(parse(verilog), r.transformed.name), 1);
+    EXPECT_STREQ(dut.backend(), "compiled") << dut.fallback_reason();
+    EXPECT_EQ(dut.fallback_reason(), "");
+    EXPECT_EQ(dut.run_streams({vectors}).front().size(), vectors.size());
+  }
+  const VerifyEmittedResult ve =
+      verify_emitted(r.transformed, r.schedule, vectors);
+  EXPECT_TRUE(ve.ok());
+  EXPECT_EQ(m.counter_value("vsim.codegen.compiles"), compiles0);
+  EXPECT_EQ(m.counter_value("vsim.codegen.so_cache.hits") +
+                m.counter_value("vsim.codegen.so_cache.misses"),
+            loads0);
+  obs::set_enabled(was_enabled);
+}
+
+// The module memo keeps no plan alive: 66 distinct plans of one design
+// (enough to run the memo's purge, which starts beyond 64 entries), each
+// handed to packed_codegen_plan and dropped, leave the first plan expired.
+// One compile builds the object; the other plans load it from disk.
+TEST(VsimCodegen, ModuleMemoReleasesDroppedPlans) {
+  REQUIRE_TOOLCHAIN();
+  const ScopedCacheDir cache("memo-release");
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  auto& m = obs::MetricsRegistry::instance();
+  const auto design = load_design(kSmallSrc, "small");
+  const double compiles0 = m.counter_value("vsim.codegen.compiles");
+  std::weak_ptr<const CompiledDesign> first;
+  for (int i = 0; i < 66; ++i) {
+    std::string why;
+    auto plan = compile_design(design, &why);
+    ASSERT_NE(plan, nullptr) << why;
+    if (i == 0) first = plan;
+    ASSERT_NE(packed_codegen_plan(plan, 1, &why), nullptr) << why;
+  }
+  EXPECT_EQ(m.counter_value("vsim.codegen.compiles"), compiles0 + 1.0);
+  EXPECT_TRUE(first.expired())
+      << "the module memo still holds the first plan";
+  obs::set_enabled(was_enabled);
 }
 
 // The one-lane engine Simulation runs: the whole ABI with C linkage,

@@ -10,9 +10,10 @@
 // actually BE compiled: every architecture's emitted module is
 // required to cycle-schedule with no fallback. The native legs run
 // natively where a host toolchain exists and silently degrade to the
-// compiled interpreter / one CompiledSim per lane otherwise — either way
-// they participate, so the battery passes on toolchain-less machines too
-// (the codegen-REQUIRED assertions live in codegen_test.cpp).
+// compiled interpreter / one compiled Simulation per lane otherwise —
+// either way they participate, so the battery passes on toolchain-less
+// machines too (the codegen-REQUIRED assertions live in codegen_test.cpp).
+// Every vsim leg runs on PackedDutHarness: the scalar legs at one lane.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -81,8 +82,8 @@ void run_six_way_battery(const Directives& dir, const std::string& name,
       ASSERT_STREQ(probe.backend(), "compiled") << name;
   }
   // The packed leg needs the shared compiled plan; with a toolchain it must
-  // run the generated lane-major engine, without one a CompiledSim per
-  // lane. Both stay in the differential.
+  // run the generated lane-major engine, without one a compiled Simulation
+  // per lane. Both stay in the differential.
   std::string plan_why;
   const auto plan = compiled_plan(design, &plan_why);
   ASSERT_NE(plan, nullptr) << name << ": " << plan_why;
@@ -107,20 +108,19 @@ void run_six_way_battery(const Directives& dir, const std::string& name,
     return [s = std::make_shared<rtl::Simulator>(r.transformed, r.schedule)](
                const std::vector<PortIo>& ins) { return s->run_stream(ins); };
   };
-  const hls::CosimFactory vsim_event = [&] {
-    return [h = std::make_shared<DutHarness>(r.transformed, design,
-                                             event_cfg)](
-               const std::vector<PortIo>& ins) { return h->run_stream(ins); };
+  // One-lane harness legs: state carries across the block's vectors.
+  const auto one_lane = [&](const SimConfig& cfg) -> hls::CosimFactory {
+    return [&, cfg] {
+      return [h = std::make_shared<PackedDutHarness>(r.transformed, design, 1,
+                                                     cfg)](
+                 const std::vector<PortIo>& ins) {
+        return h->run_streams({ins}).front();
+      };
+    };
   };
-  const hls::CosimFactory vsim_compiled = [&] {
-    return [h = std::make_shared<DutHarness>(r.transformed, design)](
-               const std::vector<PortIo>& ins) { return h->run_stream(ins); };
-  };
-  const hls::CosimFactory vsim_codegen = [&] {
-    return [h = std::make_shared<DutHarness>(r.transformed, design,
-                                             codegen_cfg)](
-               const std::vector<PortIo>& ins) { return h->run_stream(ins); };
-  };
+  const hls::CosimFactory vsim_event = one_lane(event_cfg);
+  const hls::CosimFactory vsim_compiled = one_lane(SimConfig{});
+  const hls::CosimFactory vsim_codegen = one_lane(codegen_cfg);
   // Packed leg: duplicate the block across both lanes of a 2-lane engine
   // and report lane 0. Lane 1 running the identical stream keeps the full
   // execution mask populated, so masked stores, NBA lane planes and the
@@ -158,13 +158,16 @@ void run_six_way_battery(const Directives& dir, const std::string& name,
   std::string dumped = verilog;
   dumped.insert(mod_end,
                 "  initial begin $dumpfile(\"wave.vcd\"); $dumpvars; end\n");
-  DutHarness dut(r.transformed, load_design(dumped, r.transformed.name));
-  EXPECT_STREQ(dut.sim().backend(), "event") << name;
-  EXPECT_NE(dut.sim().fallback_reason().find("$dump"), std::string::npos)
-      << name << ": " << dut.sim().fallback_reason();
+  PackedDutHarness dut(r.transformed, load_design(dumped, r.transformed.name),
+                       1);
+  EXPECT_STREQ(dut.backend(), "event") << name;
+  EXPECT_NE(dut.fallback_reason().find("$dump"), std::string::npos)
+      << name << ": " << dut.fallback_reason();
   LinkStimulus vstim((LinkConfig()));
-  for (const auto& in : qam::link_input_batch(&vstim, 3)) dut.run(in);
-  const RunResult rr = dut.sim().run();
+  dut.run_streams({qam::link_input_batch(&vstim, 3)});
+  Simulation* lane = dut.sim().simulation(0);
+  ASSERT_NE(lane, nullptr) << name;
+  const RunResult rr = lane->run();
   EXPECT_EQ(rr.vcd_name, "wave.vcd") << name;
   EXPECT_NE(rr.vcd_text.find("$enddefinitions"), std::string::npos) << name;
 }
@@ -237,12 +240,12 @@ TEST(CompiledEquiv, HarnessCycleCountMatchesScheduleOnCompiledBackend) {
   const auto r = run_synthesis(qam::build_qam_decoder_ir(), pipe->dir,
                                TechLibrary::asic90());
   const std::string v = rtl::emit_verilog(r.transformed, r.schedule);
-  DutHarness dut(r.transformed, load_design(v, r.transformed.name));
-  ASSERT_STREQ(dut.sim().backend(), "compiled");
+  PackedDutHarness dut(r.transformed, load_design(v, r.transformed.name), 1);
+  ASSERT_STREQ(dut.backend(), "compiled");
 
   LinkStimulus stim((LinkConfig()));
   for (const auto& in : qam::link_input_batch(&stim, 10)) {
-    dut.run(in);
+    dut.run_streams({{in}});
     EXPECT_EQ(dut.last_cycles(), r.schedule.latency_cycles + 1);
   }
 }
@@ -264,16 +267,16 @@ TEST(CompiledEquiv, CodegenWithoutToolchainFallsBackToCompiled) {
 
   SimConfig cfg;
   cfg.backend = Backend::kPackedCodegen;
-  DutHarness dut(r.transformed, design, cfg);
-  EXPECT_STREQ(dut.sim().backend(), "compiled");
-  EXPECT_EQ(dut.sim().fallback_reason().rfind("codegen: ", 0), 0u)
-      << dut.sim().fallback_reason();
+  PackedDutHarness dut(r.transformed, design, 1, cfg);
+  EXPECT_STREQ(dut.backend(), "compiled");
+  EXPECT_EQ(dut.fallback_reason().rfind("codegen: ", 0), 0u)
+      << dut.fallback_reason();
 
   hls::Interpreter golden(r.transformed);
   LinkStimulus stim((LinkConfig()));
   const auto vectors = qam::link_input_batch(&stim, 5);
   const auto want = golden.run_stream(vectors);
-  const auto got = dut.run_stream(vectors);
+  const auto got = dut.run_streams({vectors}).front();
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < want.size(); ++i) {
     EXPECT_EQ(got[i].vars, want[i].vars) << "symbol " << i;

@@ -39,9 +39,10 @@ using hls::TechLibrary;
 using qam::LinkConfig;
 using qam::LinkStimulus;
 
-double run_symbols_ms(DutHarness& dut, const std::vector<PortIo>& batch) {
+double run_symbols_ms(PackedDutHarness& dut,
+                      const std::vector<PortIo>& batch) {
   const auto t0 = std::chrono::steady_clock::now();
-  for (const auto& in : batch) dut.run(in);
+  dut.run_streams({batch});
   const auto t1 = std::chrono::steady_clock::now();
   return std::chrono::duration<double, std::milli>(t1 - t0).count();
 }
@@ -58,11 +59,11 @@ TEST(VsimCompiledGuard, CompiledBeatsEventByAtLeast2xOnMergeArch) {
 
   SimConfig event_cfg;
   event_cfg.backend = Backend::kEvent;
-  DutHarness event_dut(r.transformed, design, event_cfg);
-  DutHarness compiled_dut(r.transformed, design);
-  ASSERT_STREQ(event_dut.sim().backend(), "event");
-  ASSERT_STREQ(compiled_dut.sim().backend(), "compiled")
-      << compiled_dut.sim().fallback_reason();
+  PackedDutHarness event_dut(r.transformed, design, 1, event_cfg);
+  PackedDutHarness compiled_dut(r.transformed, design, 1);
+  ASSERT_STREQ(event_dut.backend(), "event");
+  ASSERT_STREQ(compiled_dut.backend(), "compiled")
+      << compiled_dut.fallback_reason();
 
   // Warm both paths (plan compile, allocator), then take best-of-3 per
   // backend so a scheduler hiccup on one run cannot fail the guard.
@@ -99,11 +100,11 @@ TEST(VsimCompiledGuard, EventKernelStaysWithin8xOfCompiledOnMergeArch) {
 
   SimConfig event_cfg;
   event_cfg.backend = Backend::kEvent;
-  DutHarness event_dut(r.transformed, design, event_cfg);
-  DutHarness compiled_dut(r.transformed, design);
-  ASSERT_STREQ(event_dut.sim().backend(), "event");
-  ASSERT_STREQ(compiled_dut.sim().backend(), "compiled")
-      << compiled_dut.sim().fallback_reason();
+  PackedDutHarness event_dut(r.transformed, design, 1, event_cfg);
+  PackedDutHarness compiled_dut(r.transformed, design, 1);
+  ASSERT_STREQ(event_dut.backend(), "event");
+  ASSERT_STREQ(compiled_dut.backend(), "compiled")
+      << compiled_dut.fallback_reason();
 
   run_symbols_ms(compiled_dut, batch);
   run_symbols_ms(event_dut, batch);
@@ -134,12 +135,12 @@ TEST(VsimCodegenGuard, CodegenBeatsCompiledByAtLeast2xOnMergeArch) {
 
   SimConfig codegen_cfg;
   codegen_cfg.backend = Backend::kPackedCodegen;
-  DutHarness compiled_dut(r.transformed, design);
-  DutHarness codegen_dut(r.transformed, design, codegen_cfg);
-  ASSERT_STREQ(compiled_dut.sim().backend(), "compiled")
-      << compiled_dut.sim().fallback_reason();
-  ASSERT_STREQ(codegen_dut.sim().backend(), "codegen")
-      << codegen_dut.sim().fallback_reason();
+  PackedDutHarness compiled_dut(r.transformed, design, 1);
+  PackedDutHarness codegen_dut(r.transformed, design, 1, codegen_cfg);
+  ASSERT_STREQ(compiled_dut.backend(), "compiled")
+      << compiled_dut.fallback_reason();
+  ASSERT_STREQ(codegen_dut.backend(), "codegen")
+      << codegen_dut.fallback_reason();
 
   // Warmup absorbs the one-time generate+compile+dlopen, then best-of-3.
   run_symbols_ms(codegen_dut, batch);
@@ -158,7 +159,7 @@ TEST(VsimCodegenGuard, CodegenBeatsCompiledByAtLeast2xOnMergeArch) {
 }
 
 TEST(VsimPackedGuard, Packed64BeatsScalarReplayByAtLeast10xDutThroughput) {
-  // 64 independent 10-symbol blocks: per-block scalar DutHarness replay vs
+  // 64 independent 10-symbol blocks: per-block one-lane harness replay vs
   // one 64-lane kAuto PackedDutHarness over the same streams — the DUT-side
   // work a packed sweep saves (the golden interpreter leg is identical on
   // both sides of a full sweep, so it is excluded here). The harness must
@@ -187,8 +188,8 @@ TEST(VsimPackedGuard, Packed64BeatsScalarReplayByAtLeast10xDutThroughput) {
   const auto scalar_ms = [&] {
     const auto t0 = std::chrono::steady_clock::now();
     for (const auto& s : streams) {
-      DutHarness dut(r.transformed, design);
-      dut.run_stream(s);
+      PackedDutHarness dut(r.transformed, design, 1);
+      dut.run_streams({s});
     }
     return std::chrono::duration<double, std::milli>(
                std::chrono::steady_clock::now() - t0)
@@ -228,10 +229,10 @@ TEST(VsimPackedGuard, Packed64BeatsScalarReplayByAtLeast10xDutThroughput) {
 
 TEST(VsimPackedGuard, Packed64BeatsOneLaneNativeByAtLeast2_5x) {
   // 64 independent 25-symbol blocks of merge: one one-lane native engine
-  // per block (DutHarness, Backend::kPackedCodegen) vs one 64-lane native
-  // PackedDutHarness over the same streams. Both legs run generated code,
-  // so the ratio is what the lane dimension buys; below 2.5x a sweep would
-  // do as well on one-lane engines, one block per pool task.
+  // per block (a one-lane harness, Backend::kPackedCodegen) vs one 64-lane
+  // native PackedDutHarness over the same streams. Both legs run generated
+  // code, so the ratio is what the lane dimension buys; below 2.5x a sweep
+  // would do as well on one-lane engines, one block per pool task.
   if (!codegen_available())
     GTEST_SKIP() << "no host C++ toolchain — packed codegen unavailable";
   const qam::Architecture arch = qam::table1_architectures()[0];
@@ -256,8 +257,8 @@ TEST(VsimPackedGuard, Packed64BeatsOneLaneNativeByAtLeast2_5x) {
   const auto lane1_ms = [&] {
     const auto t0 = std::chrono::steady_clock::now();
     for (const auto& s : streams) {
-      DutHarness dut(r.transformed, design, cfg);
-      dut.run_stream(s);
+      PackedDutHarness dut(r.transformed, design, 1, cfg);
+      dut.run_streams({s});
     }
     return std::chrono::duration<double, std::milli>(
                std::chrono::steady_clock::now() - t0)
@@ -273,9 +274,8 @@ TEST(VsimPackedGuard, Packed64BeatsOneLaneNativeByAtLeast2_5x) {
   };
 
   {
-    DutHarness one(r.transformed, design, cfg);
-    ASSERT_STREQ(one.sim().backend(), "codegen")
-        << one.sim().fallback_reason();
+    PackedDutHarness one(r.transformed, design, 1, cfg);
+    ASSERT_STREQ(one.backend(), "codegen") << one.fallback_reason();
     PackedDutHarness wide(r.transformed, plan, kLanes, cfg);
     ASSERT_STREQ(wide.backend(), "packed_codegen") << wide.fallback_reason();
   }

@@ -25,6 +25,7 @@
 #include "util/thread_pool.h"
 #include "vsim/compile.h"
 #include "vsim/harness.h"
+#include "vsim/pack.h"
 
 namespace hlsw::vsim {
 namespace {
@@ -156,9 +157,9 @@ TEST(VsimCompiledSweep, ConcurrentConstructionSharesOnePlan) {
     ts.reserve(kThreads);
     for (int t = 0; t < kThreads; ++t) {
       ts.emplace_back([&, t] {
-        DutHarness h(r.transformed, design);
-        backends[t] = h.sim().backend();
-        outs[t] = h.run_stream(vectors);
+        PackedDutHarness h(r.transformed, design, 1);
+        backends[t] = h.backend();
+        outs[t] = h.run_streams({vectors}).front();
       });
     }
     for (auto& th : ts) th.join();

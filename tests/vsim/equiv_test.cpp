@@ -4,7 +4,7 @@
 // the untimed interpreter golden and the cycle-accurate rtl::Simulator
 // bit-for-bit (verify_emitted: three-way differential + lint + the
 // generated self-checking testbench run in-process). The legacy
-// interpretive simulator joins as a fourth leg, and the DutHarness cycle
+// interpretive simulator joins as a fourth leg, and the harness cycle
 // count is pinned to the schedule's latency.
 #include <gtest/gtest.h>
 
@@ -121,7 +121,7 @@ TEST(EmittedEquiv, RandomizedDirectiveSets) {
 
 TEST(EmittedEquiv, HarnessCycleCountMatchesSchedule) {
   // The emitted FSM takes latency_cycles through the states plus the done
-  // posedge: DutHarness counts start->done posedges and must land exactly
+  // posedge: the harness counts start->done posedges and must land exactly
   // on latency + 1, every symbol, on a pipelined architecture.
   const auto archs = qam::exploration_architectures();
   const qam::Architecture* pipe = nullptr;
@@ -131,11 +131,11 @@ TEST(EmittedEquiv, HarnessCycleCountMatchesSchedule) {
   const auto r = run_synthesis(qam::build_qam_decoder_ir(), pipe->dir,
                                TechLibrary::asic90());
   const std::string v = rtl::emit_verilog(r.transformed, r.schedule);
-  DutHarness dut(r.transformed, load_design(v, r.transformed.name));
+  PackedDutHarness dut(r.transformed, load_design(v, r.transformed.name), 1);
 
   LinkStimulus stim((LinkConfig()));
   for (const auto& in : qam::link_input_batch(&stim, 10)) {
-    dut.run(in);
+    dut.run_streams({{in}});
     EXPECT_EQ(dut.last_cycles(), r.schedule.latency_cycles + 1);
   }
 }
@@ -164,8 +164,10 @@ TEST(EmittedEquiv, LegacySimulatorJoinsAsFourthLeg) {
                const std::vector<PortIo>& ins) { return s->run_stream(ins); };
   };
   const hls::CosimFactory vsim_leg = [&] {
-    return [h = std::make_shared<DutHarness>(r.transformed, design)](
-               const std::vector<PortIo>& ins) { return h->run_stream(ins); };
+    return [h = std::make_shared<PackedDutHarness>(r.transformed, design, 1)](
+               const std::vector<PortIo>& ins) {
+      return h->run_streams({ins}).front();
+    };
   };
 
   LinkStimulus stim((LinkConfig()));
@@ -233,8 +235,8 @@ TEST(EmittedEquiv, ShortInputArrayThrowsOnEveryModel) {
 
   const std::string verilog = rtl::emit_verilog(r.transformed, r.schedule);
   const auto design = load_design(verilog, r.transformed.name);
-  DutHarness dut(r.transformed, design);
-  EXPECT_THROW(dut.run(in), std::invalid_argument);
+  PackedDutHarness dut(r.transformed, design, 1);
+  EXPECT_THROW(dut.run_streams({{in}}), std::invalid_argument);
 
   std::string why;
   const auto plan = compiled_plan(design, &why);

@@ -6,13 +6,17 @@
 // a case dispatch and per-lane memory indices all disagree across lanes),
 // so the masked context-splitting path is exercised, not just lockstep
 // execution. Tests of the native engine skip without a host toolchain; the
-// per-lane CompiledSim fallback is covered wherever it is the engine. The
-// sweep-level variant proves vsim_sweep with lanes > 1 returns the same
-// CosimResult (ok, blocks, mismatch list) as the scalar sweep.
+// per-lane Simulation engine is covered wherever it is the engine. The
+// harness tests pin make_packed_engine's one rule: L event-kernel lanes
+// equal L one-lane event runs, and one lane names its backend and
+// fallback reason exactly as one Simulation does. The sweep-level variant
+// proves vsim_sweep with lanes > 1 returns the same CosimResult (ok,
+// blocks, mismatch list) as the one-lane sweep.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdint>
+#include <cstdlib>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -24,6 +28,7 @@
 #include "qam/architectures.h"
 #include "qam/decoder_ir.h"
 #include "qam/link.h"
+#include "rtl/verilog.h"
 #include "vsim/codegen.h"
 #include "vsim/compile.h"
 #include "vsim/harness.h"
@@ -160,14 +165,16 @@ LaneState lane_state(const PackedEngine& ps, const Handles& h, int lane) {
 }
 
 // The generated engine, demanded explicitly: a fallback shows up as
-// backend() != "packed_codegen".
+// another backend() than "packed_codegen" (several lanes) or "codegen"
+// (one lane, Simulation's native engine).
 std::unique_ptr<PackedEngine> native_engine(
-    const std::shared_ptr<const CompiledDesign>& plan, int lanes) {
+    const std::shared_ptr<const Design>& design, int lanes) {
   SimConfig cfg;
   cfg.backend = Backend::kPackedCodegen;
   std::string why;
-  auto ps = make_packed_engine(plan, lanes, cfg, &why);
-  EXPECT_STREQ(ps->backend(), "packed_codegen") << why;
+  auto ps = make_packed_engine(design, lanes, cfg, &why);
+  EXPECT_STREQ(ps->backend(), lanes == 1 ? "codegen" : "packed_codegen")
+      << why;
   return ps;
 }
 
@@ -181,7 +188,7 @@ TEST(PackedLanes, DivergentStimulusBitIdenticalToScalarRuns) {
   const Handles h(*design);
 
   const int kLanes = 8;
-  const auto ps = native_engine(plan, kLanes);
+  const auto ps = native_engine(design, kLanes);
   drive(*ps, h);
   SimStats sum;
   for (int l = 0; l < kLanes; ++l)
@@ -197,10 +204,11 @@ TEST(PackedLanes, DivergentStimulusBitIdenticalToScalarRuns) {
   EXPECT_GT(ps->divergence_splits(), 0);
 }
 
-// The native engine at one lane (the engine Simulation runs), a partial
-// lane word and the full 64-lane word, against L independent scalar
-// CompiledSim runs and L one-lane native runs of the same streams: per-lane
-// values and arrays, nonzero masks, and the counters summed over lanes.
+// The native engine at one lane (Simulation's, through make_packed_engine),
+// a partial lane word and the full 64-lane word, against L independent
+// scalar CompiledSim runs and L one-lane native runs of the same streams:
+// per-lane values and arrays, nonzero masks, and the counters summed over
+// lanes.
 TEST(PackedLanes, NativeLanesEqualScalarRuns) {
   if (!codegen_available())
     GTEST_SKIP() << "no host C++ toolchain (HLSW_CODEGEN_CXX/CXX)";
@@ -212,7 +220,7 @@ TEST(PackedLanes, NativeLanesEqualScalarRuns) {
 
   for (const int lanes : {1, 8, 64}) {
     SCOPED_TRACE("lanes = " + std::to_string(lanes));
-    const auto ps = native_engine(plan, lanes);
+    const auto ps = native_engine(design, lanes);
     drive(*ps, h);
     SimStats sum, one_sum;
     std::uint64_t q_nz = 0, mo_nz = 0;
@@ -220,7 +228,7 @@ TEST(PackedLanes, NativeLanesEqualScalarRuns) {
       const LaneState want = scalar_run(plan, h, l, &sum);
       EXPECT_EQ(lane_state(*ps, h, l), want)
           << "lane " << l << " diverged from its scalar run";
-      const auto one = native_engine(plan, 1);
+      const auto one = native_engine(design, 1);
       drive(*one, h, l);
       EXPECT_EQ(lane_state(*one, h, 0), want)
           << "lane " << l << " diverged from its one-lane native run";
@@ -354,7 +362,7 @@ TEST(PackedLanes, LockstepRowsAndBranchesEqualScalarRuns) {
     for (const int lanes : {1, 8, 64}) {
       SCOPED_TRACE("lanes = " + std::to_string(lanes) +
                    (gated ? ", gated" : ""));
-      const auto ps = native_engine(plan, lanes);
+      const auto ps = native_engine(design, lanes);
       std::uint64_t even = 0;
       for (int l = 0; l < lanes; l += 2) even |= 1ULL << l;
       auto tick = [&](std::uint64_t m) {
@@ -411,7 +419,7 @@ TEST(PackedLanes, PlanePokesAndNonzeroMaskMatchLaneAccessors) {
   ASSERT_NE(plan, nullptr);
   const int h_x = design->find("x"), h_clk = design->find("clk");
 
-  // The per-lane fallback always; the native engine where it can be built.
+  // Per-lane Simulations always; the native engine where it can be built.
   for (const Backend backend : {Backend::kCompiled, Backend::kPackedCodegen}) {
     if (backend == Backend::kPackedCodegen && !codegen_available()) continue;
     SimConfig cfg;
@@ -421,8 +429,8 @@ TEST(PackedLanes, PlanePokesAndNonzeroMaskMatchLaneAccessors) {
     SCOPED_TRACE(want);
     const int kLanes = 5;  // odd count: the partial-mask paths
     std::string why;
-    const auto a = make_packed_engine(plan, kLanes, cfg, &why);
-    const auto b = make_packed_engine(plan, kLanes, cfg, &why);
+    const auto a = make_packed_engine(design, kLanes, cfg, &why);
+    const auto b = make_packed_engine(design, kLanes, cfg, &why);
     ASSERT_STREQ(a->backend(), want) << why;
     std::uint64_t plane[kLanes];
     for (int l = 0; l < kLanes; ++l) {
@@ -443,6 +451,97 @@ TEST(PackedLanes, PlanePokesAndNonzeroMaskMatchLaneAccessors) {
     EXPECT_EQ(b->peek_nonzero_mask(h_x), want_nz);
     EXPECT_EQ(a->stats().events, b->stats().events);
   }
+}
+
+// Several event-kernel lanes are several independent event runs: an 8-lane
+// kEvent harness over streams of different lengths (one empty, so that
+// lane clocks only through reset) equals eight one-lane kEvent harnesses
+// on outputs, the last vector's cycle count and the summed SimStats.
+TEST(PackedLanes, EventLanesEqualOneLaneEventRuns) {
+  const qam::Architecture arch = qam::table1_architectures()[0];
+  const auto r = hls::run_synthesis(qam::build_qam_decoder_ir(), arch.dir,
+                                    hls::TechLibrary::asic90());
+  const auto design = load_design(
+      rtl::emit_verilog(r.transformed, r.schedule), r.transformed.name);
+  qam::LinkStimulus s((qam::LinkConfig()));
+  const auto vectors = qam::link_input_batch(&s, 40);
+
+  constexpr int kLanes = 8;
+  std::vector<std::vector<PortIo>> streams(kLanes);
+  for (int l = 0; l < kLanes - 1; ++l)
+    streams[static_cast<std::size_t>(l)].assign(
+        vectors.begin() + 5 * l, vectors.begin() + 5 * l + 2 + l % 4);
+  SimConfig cfg;
+  cfg.backend = Backend::kEvent;
+  PackedDutHarness packed(r.transformed, design, kLanes, cfg);
+  EXPECT_STREQ(packed.backend(), "event");
+  EXPECT_EQ(packed.fallback_reason(), "");
+  const auto got = packed.run_streams(streams);
+
+  SimStats sum;
+  for (int l = 0; l < kLanes; ++l) {
+    SCOPED_TRACE("lane " + std::to_string(l));
+    const auto& in = streams[static_cast<std::size_t>(l)];
+    PackedDutHarness one(r.transformed, design, 1, cfg);
+    ASSERT_STREQ(one.backend(), "event");
+    const auto want = one.run_streams({in}).front();
+    const auto& lane_got = got[static_cast<std::size_t>(l)];
+    ASSERT_EQ(lane_got.size(), in.size());
+    for (std::size_t i = 0; i < in.size(); ++i) {
+      EXPECT_EQ(lane_got[i].vars, want[i].vars) << "vector " << i;
+      EXPECT_EQ(lane_got[i].arrays, want[i].arrays) << "vector " << i;
+    }
+    EXPECT_EQ(packed.last_cycles(l), one.last_cycles());
+    if (!in.empty()) {
+      EXPECT_EQ(one.last_cycles(), r.schedule.latency_cycles + 1);
+    }
+    const SimStats& st = one.sim().stats();
+    sum.events += st.events;
+    sum.nba_commits += st.nba_commits;
+    sum.delta_cycles += st.delta_cycles;
+    sum.time_slots += st.time_slots;
+    sum.instrs += st.instrs;
+  }
+  EXPECT_EQ(packed.sim().stats(), sum);
+  EXPECT_GT(sum.events, 0);
+}
+
+// One lane is one Simulation: the harness names the backend and the
+// fallback reason a Simulation at the same config reports, for every
+// Backend value, with and without a host toolchain.
+TEST(PackedLanes, OneLaneNamesBackendAndReasonAsOneSimulation) {
+  const qam::Architecture arch = qam::table1_architectures()[0];
+  const auto r = hls::run_synthesis(qam::build_qam_decoder_ir(), arch.dir,
+                                    hls::TechLibrary::asic90());
+  const auto design = load_design(
+      rtl::emit_verilog(r.transformed, r.schedule), r.transformed.name);
+  const auto check = [&](Backend backend, const char* want) {
+    SCOPED_TRACE(want);
+    SimConfig cfg;
+    cfg.backend = backend;
+    const PackedDutHarness h(r.transformed, design, 1, cfg);
+    const Simulation sim(design, cfg);
+    EXPECT_STREQ(h.backend(), want) << h.fallback_reason();
+    EXPECT_STREQ(h.backend(), sim.backend());
+    EXPECT_EQ(h.fallback_reason(), sim.fallback_reason());
+    return h.fallback_reason();
+  };
+  EXPECT_EQ(check(Backend::kAuto, "compiled"), "");
+  EXPECT_EQ(check(Backend::kCompiled, "compiled"), "");
+  EXPECT_EQ(check(Backend::kEvent, "event"), "");
+  if (codegen_available()) {
+    EXPECT_EQ(check(Backend::kPackedCodegen, "codegen"), "");
+  }
+
+  const char* prev = std::getenv("HLSW_CODEGEN_CXX");
+  const std::string saved = prev != nullptr ? prev : "";
+  ::setenv("HLSW_CODEGEN_CXX", "none", 1);
+  const std::string why = check(Backend::kPackedCodegen, "compiled");
+  EXPECT_EQ(why.rfind("codegen: ", 0), 0u) << why;
+  if (prev != nullptr)
+    ::setenv("HLSW_CODEGEN_CXX", saved.c_str(), 1);
+  else
+    ::unsetenv("HLSW_CODEGEN_CXX");
 }
 
 // Sweep-level contract: lanes > 1 must be invisible in the CosimResult.
@@ -491,8 +590,8 @@ TEST(PackedLanes, PackedSweepCountsDivergenceSplitsInMetrics) {
   auto plan = compiled_plan(design, nullptr);
   ASSERT_NE(plan, nullptr);
   {
-    // Only the native engine splits; the per-lane fallback never does.
-    const auto ps = native_engine(plan, 4);
+    // Only the native engine splits; per-lane Simulations never do.
+    const auto ps = native_engine(design, 4);
     drive(*ps, Handles(*design));
     EXPECT_GT(ps->divergence_splits(), 0);
   }  // metrics flush on destruction

@@ -25,6 +25,7 @@
 #include "rtl/verilog.h"
 #include "vsim/codegen.h"
 #include "vsim/harness.h"
+#include "vsim/pack.h"
 #include "vsim/profile.h"
 
 namespace hlsw::vsim {
@@ -291,18 +292,18 @@ TEST(ProfileRun, ReadbackMuxReturnsEveryCounterByIndex) {
   rtl::VerilogOptions vopts;
   vopts.instrument = inst;
   const std::string v = rtl::emit_verilog(r.transformed, r.schedule, vopts);
-  DutHarness dut(r.transformed, load_design(v, r.transformed.name));
+  PackedDutHarness dut(r.transformed, load_design(v, r.transformed.name), 1);
 
   LinkStimulus stim((LinkConfig()));
-  for (const auto& in : qam::link_input_batch(&stim, 3)) dut.run(in);
+  dut.run_streams({qam::link_input_batch(&stim, 3)});
 
   const hls::CounterValues direct = dut.read_counters(map);
   EXPECT_GT(direct.values.at("perf_invocations"), 0);
+  Simulation& sim = *dut.sim().simulation(0);
   for (const hls::PerfCounter& c : map) {
-    dut.sim().poke("perf_sel",
-                   static_cast<unsigned long long>(c.index));
-    dut.sim().settle();
-    EXPECT_EQ(static_cast<long long>(dut.sim().peek("perf_rdata")),
+    sim.poke("perf_sel", static_cast<unsigned long long>(c.index));
+    sim.settle();
+    EXPECT_EQ(static_cast<long long>(sim.peek("perf_rdata")),
               direct.values.at(c.name))
         << c.name;
   }

@@ -1,5 +1,5 @@
 // Parallel vsim_sweep: the ONE elaborated Design is shared read-only across
-// worker threads while every shard builds its own Simulation — serial and
+// worker threads while every shard builds its own harness — serial and
 // parallel sweeps must agree byte for byte (results AND mismatch lists),
 // merged deterministically via util::map_ordered. This file is also
 // compiled into a ThreadSanitizer variant (vsim_sweep_test_tsan), which is
