@@ -8,9 +8,11 @@
 //
 // The harness-measured sections additionally track the compiled-plan
 // simulator against its legacy interpretive path (SimOptions::compiled =
-// false) and the batched run_stream API, producing BENCH_rtl_sim.json
-// (--reps/--warmup/--json; see bench_main.h). Regenerate the committed
-// baseline from the repo root with:
+// false), the batched run_stream API and the untimed golden
+// (hls::Interpreter::run_stream on the same transformed IR), producing
+// BENCH_rtl_sim.json (--reps/--warmup/--json; see bench_main.h). The
+// program exits 1 when the timed series disagree bit for bit. Regenerate
+// the committed baseline from the repo root with:
 //   ./build/bench/bench_rtl_sim --reps 5 --warmup 1
 #include <benchmark/benchmark.h>
 
@@ -114,9 +116,11 @@ void print_speed_ladder() {
 
 // Interpretive vs compiled vs batched-stream series on the pipelined
 // (ii=1) equalizer — the configuration where the interpretive path's
-// O(trip x total_cycles x ops) rescan hurts most — plus a 10k-symbol link
-// sweep comparing per-symbol run() against batched run_stream().
-void run_harness_sections(bench::Harness* h) {
+// O(trip x total_cycles x ops) rescan hurts most — and the untimed golden
+// on the same IR, plus a 10k-symbol link sweep comparing per-symbol run()
+// against batched run_stream(). Returns whether every timed series agreed
+// bit for bit.
+bool run_harness_sections(bench::Harness* h) {
   const auto archs = qam::exploration_architectures();
   const qam::Architecture* pipe = nullptr;
   for (const auto& a : archs)
@@ -144,9 +148,14 @@ void run_harness_sections(bench::Harness* h) {
     rtl::Simulator sim(r.transformed, r.schedule);
     benchmark::DoNotOptimize(sim.run_stream(batch));
   });
+  h->measure("golden_stream", [&] {
+    Interpreter golden(r.transformed);
+    benchmark::DoNotOptimize(golden.run_stream(batch));
+  });
 
   // Bit-identity audit of what was just timed: outputs, cycle counts and
-  // SimStats must agree across all three series.
+  // SimStats must agree across the three simulator series, and the
+  // golden's outputs must equal the compiled simulator's.
   bool identical = true;
   {
     rtl::Simulator legacy(r.transformed, r.schedule, {.compiled = false});
@@ -157,12 +166,16 @@ void run_harness_sections(bench::Harness* h) {
     std::vector<PortIo> legacy_out;
     for (const auto& in : batch) legacy_out.push_back(legacy.run(in));
     const std::vector<PortIo> strm_out = strm.run_stream(batch);
+    const std::vector<PortIo> golden_out =
+        Interpreter(r.transformed).run_stream(batch);
     for (int n = 0; n < kSymbols && identical; ++n) {
       const PortIo& c = comp_out[static_cast<size_t>(n)];
       const PortIo& l = legacy_out[static_cast<size_t>(n)];
       const PortIo& st = strm_out[static_cast<size_t>(n)];
+      const PortIo& g = golden_out[static_cast<size_t>(n)];
       identical = c.arrays == l.arrays && c.vars == l.vars &&
-                  st.arrays == c.arrays && st.vars == c.vars;
+                  st.arrays == c.arrays && st.vars == c.vars &&
+                  g.arrays == c.arrays && g.vars == c.vars;
     }
     identical = identical && legacy.stats() == comp.stats() &&
                 legacy.stats() == strm.stats() &&
@@ -194,6 +207,7 @@ void run_harness_sections(bench::Harness* h) {
   });
   h->note("speedup_stream_vs_per_symbol_10k",
           t_sweep_run.min_ms / t_sweep_stream.min_ms);
+  return identical;
 }
 
 void BM_RtlSimSymbol(benchmark::State& state) {
@@ -240,10 +254,16 @@ BENCHMARK(BM_VerilogEmit);
 
 int main(int argc, char** argv) {
   hlsw::bench::Harness harness("rtl_sim", &argc, argv);
-  run_harness_sections(&harness);
+  const bool identical = run_harness_sections(&harness);
   print_speed_ladder();
   ::benchmark::Initialize(&argc, argv);
   ::benchmark::RunSpecifiedBenchmarks();
   harness.write();
+  if (!identical) {
+    std::fprintf(stderr,
+                 "bench_rtl_sim: the timed series disagree bit for bit "
+                 "(paths_bit_identical = false)\n");
+    return 1;
+  }
   return 0;
 }

@@ -1,8 +1,9 @@
 #include "hls/interp.h"
 
+#include <algorithm>
 #include <cassert>
-#include <utility>
 #include <stdexcept>
+#include <utility>
 
 #include "hls/schedule.h"
 
@@ -135,8 +136,66 @@ FxValue exec_op(const Op& op, const FxValue* a0, const FxValue* a1) {
   }
 }
 
+PortBinding::PortBinding(const Function& f) {
+  const auto is_in = [](PortDir d) {
+    return d == PortDir::kIn || d == PortDir::kInOut;
+  };
+  const auto is_out = [](PortDir d) {
+    return d == PortDir::kOut || d == PortDir::kInOut;
+  };
+  for (std::size_t i = 0; i < f.arrays.size(); ++i) {
+    const Array& a = f.arrays[i];
+    const Slot s{a.name, i, a.elem, static_cast<std::size_t>(a.length)};
+    if (is_in(a.port)) in_arrays_.push_back(s);
+    if (is_out(a.port)) out_arrays_.push_back(s);
+  }
+  for (std::size_t i = 0; i < f.vars.size(); ++i) {
+    const Var& v = f.vars[i];
+    const Slot s{v.name, i, v.type, 0};
+    if (is_in(v.port)) in_vars_.push_back(s);
+    if (is_out(v.port)) out_vars_.push_back(s);
+  }
+  for (auto* slots : {&in_arrays_, &in_vars_, &out_arrays_, &out_vars_})
+    std::sort(slots->begin(), slots->end(),
+              [](const Slot& a, const Slot& b) { return a.name < b.name; });
+}
+
+void PortBinding::load(const PortIo& in, std::vector<FxValue>* vars,
+                       std::vector<std::vector<FxValue>>* arrays) const {
+  auto ita = in.arrays.begin();
+  for (const Slot& p : in_arrays_) {
+    while (ita != in.arrays.end() && ita->first < p.name) ++ita;
+    if (ita == in.arrays.end() || ita->first != p.name)
+      throw std::invalid_argument("missing input array port: " + p.name);
+    if (ita->second.size() != p.length)
+      throw std::invalid_argument("input array port size mismatch: " +
+                                  p.name);
+    std::vector<FxValue>& dst = (*arrays)[p.index];
+    for (std::size_t j = 0; j < p.length; ++j)
+      dst[j] = fx_convert(ita->second[j], p.type);
+  }
+  auto itv = in.vars.begin();
+  for (const Slot& p : in_vars_) {
+    while (itv != in.vars.end() && itv->first < p.name) ++itv;
+    if (itv == in.vars.end() || itv->first != p.name)
+      throw std::invalid_argument("missing input var port: " + p.name);
+    (*vars)[p.index] = fx_convert(itv->second, p.type);
+  }
+}
+
+PortIo PortBinding::collect(
+    const std::vector<FxValue>& vars,
+    const std::vector<std::vector<FxValue>>& arrays) const {
+  PortIo out;
+  for (const Slot& p : out_arrays_)
+    out.arrays.emplace_hint(out.arrays.end(), p.name, arrays[p.index]);
+  for (const Slot& p : out_vars_)
+    out.vars.emplace_hint(out.vars.end(), p.name, vars[p.index]);
+  return out;
+}
+
 Interpreter::Interpreter(Function f)
-    : f_(std::move(f)), plan_(f_, untimed_schedule(f_)) {
+    : f_(std::move(f)), plan_(f_, untimed_schedule(f_)), ports_(f_) {
   for (std::size_t i = 0; i < f_.vars.size(); ++i)
     var_index_.emplace(f_.vars[i].name, static_cast<int>(i));
   for (std::size_t i = 0; i < f_.arrays.size(); ++i)
@@ -188,46 +247,11 @@ void Interpreter::set_var_state(const std::string& name, const FxValue& value) {
 }
 
 PortIo Interpreter::run(const PortIo& in) {
-  // Load input ports.
-  for (std::size_t i = 0; i < f_.arrays.size(); ++i) {
-    const Array& a = f_.arrays[i];
-    if (a.port != PortDir::kIn && a.port != PortDir::kInOut) continue;
-    auto it = in.arrays.find(a.name);
-    if (it == in.arrays.end())
-      throw std::invalid_argument("missing input array port: " + a.name);
-    if (static_cast<int>(it->second.size()) != a.length)
-      throw std::invalid_argument("input array port size mismatch: " + a.name);
-    for (int j = 0; j < a.length; ++j)
-      array_state_[i][static_cast<size_t>(j)] =
-          fx_convert(it->second[static_cast<size_t>(j)], a.elem);
-  }
-  for (std::size_t i = 0; i < f_.vars.size(); ++i) {
-    const Var& v = f_.vars[i];
-    if (v.port != PortDir::kIn && v.port != PortDir::kInOut) continue;
-    auto it = in.vars.find(v.name);
-    if (it == in.vars.end())
-      throw std::invalid_argument("missing input var port: " + v.name);
-    var_state_[i] = fx_convert(it->second, v.type);
-  }
-
-  // Execute.
+  ports_.load(in, &var_state_, &array_state_);
   UntimedSink sink{&var_state_, &array_state_};
   plan_.run(sink);
   ops_executed_ += sink.ops_executed;
-
-  // Collect output ports.
-  PortIo out;
-  for (std::size_t i = 0; i < f_.arrays.size(); ++i) {
-    const Array& a = f_.arrays[i];
-    if (a.port == PortDir::kOut || a.port == PortDir::kInOut)
-      out.arrays[a.name] = array_state_[i];
-  }
-  for (std::size_t i = 0; i < f_.vars.size(); ++i) {
-    const Var& v = f_.vars[i];
-    if (v.port == PortDir::kOut || v.port == PortDir::kInOut)
-      out.vars[v.name] = var_state_[i];
-  }
-  return out;
+  return ports_.collect(var_state_, array_state_);
 }
 
 std::vector<PortIo> Interpreter::run_stream(const std::vector<PortIo>& ins) {

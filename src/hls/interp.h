@@ -7,10 +7,11 @@
 // Execution engine: the constructor compiles the function through the
 // shared plan compiler (hls/plan.h) as a one-cycle, unpipelined schedule
 // whose array writes land immediately in program order — the same
-// compiler, baked conversions and interval-proven int64 executor
-// rtl::Simulator runs its schedule through, differing only in that write
-// sink. The op-by-op reference it is pinned against is exec_op below,
-// which rtl::Simulator runs under SimOptions::compiled = false.
+// compiler and executor template rtl::Simulator runs its schedule
+// through, differing only in that write sink. Ports load and collect
+// through the PortBinding below, which rtl::Simulator shares. The op-by-op
+// reference it is pinned against is exec_op below, which rtl::Simulator
+// runs under SimOptions::compiled = false.
 //
 // Statics (Figure 4's `static` arrays and vars) persist across run() calls,
 // matching C function-static semantics.
@@ -30,6 +31,36 @@ namespace hlsw::hls {
 struct PortIo {
   std::map<std::string, std::vector<FxValue>> arrays;
   std::map<std::string, FxValue> vars;
+};
+
+// A Function's ports bound once to their state indices, each slot sorted
+// by name and carrying the port's type and length. hls::Interpreter and
+// rtl::Simulator load and collect every invocation through it: PortIo's
+// maps iterate in name order, so load() is one merge walk and collect()
+// inserts every port at its map's end with a hint — no per-port lookups.
+class PortBinding {
+ public:
+  explicit PortBinding(const Function& f);
+
+  // Converts every input port value into its port's type (fx_convert) and
+  // stores it into the state. Throws std::invalid_argument naming the port
+  // when an input port is missing or an input array's length is wrong.
+  void load(const PortIo& in, std::vector<FxValue>* vars,
+            std::vector<std::vector<FxValue>>* arrays) const;
+
+  // The output ports' values in `vars`/`arrays`.
+  PortIo collect(const std::vector<FxValue>& vars,
+                 const std::vector<std::vector<FxValue>>& arrays) const;
+
+ private:
+  struct Slot {
+    std::string name;
+    std::size_t index = 0;  // var/array state index
+    FxType type;            // var type or array element type
+    std::size_t length = 0;  // array element count
+  };
+
+  std::vector<Slot> in_arrays_, in_vars_, out_arrays_, out_vars_;
 };
 
 class Interpreter {
@@ -76,6 +107,7 @@ class Interpreter {
   std::map<std::string, int> array_index_;
   // f_ compiled under untimed_schedule(f_).
   ExecPlan plan_;
+  PortBinding ports_;
   long long ops_executed_ = 0;
 };
 

@@ -61,9 +61,10 @@ ConvSpec conv_spec(const FxType& dst, int src_fw, __int128 lo, __int128 hi) {
   cs.sgn = dst.sgn;
   cs.q = dst.q;
   cs.o = dst.o;
-  const __int128 bhi = max_raw(dst.w, dst.sgn);
-  const __int128 blo =
-      (dst.o == fixpt::Ovf::kSatSym && dst.sgn) ? -bhi : min_raw(dst.w, dst.sgn);
+  const __int128 bhi = max_raw<__int128>(dst.w, dst.sgn);
+  const __int128 blo = (dst.o == fixpt::Ovf::kSatSym && dst.sgn)
+                           ? -bhi
+                           : min_raw<__int128>(dst.w, dst.sgn);
   bool no_ovf;
   if (cs.shift >= 0) {
     no_ovf = (lo << cs.shift) >= blo && (hi << cs.shift) <= bhi;
@@ -81,8 +82,8 @@ ConvSpec conv_spec(const FxType& dst, int src_fw, __int128 lo, __int128 hi) {
 
 // Raw-value interval of everything a (w, sgn) storage type can hold.
 void type_bounds(const FxType& t, __int128* lo, __int128* hi) {
-  *lo = min_raw(t.w, t.sgn);
-  *hi = max_raw(t.w, t.sgn);
+  *lo = min_raw<__int128>(t.w, t.sgn);
+  *hi = max_raw<__int128>(t.w, t.sgn);
 }
 
 }  // namespace
@@ -299,19 +300,19 @@ ExecPlan::ExecPlan(const Function& f, const Schedule& s) {
     }
 
     // One value buffer per in-flight iteration (pipelined) or one for the
-    // whole region (straight/sequential), zero-initialized once here —
-    // flat int64 component pairs when the region proved narrow, FxValue
-    // slots otherwise.
+    // whole region (straight/sequential), zero-initialized once here: a
+    // component pair per slot, int64 when the region proved narrow.
     rp.narrow = narrow;
     rp.ctx_base =
-        static_cast<int>(narrow ? ctx64_pool_.size() : ctx_pool_.size());
-    const int nbuf = rp.pipelined ? rp.trip : 1;
-    for (int i = 0; i < nbuf; ++i) {
-      if (narrow)
-        ctx64_pool_.emplace_back(2 * static_cast<std::size_t>(rp.nops), 0LL);
-      else
-        ctx_pool_.emplace_back(static_cast<std::size_t>(rp.nops), FxValue{});
-    }
+        static_cast<int>(narrow ? narrow_pool_.size() : wide_pool_.size());
+    const std::size_t nbuf = rp.pipelined ? static_cast<std::size_t>(trip) : 1;
+    const std::size_t len = 2 * static_cast<std::size_t>(rp.nops);
+    if (narrow)
+      narrow_pool_.resize(narrow_pool_.size() + nbuf,
+                          std::vector<long long>(len, 0));
+    else
+      wide_pool_.resize(wide_pool_.size() + nbuf,
+                        std::vector<__int128>(len, 0));
 
     // Peak array writes in any single committed cycle, accounting for
     // pipelined iteration overlap.

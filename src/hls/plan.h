@@ -15,12 +15,17 @@
 // constants and affine array indices of each (iteration, cycle) pair are
 // baked at construction. The runtime loop therefore performs no guard
 // checks, no type derivation and no index evaluation — it only moves
-// values and applies pre-parameterized arithmetic. Where static interval
-// propagation proves every value of a region fits in int64, the region
-// runs on flat 64-bit component pairs ("narrow") instead of FxValue slots.
+// values and applies pre-parameterized arithmetic.
 //
-// The two executors differ only in the schedule they compile and in the
-// write sink they run with, never in the compiler:
+// There is one executor, a template over the component type of a region's
+// value slots: slot i is the pair vals[2i] (re) / vals[2i + 1] (im). Where
+// static interval propagation proves every value of a region fits in
+// int64 ("narrow"), the region runs on long long pairs; elsewhere on
+// __int128 pairs. FxValue materializes only at the var/array state
+// boundary, where its fw and cplx are baked constants of the conversion.
+//
+// The two IR executors differ only in the schedule they compile and in
+// the write sink they run with, never in the compiler:
 //  * untimed — untimed_schedule(f) places every op of a block in one
 //    cycle with loops unpipelined, and hls::Interpreter's sink lands array
 //    writes at once, in program order: exactly the sequential C semantics;
@@ -100,10 +105,8 @@ struct PlanSpan {
 struct RegionPlan {
   bool pipelined = false;
   // Interval analysis proved every slot value, aligned operand and
-  // pre-conversion intermediate of this region fits in int64: execute on
-  // flat 64-bit component pairs instead of FxValue slots (FxValue only
-  // materializes at the var/array state boundary, where its fw/cplx are
-  // baked constants).
+  // pre-conversion intermediate of this region fits in int64: its value
+  // slots are long long pairs instead of __int128 pairs.
   bool narrow = false;
   int trip = 1;
   int ii = 0;        // > 0: pipelined
@@ -153,13 +156,14 @@ class ExecPlan {
   void run(Sink& sink);
 
  private:
-  template <class Sink>
+  // T is the slot component type (long long or __int128), U its unsigned
+  // twin; `bufs` are the region's value buffers.
+  template <class T, class U, class Sink>
+  void run_region(const RegionPlan& rp, std::size_t region,
+                  std::vector<T>* bufs, Sink& sink);
+  template <class T, class U, class Sink>
   void exec_span(const RegionPlan& rp, std::size_t region, int span_index,
-                 FxValue* vals, Sink& sink);
-  // Narrow variant: slot i lives at vals[2i] (re) / vals[2i + 1] (im).
-  template <class Sink>
-  void exec_span_narrow(const RegionPlan& rp, std::size_t region,
-                        int span_index, long long* vals, Sink& sink);
+                 T* vals, Sink& sink);
   [[noreturn]] void out_of_bounds(const char* what, int array) const;
 
   std::vector<RegionPlan> regions_;
@@ -167,34 +171,39 @@ class ExecPlan {
   std::vector<std::string> array_names_;  // out-of-bounds diagnostics
   std::size_t max_writes_per_cycle_ = 0;
   // Per-region value buffers, allocated once at construction and reused
-  // across all runs (no per-iteration allocation or zero-fill). Narrow
-  // regions use the flat int64 pool, wide regions the FxValue pool.
-  std::vector<std::vector<FxValue>> ctx_pool_;
-  std::vector<std::vector<long long>> ctx64_pool_;
+  // across all runs (no per-iteration allocation or zero-fill): narrow
+  // regions take theirs from the int64 pool, the rest from the int128 one.
+  std::vector<std::vector<long long>> narrow_pool_;
+  std::vector<std::vector<__int128>> wide_pool_;
 };
 
-// ---- Executors ---------------------------------------------------------------
+// ---- Executor ----------------------------------------------------------------
 
 namespace plan_detail {
 
-// Saturation bounds as __int128 for a (w, sgn) format; mirror the
-// definitions in hls/ir.cpp (the conversion constants baked here must be
-// bit-identical to what fx_convert derives per call).
-inline __int128 max_raw(int w, bool sgn) {
-  return (static_cast<__int128>(1) << (sgn ? w - 1 : w)) - 1;
+// Saturation bounds of a (w, sgn) format; mirror the definitions in
+// hls/ir.cpp (the conversion constants baked here must be bit-identical to
+// what fx_convert derives per call).
+template <class T>
+inline T max_raw(int w, bool sgn) {
+  return (static_cast<T>(1) << (sgn ? w - 1 : w)) - 1;
 }
-inline __int128 min_raw(int w, bool sgn) {
-  return sgn ? -(static_cast<__int128>(1) << (w - 1)) : 0;
+template <class T>
+inline T min_raw(int w, bool sgn) {
+  return sgn ? -(static_cast<T>(1) << (w - 1)) : 0;
 }
 
 // Rounded floor-shift shared by the kRound and kFull paths — bit-identical
-// to the shift-negative branch of hls::fx_convert_component.
-inline __int128 conv_round(__int128 raw, const ConvSpec& cs) {
+// to the shift-negative branch of hls::fx_convert_component. In a narrow
+// region T = long long: the plan proved every value and constant fits, so
+// the result equals the 128-bit one.
+template <class T>
+inline T conv_round(T raw, const ConvSpec& cs) {
   const int d = -cs.shift;
-  const __int128 base = raw >> d;  // arithmetic shift: floor
+  const T base = raw >> d;  // arithmetic shift: floor
   const bool msb = ((raw >> (d - 1)) & 1) != 0;
   const bool rest =
-      d >= 2 && (raw & ((static_cast<__int128>(1) << (d - 1)) - 1)) != 0;
+      d >= 2 && (raw & ((static_cast<T>(1) << (d - 1)) - 1)) != 0;
   const bool neg = raw < 0;
   const bool lsb_kept = (base & 1) != 0;
   return base +
@@ -205,7 +214,10 @@ inline __int128 conv_round(__int128 raw, const ConvSpec& cs) {
 // hls::fx_convert_component with shift and rounding mode resolved at plan
 // compile time, and the saturation/wrap stage dropped entirely when the
 // plan's interval analysis proved overflow impossible (the common case).
-inline __int128 conv_comp(__int128 raw, const ConvSpec& cs) {
+// U is T's unsigned twin, named explicitly: std::make_unsigned does not
+// accept __int128 under strict ISO C++.
+template <class T, class U>
+inline T conv_comp(T raw, const ConvSpec& cs) {
   using Mode = ConvSpec::Mode;
   switch (cs.mode) {
     case Mode::kShiftUp:
@@ -217,10 +229,11 @@ inline __int128 conv_comp(__int128 raw, const ConvSpec& cs) {
     case Mode::kFull:
       break;
   }
-  const __int128 v = cs.shift >= 0 ? raw << cs.shift : conv_round(raw, cs);
-  const __int128 hi = max_raw(cs.w, cs.sgn);
-  const __int128 lo =
-      (cs.o == fixpt::Ovf::kSatSym && cs.sgn) ? -hi : min_raw(cs.w, cs.sgn);
+  const T v = cs.shift >= 0 ? raw << cs.shift : conv_round(raw, cs);
+  const T hi = max_raw<T>(cs.w, cs.sgn);
+  const T lo = (cs.o == fixpt::Ovf::kSatSym && cs.sgn)
+                   ? -hi
+                   : min_raw<T>(cs.w, cs.sgn);
   if (v > hi || v < lo) {
     switch (cs.o) {
       case fixpt::Ovf::kSat:
@@ -229,83 +242,25 @@ inline __int128 conv_comp(__int128 raw, const ConvSpec& cs) {
       case fixpt::Ovf::kSatZero:
         return 0;
       case fixpt::Ovf::kWrap: {
-        const unsigned __int128 mask =
-            (static_cast<unsigned __int128>(1) << cs.w) - 1;
-        unsigned __int128 u = static_cast<unsigned __int128>(v) & mask;
+        const U mask = (static_cast<U>(1) << cs.w) - 1;
+        U u = static_cast<U>(v) & mask;
         if (cs.sgn && (u >> (cs.w - 1)) & 1) u |= ~mask;  // sign extend
-        return static_cast<__int128>(u);
+        return static_cast<T>(u);
       }
     }
   }
   return v;
 }
 
-inline FxValue conv_pair(__int128 re, __int128 im, const ConvSpec& cs) {
-  FxValue out;
-  out.fw = cs.out_fw;
-  out.cplx = cs.out_cplx;
-  out.re = conv_comp(re, cs);
-  out.im = cs.out_cplx ? conv_comp(im, cs) : 0;
-  return out;
-}
-
-// 64-bit twins of conv_round/conv_comp for narrow regions. Identical
-// arithmetic — the plan proved every value and constant fits, so the
-// results are bit-equal to the 128-bit versions.
-inline long long conv64_round(long long raw, const ConvSpec& cs) {
-  const int d = -cs.shift;
-  const long long base = raw >> d;  // arithmetic shift: floor
-  const bool msb = ((raw >> (d - 1)) & 1) != 0;
-  const bool rest = d >= 2 && (raw & ((1LL << (d - 1)) - 1)) != 0;
-  const bool neg = raw < 0;
-  const bool lsb_kept = (base & 1) != 0;
-  return base +
-         (fixpt::round_increment(cs.q, msb, rest, neg, lsb_kept) ? 1 : 0);
-}
-
-inline long long conv64_comp(long long raw, const ConvSpec& cs) {
-  using Mode = ConvSpec::Mode;
-  switch (cs.mode) {
-    case Mode::kShiftUp:
-      return raw << cs.shift;
-    case Mode::kShiftDown:
-      return raw >> -cs.shift;
-    case Mode::kRound:
-      return conv64_round(raw, cs);
-    case Mode::kFull:
-      break;
-  }
-  const long long v = cs.shift >= 0 ? raw << cs.shift : conv64_round(raw, cs);
-  const long long hi = (1LL << (cs.sgn ? cs.w - 1 : cs.w)) - 1;
-  const long long lo = (cs.o == fixpt::Ovf::kSatSym && cs.sgn) ? -hi
-                       : cs.sgn ? -(1LL << (cs.w - 1))
-                                : 0;
-  if (v > hi || v < lo) {
-    switch (cs.o) {
-      case fixpt::Ovf::kSat:
-      case fixpt::Ovf::kSatSym:
-        return v > hi ? hi : lo;
-      case fixpt::Ovf::kSatZero:
-        return 0;
-      case fixpt::Ovf::kWrap: {
-        const unsigned long long mask = (1ULL << cs.w) - 1;
-        unsigned long long u = static_cast<unsigned long long>(v) & mask;
-        if (cs.sgn && (u >> (cs.w - 1)) & 1) u |= ~mask;  // sign extend
-        return static_cast<long long>(u);
-      }
-    }
-  }
-  return v;
-}
-
-// Converts a narrow component pair into the baked destination format and
+// Converts a component pair into the baked destination format and
 // materializes the FxValue for the var/array state boundary.
-inline FxValue conv64_pair(long long re, long long im, const ConvSpec& cs) {
+template <class T, class U>
+inline FxValue conv_pair(T re, T im, const ConvSpec& cs) {
   FxValue out;
   out.fw = cs.out_fw;
   out.cplx = cs.out_cplx;
-  out.re = conv64_comp(re, cs);
-  out.im = cs.out_cplx ? conv64_comp(im, cs) : 0;
+  out.re = conv_comp<T, U>(re, cs);
+  out.im = cs.out_cplx ? conv_comp<T, U>(im, cs) : 0;
   return out;
 }
 
@@ -316,65 +271,59 @@ void ExecPlan::run(Sink& sink) {
   for (std::size_t r = 0; r < regions_.size(); ++r) {
     const RegionPlan& rp = regions_[r];
     sink.enter(r, rp);
-
-    if (!rp.pipelined) {
-      // Straight block (trip 1) or sequential loop: one value buffer
-      // reused across iterations and runs. Every executed op rewrites its
-      // slot each iteration, so the only refresh needed is the zero-list:
-      // slots whose producer becomes guard-skipped at this iteration.
-      for (int k = 0; k < rp.trip; ++k) {
-        const PlanSpan zs = rp.zero_spans[static_cast<std::size_t>(k)];
-        if (rp.narrow) {
-          long long* vals =
-              ctx64_pool_[static_cast<std::size_t>(rp.ctx_base)].data();
-          for (int z = zs.begin; z < zs.end; ++z) {
-            const int s = rp.zero_slots[static_cast<std::size_t>(z)];
-            vals[2 * s] = 0;
-            vals[2 * s + 1] = 0;
-          }
-          for (int c = 0; c < rp.depth; ++c) {
-            exec_span_narrow(rp, r, k * rp.depth + c, vals, sink);
-            sink.end_cycle();
-          }
-        } else {
-          FxValue* vals =
-              ctx_pool_[static_cast<std::size_t>(rp.ctx_base)].data();
-          for (int z = zs.begin; z < zs.end; ++z)
-            vals[rp.zero_slots[static_cast<std::size_t>(z)]] = FxValue{};
-          for (int c = 0; c < rp.depth; ++c) {
-            exec_span(rp, r, k * rp.depth + c, vals, sink);
-            sink.end_cycle();
-          }
-        }
-      }
-      continue;
-    }
-
-    // Pipelined loop: iteration k occupies global cycles
-    // [k*ii, k*ii + depth); earlier iterations execute first in a cycle.
-    // Only the active iteration window [k_lo, k_hi] is visited per cycle.
-    // Each iteration has its own value buffer; guard-skipped slots were
-    // zeroed at construction and are never written, so no per-run refresh.
-    const int total = rp.depth + (rp.trip - 1) * rp.ii;
-    for (int t = 0; t < total; ++t) {
-      const int k_hi = std::min(rp.trip - 1, t / rp.ii);
-      const int k_lo = t < rp.depth ? 0 : (t - rp.depth) / rp.ii + 1;
-      for (int k = k_lo; k <= k_hi; ++k) {
-        const int span = k * rp.depth + (t - k * rp.ii);
-        const std::size_t buf = static_cast<std::size_t>(rp.ctx_base + k);
-        if (rp.narrow)
-          exec_span_narrow(rp, r, span, ctx64_pool_[buf].data(), sink);
-        else
-          exec_span(rp, r, span, ctx_pool_[buf].data(), sink);
-      }
-      sink.end_cycle();
-    }
+    const std::size_t base = static_cast<std::size_t>(rp.ctx_base);
+    if (rp.narrow)
+      run_region<long long, unsigned long long>(rp, r, &narrow_pool_[base],
+                                                sink);
+    else
+      run_region<__int128, unsigned __int128>(rp, r, &wide_pool_[base], sink);
   }
 }
 
-template <class Sink>
+template <class T, class U, class Sink>
+void ExecPlan::run_region(const RegionPlan& rp, std::size_t region,
+                          std::vector<T>* bufs, Sink& sink) {
+  if (!rp.pipelined) {
+    // Straight block (trip 1) or sequential loop: one value buffer reused
+    // across iterations and runs. Every executed op rewrites its slot each
+    // iteration, so the only refresh needed is the zero-list: slots whose
+    // producer becomes guard-skipped at this iteration.
+    T* vals = bufs->data();
+    for (int k = 0; k < rp.trip; ++k) {
+      const PlanSpan zs = rp.zero_spans[static_cast<std::size_t>(k)];
+      for (int z = zs.begin; z < zs.end; ++z) {
+        const int s = rp.zero_slots[static_cast<std::size_t>(z)];
+        vals[2 * s] = 0;
+        vals[2 * s + 1] = 0;
+      }
+      for (int c = 0; c < rp.depth; ++c) {
+        exec_span<T, U>(rp, region, k * rp.depth + c, vals, sink);
+        sink.end_cycle();
+      }
+    }
+    return;
+  }
+
+  // Pipelined loop: iteration k occupies global cycles
+  // [k*ii, k*ii + depth); earlier iterations execute first in a cycle.
+  // Only the active iteration window [k_lo, k_hi] is visited per cycle.
+  // Each iteration has its own value buffer; guard-skipped slots were
+  // zeroed at construction and are never written, so no per-run refresh.
+  const int total = rp.depth + (rp.trip - 1) * rp.ii;
+  for (int t = 0; t < total; ++t) {
+    const int k_hi = std::min(rp.trip - 1, t / rp.ii);
+    const int k_lo = t < rp.depth ? 0 : (t - rp.depth) / rp.ii + 1;
+    for (int k = k_lo; k <= k_hi; ++k)
+      exec_span<T, U>(rp, region, k * rp.depth + (t - k * rp.ii),
+                      bufs[k].data(), sink);
+    sink.end_cycle();
+  }
+}
+
+template <class T, class U, class Sink>
 void ExecPlan::exec_span(const RegionPlan& rp, std::size_t region,
-                         int span_index, FxValue* vals, Sink& sink) {
+                         int span_index, T* vals, Sink& sink) {
+  using plan_detail::conv_comp;
   using plan_detail::conv_pair;
   const PlanSpan sp = rp.spans[static_cast<std::size_t>(span_index)];
   // Spans contain exactly the ops the interpretive path would execute for
@@ -383,175 +332,74 @@ void ExecPlan::exec_span(const RegionPlan& rp, std::size_t region,
   const PlanOp* const end = rp.ops.data() + sp.end;
   for (const PlanOp* it = rp.ops.data() + sp.begin; it != end; ++it) {
     const PlanOp& p = *it;
-    FxValue& d = vals[p.dst];
-    switch (p.kind) {
-      case OpKind::kConst:
-        d = const_pool_[static_cast<std::size_t>(p.idx)];
-        break;
-      case OpKind::kVarRead:
-        // Scalar registers forward: reads observe the latest write.
-        d = sink.vars()[static_cast<std::size_t>(p.target)];
-        break;
-      case OpKind::kVarWrite: {
-        const FxValue& a = vals[p.a0];
-        sink.vars()[static_cast<std::size_t>(p.target)] =
-            conv_pair(a.re, a.im, p.conv);
-        break;
-      }
-      case OpKind::kArrayRead:
-        if (p.idx < 0) out_of_bounds("read", p.target);
-        sink.read(p.target);
-        d = sink.arrays()[static_cast<std::size_t>(p.target)]
-                         [static_cast<std::size_t>(p.idx)];
-        break;
-      case OpKind::kArrayWrite: {
-        if (p.idx < 0) out_of_bounds("write", p.target);
-        const FxValue& a = vals[p.a0];
-        sink.write(p.target, p.idx, conv_pair(a.re, a.im, p.conv));
-        break;
-      }
-      case OpKind::kAdd: {
-        const FxValue& a = vals[p.a0];
-        const FxValue& b = vals[p.a1];
-        d = conv_pair((a.re << p.sa) + (b.re << p.sb),
-                      (a.im << p.sa) + (b.im << p.sb), p.conv);
-        break;
-      }
-      case OpKind::kSub: {
-        const FxValue& a = vals[p.a0];
-        const FxValue& b = vals[p.a1];
-        d = conv_pair((a.re << p.sa) - (b.re << p.sb),
-                      (a.im << p.sa) - (b.im << p.sb), p.conv);
-        break;
-      }
-      case OpKind::kMul: {
-        const FxValue& a = vals[p.a0];
-        const FxValue& b = vals[p.a1];
-        d = conv_pair(a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re,
-                      p.conv);
-        break;
-      }
-      case OpKind::kNeg: {
-        const FxValue& a = vals[p.a0];
-        d = conv_pair(-a.re, -a.im, p.conv);
-        break;
-      }
-      case OpKind::kCast: {
-        const FxValue& a = vals[p.a0];
-        d = conv_pair(a.re, a.im, p.conv);
-        break;
-      }
-      case OpKind::kSignConj: {
-        const FxValue& a = vals[p.a0];
-        FxValue r;
-        r.fw = 0;
-        r.cplx = true;
-        r.re = a.re >= 0 ? 1 : -1;
-        r.im = a.im >= 0 ? -1 : 1;
-        d = r;
-        break;
-      }
-      case OpKind::kReal: {
-        FxValue r = vals[p.a0];
-        r.im = 0;
-        r.cplx = false;
-        d = r;
-        break;
-      }
-      case OpKind::kImag: {
-        const FxValue& a = vals[p.a0];
-        FxValue r;
-        r.fw = a.fw;
-        r.re = a.im;
-        d = r;
-        break;
-      }
-      case OpKind::kMakeComplex: {
-        // Second operand's REAL part becomes the imaginary component,
-        // aligned like fx_add (see exec_op in hls/interp.cpp).
-        const FxValue& a = vals[p.a0];
-        const FxValue& b = vals[p.a1];
-        d = conv_pair(a.re << p.sa, b.re << p.sb, p.conv);
-        break;
-      }
-    }
-  }
-}
-
-template <class Sink>
-void ExecPlan::exec_span_narrow(const RegionPlan& rp, std::size_t region,
-                                int span_index, long long* vals, Sink& sink) {
-  using plan_detail::conv64_comp;
-  using plan_detail::conv64_pair;
-  const PlanSpan sp = rp.spans[static_cast<std::size_t>(span_index)];
-  sink.ops(region, sp.end - sp.begin);
-  const PlanOp* const end = rp.ops.data() + sp.end;
-  for (const PlanOp* it = rp.ops.data() + sp.begin; it != end; ++it) {
-    const PlanOp& p = *it;
-    long long* d = vals + 2 * p.dst;
+    T* d = vals + 2 * p.dst;
     switch (p.kind) {
       case OpKind::kConst: {
         const FxValue& c = const_pool_[static_cast<std::size_t>(p.idx)];
-        d[0] = static_cast<long long>(c.re);
-        d[1] = static_cast<long long>(c.im);
+        d[0] = static_cast<T>(c.re);
+        d[1] = static_cast<T>(c.im);
         break;
       }
       case OpKind::kVarRead: {
+        // Scalar registers forward: reads observe the latest write.
         const FxValue& v = sink.vars()[static_cast<std::size_t>(p.target)];
-        d[0] = static_cast<long long>(v.re);
-        d[1] = static_cast<long long>(v.im);
+        d[0] = static_cast<T>(v.re);
+        d[1] = static_cast<T>(v.im);
         break;
       }
       case OpKind::kVarWrite:
         sink.vars()[static_cast<std::size_t>(p.target)] =
-            conv64_pair(vals[2 * p.a0], vals[2 * p.a0 + 1], p.conv);
+            conv_pair<T, U>(vals[2 * p.a0], vals[2 * p.a0 + 1], p.conv);
         break;
       case OpKind::kArrayRead: {
         if (p.idx < 0) out_of_bounds("read", p.target);
         sink.read(p.target);
         const FxValue& v = sink.arrays()[static_cast<std::size_t>(p.target)]
                                         [static_cast<std::size_t>(p.idx)];
-        d[0] = static_cast<long long>(v.re);
-        d[1] = static_cast<long long>(v.im);
+        d[0] = static_cast<T>(v.re);
+        d[1] = static_cast<T>(v.im);
         break;
       }
       case OpKind::kArrayWrite:
         if (p.idx < 0) out_of_bounds("write", p.target);
         sink.write(p.target, p.idx,
-                   conv64_pair(vals[2 * p.a0], vals[2 * p.a0 + 1], p.conv));
+                   conv_pair<T, U>(vals[2 * p.a0], vals[2 * p.a0 + 1], p.conv));
         break;
       case OpKind::kAdd: {
-        const long long ar = vals[2 * p.a0] << p.sa;
-        const long long ai = vals[2 * p.a0 + 1] << p.sa;
-        const long long br = vals[2 * p.a1] << p.sb;
-        const long long bi = vals[2 * p.a1 + 1] << p.sb;
-        d[0] = conv64_comp(ar + br, p.conv);
-        d[1] = p.conv.out_cplx ? conv64_comp(ai + bi, p.conv) : 0;
+        const T ar = vals[2 * p.a0] << p.sa;
+        const T ai = vals[2 * p.a0 + 1] << p.sa;
+        const T br = vals[2 * p.a1] << p.sb;
+        const T bi = vals[2 * p.a1 + 1] << p.sb;
+        d[0] = conv_comp<T, U>(ar + br, p.conv);
+        d[1] = p.conv.out_cplx ? conv_comp<T, U>(ai + bi, p.conv) : 0;
         break;
       }
       case OpKind::kSub: {
-        const long long ar = vals[2 * p.a0] << p.sa;
-        const long long ai = vals[2 * p.a0 + 1] << p.sa;
-        const long long br = vals[2 * p.a1] << p.sb;
-        const long long bi = vals[2 * p.a1 + 1] << p.sb;
-        d[0] = conv64_comp(ar - br, p.conv);
-        d[1] = p.conv.out_cplx ? conv64_comp(ai - bi, p.conv) : 0;
+        const T ar = vals[2 * p.a0] << p.sa;
+        const T ai = vals[2 * p.a0 + 1] << p.sa;
+        const T br = vals[2 * p.a1] << p.sb;
+        const T bi = vals[2 * p.a1 + 1] << p.sb;
+        d[0] = conv_comp<T, U>(ar - br, p.conv);
+        d[1] = p.conv.out_cplx ? conv_comp<T, U>(ai - bi, p.conv) : 0;
         break;
       }
       case OpKind::kMul: {
-        const long long ar = vals[2 * p.a0], ai = vals[2 * p.a0 + 1];
-        const long long br = vals[2 * p.a1], bi = vals[2 * p.a1 + 1];
-        d[0] = conv64_comp(ar * br - ai * bi, p.conv);
-        d[1] = p.conv.out_cplx ? conv64_comp(ar * bi + ai * br, p.conv) : 0;
+        const T ar = vals[2 * p.a0], ai = vals[2 * p.a0 + 1];
+        const T br = vals[2 * p.a1], bi = vals[2 * p.a1 + 1];
+        d[0] = conv_comp<T, U>(ar * br - ai * bi, p.conv);
+        d[1] = p.conv.out_cplx ? conv_comp<T, U>(ar * bi + ai * br, p.conv)
+                               : 0;
         break;
       }
       case OpKind::kNeg:
-        d[0] = conv64_comp(-vals[2 * p.a0], p.conv);
-        d[1] = p.conv.out_cplx ? conv64_comp(-vals[2 * p.a0 + 1], p.conv) : 0;
+        d[0] = conv_comp<T, U>(-vals[2 * p.a0], p.conv);
+        d[1] = p.conv.out_cplx ? conv_comp<T, U>(-vals[2 * p.a0 + 1], p.conv)
+                               : 0;
         break;
       case OpKind::kCast:
-        d[0] = conv64_comp(vals[2 * p.a0], p.conv);
-        d[1] = p.conv.out_cplx ? conv64_comp(vals[2 * p.a0 + 1], p.conv) : 0;
+        d[0] = conv_comp<T, U>(vals[2 * p.a0], p.conv);
+        d[1] = p.conv.out_cplx ? conv_comp<T, U>(vals[2 * p.a0 + 1], p.conv)
+                               : 0;
         break;
       case OpKind::kSignConj:
         d[0] = vals[2 * p.a0] >= 0 ? 1 : -1;
@@ -566,10 +414,12 @@ void ExecPlan::exec_span_narrow(const RegionPlan& rp, std::size_t region,
         d[1] = 0;
         break;
       case OpKind::kMakeComplex:
-        // Second operand's REAL part becomes the imaginary component.
-        d[0] = conv64_comp(vals[2 * p.a0] << p.sa, p.conv);
-        d[1] = p.conv.out_cplx ? conv64_comp(vals[2 * p.a1] << p.sb, p.conv)
-                               : 0;
+        // Second operand's REAL part becomes the imaginary component,
+        // aligned like fx_add (see exec_op in hls/interp.cpp).
+        d[0] = conv_comp<T, U>(vals[2 * p.a0] << p.sa, p.conv);
+        d[1] = p.conv.out_cplx
+                   ? conv_comp<T, U>(vals[2 * p.a1] << p.sb, p.conv)
+                   : 0;
         break;
     }
   }

@@ -65,43 +65,39 @@ std::vector<PerfCounter> instrument_map(const Function& f, const Schedule& s,
   add({.name = "perf_invocations", .kind = CounterKind::kInvocations});
   add({.name = "perf_active_cycles", .kind = CounterKind::kActiveCycles});
 
-  if (opts.loop_counters || opts.stall_counters) {
-    for (std::size_t r = 0; r < f.regions.size(); ++r) {
-      const Region& region = f.regions[r];
-      const auto& rs = s.regions[r];
-      const std::string label = sanitize(region_label(region));
-      const std::string base = "perf_r" + std::to_string(r) + "_" + label;
-      if (opts.loop_counters) {
-        add({.name = base + "_cycles",
-             .kind = CounterKind::kRegionCycles,
-             .region = static_cast<int>(r),
-             .label = region_label(region)});
-        if (region.is_loop)
-          add({.name = base + "_iters",
-               .kind = CounterKind::kLoopIters,
-               .region = static_cast<int>(r),
-               .label = region_label(region)});
-      }
-      if (opts.stall_counters && region.is_loop && rs.ii > 0)
-        add({.name = base + "_stall",
-             .kind = CounterKind::kLoopStall,
-             .region = static_cast<int>(r),
-             .label = region_label(region)});
-    }
+  // Every region's cycles, every loop's iterations and every pipelined
+  // loop's serialization stalls, then every array's port activity.
+  for (std::size_t r = 0; r < f.regions.size(); ++r) {
+    const Region& region = f.regions[r];
+    const auto& rs = s.regions[r];
+    const std::string label = sanitize(region_label(region));
+    const std::string base = "perf_r" + std::to_string(r) + "_" + label;
+    add({.name = base + "_cycles",
+         .kind = CounterKind::kRegionCycles,
+         .region = static_cast<int>(r),
+         .label = region_label(region)});
+    if (region.is_loop)
+      add({.name = base + "_iters",
+           .kind = CounterKind::kLoopIters,
+           .region = static_cast<int>(r),
+           .label = region_label(region)});
+    if (region.is_loop && rs.ii > 0)
+      add({.name = base + "_stall",
+           .kind = CounterKind::kLoopStall,
+           .region = static_cast<int>(r),
+           .label = region_label(region)});
   }
 
-  if (opts.mem_counters) {
-    for (std::size_t a = 0; a < f.arrays.size(); ++a) {
-      const std::string base = "perf_mem_" + sanitize(f.arrays[a].name);
-      add({.name = base + "_reads",
-           .kind = CounterKind::kMemReads,
-           .array = static_cast<int>(a),
-           .array_name = f.arrays[a].name});
-      add({.name = base + "_writes",
-           .kind = CounterKind::kMemWrites,
-           .array = static_cast<int>(a),
-           .array_name = f.arrays[a].name});
-    }
+  for (std::size_t a = 0; a < f.arrays.size(); ++a) {
+    const std::string base = "perf_mem_" + sanitize(f.arrays[a].name);
+    add({.name = base + "_reads",
+         .kind = CounterKind::kMemReads,
+         .array = static_cast<int>(a),
+         .array_name = f.arrays[a].name});
+    add({.name = base + "_writes",
+         .kind = CounterKind::kMemWrites,
+         .array = static_cast<int>(a),
+         .array_name = f.arrays[a].name});
   }
   return map;
 }

@@ -48,9 +48,6 @@ namespace hlsw::hls {
 // emission is byte-identical to an uninstrumented module.
 struct InstrumentOptions {
   bool enabled = false;
-  bool loop_counters = true;   // per-region cycles, per-loop iterations
-  bool stall_counters = true;  // serialization bubbles on pipelined loops
-  bool mem_counters = true;    // per-array read/write port activity
   // Readback mux: adds `input [15:0] perf_sel` / `output [w-1:0]
   // perf_rdata` ports returning the counter at the map index, so real
   // hardware can sample the counters without a logic analyzer. Off by

@@ -17,14 +17,13 @@ using hls::BlockSchedule;
 using hls::FxValue;
 using hls::Op;
 using hls::OpKind;
-using hls::PortDir;
 using hls::PortIo;
 using hls::Region;
 
 Simulator::Simulator(hls::Function f, hls::Schedule s, SimOptions opts)
-    : f_(std::move(f)), s_(std::move(s)), opts_(opts), plan_(f_, s_) {
+    : f_(std::move(f)), s_(std::move(s)), opts_(opts), plan_(f_, s_),
+      ports_(f_) {
   reset();
-  bind_ports();
   pending_.reserve(plan_.max_writes_per_cycle());
 }
 
@@ -45,33 +44,6 @@ void Simulator::reset() {
     stats_.array_writes.push_back(0);
   }
   hls::initial_state(f_, &var_state_, &array_state_);
-}
-
-void Simulator::bind_ports() {
-  // Index-bound ports, sorted by name: input loading becomes one merge
-  // walk over the (name-ordered) PortIo maps and output maps rebuild with
-  // end-hinted insertions — no per-run map lookups.
-  for (std::size_t i = 0; i < f_.arrays.size(); ++i) {
-    const Array& a = f_.arrays[i];
-    if (a.port == PortDir::kIn || a.port == PortDir::kInOut)
-      in_array_ports_.push_back({&a.name, static_cast<int>(i)});
-    if (a.port == PortDir::kOut || a.port == PortDir::kInOut)
-      out_array_ports_.push_back({&a.name, static_cast<int>(i)});
-  }
-  for (std::size_t i = 0; i < f_.vars.size(); ++i) {
-    const auto& v = f_.vars[i];
-    if (v.port == PortDir::kIn || v.port == PortDir::kInOut)
-      in_var_ports_.push_back({&v.name, static_cast<int>(i)});
-    if (v.port == PortDir::kOut || v.port == PortDir::kInOut)
-      out_var_ports_.push_back({&v.name, static_cast<int>(i)});
-  }
-  const auto by_name = [](const PortSlot& a, const PortSlot& b) {
-    return *a.name < *b.name;
-  };
-  std::sort(in_array_ports_.begin(), in_array_ports_.end(), by_name);
-  std::sort(in_var_ports_.begin(), in_var_ports_.end(), by_name);
-  std::sort(out_array_ports_.begin(), out_array_ports_.end(), by_name);
-  std::sort(out_var_ports_.begin(), out_var_ports_.end(), by_name);
 }
 
 const std::vector<FxValue>& Simulator::array_state(
@@ -159,45 +131,6 @@ void Simulator::commit_pending() {
   ++cycles_;
   ++stats_.cycles;
   if (trace_) trace_(cycles_ - 1, var_state_, array_state_);
-}
-
-void Simulator::load_inputs(const PortIo& in) {
-  // Ports were bound to state indices (and sorted by name) at plan
-  // compilation; both PortIo maps iterate in name order, so a single merge
-  // walk replaces the per-port map lookups.
-  auto ita = in.arrays.begin();
-  for (const PortSlot& p : in_array_ports_) {
-    while (ita != in.arrays.end() && ita->first < *p.name) ++ita;
-    if (ita == in.arrays.end() || ita->first != *p.name)
-      throw std::invalid_argument("rtl: missing input array port: " + *p.name);
-    const Array& a = f_.arrays[static_cast<size_t>(p.index)];
-    if (ita->second.size() != static_cast<std::size_t>(a.length))
-      throw std::invalid_argument("rtl: input array port size mismatch: " +
-                                  *p.name);
-    auto& dst = array_state_[static_cast<size_t>(p.index)];
-    for (int j = 0; j < a.length; ++j)
-      dst[static_cast<size_t>(j)] =
-          fx_convert(ita->second[static_cast<size_t>(j)], a.elem);
-  }
-  auto itv = in.vars.begin();
-  for (const PortSlot& p : in_var_ports_) {
-    while (itv != in.vars.end() && itv->first < *p.name) ++itv;
-    if (itv == in.vars.end() || itv->first != *p.name)
-      throw std::invalid_argument("rtl: missing input var port: " + *p.name);
-    var_state_[static_cast<size_t>(p.index)] =
-        fx_convert(itv->second, f_.vars[static_cast<size_t>(p.index)].type);
-  }
-}
-
-void Simulator::collect_outputs(PortIo* out) const {
-  // Output slots are name-sorted, so every insertion lands at the map's
-  // end with a valid hint: O(1) per port, no lookups.
-  for (const PortSlot& p : out_array_ports_)
-    out->arrays.emplace_hint(out->arrays.end(), *p.name,
-                             array_state_[static_cast<size_t>(p.index)]);
-  for (const PortSlot& p : out_var_ports_)
-    out->vars.emplace_hint(out->vars.end(), *p.name,
-                           var_state_[static_cast<size_t>(p.index)]);
 }
 
 void Simulator::run_regions_legacy() {
@@ -299,11 +232,9 @@ void Simulator::run_regions() {
 
 PortIo Simulator::run_one(const PortIo& in) {
   ++stats_.invocations;
-  load_inputs(in);
+  ports_.load(in, &var_state_, &array_state_);
   run_regions();
-  PortIo out;
-  collect_outputs(&out);
-  return out;
+  return ports_.collect(var_state_, array_state_);
 }
 
 PortIo Simulator::run(const PortIo& in) {

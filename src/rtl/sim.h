@@ -15,15 +15,16 @@
 // Execution engine: the constructor compiles the schedule through the
 // shared plan compiler (hls/plan.h) — per-cycle tables of compact op
 // records with pre-resolved operand slots, per-iteration pre-evaluated
-// affine array indices and baked conversions — and binds ports by index,
-// so run() touches exactly the ops scheduled in each cycle and performs
-// no string lookups or per-iteration allocation. hls::Interpreter runs the
-// same compiler untimed; this simulator differs only in its write sink,
-// which defers array writes to the end-of-cycle commit. The original
-// interpretive path (rescan every op each cycle through hls::exec_op) is
-// preserved behind SimOptions::compiled = false as the independent
-// reference the equivalence battery pins the plan against; both paths are
-// bit-identical in outputs, cycle counts and SimStats.
+// affine array indices and baked conversions — so run() touches exactly
+// the ops scheduled in each cycle and performs no per-iteration
+// allocation. hls::Interpreter runs the same compiler and executor
+// template untimed, and binds its ports through the same hls::PortBinding;
+// this simulator differs only in its write sink, which defers array
+// writes to the end-of-cycle commit. The original interpretive path
+// (rescan every op each cycle through hls::exec_op) is preserved behind
+// SimOptions::compiled = false as the independent reference the
+// equivalence battery pins the plan against; both paths are bit-identical
+// in outputs, cycle counts and SimStats.
 //
 // Because the simulator consumes the *transformed* function and its
 // schedule, comparing it against hls::Interpreter on the same transformed
@@ -77,9 +78,8 @@ class Simulator {
   // Takes the post-transform function and the schedule produced for it.
   Simulator(hls::Function f, hls::Schedule s, SimOptions opts = {});
 
-  // Bound ports hold pointers into this instance's own copy of the
-  // function; copying would alias them, so simulators are clone-by-
-  // reconstruction (see hls::cosim_sweep for the pattern).
+  // Simulators are clone-by-reconstruction (see hls::cosim_sweep for the
+  // pattern).
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
@@ -123,27 +123,16 @@ class Simulator {
     std::vector<hls::FxValue> vals;
   };
 
-  // Port bound to its state index once, sorted by name so input loading is
-  // a single merge walk over the (name-sorted) PortIo maps and output maps
-  // build with end-hinted O(1) insertions.
-  struct PortSlot {
-    const std::string* name = nullptr;
-    int index = 0;  // var/array state index
-  };
-
   // The timed write sink the plan runs with (see hls/plan.h): array writes
   // queue until the end-of-cycle commit, and SimStats are accumulated.
   struct TimedSink;
 
-  void bind_ports();
   // Executes ops of `body_cycle` for iteration ctx, in program order
   // (legacy interpretive path: rescans every op of the block).
   void exec_cycle(const hls::Block& b, const hls::BlockSchedule& sched,
                   IterationCtx* ctx, int body_cycle, std::size_t region);
   void run_regions();
   void run_regions_legacy();
-  void load_inputs(const hls::PortIo& in);
-  void collect_outputs(hls::PortIo* out) const;
   // Shared invocation body (no trace span): load, execute, collect.
   hls::PortIo run_one(const hls::PortIo& in);
   void commit_pending();
@@ -163,8 +152,7 @@ class Simulator {
 
   // f_ compiled under s_.
   hls::ExecPlan plan_;
-  std::vector<PortSlot> in_array_ports_, in_var_ports_;
-  std::vector<PortSlot> out_array_ports_, out_var_ports_;
+  hls::PortBinding ports_;
 };
 
 // Structured view of a simulator's activity counters:

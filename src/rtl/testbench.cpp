@@ -78,20 +78,35 @@ std::vector<PortPin> flatten_port_pins(const Function& f) {
 }
 
 long long pin_value(const PortPin& p, const PortIo& io) {
+  const FxValue* v = nullptr;
   if (p.from_array) {
     auto it = io.arrays.find(p.port);
-    if (it == io.arrays.end()) return 0;
-    if (static_cast<std::size_t>(p.index) >= it->second.size())
-      throw std::invalid_argument("rtl: array port " + p.port + " has " +
-                                  std::to_string(it->second.size()) +
-                                  " elements, pin " + p.name +
-                                  " reads element " +
-                                  std::to_string(p.index));
-    return component(it->second[static_cast<size_t>(p.index)], p.re);
+    if (it != io.arrays.end()) {
+      if (static_cast<std::size_t>(p.index) >= it->second.size())
+        throw std::invalid_argument("rtl: array port " + p.port + " has " +
+                                    std::to_string(it->second.size()) +
+                                    " elements, pin " + p.name +
+                                    " reads element " +
+                                    std::to_string(p.index));
+      v = &it->second[static_cast<size_t>(p.index)];
+    }
+  } else {
+    auto it = io.vars.find(p.port);
+    if (it != io.vars.end()) v = &it->second;
   }
-  auto it = io.vars.find(p.port);
-  if (it == io.vars.end()) return 0;
-  return component(it->second, p.re);
+  if (v == nullptr) {
+    if (p.is_input)
+      throw std::invalid_argument("rtl: missing input port " + p.port +
+                                  " for pin " + p.name);
+    return 0;
+  }
+  // A pin carries raw bits at its port's binary point; a value stated at
+  // another one would be driven as if it were at the pin's.
+  if (v->fw != p.fw)
+    throw std::invalid_argument("rtl: pin " + p.name + " has fw " +
+                                std::to_string(p.fw) + ", its value has fw " +
+                                std::to_string(v->fw));
+  return component(*v, p.re);
 }
 
 namespace {

@@ -45,9 +45,12 @@ struct PortPin {
 
 std::vector<PortPin> flatten_port_pins(const hls::Function& f);
 
-// Raw two's-complement component value of the pin in `io` (0 if absent).
-// Throws std::invalid_argument when the pin's array port is present but
-// too short to hold the pin's element.
+// Raw two's-complement component value of the pin in `io` (0 for an
+// absent output port). Throws std::invalid_argument, naming the pin or
+// port, when an input port is absent, when the pin's array port is too
+// short to hold the pin's element, or when the value's fw differs from the
+// pin's: the pins take raw bits, so a value at another binary point is
+// refused rather than driven as if it were at the pin's.
 long long pin_value(const PortPin& p, const hls::PortIo& io);
 
 struct TestbenchOptions {

@@ -209,28 +209,25 @@ std::string emit_verilog(const Function& f, const Schedule& s,
 
   std::ostringstream header, ports, decl, comb, seq;
 
-  if (opts.include_header_comment) {
-    header << "// Generated by hlsw (C-based hardware design flow "
-              "reproduction)\n"
-           << "// Function: " << f.name << ", latency "
-           << s.latency_cycles << " cycles @ " << s.clock_ns << " ns\n";
-    for (const auto& rs : s.regions) {
-      if (rs.ii > 0) {
-        header << "// NOTE: loop '" << rs.label << "' was scheduled with "
-               << "II=" << rs.ii << "; this emitter initiates iterations\n"
-               << "// sequentially (functionally identical, "
-               << rs.trip * rs.body.cycles << " instead of "
-               << rs.total_cycles << " cycles for the loop).\n";
-      }
+  header << "// Generated by hlsw (C-based hardware design flow "
+            "reproduction)\n"
+         << "// Function: " << f.name << ", latency " << s.latency_cycles
+         << " cycles @ " << s.clock_ns << " ns\n";
+  for (const auto& rs : s.regions) {
+    if (rs.ii > 0) {
+      header << "// NOTE: loop '" << rs.label << "' was scheduled with "
+             << "II=" << rs.ii << "; this emitter initiates iterations\n"
+             << "// sequentially (functionally identical, "
+             << rs.trip * rs.body.cycles << " instead of "
+             << rs.total_cycles << " cycles for the loop).\n";
     }
-    if (!perf.empty())
-      header << "// Instrumented: " << perf.size()
-             << " perf_* counters (hls::instrument_map order"
-             << (opts.instrument.readback_mux
-                     ? "; perf_sel selects perf_rdata"
-                     : "")
-             << ").\n";
   }
+  if (!perf.empty())
+    header << "// Instrumented: " << perf.size()
+           << " perf_* counters (hls::instrument_map order"
+           << (opts.instrument.readback_mux ? "; perf_sel selects perf_rdata"
+                                            : "")
+           << ").\n";
 
   // ---- Ports ---------------------------------------------------------------
   std::vector<PortSpec> pspecs;

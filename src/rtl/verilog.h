@@ -28,7 +28,6 @@ namespace hlsw::rtl {
 
 struct VerilogOptions {
   std::string module_name;  // defaults to the function name when empty
-  bool include_header_comment = true;
   // On-chip performance counters (hls/profile.h). Off by default; with
   // instrument.enabled == false the emitted text is byte-identical to an
   // uninstrumented module. When enabled, every counter named by

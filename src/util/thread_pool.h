@@ -82,7 +82,8 @@ class ThreadPool {
 // index order, regardless of completion order — the deterministic-merge
 // primitive behind the parallel sweeps (DSE, co-simulation). A null pool
 // runs everything inline in order. Exceptions propagate from the first
-// (lowest-index) failing task.
+// (lowest-index) failing task, once every task has finished: the tasks
+// reference fn and the caller's state, which the throw unwinds.
 template <typename Fn>
 auto map_ordered(ThreadPool* pool, std::size_t n, Fn&& fn)
     -> std::vector<std::invoke_result_t<std::decay_t<Fn>, std::size_t>> {
@@ -97,6 +98,7 @@ auto map_ordered(ThreadPool* pool, std::size_t n, Fn&& fn)
   futures.reserve(n);
   for (std::size_t i = 0; i < n; ++i)
     futures.push_back(pool->submit([&fn, i] { return fn(i); }));
+  for (auto& fut : futures) fut.wait();
   for (auto& fut : futures) results.push_back(fut.get());
   return results;
 }

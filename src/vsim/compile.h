@@ -263,11 +263,6 @@ class CompiledSim {
 
   const SimStats& stats() const { return stats_; }
 
-  // Activity-gating observability (also flushed to MetricsRegistry as
-  // vsim.compiled.comb_evals / vsim.compiled.gated_evals on destruction).
-  long long comb_evals() const { return comb_evals_; }
-  long long gated_evals() const { return gated_evals_; }
-
  private:
   [[noreturn]] void fail_budget(int proc) const;
   std::uint64_t run_tape(int tape);

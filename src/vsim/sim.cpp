@@ -563,10 +563,13 @@ void Simulation::on_change(int sig, std::uint64_t old_v, std::uint64_t new_v) {
   }
 }
 
+// Combinational-loop guard: assign evaluations one flush may take.
+constexpr int kMaxCombIterations = 1'000'000;
+
 void Simulation::flush_comb() {
   int iters = 0;
   while (comb_head_ < comb_q_.size()) {
-    if (++iters > cfg_.max_comb_iterations)
+    if (++iters > kMaxCombIterations)
       fail("combinational loop did not converge");
     const int ai = comb_q_[comb_head_++];
     comb_queued_[static_cast<size_t>(ai)] = 0;
@@ -849,10 +852,6 @@ long long Simulation::now() const {
 const SimStats& Simulation::stats() const {
   if (native_) return native_->stats();
   return compiled_ ? compiled_->stats() : stats_;
-}
-
-const std::vector<std::string>& Simulation::display_log() const {
-  return display_;  // always empty on the cycle-based engines
 }
 
 const char* Simulation::backend() const {

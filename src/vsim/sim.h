@@ -46,7 +46,6 @@ enum class Backend {
 struct SimConfig {
   long long max_time = 1'000'000'000;  // free-run safety stop (time units)
   long long max_instrs_per_slot = 50'000'000;  // zero-delay-loop guard
-  int max_comb_iterations = 1'000'000;         // combinational-loop guard
   Backend backend = Backend::kAuto;
 };
 
@@ -107,7 +106,6 @@ class Simulation {
   bool finished() const { return finished_; }
   long long now() const;
   const SimStats& stats() const;
-  const std::vector<std::string>& display_log() const;
   const Design& design() const { return *design_; }
 
   // Which engine executes this simulation: "codegen" (the one-lane native

@@ -11,7 +11,9 @@
 //
 // A wide generator mode declares types above 62 bits with SAT/SAT_SYM/WRAP
 // casts, so its programs fail the plan compiler's int64 proof and run the
-// 128-bit executor and the general (kFull) conversion.
+// 128-bit executor and the general (kFull) conversion. A conversion mode
+// draws every quantization and overflow mode, narrow and wide, so both
+// instantiations of the executor template see each one.
 //
 // The emitted Verilog of every random program is also executed: either the
 // emitter refuses the program (a region can carry values wider than its
@@ -144,6 +146,89 @@ RandomProgram make_random_program(std::mt19937_64* rng, bool wide = false) {
   return out;
 }
 
+// Conversion mode: the accumulator, every array and every cast draw one of
+// all 7 quantization and all 4 overflow modes, and every arithmetic result
+// is cast into such a type. Narrow programs keep every type at 30 bits or
+// fewer (casts at most 20), so aligned operands and products stay far below
+// the plan's int64 bound; wide programs use 60..63-bit types and run on
+// the 128-bit executor.
+RandomProgram make_conversion_program(std::mt19937_64* rng, bool wide) {
+  RandomProgram out;
+  out.wide = wide;
+  FunctionBuilder fb("convfuzz");
+  auto rnd = [&](int n) { return static_cast<int>((*rng)() % static_cast<uint64_t>(n)); };
+  const auto any_mode_type = [&](int w_lo, int w_hi) {
+    const int w = w_lo + rnd(w_hi - w_lo + 1);
+    const int iw = 1 + rnd(wide ? 36 : w);
+    return fx(w, iw, false, static_cast<fixpt::Quant>(rnd(7)),
+              static_cast<fixpt::Ovf>(rnd(4)), /*sgn=*/rnd(4) != 0);
+  };
+  const auto cast_type = [&] {
+    return wide ? any_mode_type(60, 63) : any_mode_type(4, 20);
+  };
+
+  const int n_arrays = 1 + rnd(3);
+  std::vector<int> arrays, lengths;
+  for (int a = 0; a < n_arrays; ++a) {
+    const int len = 4 + rnd(12);
+    arrays.push_back(fb.add_array("arr" + std::to_string(a), len,
+                                  wide ? any_mode_type(60, 63)
+                                       : any_mode_type(6, 16),
+                                  true));
+    lengths.push_back(len);
+  }
+  const int n_in = 1 + rnd(2);
+  std::vector<int> invars;
+  for (int v = 0; v < n_in; ++v) {
+    const std::string name = "in" + std::to_string(v);
+    invars.push_back(fb.add_var(name, wide ? fx(48, 16) : fx(10, 2), false,
+                                PortDir::kIn));
+    out.in_vars.push_back(name);
+  }
+  const int acc = fb.add_var(
+      "acc", wide ? any_mode_type(60, 63) : any_mode_type(16, 30), false,
+      PortDir::kOut);
+
+  {
+    auto b = fb.block("init");
+    b.var_write(acc, b.cnst(fx(30, 12), 0.0));
+    b.array_write(arrays[0], {0, 0}, b.var_read(invars[0]));
+  }
+
+  const int n_loops = 1 + rnd(3);
+  for (int l = 0; l < n_loops; ++l) {
+    const int which = rnd(n_arrays);
+    const int len = lengths[static_cast<size_t>(which)];
+    const int trip = 2 + rnd(len - 1);
+    const std::string label = "loop" + std::to_string(l);
+    out.loop_labels.push_back(label);
+    auto b = fb.loop(label, trip);
+    std::vector<int> vals;
+    vals.push_back(b.array_read(arrays[static_cast<size_t>(which)],
+                                {1, rnd(len - trip + 1)}));
+    vals.push_back(b.var_read(invars[static_cast<size_t>(rnd(n_in))]));
+    const int n_ops = 1 + rnd(4);
+    for (int o = 0; o < n_ops; ++o) {
+      const int a = vals[static_cast<size_t>(rnd(static_cast<int>(vals.size())))];
+      const int c = vals[static_cast<size_t>(rnd(static_cast<int>(vals.size())))];
+      int v = 0;
+      switch (rnd(4)) {
+        case 0: v = b.add(a, c); break;
+        case 1: v = b.sub(a, c); break;
+        case 2: v = b.mul(a, c); break;
+        case 3: v = b.neg(a); break;
+      }
+      vals.push_back(b.cast(cast_type(), v));
+    }
+    b.var_write(acc, b.add(b.var_read(acc), vals.back()));
+    if (rnd(2) == 0)
+      b.array_write(arrays[static_cast<size_t>(which)],
+                    {1, rnd(len - trip + 1)}, vals.back());
+  }
+  out.func = fb.build();
+  return out;
+}
+
 Directives random_directives(const RandomProgram& p, std::mt19937_64* rng,
                              bool allow_merge) {
   auto rnd = [&](int n) { return static_cast<int>((*rng)() % static_cast<uint64_t>(n)); };
@@ -251,6 +336,70 @@ TEST(Fuzz, WideProgramsMatchOnThe128BitPath) {
   }
   EXPECT_GT(wide_regions, 0) << "no wide trial failed the narrow proof";
   EXPECT_GT(full_casts, 0) << "no wide trial reached the kFull conversion";
+}
+
+// Every quantization and overflow mode, on both instantiations of the
+// executor template: narrow programs run the int64 one (pipelined and
+// sequential regions alike), wide programs the int128 one, each checked
+// three-way against the op-by-op reference. The plans of both the untimed
+// and the synthesized schedule must show each mode reaching the stage
+// that implements it: every overflow mode the saturate/wrap stage (kFull)
+// on a narrow pipelined region, a narrow sequential region and a wide
+// region; every rounding mode kRound or kFull at both widths.
+TEST(Fuzz, EveryConversionModeMatchesOnBothExecutors) {
+  std::mt19937_64 rng(0x5c0e7a11);
+  const int narrow_trials = fuzz_iters(200), wide_trials = fuzz_iters(100);
+  enum { kNarrowPipelined, kNarrowSequential, kWide };
+  int ovf_full[3][4] = {};
+  int quant_rounds[2][7] = {};  // [wide][quant]
+  const auto count = [&](const ExecPlan& plan) {
+    for (const RegionPlan& rp : plan.regions()) {
+      const int where = !rp.narrow     ? kWide
+                        : rp.pipelined ? kNarrowPipelined
+                                       : kNarrowSequential;
+      for (const PlanOp& op : rp.ops) {
+        switch (op.kind) {
+          case OpKind::kConst:
+          case OpKind::kVarRead:
+          case OpKind::kArrayRead:
+          case OpKind::kSignConj:
+          case OpKind::kReal:
+          case OpKind::kImag:
+            continue;  // no conversion
+          default:
+            break;
+        }
+        const ConvSpec& cs = op.conv;
+        if (cs.mode == ConvSpec::Mode::kFull)
+          ++ovf_full[where][static_cast<int>(cs.o)];
+        if (cs.mode == ConvSpec::Mode::kFull ||
+            cs.mode == ConvSpec::Mode::kRound)
+          ++quant_rounds[rp.narrow ? 0 : 1][static_cast<int>(cs.q)];
+      }
+    }
+  };
+  for (int trial = 0; trial < narrow_trials + wide_trials; ++trial) {
+    const RandomProgram p =
+        make_conversion_program(&rng, /*wide=*/trial >= narrow_trials);
+    SynthesisResult r;
+    check_three_way(p, &rng, trial, &r);
+    if (HasFatalFailure()) return;
+    count(ExecPlan(r.transformed, untimed_schedule(r.transformed)));
+    count(ExecPlan(r.transformed, r.schedule));
+  }
+  const char* where_name[3] = {"narrow pipelined", "narrow sequential",
+                               "wide"};
+  for (int w = 0; w < 3; ++w)
+    for (int o = 0; o < 4; ++o)
+      EXPECT_GT(ovf_full[w][o], 0)
+          << fixpt::to_string(static_cast<fixpt::Ovf>(o))
+          << " never reached kFull on a " << where_name[w] << " region";
+  for (int w = 0; w < 2; ++w)
+    for (int q = 0; q < 7; ++q)
+      EXPECT_GT(quant_rounds[w][q], 0)
+          << fixpt::to_string(static_cast<fixpt::Quant>(q))
+          << " never reached kRound or kFull on a "
+          << (w ? "wide" : "narrow") << " region";
 }
 
 TEST(Fuzz, EmittedVerilogIsStructurallySound) {

@@ -198,7 +198,7 @@ TEST(ProfileRun, DivergentPipelineReportsSerializationAsExplained) {
     auto& arr = io.arrays["a"];
     arr.resize(8);
     for (auto& v : arr) {
-      v.fw = 0;
+      v.fw = 12;  // fx(12, 0): the port's binary point
       v.re = static_cast<long long>(rng() % 4096) - 2048;
     }
     vectors.push_back(std::move(io));
@@ -337,7 +337,7 @@ std::vector<PortIo> scaler8_vectors(int n) {
     auto& arr = io.arrays["a"];
     arr.resize(8);
     for (auto& v : arr) {
-      v.fw = 0;
+      v.fw = 12;  // fx(12, 0): the port's binary point
       v.re = static_cast<long long>(rng() % 4096) - 2048;
     }
     vectors.push_back(std::move(io));

@@ -6,8 +6,10 @@
 // what actually certifies the shared-Design claim.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -20,8 +22,11 @@
 #include "qam/architectures.h"
 #include "qam/decoder_ir.h"
 #include "qam/link.h"
+#include "rtl/sim.h"
+#include "rtl/verilog.h"
 #include "util/thread_pool.h"
 #include "vsim/harness.h"
+#include "vsim/pack.h"
 
 namespace hlsw::vsim {
 namespace {
@@ -156,6 +161,75 @@ TEST(VsimSweep, RepeatSweepsShareOneParsedDesign) {
       << "packed re-sweep of the same design re-parsed it";
 
   obs::set_enabled(was_enabled);
+}
+
+// The DUT's pins take raw bits at their port's binary point, while both IR
+// executors convert what they are given: a value stated at another binary
+// point would reach the models as two different numbers, so the vsim legs
+// refuse it and the IR-only sweep still agrees.
+TEST(VsimSweep, ValueAtAnotherBinaryPointIsRefused) {
+  const hls::Function f = build_stateless_mac();
+  Directives dir;
+  dir.loops["mac"].pipeline_ii = 1;
+  const auto r = run_synthesis(f, dir, TechLibrary::asic90());
+  auto vectors = random_mac_vectors(32, 11);
+  vectors[9].arrays["x"][3].fw = 12;  // x is fx(10, 0): fw 10
+
+  const auto refused = [](const std::function<void()>& run) {
+    try {
+      run();
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("x_3"), std::string::npos) << what;
+      EXPECT_NE(what.find("10"), std::string::npos) << what;
+      EXPECT_NE(what.find("12"), std::string::npos) << what;
+      return true;
+    }
+    return false;
+  };
+  EXPECT_TRUE(refused([&] {
+    vsim_sweep(r.transformed, r.schedule, vectors, {.block_size = 8});
+  }));
+  EXPECT_TRUE(refused([&] {
+    vsim_sweep(r.transformed, r.schedule, vectors,
+               {.threads = 2, .block_size = 8, .lanes = 4});
+  }));
+  EXPECT_TRUE(refused(
+      [&] { verify_emitted(r.transformed, r.schedule, vectors); }));
+
+  // golden against rtl::Simulator: both take the value at its stated
+  // binary point.
+  const hls::Function& t = r.transformed;
+  const CosimResult ir = hls::cosim_sweep(
+      [&t]() -> hls::CosimModel {
+        auto in = std::make_shared<hls::Interpreter>(t);
+        return [in](const std::vector<PortIo>& v) { return in->run_stream(v); };
+      },
+      [&r]() -> hls::CosimModel {
+        auto sim = std::make_shared<rtl::Simulator>(r.transformed, r.schedule);
+        return [sim](const std::vector<PortIo>& v) {
+          return sim->run_stream(v);
+        };
+      },
+      vectors, {.block_size = 8});
+  EXPECT_TRUE(ir.ok()) << (ir.mismatches.empty() ? "" : ir.mismatches.front());
+}
+
+TEST(VsimSweep, MissingInputPortIsRefused) {
+  const hls::Function f = build_stateless_mac();
+  const auto r = run_synthesis(f, Directives(), TechLibrary::asic90());
+  const auto design = load_design(rtl::emit_verilog(r.transformed, r.schedule),
+                                  r.transformed.name);
+  PackedDutHarness h(r.transformed, design, 2);
+  auto stream = random_mac_vectors(3, 5);
+  stream[1].arrays.erase("x");
+  try {
+    h.run_streams({random_mac_vectors(3, 6), stream});
+    ADD_FAILURE() << "a vector without input port x ran";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("port x"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(VsimSweep, EmptyVectorSetIsTriviallyOk) {
