@@ -6,8 +6,9 @@
 // serial vs thread-pooled vsim_sweep, and lane-packed sweeps on the
 // generated native engine against scalar replay (the only lane-packed
 // engine; without a toolchain its legs run one compiled Simulation per
-// lane and the config note says so), and per Table 1 design the 64-lane
-// native DUT against 64 one-lane native engines — producing BENCH_vsim.json
+// lane and the config note says so), the golden leg's lanes against
+// per-block replay, and per Table 1 design the 64-lane native DUT against
+// 64 one-lane native engines — producing BENCH_vsim.json
 // (--reps/--warmup/--json; see bench_main.h). Regenerate the committed
 // baseline from the repo root with:
 //   ./build/bench/bench_vsim --reps 5 --warmup 1
@@ -162,10 +163,10 @@ void run_harness_sections(bench::Harness* h) {
   // own burst, replayed from reset on both legs) through one scalar
   // compiled sweep vs 8- and 64-lane runs of the SAME blocks on the
   // generated lane-major engine, requested explicitly with kPackedCodegen.
-  // Every full-sweep leg shares the batched golden reference (one
-  // interpreter context per batch, reset between lanes). Throughput is
-  // reported per lane so the lane-scaling efficiency is visible next to
-  // the raw speedup.
+  // Every full-sweep leg runs the golden reference of a batch's blocks in
+  // lockstep (hls::Interpreter::run_streams). Throughput is reported per
+  // lane so the lane-scaling efficiency is visible next to the raw
+  // speedup.
   vsim::SimConfig packed_cg_cfg;
   packed_cg_cfg.backend = vsim::Backend::kPackedCodegen;
   const int kSweepSymbols = 1600;
@@ -219,6 +220,23 @@ void run_harness_sections(bench::Harness* h) {
         packed_cg_backend = dut.backend();
         benchmark::DoNotOptimize(dut.run_streams(dut_streams));
       });
+
+  // The golden leg alone, on the same 64 blocks: one run_streams call
+  // (the blocks in lockstep, Interpreter::kLaneWidth at a time) vs one
+  // interpreter replaying them one by one, reset between blocks.
+  const auto t_golden_lanes = h->measure("vsim_sweep_golden_lanes64", [&] {
+    hls::Interpreter golden(r.transformed);
+    golden.run_streams(dut_streams, [](std::size_t, std::size_t, PortIo out) {
+      benchmark::DoNotOptimize(out);
+    });
+  });
+  const auto t_golden_lane1 = h->measure("vsim_sweep_golden_lane1x64", [&] {
+    hls::Interpreter golden(r.transformed);
+    for (std::size_t l = 0; l < dut_streams.size(); ++l) {
+      if (l > 0) golden.reset();
+      benchmark::DoNotOptimize(golden.run_stream(dut_streams[l]));
+    }
+  });
 
   // What the lane dimension buys on each Table 1 design: the same 64
   // blocks through one 64-lane native engine vs 64 one-lane native engines
@@ -291,6 +309,8 @@ void run_harness_sections(bench::Harness* h) {
           t_dut_scalar.min_ms / t_dut_packed_cg.min_ms);
   for (const auto& [tag, ratio] : lane_ratios)
     h->note("speedup_packed64_vs_lane1_dut_" + tag, ratio);
+  h->note("speedup_golden_lanes64_vs_lane1",
+          t_golden_lane1.min_ms / t_golden_lanes.min_ms);
   h->note("speedup_sweep_pool4_vs_serial", t_serial.min_ms / t_par.min_ms);
   h->note("speedup_sweep_pool4_vs_serial_event",
           t_serial_event.min_ms / t_par_event.min_ms);

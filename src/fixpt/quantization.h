@@ -61,8 +61,13 @@ inline const char* to_string(Ovf o) {
 //   negative     - sign of the *value* being rounded
 //   lsb_kept     - the least significant kept bit (for ties-to-even)
 // This is the single source of truth for rounding across the library.
-constexpr bool round_increment(Quant q, bool msb_dropped, bool rest_nonzero,
-                               bool negative, bool lsb_kept) {
+// Forced inline: the IR executors (hls/plan.h) call it per converted lane
+// component, and GCC leaves it out of line once their template grows.
+[[gnu::always_inline]] constexpr bool round_increment(Quant q,
+                                                     bool msb_dropped,
+                                                     bool rest_nonzero,
+                                                     bool negative,
+                                                     bool lsb_kept) {
   switch (q) {
     case Quant::kTrn:
       return false;  // floor is truncation toward -inf already

@@ -92,6 +92,7 @@ ExecPlan::ExecPlan(const Function& f, const Schedule& s) {
   assert(f.regions.size() == s.regions.size());
   for (const auto& a : f.arrays) array_names_.push_back(a.name);
   regions_.resize(f.regions.size());
+  int narrow_bufs = 0, wide_bufs = 0;
   for (std::size_t r = 0; r < f.regions.size(); ++r) {
     const Region& region = f.regions[r];
     const RegionSchedule& rs = s.regions[r];
@@ -156,7 +157,7 @@ ExecPlan::ExecPlan(const Function& f, const Schedule& s) {
           // re-zero it at the first skipped iteration (the buffer is
           // shared across iterations and runs); pipelined buffers are
           // per-iteration, so the slot is never written and the
-          // construction-time zero persists.
+          // allocation-time zero persists.
           slot_fw[i] = 0;
           slot_lo[i] = 0;
           slot_hi[i] = 0;
@@ -299,20 +300,11 @@ ExecPlan::ExecPlan(const Function& f, const Schedule& s) {
       rp.spans[sp].end = static_cast<int>(rp.ops.size());
     }
 
-    // One value buffer per in-flight iteration (pipelined) or one for the
-    // whole region (straight/sequential), zero-initialized once here: a
-    // component pair per slot, int64 when the region proved narrow.
+    // The region's value buffers start at ctx_base in its pool (see
+    // pools()): int64 when the region proved narrow.
     rp.narrow = narrow;
-    rp.ctx_base =
-        static_cast<int>(narrow ? narrow_pool_.size() : wide_pool_.size());
-    const std::size_t nbuf = rp.pipelined ? static_cast<std::size_t>(trip) : 1;
-    const std::size_t len = 2 * static_cast<std::size_t>(rp.nops);
-    if (narrow)
-      narrow_pool_.resize(narrow_pool_.size() + nbuf,
-                          std::vector<long long>(len, 0));
-    else
-      wide_pool_.resize(wide_pool_.size() + nbuf,
-                        std::vector<__int128>(len, 0));
+    rp.ctx_base = narrow ? narrow_bufs : wide_bufs;
+    (narrow ? narrow_bufs : wide_bufs) += rp.pipelined ? trip : 1;
 
     // Peak array writes in any single committed cycle, accounting for
     // pipelined iteration overlap.
@@ -334,6 +326,24 @@ ExecPlan::ExecPlan(const Function& f, const Schedule& s) {
         max_writes_per_cycle_ = std::max(max_writes_per_cycle_, w);
     }
   }
+}
+
+ExecPlan::Pools& ExecPlan::pools(int lanes) {
+  for (Pools& p : pools_)
+    if (p.lanes == lanes) return p;
+  Pools& p = pools_.emplace_back();
+  p.lanes = lanes;
+  for (const RegionPlan& rp : regions_) {
+    const std::size_t nbuf =
+        rp.pipelined ? static_cast<std::size_t>(rp.trip) : 1;
+    const std::size_t len = 2 * static_cast<std::size_t>(rp.nops) *
+                            static_cast<std::size_t>(lanes);
+    if (rp.narrow)
+      p.narrow.resize(p.narrow.size() + nbuf, std::vector<long long>(len, 0));
+    else
+      p.wide.resize(p.wide.size() + nbuf, std::vector<__int128>(len, 0));
+  }
+  return p;
 }
 
 void ExecPlan::out_of_bounds(const char* what, int array) const {

@@ -18,32 +18,43 @@
 // values and applies pre-parameterized arithmetic.
 //
 // There is one executor, a template over the component type of a region's
-// value slots: slot i is the pair vals[2i] (re) / vals[2i + 1] (im). Where
-// static interval propagation proves every value of a region fits in
-// int64 ("narrow"), the region runs on long long pairs; elsewhere on
-// __int128 pairs. FxValue materializes only at the var/array state
-// boundary, where its fw and cplx are baked constants of the conversion.
+// value slots and over a lane count L. Where static interval propagation
+// proves every value of a region fits in int64 ("narrow"), the region runs
+// on long long components; elsewhere on __int128. Slot i's re lanes are the
+// row vals[2i*L, 2i*L + L), its im lanes the next row, so every op is
+// decoded once and applied to L lanes, its conversion mode switched
+// outside the lane loop. The plan has no data-dependent control flow
+// (guards, indices and conversion modes are baked per iteration), so L
+// independent invocations walk the same op stream in lockstep: the SPMD
+// case. Values reach or leave the state only at the var/array boundary,
+// where fw and cplx are baked constants of the conversion.
 //
 // The two IR executors differ only in the schedule they compile and in
-// the write sink they run with, never in the compiler:
+// the sink they run with, never in the compiler:
 //  * untimed — untimed_schedule(f) places every op of a block in one
 //    cycle with loops unpipelined, and hls::Interpreter's sink lands array
-//    writes at once, in program order: exactly the sequential C semantics;
+//    writes at once, in program order: exactly the sequential C semantics.
+//    Its state is lane-major planes of raw components, at one lane for
+//    run() and at Interpreter::kLaneWidth lanes for run_streams();
 //  * timed — the synthesized schedule, whose cycle buckets and pipelined
-//    iteration overlap the plan preserves, with a sink that defers array
-//    writes to the end of each cycle (rtl::Simulator commits them at the
-//    clock edge, so reads observe start-of-cycle state).
+//    iteration overlap the plan preserves, at one lane, with a sink that
+//    keeps FxValue state and defers array writes to the end of each cycle
+//    (rtl::Simulator commits them at the clock edge, so reads observe
+//    start-of-cycle state).
 //
 // A sink is the executor's view of the machine: the state it reads and
-// where its writes go. Any type with these members (all inlined into the
-// executor) will do:
-//   std::vector<FxValue>& vars();                       // var state
-//   const std::vector<std::vector<FxValue>>& arrays();  // as reads see it
-//   void write(int array, int idx, const FxValue& v);   // element write
-//   void read(int array);                       // one array element read
+// where its writes go, one row of L lanes at a time. Any type with these
+// members (all inlined into the executor) will do; T is the region's
+// component type, `d`/`s` a slot's rows (re lanes, then im lanes):
+//   void load_var(int var, T* d);                         // var read
+//   void store_var(int var, const ConvSpec& cs, const T* s);  // var write
+//   void load_elem(int array, int idx, T* d);     // one array element read
+//   void store_elem(int array, int idx, const ConvSpec& cs, const T* s);
 //   void ops(std::size_t region, long long n);  // one span's op count
 //   void enter(std::size_t region, const RegionPlan& rp);  // once per run
 //   void end_cycle();                           // after every cycle
+// Stores convert with plan_detail::store_rows, as the executor's own
+// results do.
 //
 // The interpretive reference both executors are pinned against is exec_op
 // + fx_convert (hls/interp.h), run op by op by rtl::Simulator under
@@ -150,18 +161,31 @@ class ExecPlan {
   // included): the capacity a deferring sink needs to never reallocate.
   std::size_t max_writes_per_cycle() const { return max_writes_per_cycle_; }
 
-  // Executes every region once against the sink's state, indexed like the
-  // compiled Function's vars/arrays.
-  template <class Sink>
+  // Executes every region once, on L lanes in lockstep, against the
+  // sink's state, indexed like the compiled Function's vars/arrays.
+  template <int L, class Sink>
   void run(Sink& sink);
 
  private:
-  // T is the slot component type (long long or __int128), U its unsigned
-  // twin; `bufs` are the region's value buffers.
-  template <class T, class U, class Sink>
+  // One lane width's value buffers, allocated on the first run at that
+  // width and reused by every later one (no per-iteration allocation or
+  // zero-fill): per region, one buffer per in-flight iteration
+  // (pipelined) or one (straight/sequential), each 2 * nops rows of
+  // `lanes` components, zeroed at allocation. Narrow regions take theirs
+  // from the int64 pool, the rest from the int128 one.
+  struct Pools {
+    int lanes = 0;
+    std::vector<std::vector<long long>> narrow;
+    std::vector<std::vector<__int128>> wide;
+  };
+  Pools& pools(int lanes);
+
+  // T is the slot component type (long long or __int128); `bufs` are the
+  // region's value buffers.
+  template <class T, int L, class Sink>
   void run_region(const RegionPlan& rp, std::size_t region,
                   std::vector<T>* bufs, Sink& sink);
-  template <class T, class U, class Sink>
+  template <class T, int L, class Sink>
   void exec_span(const RegionPlan& rp, std::size_t region, int span_index,
                  T* vals, Sink& sink);
   [[noreturn]] void out_of_bounds(const char* what, int array) const;
@@ -170,16 +194,25 @@ class ExecPlan {
   std::vector<FxValue> const_pool_;  // kConst payloads (PlanOp::idx)
   std::vector<std::string> array_names_;  // out-of-bounds diagnostics
   std::size_t max_writes_per_cycle_ = 0;
-  // Per-region value buffers, allocated once at construction and reused
-  // across all runs (no per-iteration allocation or zero-fill): narrow
-  // regions take theirs from the int64 pool, the rest from the int128 one.
-  std::vector<std::vector<long long>> narrow_pool_;
-  std::vector<std::vector<__int128>> wide_pool_;
+  std::vector<Pools> pools_;  // one per lane width run so far
 };
 
 // ---- Executor ----------------------------------------------------------------
 
 namespace plan_detail {
+
+// T's unsigned twin, named explicitly: std::make_unsigned does not accept
+// __int128 under strict ISO C++.
+template <class T>
+struct unsigned_twin;
+template <>
+struct unsigned_twin<long long> {
+  using type = unsigned long long;
+};
+template <>
+struct unsigned_twin<__int128> {
+  using type = unsigned __int128;
+};
 
 // Saturation bounds of a (w, sgn) format; mirror the definitions in
 // hls/ir.cpp (the conversion constants baked here must be bit-identical to
@@ -193,12 +226,17 @@ inline T min_raw(int w, bool sgn) {
   return sgn ? -(static_cast<T>(1) << (w - 1)) : 0;
 }
 
+// The conversion helpers below are forced inline: GCC otherwise leaves
+// them out of line once the executor template grows, and a call per lane
+// component cost the one-lane golden about 12% and cut the 32-lane gain
+// on merge from about 2.6x to 2.1x.
+
 // Rounded floor-shift shared by the kRound and kFull paths — bit-identical
 // to the shift-negative branch of hls::fx_convert_component. In a narrow
 // region T = long long: the plan proved every value and constant fits, so
 // the result equals the 128-bit one.
 template <class T>
-inline T conv_round(T raw, const ConvSpec& cs) {
+[[gnu::always_inline]] inline T conv_round(T raw, const ConvSpec& cs) {
   const int d = -cs.shift;
   const T base = raw >> d;  // arithmetic shift: floor
   const bool msb = ((raw >> (d - 1)) & 1) != 0;
@@ -210,25 +248,12 @@ inline T conv_round(T raw, const ConvSpec& cs) {
          (fixpt::round_increment(cs.q, msb, rest, neg, lsb_kept) ? 1 : 0);
 }
 
-// Applies a pre-baked conversion to one raw component — bit-identical to
-// hls::fx_convert_component with shift and rounding mode resolved at plan
-// compile time, and the saturation/wrap stage dropped entirely when the
-// plan's interval analysis proved overflow impossible (the common case).
-// U is T's unsigned twin, named explicitly: std::make_unsigned does not
-// accept __int128 under strict ISO C++.
-template <class T, class U>
-inline T conv_comp(T raw, const ConvSpec& cs) {
-  using Mode = ConvSpec::Mode;
-  switch (cs.mode) {
-    case Mode::kShiftUp:
-      return raw << cs.shift;
-    case Mode::kShiftDown:
-      return raw >> -cs.shift;
-    case Mode::kRound:
-      return conv_round(raw, cs);
-    case Mode::kFull:
-      break;
-  }
+// The general conversion (kFull): shift or round, then saturate or wrap —
+// bit-identical to hls::fx_convert_component with shift and rounding mode
+// resolved at plan compile time.
+template <class T>
+[[gnu::always_inline]] inline T conv_full(T raw, const ConvSpec& cs) {
+  using U = typename unsigned_twin<T>::type;
   const T v = cs.shift >= 0 ? raw << cs.shift : conv_round(raw, cs);
   const T hi = max_raw<T>(cs.w, cs.sgn);
   const T lo = (cs.o == fixpt::Ovf::kSatSym && cs.sgn)
@@ -252,35 +277,72 @@ inline T conv_comp(T raw, const ConvSpec& cs) {
   return v;
 }
 
-// Converts a component pair into the baked destination format and
-// materializes the FxValue for the var/array state boundary.
-template <class T, class U>
-inline FxValue conv_pair(T re, T im, const ConvSpec& cs) {
-  FxValue out;
-  out.fw = cs.out_fw;
-  out.cplx = cs.out_cplx;
-  out.re = conv_comp<T, U>(re, cs);
-  out.im = cs.out_cplx ? conv_comp<T, U>(im, cs) : 0;
-  return out;
+// Applies a pre-baked conversion to L lanes: d[l] = convert(f(l)), where
+// f(l) is lane l's pre-conversion value. The mode is switched once,
+// outside the lane loop; the saturate/wrap stage runs only in kFull,
+// which the plan's interval analysis leaves only where overflow is
+// possible (the common case drops it). D, the destination's component
+// type, may be wider than T at the state boundary.
+template <class T, int L, class D, class F>
+[[gnu::always_inline]] inline void conv_lanes(D* __restrict d,
+                                              const ConvSpec& cs, F f) {
+  using Mode = ConvSpec::Mode;
+  switch (cs.mode) {
+    case Mode::kShiftUp: {
+      const int s = cs.shift;
+#pragma GCC ivdep
+      for (int l = 0; l < L; ++l) d[l] = static_cast<D>(f(l) << s);
+      return;
+    }
+    case Mode::kShiftDown: {
+      const int s = -cs.shift;
+#pragma GCC ivdep
+      for (int l = 0; l < L; ++l) d[l] = static_cast<D>(f(l) >> s);
+      return;
+    }
+    case Mode::kRound:
+#pragma GCC ivdep
+      for (int l = 0; l < L; ++l)
+        d[l] = static_cast<D>(conv_round<T>(f(l), cs));
+      return;
+    case Mode::kFull:
+#pragma GCC ivdep
+      for (int l = 0; l < L; ++l)
+        d[l] = static_cast<D>(conv_full<T>(f(l), cs));
+      return;
+  }
+}
+
+// Converts a slot's rows `s` (re lanes, then im lanes) into the baked
+// destination format at the var/array state boundary: re lanes into `re`,
+// im lanes into `im` (zeros when the destination is not complex).
+template <class T, int L, class D>
+[[gnu::always_inline]] inline void store_rows(D* re, D* im, const T* s,
+                                              const ConvSpec& cs) {
+  conv_lanes<T, L>(re, cs, [s](int l) { return s[l]; });
+  if (cs.out_cplx)
+    conv_lanes<T, L>(im, cs, [s](int l) { return s[L + l]; });
+  else
+    for (int l = 0; l < L; ++l) im[l] = 0;
 }
 
 }  // namespace plan_detail
 
-template <class Sink>
+template <int L, class Sink>
 void ExecPlan::run(Sink& sink) {
+  Pools& p = pools(L);
   for (std::size_t r = 0; r < regions_.size(); ++r) {
     const RegionPlan& rp = regions_[r];
     sink.enter(r, rp);
     const std::size_t base = static_cast<std::size_t>(rp.ctx_base);
     if (rp.narrow)
-      run_region<long long, unsigned long long>(rp, r, &narrow_pool_[base],
-                                                sink);
+      run_region<long long, L>(rp, r, &p.narrow[base], sink);
     else
-      run_region<__int128, unsigned __int128>(rp, r, &wide_pool_[base], sink);
+      run_region<__int128, L>(rp, r, &p.wide[base], sink);
   }
 }
 
-template <class T, class U, class Sink>
+template <class T, int L, class Sink>
 void ExecPlan::run_region(const RegionPlan& rp, std::size_t region,
                           std::vector<T>* bufs, Sink& sink) {
   if (!rp.pipelined) {
@@ -292,12 +354,11 @@ void ExecPlan::run_region(const RegionPlan& rp, std::size_t region,
     for (int k = 0; k < rp.trip; ++k) {
       const PlanSpan zs = rp.zero_spans[static_cast<std::size_t>(k)];
       for (int z = zs.begin; z < zs.end; ++z) {
-        const int s = rp.zero_slots[static_cast<std::size_t>(z)];
-        vals[2 * s] = 0;
-        vals[2 * s + 1] = 0;
+        T* row = vals + 2 * rp.zero_slots[static_cast<std::size_t>(z)] * L;
+        std::fill(row, row + 2 * L, T{0});
       }
       for (int c = 0; c < rp.depth; ++c) {
-        exec_span<T, U>(rp, region, k * rp.depth + c, vals, sink);
+        exec_span<T, L>(rp, region, k * rp.depth + c, vals, sink);
         sink.end_cycle();
       }
     }
@@ -308,119 +369,150 @@ void ExecPlan::run_region(const RegionPlan& rp, std::size_t region,
   // [k*ii, k*ii + depth); earlier iterations execute first in a cycle.
   // Only the active iteration window [k_lo, k_hi] is visited per cycle.
   // Each iteration has its own value buffer; guard-skipped slots were
-  // zeroed at construction and are never written, so no per-run refresh.
+  // zeroed at allocation and are never written, so no per-run refresh.
   const int total = rp.depth + (rp.trip - 1) * rp.ii;
   for (int t = 0; t < total; ++t) {
     const int k_hi = std::min(rp.trip - 1, t / rp.ii);
     const int k_lo = t < rp.depth ? 0 : (t - rp.depth) / rp.ii + 1;
     for (int k = k_lo; k <= k_hi; ++k)
-      exec_span<T, U>(rp, region, k * rp.depth + (t - k * rp.ii),
+      exec_span<T, L>(rp, region, k * rp.depth + (t - k * rp.ii),
                       bufs[k].data(), sink);
     sink.end_cycle();
   }
 }
 
-template <class T, class U, class Sink>
+template <class T, int L, class Sink>
 void ExecPlan::exec_span(const RegionPlan& rp, std::size_t region,
                          int span_index, T* vals, Sink& sink) {
-  using plan_detail::conv_comp;
-  using plan_detail::conv_pair;
+  using plan_detail::conv_lanes;
   const PlanSpan sp = rp.spans[static_cast<std::size_t>(span_index)];
   // Spans contain exactly the ops the interpretive path would execute for
   // this (iteration, cycle), so one bulk count keeps op totals identical.
   sink.ops(region, sp.end - sp.begin);
+  // Slot s's rows: re lanes at row(s)[0, L), im lanes at row(s)[L, 2L).
+  const auto row = [vals](int s) { return vals + 2 * s * L; };
   const PlanOp* const end = rp.ops.data() + sp.end;
   for (const PlanOp* it = rp.ops.data() + sp.begin; it != end; ++it) {
     const PlanOp& p = *it;
-    T* d = vals + 2 * p.dst;
+    T* const d = row(p.dst);
+    T* const di = d + L;
+    const auto zero_im = [di] {
+      for (int l = 0; l < L; ++l) di[l] = 0;
+    };
     switch (p.kind) {
       case OpKind::kConst: {
         const FxValue& c = const_pool_[static_cast<std::size_t>(p.idx)];
-        d[0] = static_cast<T>(c.re);
-        d[1] = static_cast<T>(c.im);
+        const T re = static_cast<T>(c.re), im = static_cast<T>(c.im);
+        for (int l = 0; l < L; ++l) {
+          d[l] = re;
+          di[l] = im;
+        }
         break;
       }
-      case OpKind::kVarRead: {
+      case OpKind::kVarRead:
         // Scalar registers forward: reads observe the latest write.
-        const FxValue& v = sink.vars()[static_cast<std::size_t>(p.target)];
-        d[0] = static_cast<T>(v.re);
-        d[1] = static_cast<T>(v.im);
+        sink.load_var(p.target, d);
         break;
-      }
       case OpKind::kVarWrite:
-        sink.vars()[static_cast<std::size_t>(p.target)] =
-            conv_pair<T, U>(vals[2 * p.a0], vals[2 * p.a0 + 1], p.conv);
+        sink.store_var(p.target, p.conv, row(p.a0));
         break;
-      case OpKind::kArrayRead: {
+      case OpKind::kArrayRead:
         if (p.idx < 0) out_of_bounds("read", p.target);
-        sink.read(p.target);
-        const FxValue& v = sink.arrays()[static_cast<std::size_t>(p.target)]
-                                        [static_cast<std::size_t>(p.idx)];
-        d[0] = static_cast<T>(v.re);
-        d[1] = static_cast<T>(v.im);
+        sink.load_elem(p.target, p.idx, d);
         break;
-      }
       case OpKind::kArrayWrite:
         if (p.idx < 0) out_of_bounds("write", p.target);
-        sink.write(p.target, p.idx,
-                   conv_pair<T, U>(vals[2 * p.a0], vals[2 * p.a0 + 1], p.conv));
+        sink.store_elem(p.target, p.idx, p.conv, row(p.a0));
         break;
       case OpKind::kAdd: {
-        const T ar = vals[2 * p.a0] << p.sa;
-        const T ai = vals[2 * p.a0 + 1] << p.sa;
-        const T br = vals[2 * p.a1] << p.sb;
-        const T bi = vals[2 * p.a1 + 1] << p.sb;
-        d[0] = conv_comp<T, U>(ar + br, p.conv);
-        d[1] = p.conv.out_cplx ? conv_comp<T, U>(ai + bi, p.conv) : 0;
+        const T* a = row(p.a0);
+        const T* b = row(p.a1);
+        const int sa = p.sa, sb = p.sb;
+        conv_lanes<T, L>(d, p.conv, [=](int l) {
+          return (a[l] << sa) + (b[l] << sb);
+        });
+        if (p.conv.out_cplx)
+          conv_lanes<T, L>(di, p.conv, [=](int l) {
+            return (a[L + l] << sa) + (b[L + l] << sb);
+          });
+        else
+          zero_im();
         break;
       }
       case OpKind::kSub: {
-        const T ar = vals[2 * p.a0] << p.sa;
-        const T ai = vals[2 * p.a0 + 1] << p.sa;
-        const T br = vals[2 * p.a1] << p.sb;
-        const T bi = vals[2 * p.a1 + 1] << p.sb;
-        d[0] = conv_comp<T, U>(ar - br, p.conv);
-        d[1] = p.conv.out_cplx ? conv_comp<T, U>(ai - bi, p.conv) : 0;
+        const T* a = row(p.a0);
+        const T* b = row(p.a1);
+        const int sa = p.sa, sb = p.sb;
+        conv_lanes<T, L>(d, p.conv, [=](int l) {
+          return (a[l] << sa) - (b[l] << sb);
+        });
+        if (p.conv.out_cplx)
+          conv_lanes<T, L>(di, p.conv, [=](int l) {
+            return (a[L + l] << sa) - (b[L + l] << sb);
+          });
+        else
+          zero_im();
         break;
       }
       case OpKind::kMul: {
-        const T ar = vals[2 * p.a0], ai = vals[2 * p.a0 + 1];
-        const T br = vals[2 * p.a1], bi = vals[2 * p.a1 + 1];
-        d[0] = conv_comp<T, U>(ar * br - ai * bi, p.conv);
-        d[1] = p.conv.out_cplx ? conv_comp<T, U>(ar * bi + ai * br, p.conv)
-                               : 0;
+        const T* a = row(p.a0);
+        const T* b = row(p.a1);
+        conv_lanes<T, L>(d, p.conv, [=](int l) {
+          return a[l] * b[l] - a[L + l] * b[L + l];
+        });
+        if (p.conv.out_cplx)
+          conv_lanes<T, L>(di, p.conv, [=](int l) {
+            return a[l] * b[L + l] + a[L + l] * b[l];
+          });
+        else
+          zero_im();
         break;
       }
-      case OpKind::kNeg:
-        d[0] = conv_comp<T, U>(-vals[2 * p.a0], p.conv);
-        d[1] = p.conv.out_cplx ? conv_comp<T, U>(-vals[2 * p.a0 + 1], p.conv)
-                               : 0;
+      case OpKind::kNeg: {
+        const T* a = row(p.a0);
+        conv_lanes<T, L>(d, p.conv, [=](int l) { return -a[l]; });
+        if (p.conv.out_cplx)
+          conv_lanes<T, L>(di, p.conv, [=](int l) { return -a[L + l]; });
+        else
+          zero_im();
         break;
+      }
       case OpKind::kCast:
-        d[0] = conv_comp<T, U>(vals[2 * p.a0], p.conv);
-        d[1] = p.conv.out_cplx ? conv_comp<T, U>(vals[2 * p.a0 + 1], p.conv)
-                               : 0;
+        plan_detail::store_rows<T, L>(d, di, row(p.a0), p.conv);
         break;
-      case OpKind::kSignConj:
-        d[0] = vals[2 * p.a0] >= 0 ? 1 : -1;
-        d[1] = vals[2 * p.a0 + 1] >= 0 ? -1 : 1;
+      case OpKind::kSignConj: {
+        const T* a = row(p.a0);
+        for (int l = 0; l < L; ++l) {
+          d[l] = a[l] >= 0 ? 1 : -1;
+          di[l] = a[L + l] >= 0 ? -1 : 1;
+        }
         break;
-      case OpKind::kReal:
-        d[0] = vals[2 * p.a0];
-        d[1] = 0;
+      }
+      case OpKind::kReal: {
+        const T* a = row(p.a0);
+        for (int l = 0; l < L; ++l) d[l] = a[l];
+        zero_im();
         break;
-      case OpKind::kImag:
-        d[0] = vals[2 * p.a0 + 1];
-        d[1] = 0;
+      }
+      case OpKind::kImag: {
+        const T* a = row(p.a0) + L;
+        for (int l = 0; l < L; ++l) d[l] = a[l];
+        zero_im();
         break;
-      case OpKind::kMakeComplex:
+      }
+      case OpKind::kMakeComplex: {
         // Second operand's REAL part becomes the imaginary component,
         // aligned like fx_add (see exec_op in hls/interp.cpp).
-        d[0] = conv_comp<T, U>(vals[2 * p.a0] << p.sa, p.conv);
-        d[1] = p.conv.out_cplx
-                   ? conv_comp<T, U>(vals[2 * p.a1] << p.sb, p.conv)
-                   : 0;
+        const T* a = row(p.a0);
+        const T* b = row(p.a1);
+        const int sa = p.sa, sb = p.sb;
+        conv_lanes<T, L>(d, p.conv, [=](int l) { return a[l] << sa; });
+        if (p.conv.out_cplx)
+          conv_lanes<T, L>(di, p.conv, [=](int l) { return b[l] << sb; });
+        else
+          zero_im();
         break;
+      }
     }
   }
 }

@@ -192,10 +192,38 @@ void Simulator::run_regions_legacy() {
 struct Simulator::TimedSink {
   Simulator* sim;
 
-  std::vector<FxValue>& vars() { return sim->var_state_; }
+  // Scalar registers forward: reads observe the latest write.
+  template <class T>
+  void load_var(int var, T* d) {
+    const FxValue& v = sim->var_state_[static_cast<size_t>(var)];
+    d[0] = static_cast<T>(v.re);
+    d[1] = static_cast<T>(v.im);
+  }
+  template <class T>
+  void store_var(int var, const hls::ConvSpec& cs, const T* s) {
+    FxValue& v = sim->var_state_[static_cast<size_t>(var)];
+    v.fw = cs.out_fw;
+    v.cplx = cs.out_cplx;
+    hls::plan_detail::store_rows<T, 1>(&v.re, &v.im, s, cs);
+  }
   // Start-of-cycle state only: pending writes are not visible.
-  const std::vector<std::vector<FxValue>>& arrays() {
-    return sim->array_state_;
+  template <class T>
+  void load_elem(int array, int idx, T* d) {
+    ++sim->stats_.array_reads[static_cast<size_t>(array)];
+    const FxValue& v = sim->array_state_[static_cast<size_t>(array)]
+                                        [static_cast<size_t>(idx)];
+    d[0] = static_cast<T>(v.re);
+    d[1] = static_cast<T>(v.im);
+  }
+  // The write becomes visible at the end-of-cycle commit.
+  template <class T>
+  void store_elem(int array, int idx, const hls::ConvSpec& cs, const T* s) {
+    ++sim->stats_.array_writes[static_cast<size_t>(array)];
+    FxValue& v = sim->pending_.emplace_back(std::pair{array, idx}, FxValue{})
+                     .second;
+    v.fw = cs.out_fw;
+    v.cplx = cs.out_cplx;
+    hls::plan_detail::store_rows<T, 1>(&v.re, &v.im, s, cs);
   }
   void enter(std::size_t r, const hls::RegionPlan& rp) {
     // Same region-occupancy accounting as the interpretive path (SimStats
@@ -210,14 +238,6 @@ struct Simulator::TimedSink {
     sim->stats_.ops_executed += n;
     sim->stats_.region_ops[r] += n;
   }
-  void read(int array) {
-    ++sim->stats_.array_reads[static_cast<size_t>(array)];
-  }
-  // The write becomes visible at the end-of-cycle commit.
-  void write(int array, int idx, const FxValue& v) {
-    ++sim->stats_.array_writes[static_cast<size_t>(array)];
-    sim->pending_.push_back({{array, idx}, v});
-  }
   void end_cycle() { sim->commit_pending(); }
 };
 
@@ -227,14 +247,22 @@ void Simulator::run_regions() {
     return;
   }
   TimedSink sink{this};
-  plan_.run(sink);
+  plan_.run<1>(sink);
 }
 
 PortIo Simulator::run_one(const PortIo& in) {
   ++stats_.invocations;
-  ports_.load(in, &var_state_, &array_state_);
+  ports_.load(
+      in, [this](std::size_t v, const FxValue& x) { var_state_[v] = x; },
+      [this](std::size_t a, std::size_t j, const FxValue& x) {
+        array_state_[a][j] = x;
+      });
   run_regions();
-  return ports_.collect(var_state_, array_state_);
+  return ports_.collect(
+      [this](std::size_t v, const hls::FxType&) { return var_state_[v]; },
+      [this](std::size_t a, const hls::FxType&, std::size_t) {
+        return array_state_[a];
+      });
 }
 
 PortIo Simulator::run(const PortIo& in) {

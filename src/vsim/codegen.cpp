@@ -708,14 +708,28 @@ void emit_proc(std::ostream& os, const CompiledDesign& cd, std::size_t p,
       case PInstr::kCaseJump:
         // Lockstep fast path dispatches all lanes in one shot (no split
         // counted); otherwise lanes group by target in first-seen order
-        // and groups 1..n-1 stack up, exactly as the oracle.
+        // and groups 1..n-1 stack up, exactly as the oracle. Under a full
+        // mask the lockstep test counts the lanes off lane 0's selector
+        // (a loop that vectorizes); a partial mask tests lane by lane.
         os << "    const u64* s = S->v[" << SIG
            << "];\n"
-              "    const u64 s0 = s[__builtin_ctzll(m)];\n"
-              "    bool lock = true;\n"
-              "    for (int l = 0; l < kL; ++l) lock &= (s[l] == s0) | "
-              "!((m >> l) & 1);\n"
-              "    if (lock) { npc = case_t"
+              "    const u64 s0 = s[__builtin_ctzll(m)];\n";
+        if (split)
+          os << "    bool lock;\n"
+                "    if (m == kFull) {\n"
+                "      u64 nd = 0;\n"
+                "      for (int l = 0; l < kL; ++l) nd += (u64)(s[l] != s0);\n"
+                "      lock = nd == 0;\n"
+                "    } else {\n"
+                "      lock = true;\n"
+                "      for (int l = 0; l < kL; ++l) lock &= (s[l] == s0) | "
+                "!((m >> l) & 1);\n"
+                "    }\n";
+        else
+          os << "    bool lock = true;\n"
+                "    for (int l = 0; l < kL; ++l) lock &= (s[l] == s0) | "
+                "!((m >> l) & 1);\n";
+        os << "    if (lock) { npc = case_t"
            << in.a
            << "(s0); goto dispatch; }\n"
               "    int gpc[kL]; u64 gm[kL]; int ng = 0;\n"
@@ -1251,8 +1265,16 @@ std::string packed_codegen_source(const CompiledDesign& cd, int lanes) {
         "u64 hlsw_cg_pk_nonzero(void* p, int sig) {\n"
         "  St* S = (St*)p;\n"
         "  if (kLazyOf[sig] >= 0) force_lazy(S, kLazyOf[sig]);\n"
-        "  const u64* v = S->v[sig];\n"
-        "  u64 m = 0;\n"
+        "  const u64* v = S->v[sig];\n";
+  // The harness polls `done` with this every clock: several lanes count
+  // their nonzero lanes first (a loop that vectorizes) and build the mask
+  // bit by bit only when the lanes disagree.
+  if (split)
+    os << "  u64 nz = 0;\n"
+          "  for (int l = 0; l < kL; ++l) nz += (u64)(v[l] != 0);\n"
+          "  if (nz == 0) return 0;\n"
+          "  if (nz == (u64)kL) return kFull;\n";
+  os << "  u64 m = 0;\n"
         "  for (int l = 0; l < kL; ++l) m |= (u64)(v[l] != 0) << l;\n"
         "  return m;\n}\n"
         "int hlsw_cg_pk_settle(void* p, long long budget) { return "

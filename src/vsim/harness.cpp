@@ -1,7 +1,7 @@
 #include "vsim/harness.h"
 
 #include <algorithm>
-#include <atomic>
+#include <iterator>
 #include <list>
 #include <mutex>
 
@@ -127,50 +127,11 @@ TestbenchResult run_testbench(const std::string& sources,
 
 namespace {
 
-// Golden evaluation contexts shared by a sweep's workers. Interpreter
-// construction copies the Function and rebuilds its name indices, and the
-// sweep used to pay that per block — at sweep block counts the reference
-// leg's setup dominated and capped every DUT-side speedup (the Amdahl
-// analysis in EXPERIMENTS.md). A context taken from the pool is reset(),
-// which restores exactly the state a fresh instance would start with.
-class GoldenPool {
- public:
-  explicit GoldenPool(const hls::Function& f) : f_(f) {}
-
-  std::unique_ptr<hls::Interpreter> take() {
-    std::unique_ptr<hls::Interpreter> in;
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      if (!idle_.empty()) {
-        in = std::move(idle_.back());
-        idle_.pop_back();
-      }
-    }
-    if (in == nullptr) return std::make_unique<hls::Interpreter>(f_);
-    in->reset();
-    return in;
-  }
-  void give(std::unique_ptr<hls::Interpreter> in) {
-    std::lock_guard<std::mutex> lk(mu_);
-    idle_.push_back(std::move(in));
-  }
-
- private:
-  const hls::Function& f_;
-  std::mutex mu_;
-  std::vector<std::unique_ptr<hls::Interpreter>> idle_;
-};
-
-// Golden-leg factory over one pool: each call replays its block on a
-// pooled context.
+// Golden-leg factory: each block replays on a fresh interpreter.
 hls::CosimFactory interp_factory(const hls::Function& f) {
-  auto pool = std::make_shared<GoldenPool>(f);
-  return [pool]() -> hls::CosimModel {
-    return [pool](const std::vector<PortIo>& ins) {
-      auto in = pool->take();
-      auto outs = in->run_stream(ins);
-      pool->give(std::move(in));
-      return outs;
+  return [&f]() -> hls::CosimModel {
+    return [&f](const std::vector<PortIo>& ins) {
+      return hls::Interpreter(f).run_stream(ins);
     };
   };
 }
@@ -211,39 +172,50 @@ hls::CosimResult vsim_sweep(const hls::Function& f, const hls::Schedule& s,
     span.arg("batches", static_cast<long long>(nbatches));
   }
 
-  GoldenPool golden(f);
-  std::atomic<std::size_t> taken{0};
+  // Compiled once per sweep; each batch runs a copy, which skips the
+  // scheduling and plan compilation and keeps its value buffers on the
+  // batch's worker.
+  const hls::Interpreter reference(f);
   const auto run_batch = [&](std::size_t batch) -> std::vector<std::string> {
     const std::size_t first_blk = batch * nlanes;
     const std::size_t L = std::min(nlanes, nblocks - first_blk);
     std::vector<std::vector<PortIo>> streams(nlanes);
+    std::size_t nvec = 0;
     for (std::size_t l = 0; l < L; ++l) {
       const std::size_t begin = (first_blk + l) * bs;
       const std::size_t end = std::min(begin + bs, vectors.size());
       streams[l].assign(vectors.begin() + static_cast<long>(begin),
                         vectors.begin() + static_cast<long>(end));
+      nvec += end - begin;
     }
-    PackedDutHarness harness(f, design, static_cast<int>(nlanes), cfg);
-    const auto got = harness.run_streams(streams);
-    // The batch keeps one golden context, reset() between lanes, so the
-    // context stays in this worker's cache (handing pooled contexts from
-    // worker to worker block by block measured slower on 64-lane sweeps).
-    // Each lane is compared as soon as its reference exists, so one block
-    // of reference outputs is alive at a time.
-    auto ref = golden.take();
-    ++taken;
+    const auto batch_args = [&](obs::ScopedSpan& batch_span) {
+      if (!batch_span.active()) return;
+      batch_span.arg("lanes", static_cast<long long>(L));
+      batch_span.arg("vectors", static_cast<long long>(nvec));
+    };
+    std::vector<std::vector<PortIo>> got;
+    {
+      obs::ScopedSpan dut("vsim_sweep.dut", "vsim");
+      batch_args(dut);
+      PackedDutHarness harness(f, design, static_cast<int>(nlanes), cfg);
+      got = harness.run_streams(streams);
+    }
+    // The reference lanes run in lockstep, and each output is compared as
+    // soon as its symbol completes, so no batch of reference outputs is
+    // held. Mismatches collect per lane to read in block order.
+    obs::ScopedSpan golden("vsim_sweep.golden", "vsim");
+    batch_args(golden);
+    streams.resize(L);
+    std::vector<std::vector<std::string>> lane_mism(L);
+    hls::Interpreter(reference).run_streams(
+        streams, [&](std::size_t l, std::size_t i, const PortIo& want) {
+          hls::compare_outputs((first_blk + l) * bs + i, want, got[l][i],
+                               &lane_mism[l]);
+        });
     std::vector<std::string> mism;
-    for (std::size_t l = 0; l < L; ++l) {
-      if (l > 0) ref->reset();
-      const std::vector<PortIo> want = ref->run_stream(streams[l]);
-      for (std::size_t i = 0; i < want.size(); ++i)
-        hls::compare_outputs((first_blk + l) * bs + i, want[i], got[l][i],
-                             &mism);
-    }
-    // Only a batch yet to take a context can reuse this one; otherwise it
-    // is freed here, on the worker that used it (freeing every context on
-    // the caller after the sweep measured 3-6% slower on 64-lane sweeps).
-    if (taken.load() < nbatches) golden.give(std::move(ref));
+    for (auto& m : lane_mism)
+      mism.insert(mism.end(), std::make_move_iterator(m.begin()),
+                  std::make_move_iterator(m.end()));
     return mism;
   };
 

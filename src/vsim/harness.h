@@ -62,11 +62,15 @@ TestbenchResult run_testbench(const std::string& sources,
 // shard over the thread pool. A sweep that fits one batch gets an engine
 // of exactly its block count; otherwise every batch runs at the lane
 // budget and the ragged last batch gives its spare lanes empty streams.
-// Each batch takes one pooled golden interpreter context, reset between
-// its lanes, so no block pays for constructing an Interpreter.
-// Mismatch reports read as hls::cosim_sweep's, in block order. Stateful
-// designs need block_size >= vectors.size(), as with cosim_sweep. `cfg`
-// selects the engine (make_packed_engine, pack.h).
+// Each batch's golden blocks run in lockstep through one
+// hls::Interpreter::run_streams call on the batch's copy of one
+// interpreter compiled per sweep, every output compared as soon as its
+// symbol completes. With tracing on, each batch records a
+// vsim_sweep.dut and a vsim_sweep.golden span on its worker (args: lanes
+// carrying a block, vectors). Mismatch reports read as
+// hls::cosim_sweep's, in block order. Stateful designs need
+// block_size >= vectors.size(), as with cosim_sweep. `cfg` selects the
+// engine (make_packed_engine, pack.h).
 hls::CosimResult vsim_sweep(const hls::Function& f, const hls::Schedule& s,
                             const std::vector<hls::PortIo>& vectors,
                             const hls::CosimOptions& opts = {},

@@ -174,16 +174,13 @@ ProfileRunResult profile_run(const hls::Function& f,
       if (used == 1) {
         mm = mismatches(got[0]);  // one stream of every vector
       } else {
-        // One golden context across the lanes, reset() between streams.
-        hls::Interpreter lane_golden(r.synthesis.transformed);
-        for (int l = 0; l < used; ++l) {
-          if (l > 0) lane_golden.reset();
-          const auto& in = streams[static_cast<std::size_t>(l)];
-          const std::vector<PortIo> lane_want = lane_golden.run_stream(in);
-          for (std::size_t i = 0; i < in.size(); ++i)
-            if (!io_equal(got[static_cast<std::size_t>(l)][i], lane_want[i]))
-              ++mm;
-        }
+        // The blocks' golden replays run in lockstep from the reset state,
+        // each output checked as its symbol completes.
+        streams.resize(static_cast<std::size_t>(used));
+        golden.run_streams(streams, [&](std::size_t l, std::size_t i,
+                                        const PortIo& want) {
+          if (!io_equal(got[l][i], want)) ++mm;
+        });
       }
       const std::string backend = h.backend();
       if (lanes > 1)

@@ -57,8 +57,9 @@ struct ProfileRunOptions {
   // compiled Simulation per lane): the vectors split into `lanes`
   // contiguous blocks, each block replays from reset in its own lane (the
   // vsim_sweep block contract — stateful designs need block-independent
-  // stimulus), outputs check against a per-block golden replay, and the
-  // perf counters are summed across lanes (every counter accumulates per
+  // stimulus), outputs check against the blocks' golden replays run in
+  // lockstep (hls::Interpreter::run_streams), and the perf counters are
+  // summed across lanes (every counter accumulates per
   // invocation, so the sum equals the scalar sequential measurement). The
   // engine is built at the lane budget whatever the block count, so every
   // stimulus length shares one engine. The lanes that carried a block are

@@ -28,6 +28,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <iterator>
 #include <map>
 #include <random>
 #include <regex>
@@ -400,6 +401,72 @@ TEST(Fuzz, EveryConversionModeMatchesOnBothExecutors) {
           << fixpt::to_string(static_cast<fixpt::Quant>(q))
           << " never reached kRound or kFull on a "
           << (w ? "wide" : "narrow") << " region";
+}
+
+// Interpreter::run_streams runs independent streams in lockstep through
+// one op stream. Narrow, wide and conversion-mode programs run at 1, 3
+// (run lane by lane), half the lane width (idle lanes in a full-width
+// step), the lane width - 1, the lane width and the lane width + 1
+// streams of 0..6 vectors each: every lane's outputs must equal a fresh
+// run_stream of its stream and rtl::Simulator's op-by-op path, arrive in
+// symbol order, and ops_executed must equal the sum over the lanes.
+TEST(Fuzz, LaneGoldenMatchesScalarRuns) {
+  std::mt19937_64 rng(0x1a9e5017);
+  const TechLibrary tech = TechLibrary::asic90();
+  constexpr int kW = Interpreter::kLaneWidth;
+  const int counts[] = {1, 3, kW / 2, kW - 1, kW, kW + 1};
+  const int trials = fuzz_iters(120);
+  for (int trial = 0; trial < trials; ++trial) {
+    const RandomProgram p = trial % 3 == 0 ? make_random_program(&rng)
+                            : trial % 3 == 1
+                                ? make_random_program(&rng, /*wide=*/true)
+                                : make_conversion_program(&rng, trial % 2 == 0);
+    const Directives dir = random_directives(p, &rng, /*allow_merge=*/true);
+    const SynthesisResult r = run_synthesis(p.func, dir, tech);
+    const int n =
+        counts[static_cast<std::size_t>(trial / 3) % std::size(counts)];
+    std::vector<std::vector<PortIo>> streams(static_cast<std::size_t>(n));
+    for (auto& s : streams) {
+      const int len = static_cast<int>(rng() % 7);
+      for (int i = 0; i < len; ++i) s.push_back(random_inputs(p, &rng));
+    }
+
+    Interpreter lanes(r.transformed);
+    std::vector<std::vector<PortIo>> got(streams.size());
+    lanes.run_streams(streams, [&](std::size_t l, std::size_t i, PortIo out) {
+      ASSERT_EQ(i, got[l].size()) << "lane " << l << " out of order";
+      got[l].push_back(std::move(out));
+    });
+    if (HasFatalFailure()) return;
+    long long ops = 0;
+    for (std::size_t l = 0; l < streams.size(); ++l) {
+      Interpreter one(r.transformed);
+      const std::vector<PortIo> want = one.run_stream(streams[l]);
+      ops += one.ops_executed();
+      rtl::Simulator legacy(r.transformed, r.schedule, {.compiled = false});
+      const std::vector<PortIo> ref = legacy.run_stream(streams[l]);
+      ASSERT_EQ(got[l].size(), want.size())
+          << "trial " << trial << " lane " << l << " of " << n;
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        ASSERT_TRUE(got[l][i].vars == want[i].vars &&
+                    got[l][i].arrays == want[i].arrays)
+            << "lanes vs run_stream: trial " << trial << " lane " << l
+            << " of " << n << " symbol " << i << "\n"
+            << r.transformed.dump();
+        ASSERT_TRUE(want[i].vars == ref[i].vars &&
+                    want[i].arrays == ref[i].arrays)
+            << "run_stream vs op by op: trial " << trial << " lane " << l
+            << " symbol " << i << "\n" << r.transformed.dump();
+      }
+    }
+    ASSERT_EQ(lanes.ops_executed(), ops) << "trial " << trial;
+    // The lanes ran on their own planes: the interpreter's state is still
+    // the reset state.
+    const Interpreter fresh(r.transformed);
+    for (const Array& arr : r.transformed.arrays)
+      ASSERT_TRUE(lanes.array_state(arr.name) == fresh.array_state(arr.name))
+          << "trial " << trial << " array " << arr.name;
+  }
 }
 
 TEST(Fuzz, EmittedVerilogIsStructurallySound) {

@@ -9,12 +9,14 @@
 // to the per-symbol run() loop the same way.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <random>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "hls/builder.h"
 #include "hls/interp.h"
 #include "hls/report.h"
 #include "qam/architectures.h"
@@ -199,6 +201,149 @@ TEST(SimEquiv, MissingStreamPortThrows) {
   Simulator sim(r.transformed, r.schedule);
   // No "x_in" port bound.
   EXPECT_THROW(sim.run_stream({PortIo{}}), std::invalid_argument);
+}
+
+// ---- Lane golden ------------------------------------------------------------
+//
+// Interpreter::run_streams runs a sweep batch's reference blocks in
+// lockstep. Every lane must read exactly what a fresh run_stream of its
+// block does.
+
+// Blocks of `block` consecutive vectors, each replayed from reset.
+std::vector<std::vector<PortIo>> blocks_of(const std::vector<PortIo>& v,
+                                           std::size_t block) {
+  std::vector<std::vector<PortIo>> out;
+  for (std::size_t b = 0; b < v.size(); b += block)
+    out.emplace_back(v.begin() + static_cast<long>(b),
+                     v.begin() + static_cast<long>(std::min(b + block,
+                                                            v.size())));
+  return out;
+}
+
+// Runs `blocks` through run_streams `lanes` blocks at a time (the sweep's
+// batches) and checks each lane against `want`; returns the ops executed.
+long long check_lane_batches(const hls::Function& f,
+                             const std::vector<std::vector<PortIo>>& blocks,
+                             const std::vector<std::vector<PortIo>>& want,
+                             std::size_t lanes, const std::string& what) {
+  long long ops = 0;
+  for (std::size_t first = 0; first < blocks.size(); first += lanes) {
+    const std::size_t n = std::min(lanes, blocks.size() - first);
+    const std::vector<std::vector<PortIo>> batch(
+        blocks.begin() + static_cast<long>(first),
+        blocks.begin() + static_cast<long>(first + n));
+    Interpreter golden(f);
+    std::vector<std::size_t> seen(n, 0);
+    golden.run_streams(batch, [&](std::size_t l, std::size_t i, PortIo out) {
+      ASSERT_EQ(i, seen[l]++) << what;
+      expect_same_io(want[first + l][i], out,
+                     what + " block " + std::to_string(first + l),
+                     static_cast<int>(i));
+    });
+    for (std::size_t l = 0; l < n; ++l)
+      EXPECT_EQ(seen[l], want[first + l].size()) << what;
+    ops += golden.ops_executed();
+  }
+  return ops;
+}
+
+TEST(LaneGolden, EveryArchitectureMatchesPerBlockReplay) {
+  std::vector<qam::Architecture> archs = qam::exploration_architectures();
+  for (const auto& a : qam::table1_architectures()) archs.push_back(a);
+  ASSERT_EQ(archs.size(), 14u);
+  LinkStimulus stim((LinkConfig()));
+  const auto blocks = blocks_of(qam::link_input_batch(&stim, 2000), 25);
+  for (const auto& a : archs) {
+    const auto r = run_synthesis(qam::build_qam_decoder_ir(), a.dir,
+                                 TechLibrary::asic90());
+    std::vector<std::vector<PortIo>> want;
+    long long ops = 0;
+    for (const auto& b : blocks) {
+      Interpreter one(r.transformed);
+      want.push_back(one.run_stream(b));
+      ops += one.ops_executed();
+    }
+    for (const std::size_t lanes : {1, 8, 64}) {
+      const std::string what = a.name + " at " + std::to_string(lanes);
+      EXPECT_EQ(check_lane_batches(r.transformed, blocks, want, lanes, what),
+                ops)
+          << what;
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(LaneGolden, BadInputOnAnyLaneThrowsNamingThePort) {
+  const auto r = run_synthesis(qam::build_qam_decoder_ir(),
+                               qam::table1_architectures()[0].dir,
+                               TechLibrary::asic90());
+  LinkStimulus stim((LinkConfig()));
+  const auto blocks = blocks_of(qam::link_input_batch(&stim, 40 * 4), 4);
+  const auto expect_throw = [&](std::vector<std::vector<PortIo>> streams,
+                                const char* what) {
+    try {
+      Interpreter(r.transformed)
+          .run_streams(streams, [](std::size_t, std::size_t, PortIo) {});
+      ADD_FAILURE() << what << ": no exception";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("x_in"), std::string::npos)
+          << what << ": " << e.what();
+    }
+  };
+  for (const std::size_t lane : {0, 5, 37}) {
+    auto missing = blocks;
+    missing[lane][2].arrays.erase("x_in");
+    expect_throw(missing, "missing port");
+    auto wrong = blocks;
+    wrong[lane][1].arrays["x_in"].push_back(wrong[lane][1].arrays["x_in"][0]);
+    expect_throw(wrong, "wrong length");
+  }
+}
+
+// A state type wider than 64 bits keeps the lanes' planes at 128 bits.
+TEST(LaneGolden, StateWiderThan64BitsMatchesPerStreamReplay) {
+  hls::FunctionBuilder fb("wide_state");
+  const int in = fb.add_var("in", hls::fx(40, 20), false, hls::PortDir::kIn);
+  const int acc =
+      fb.add_var("acc", hls::fx(96, 56), true, hls::PortDir::kOut);
+  const int hist =
+      fb.add_array("hist", 4, hls::fx(96, 56), true, hls::PortDir::kOut);
+  {
+    auto b = fb.loop("l", 4);
+    const int x = b.var_read(in);
+    const int sq = b.cast(hls::fx(96, 56), b.mul(x, x));
+    const int sum = b.cast(hls::fx(96, 56), b.add(b.var_read(acc), sq));
+    b.var_write(acc, sum);
+    b.array_write(hist, {1, 0}, sum);
+  }
+  const hls::Function f = fb.build();
+  std::mt19937_64 rng(96);
+  std::vector<std::vector<PortIo>> streams(Interpreter::kLaneWidth / 2 + 1);
+  for (auto& s : streams)
+    for (int i = 0; i < 3; ++i) {
+      PortIo io;
+      hls::FxValue v;
+      v.fw = 20;
+      v.re = static_cast<long long>(rng() % (1ULL << 40)) - (1LL << 39);
+      io.vars["in"] = v;
+      s.push_back(io);
+    }
+  // One cycle per iteration, committed at its end: the op-by-op path runs
+  // the untimed semantics here (no array is read).
+  const hls::Schedule one_cycle = hls::untimed_schedule(f);
+  std::vector<std::vector<PortIo>> want;
+  for (const auto& s : streams) {
+    want.push_back(Interpreter(f).run_stream(s));
+    ASSERT_GT(want.back().back().vars.at("acc").re,
+              static_cast<__int128>(1) << 64)
+        << "the accumulator must leave 64 bits";
+    Simulator legacy(f, one_cycle, {.compiled = false});
+    const std::vector<PortIo> ref = legacy.run_stream(s);
+    for (std::size_t i = 0; i < s.size(); ++i)
+      expect_same_io(want.back()[i], ref[i], "run_stream vs op by op",
+                     static_cast<int>(i));
+  }
+  EXPECT_GT(check_lane_batches(f, streams, want, streams.size(), "wide"), 0);
 }
 
 }  // namespace

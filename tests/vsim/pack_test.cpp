@@ -258,20 +258,26 @@ TEST(PackedLanes, NativeLanesEqualScalarRuns) {
 // (per lane), both in comb assigns (flushed every delta, since hk and hx
 // copy them) and in the process, element NBAs at k and at y[2:0], and
 // branches on k and on x[0]. Indices 6 and 7 fall outside the array, so
-// both the zero row and the dropped element write are reached.
+// both the zero row and the dropped element write are reached. A case on
+// k dispatches every lane at once while k is uniform, and a case on
+// x[1:0] ^ k[1:0] differs across lanes, under the full mask and under the
+// clock-gated partial one. `done` rises on k == 1 in every lane, then
+// follows x[3] at k == 3 and falls at k == 6, so the nonzero-lane poll
+// sees all lanes low, all high and lanes that disagree.
 const char* kLockstepSrc = R"(
 module lockstep(input wire clk, input wire rst,
                 input wire [7:0] x, input wire [7:0] y,
                 output reg [7:0] acc, output reg [7:0] hk,
                 output reg [7:0] hx, output wire [7:0] rk,
-                output wire [7:0] rx);
+                output wire [7:0] rx, output reg [7:0] cs,
+                output reg done);
   reg [7:0] mem [0:5];
   reg [2:0] k;
   assign rk = mem[k];
   assign rx = mem[x[2:0]];
   always @(posedge clk) begin
     if (rst) begin
-      k <= 0; acc <= 0; hk <= 0; hx <= 0;
+      k <= 0; acc <= 0; hk <= 0; hx <= 0; cs <= 0; done <= 0;
     end else begin
       k <= k + 3'd1;
       hk <= rk;
@@ -281,6 +287,18 @@ module lockstep(input wire clk, input wire rst,
       if (k == 3'd2) acc <= acc + mem[k];
       else if (x[0]) acc <= acc ^ mem[x[2:0]];
       else acc <= acc - 8'd1;
+      case (x[1:0] ^ k[1:0])
+        2'd0: cs <= cs + 8'd1;
+        2'd1: cs <= cs ^ y;
+        2'd2: cs <= {cs[6:0], cs[7]};
+        default: cs <= cs - x;
+      endcase
+      case (k)
+        3'd1: done <= 1'b1;
+        3'd3: done <= x[3];
+        3'd6: done <= 1'b0;
+        default: done <= done;
+      endcase
     end
   end
 endmodule
@@ -291,21 +309,24 @@ struct LockstepHandles {
       : clk(d.find("clk")), rst(d.find("rst")), x(d.find("x")),
         y(d.find("y")), acc(d.find("acc")), hk(d.find("hk")),
         hx(d.find("hx")), rk(d.find("rk")), rx(d.find("rx")),
-        k(d.find("k")), mem(d.find("mem")) {}
-  int clk, rst, x, y, acc, hk, hx, rk, rx, k, mem;
+        cs(d.find("cs")), done(d.find("done")), k(d.find("k")),
+        mem(d.find("mem")) {}
+  int clk, rst, x, y, acc, hk, hx, rk, rx, cs, done, k, mem;
 };
 
 struct LockstepState {
-  std::uint64_t acc = 0, hk = 0, hx = 0, rk = 0, rx = 0, k = 0;
+  std::uint64_t acc = 0, hk = 0, hx = 0, rk = 0, rx = 0, cs = 0, k = 0;
   std::array<std::uint64_t, 6> mem{};
+  std::uint64_t done_steps = 0;  // bit s: done was high after step s
   bool operator==(const LockstepState&) const = default;
 };
 
 void PrintTo(const LockstepState& s, std::ostream* os) {
   *os << "{acc " << s.acc << ", hk " << s.hk << ", hx " << s.hx << ", rk "
-      << s.rk << ", rx " << s.rx << ", k " << s.k << ", mem";
+      << s.rk << ", rx " << s.rx << ", cs " << s.cs << ", k " << s.k
+      << ", mem";
   for (const std::uint64_t v : s.mem) *os << " " << v;
-  *os << "}";
+  *os << ", done_steps " << s.done_steps << "}";
 }
 
 constexpr int kLockstepSteps = 24;
@@ -330,6 +351,7 @@ LockstepState lockstep_scalar_run(
   sim.poke(h.rst, 1);
   tick();
   sim.poke(h.rst, 0);
+  std::uint64_t done_steps = 0;
   for (int s = 0; s < kLockstepSteps; ++s) {
     sim.poke(h.x, stim(lane, s, 0));
     sim.poke(h.y, stim(lane, s, 1));
@@ -337,10 +359,11 @@ LockstepState lockstep_scalar_run(
       tick();
     else
       sim.settle();  // the packed engine settles every lane each step
+    if (sim.peek(h.done) != 0) done_steps |= 1ULL << s;
   }
   LockstepState out{sim.peek(h.acc), sim.peek(h.hk), sim.peek(h.hx),
-                    sim.peek(h.rk),  sim.peek(h.rx), sim.peek(h.k),
-                    {}};
+                    sim.peek(h.rk),  sim.peek(h.rx), sim.peek(h.cs),
+                    sim.peek(h.k),   {},             done_steps};
   for (int e = 0; e < 6; ++e)
     out.mem[static_cast<std::size_t>(e)] = sim.peek_elem(h.mem, e);
   sum->events += sim.stats().events;
@@ -375,6 +398,7 @@ TEST(PackedLanes, LockstepRowsAndBranchesEqualScalarRuns) {
       ps->poke(h.rst, 1, ps->full_mask());
       tick(ps->full_mask());
       ps->poke(h.rst, 0, ps->full_mask());
+      std::vector<std::uint64_t> done_masks;
       for (int s = 0; s < kLockstepSteps; ++s) {
         for (int l = 0; l < lanes; ++l) {
           ps->poke_lane(h.x, l, stim(l, s, 0));
@@ -382,19 +406,27 @@ TEST(PackedLanes, LockstepRowsAndBranchesEqualScalarRuns) {
         }
         // An odd lane is clocked exactly on the ungated steps.
         tick(clocked(gated, 1, s) ? ps->full_mask() : even);
+        done_masks.push_back(ps->peek_nonzero_mask(h.done));
       }
 
       SimStats sum;
       std::uint64_t acc_nz = 0, rk_nz = 0, rx_nz = 0;
+      bool done_mixed = false;
       for (int l = 0; l < lanes; ++l) {
         const LockstepState want =
             lockstep_scalar_run(plan, h, l, gated, &sum);
         LockstepState got{ps->peek(h.acc, l), ps->peek(h.hk, l),
                           ps->peek(h.hx, l),  ps->peek(h.rk, l),
-                          ps->peek(h.rx, l),  ps->peek(h.k, l),
-                          {}};
+                          ps->peek(h.rx, l),  ps->peek(h.cs, l),
+                          ps->peek(h.k, l),   {},
+                          0};
         for (int e = 0; e < 6; ++e)
           got.mem[static_cast<std::size_t>(e)] = ps->peek_elem(h.mem, e, l);
+        for (int s = 0; s < kLockstepSteps; ++s) {
+          const std::uint64_t m = done_masks[static_cast<std::size_t>(s)];
+          if ((m >> l) & 1) got.done_steps |= 1ULL << s;
+          done_mixed |= m != 0 && m != ps->full_mask();
+        }
         EXPECT_EQ(got, want) << "lane " << l << " diverged from its scalar run";
         if (want.acc != 0) acc_nz |= 1ULL << l;
         if (want.rk != 0) rk_nz |= 1ULL << l;
@@ -408,6 +440,10 @@ TEST(PackedLanes, LockstepRowsAndBranchesEqualScalarRuns) {
       EXPECT_EQ(ps->stats().instrs, sum.instrs);
       if (lanes == 1) {
         EXPECT_EQ(ps->divergence_splits(), 0);
+      } else {
+        // The poll saw lanes disagree, and the x-driven case split.
+        EXPECT_TRUE(done_mixed);
+        EXPECT_GT(ps->divergence_splits(), 0);
       }
     }
   }

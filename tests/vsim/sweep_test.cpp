@@ -240,5 +240,43 @@ TEST(VsimSweep, EmptyVectorSetIsTriviallyOk) {
   EXPECT_EQ(res.vectors, 0u);
 }
 
+// Every batch opens one vsim_sweep.dut and one vsim_sweep.golden span on
+// its worker, carrying the lanes that carry a block and the vectors they
+// replay; over a sweep the args add up to its blocks and vectors.
+TEST(VsimSweep, EachBatchRecordsOneDutAndOneGoldenSpan) {
+  const hls::Function f = build_stateless_mac();
+  const auto r = run_synthesis(f, Directives(), TechLibrary::asic90());
+  const auto vectors = random_mac_vectors(50, 17);  // 13 blocks of <= 4
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  util::ThreadPool pool(2);
+  for (const int lanes : {1, 4}) {
+    SCOPED_TRACE("lanes = " + std::to_string(lanes));
+    obs::TraceSession::instance().clear();
+    const CosimResult res = vsim_sweep(
+        r.transformed, r.schedule, vectors,
+        {.block_size = 4, .pool = &pool, .lanes = lanes});
+    EXPECT_TRUE(res.ok());
+    const std::size_t batches = lanes == 1 ? 13 : 4;
+    for (const char* name : {"vsim_sweep.dut", "vsim_sweep.golden"}) {
+      std::size_t spans = 0;
+      long long blocks = 0, vecs = 0;
+      for (const auto& e : obs::TraceSession::instance().snapshot()) {
+        if (e.name != name) continue;
+        ++spans;
+        ASSERT_NE(e.args.find("lanes"), nullptr) << name;
+        ASSERT_NE(e.args.find("vectors"), nullptr) << name;
+        blocks += e.args.find("lanes")->as_int();
+        vecs += e.args.find("vectors")->as_int();
+      }
+      EXPECT_EQ(spans, batches) << name;
+      EXPECT_EQ(blocks, 13) << name;
+      EXPECT_EQ(vecs, 50) << name;
+    }
+  }
+  obs::TraceSession::instance().clear();
+  obs::set_enabled(was_enabled);
+}
+
 }  // namespace
 }  // namespace hlsw::vsim
