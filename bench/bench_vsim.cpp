@@ -29,6 +29,7 @@
 #include "rtl/sim.h"
 #include "rtl/testbench.h"
 #include "rtl/verilog.h"
+#include "util/thread_pool.h"
 #include "vsim/codegen.h"
 #include "vsim/compile.h"
 #include "vsim/harness.h"
@@ -134,29 +135,29 @@ void run_harness_sections(bench::Harness* h) {
     benchmark::DoNotOptimize(res);
   });
 
-  // Differential sweep, serial vs thread-pooled (stateless per-vector
+  // Differential sweep, inline vs on a pool of 4 (stateless per-vector
   // replay is not valid for the stateful decoder, so shards are blocks),
   // on both backends — one elaborated Design and one memoized plan are
   // shared across every leg.
+  util::ThreadPool pool4(4);
   const auto t_serial = h->measure("vsim_sweep_serial", [&] {
-    benchmark::DoNotOptimize(vsim::vsim_sweep(
-        r.transformed, r.schedule, batch,
-        {.threads = 1, .block_size = batch.size()}));
+    benchmark::DoNotOptimize(vsim::vsim_sweep(r.transformed, r.schedule, batch,
+                                              {.block_size = batch.size()}));
   });
   const auto t_par = h->measure("vsim_sweep_pool4", [&] {
-    benchmark::DoNotOptimize(
-        vsim::vsim_sweep(r.transformed, r.schedule, batch,
-                         {.threads = 4, .block_size = batch.size() / 4}));
-  });
-  const auto t_serial_event = h->measure("vsim_sweep_serial_event", [&] {
     benchmark::DoNotOptimize(vsim::vsim_sweep(
         r.transformed, r.schedule, batch,
-        {.threads = 1, .block_size = batch.size()}, event_cfg));
+        {.block_size = batch.size() / 4, .pool = &pool4}));
+  });
+  const auto t_serial_event = h->measure("vsim_sweep_serial_event", [&] {
+    benchmark::DoNotOptimize(vsim::vsim_sweep(r.transformed, r.schedule, batch,
+                                              {.block_size = batch.size()},
+                                              event_cfg));
   });
   const auto t_par_event = h->measure("vsim_sweep_pool4_event", [&] {
     benchmark::DoNotOptimize(vsim::vsim_sweep(
         r.transformed, r.schedule, batch,
-        {.threads = 4, .block_size = batch.size() / 4}, event_cfg));
+        {.block_size = batch.size() / 4, .pool = &pool4}, event_cfg));
   });
 
   // Lane-packed sweeps: 64 independent 25-symbol blocks (every block its

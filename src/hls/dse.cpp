@@ -275,7 +275,6 @@ DseResult explore(const Function& f, const DseOptions& opts,
   const auto t_start = std::chrono::steady_clock::now();
   obs::ScopedSpan span("explore", "dse");
   DseResult out;
-  out.seed = opts.seed;
   std::vector<std::string> loop_labels;
   std::vector<int> trips;
   for (const auto& region : f.regions) {
@@ -468,19 +467,16 @@ DseResult explore(const Function& f, const DseOptions& opts,
 
 obs::Json dse_run_json(const DseResult& r, const DseOptions& opts,
                        double wall_ms) {
-  std::ostringstream seed_hex;
-  seed_hex << "0x" << std::hex << r.seed;
   obs::Json doc = obs::Json::object()
                       .set("tool", "hlsw.dse")
-                      .set("schema_version", 3)
+                      .set("schema_version", 4)
                       .set("wall_ms", wall_ms)
                       .set("clock_period_ns", opts.clock_period_ns)
                       .set("threads", opts.threads)
                       .set("max_configs", opts.max_configs)
                       .set("cache_hits", r.cache_hits)
                       .set("cache_misses", r.cache_misses)
-                      .set("pruned_infeasible", r.pruned_infeasible)
-                      .set("seed", seed_hex.str());
+                      .set("pruned_infeasible", r.pruned_infeasible);
   obs::Json points = obs::Json::array();
   for (const auto& p : r.points)
     points.push(obs::Json::object()
@@ -503,26 +499,16 @@ obs::Json dse_run_json(const DseResult& r, const DseOptions& opts,
   return doc;
 }
 
-namespace {
-
-// Deterministic seeded rank for breaking exact (latency, area) ties.
-std::uint64_t tie_rank(std::uint64_t seed, const DsePoint& p) {
-  return fnv1a64(p.name) ^ (seed * 0x100000001b3ull);
-}
-
-}  // namespace
-
 std::vector<const DsePoint*> DseResult::pareto_front() const {
   std::vector<const DsePoint*> front;
   for (const auto& p : points)
     if (p.pareto) front.push_back(&p);
-  std::sort(front.begin(), front.end(),
-            [this](const DsePoint* a, const DsePoint* b) {
-              if (a->latency_cycles != b->latency_cycles)
-                return a->latency_cycles < b->latency_cycles;
-              if (a->area != b->area) return a->area < b->area;
-              return tie_rank(seed, *a) < tie_rank(seed, *b);
-            });
+  std::stable_sort(front.begin(), front.end(),
+                   [](const DsePoint* a, const DsePoint* b) {
+                     if (a->latency_cycles != b->latency_cycles)
+                       return a->latency_cycles < b->latency_cycles;
+                     return a->area < b->area;
+                   });
   return front;
 }
 

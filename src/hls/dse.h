@@ -15,7 +15,6 @@
 // threads only evaluate the pure run_synthesis() function.
 #pragma once
 
-#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -95,9 +94,6 @@ struct DseOptions {
   // 1 = legacy serial path (no pool is created). Any value produces
   // bit-identical points in identical order.
   unsigned threads = 0;
-  // Seed for the deterministic tie-break applied when ranking points with
-  // equal (latency, area) — see DseResult::pareto_front().
-  std::uint64_t seed = 0x9e3779b97f4a7c15ull;
   // Optional shared memoization cache. When set, it persists across
   // explore() calls: a cache-warm re-exploration performs zero new
   // schedules. When null, explore() uses a private per-call cache (the
@@ -143,10 +139,10 @@ struct DseResult {
   // row kept, schedule usually saved).
   std::size_t pruned_infeasible = 0;
   std::vector<DsePruned> pruned;  // one record per redirect
-  // Tie-break seed the points were ranked with (copied from DseOptions).
-  std::uint64_t seed = 0x9e3779b97f4a7c15ull;
 
-  // Convenience views.
+  // Convenience views. The front sorts by (latency, area), stably, so
+  // exact ties (only ever hand-marked: explore() keeps one point per tie
+  // group) keep their row order.
   std::vector<const DsePoint*> pareto_front() const;
   const DsePoint* fastest() const;
   const DsePoint* smallest() const;
@@ -169,16 +165,16 @@ DseResult explore(const Function& f, const DseOptions& opts,
                   const TechLibrary& tech);
 
 // The dse_run.json document explore() writes for DseOptions::report_path:
-// {"tool":"hlsw.dse", "schema_version":3, "wall_ms":..., "threads":...,
-//  "cache_hits":..., "cache_misses":..., "seed":"0x...",
-//  "pruned_infeasible":...,
+// {"tool":"hlsw.dse", "schema_version":4, "wall_ms":..., "threads":...,
+//  "cache_hits":..., "cache_misses":..., "pruned_infeasible":...,
 //  "points":[{"name","latency_cycles","latency_ns","area","pareto"}...],
 //  "pruned":[{"name","kind","reason"}...], "pareto_front":["name"...]}.
-// Schema history: v3 dropped the domination-prune counter (domination
-// pruning is gone) and "scheduled" (it always equalled the number of
-// points); v2 added the prune counters and the "pruned" array; v1 had
-// neither. Exposed so tools and tests can build the same artifact from an
-// in-memory result.
+// Schema history: v4 dropped "seed" (the tie-break seed decided nothing:
+// explore() leaves no exact tie on its front); v3 dropped the
+// domination-prune counter (domination pruning is gone) and "scheduled"
+// (it always equalled the number of points); v2 added the prune counters
+// and the "pruned" array; v1 had neither. Exposed so tools and tests can
+// build the same artifact from an in-memory result.
 obs::Json dse_run_json(const DseResult& r, const DseOptions& opts,
                        double wall_ms);
 

@@ -1,6 +1,7 @@
 #include "hls/verify.h"
 
 #include <algorithm>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -245,6 +246,9 @@ void compare_outputs(std::size_t vec, const PortIo& want, const PortIo& got,
       mismatch("dut has extra output var '" + name + "'");
 }
 
+namespace {
+
+// Applies CosimOptions::mismatch_limit to a joined result.
 void cap_mismatches(std::size_t limit, CosimResult* result) {
   result->total_mismatches = result->mismatches.size();
   if (limit == 0 || result->mismatches.size() <= limit) return;
@@ -254,52 +258,68 @@ void cap_mismatches(std::size_t limit, CosimResult* result) {
                                " more mismatches suppressed");
 }
 
+// The vectors of block `blk`.
+std::vector<PortIo> block_vectors(const std::vector<PortIo>& vectors,
+                                  std::size_t bs, std::size_t blk) {
+  const std::size_t begin = blk * bs;
+  const std::size_t end = std::min(begin + bs, vectors.size());
+  return {vectors.begin() + static_cast<long>(begin),
+          vectors.begin() + static_cast<long>(end)};
+}
+
+}  // namespace
+
+CosimResult sweep_blocks(const std::vector<PortIo>& vectors,
+                         const CosimOptions& opts, std::size_t blocks_per_task,
+                         const SweepTask& task) {
+  CosimResult result;
+  result.vectors = vectors.size();
+  const std::size_t bs = std::max<std::size_t>(1, opts.block_size);
+  result.blocks = (vectors.size() + bs - 1) / bs;
+  const std::size_t per = std::max<std::size_t>(1, blocks_per_task);
+  auto per_task = util::map_ordered(
+      opts.pool, (result.blocks + per - 1) / per, [&](std::size_t t) {
+        return task(t * per, std::min(per, result.blocks - t * per));
+      });
+  for (auto& mism : per_task)
+    result.mismatches.insert(result.mismatches.end(),
+                             std::make_move_iterator(mism.begin()),
+                             std::make_move_iterator(mism.end()));
+  cap_mismatches(opts.mismatch_limit, &result);
+  return result;
+}
+
+CosimFactory interpreter_factory(const Function& f) {
+  auto compiled = std::make_shared<const Interpreter>(f);
+  return [compiled]() -> CosimModel {
+    return [compiled](const std::vector<PortIo>& ins) {
+      return Interpreter(*compiled).run_stream(ins);
+    };
+  };
+}
+
 CosimResult cosim_sweep(const CosimFactory& golden, const CosimFactory& dut,
                         const std::vector<PortIo>& vectors,
                         const CosimOptions& opts) {
   obs::ScopedSpan span("cosim_sweep", "hls.verify");
-  CosimResult result;
-  result.vectors = vectors.size();
-  if (vectors.empty()) return result;
-
-  const std::size_t bs = std::max<std::size_t>(1, opts.block_size);
-  const std::size_t nblocks = (vectors.size() + bs - 1) / bs;
-  result.blocks = nblocks;
-
   // Each block is replayed from reset by models the task itself creates,
   // so no simulator state is shared across threads.
-  const auto run_block = [&](std::size_t blk) -> std::vector<std::string> {
-    const std::size_t begin = blk * bs;
-    const std::size_t end = std::min(begin + bs, vectors.size());
-    const std::vector<PortIo> block(vectors.begin() + static_cast<long>(begin),
-                                    vectors.begin() + static_cast<long>(end));
-    const std::vector<PortIo> want = golden()(block);
-    const std::vector<PortIo> got = dut()(block);
-    std::vector<std::string> mism;
-    if (want.size() != block.size() || got.size() != block.size()) {
-      mism.push_back("block " + std::to_string(blk) +
-                     ": model returned wrong vector count");
-      return mism;
-    }
-    for (std::size_t i = 0; i < block.size(); ++i)
-      compare_outputs(begin + i, want[i], got[i], &mism);
-    return mism;
-  };
-
-  // Deterministic merge: map_ordered returns block results in block order
-  // no matter which worker finished first.
-  std::unique_ptr<util::ThreadPool> owned;
-  util::ThreadPool* pool = opts.pool;
-  if (pool == nullptr && opts.threads > 0) {
-    owned = std::make_unique<util::ThreadPool>(opts.threads);
-    pool = owned.get();
-  }
-  const auto per_block = util::map_ordered(pool, nblocks, run_block);
-  for (const auto& mism : per_block)
-    result.mismatches.insert(result.mismatches.end(), mism.begin(),
-                             mism.end());
-  cap_mismatches(opts.mismatch_limit, &result);
-
+  const std::size_t bs = std::max<std::size_t>(1, opts.block_size);
+  const CosimResult result = sweep_blocks(
+      vectors, opts, 1, [&](std::size_t blk, std::size_t) {
+        const std::vector<PortIo> block = block_vectors(vectors, bs, blk);
+        const std::vector<PortIo> want = golden()(block);
+        const std::vector<PortIo> got = dut()(block);
+        std::vector<std::string> mism;
+        if (want.size() != block.size() || got.size() != block.size()) {
+          mism.push_back("block " + std::to_string(blk) +
+                         ": model returned wrong vector count");
+          return mism;
+        }
+        for (std::size_t i = 0; i < block.size(); ++i)
+          compare_outputs(blk * bs + i, want[i], got[i], &mism);
+        return mism;
+      });
   if (span.active()) {
     span.arg("vectors", static_cast<long long>(result.vectors));
     span.arg("blocks", static_cast<long long>(result.blocks));
@@ -312,62 +332,42 @@ CosimResult cosim_sweep_nway(const std::vector<CosimLeg>& legs,
                              const std::vector<PortIo>& vectors,
                              const CosimOptions& opts) {
   obs::ScopedSpan span("cosim_sweep_nway", "hls.verify");
-  CosimResult result;
-  result.vectors = vectors.size();
   if (legs.size() < 2) {
     // A one-leg call is a usage error even with nothing to sweep.
+    CosimResult result;
+    result.vectors = vectors.size();
     result.mismatches.push_back(
         "cosim_sweep_nway needs a reference and at least one other leg");
     result.total_mismatches = 1;
     return result;
   }
-  if (vectors.empty()) return result;
-
   const std::size_t bs = std::max<std::size_t>(1, opts.block_size);
-  const std::size_t nblocks = (vectors.size() + bs - 1) / bs;
-  result.blocks = nblocks;
-
-  const auto run_block = [&](std::size_t blk) -> std::vector<std::string> {
-    const std::size_t begin = blk * bs;
-    const std::size_t end = std::min(begin + bs, vectors.size());
-    const std::vector<PortIo> block(vectors.begin() + static_cast<long>(begin),
-                                    vectors.begin() + static_cast<long>(end));
-    std::vector<std::string> mism;
-    const std::vector<PortIo> want = legs[0].factory()(block);
-    if (want.size() != block.size()) {
-      mism.push_back("block " + std::to_string(blk) + ": reference leg '" +
-                     legs[0].name + "' returned wrong vector count");
-      return mism;
-    }
-    for (std::size_t l = 1; l < legs.size(); ++l) {
-      const std::vector<PortIo> got = legs[l].factory()(block);
-      if (got.size() != block.size()) {
-        mism.push_back("block " + std::to_string(blk) + ": leg '" +
-                       legs[l].name + "' returned wrong vector count");
-        continue;
-      }
-      std::vector<std::string> leg_mism;
-      for (std::size_t i = 0; i < block.size(); ++i)
-        compare_outputs(begin + i, want[i], got[i], &leg_mism);
-      for (auto& m : leg_mism)
-        mism.push_back(legs[l].name + " vs " + legs[0].name + ": " +
-                       std::move(m));
-    }
-    return mism;
-  };
-
-  std::unique_ptr<util::ThreadPool> owned;
-  util::ThreadPool* pool = opts.pool;
-  if (pool == nullptr && opts.threads > 0) {
-    owned = std::make_unique<util::ThreadPool>(opts.threads);
-    pool = owned.get();
-  }
-  const auto per_block = util::map_ordered(pool, nblocks, run_block);
-  for (const auto& mism : per_block)
-    result.mismatches.insert(result.mismatches.end(), mism.begin(),
-                             mism.end());
-  cap_mismatches(opts.mismatch_limit, &result);
-
+  const CosimResult result = sweep_blocks(
+      vectors, opts, 1, [&](std::size_t blk, std::size_t) {
+        const std::vector<PortIo> block = block_vectors(vectors, bs, blk);
+        std::vector<std::string> mism;
+        const std::vector<PortIo> want = legs[0].factory()(block);
+        if (want.size() != block.size()) {
+          mism.push_back("block " + std::to_string(blk) + ": reference leg '" +
+                         legs[0].name + "' returned wrong vector count");
+          return mism;
+        }
+        for (std::size_t l = 1; l < legs.size(); ++l) {
+          const std::vector<PortIo> got = legs[l].factory()(block);
+          if (got.size() != block.size()) {
+            mism.push_back("block " + std::to_string(blk) + ": leg '" +
+                           legs[l].name + "' returned wrong vector count");
+            continue;
+          }
+          std::vector<std::string> leg_mism;
+          for (std::size_t i = 0; i < block.size(); ++i)
+            compare_outputs(blk * bs + i, want[i], got[i], &leg_mism);
+          for (auto& m : leg_mism)
+            mism.push_back(legs[l].name + " vs " + legs[0].name + ": " +
+                           std::move(m));
+        }
+        return mism;
+      });
   if (span.active()) {
     span.arg("legs", static_cast<long long>(legs.size()));
     span.arg("vectors", static_cast<long long>(result.vectors));

@@ -31,15 +31,20 @@ std::vector<std::string> verify_schedule(const Function& f,
                                          const TechLibrary& tech,
                                          const Schedule& s);
 
-// ---- Parallel co-simulation sweep ----
+// ---- Golden-against-model sweeps ----
 //
-// Replays a test-vector sequence through two models (golden reference vs
-// device under test) and reports every output mismatch. Vectors are
-// sharded into contiguous blocks; each block is replayed FROM RESET by
-// fresh model instances, so blocks are independent by construction and can
-// run on worker threads. (Designs with cross-symbol state therefore need
-// the blocks to be independent stimuli — e.g. each block its own burst —
-// or block_size >= vectors.size() for one sequential replay.)
+// Replays a test-vector sequence through a golden reference and one or
+// more models and reports every output mismatch. Vectors are sharded into
+// contiguous blocks of CosimOptions::block_size; each block is replayed
+// FROM RESET, so blocks are independent by construction and can run on
+// worker threads. (Designs with cross-symbol state therefore need the
+// blocks to be independent stimuli — e.g. each block its own burst — or
+// block_size >= vectors.size() for one sequential replay.)
+//
+// Every sweep (cosim_sweep, cosim_sweep_nway, vsim::vsim_sweep) runs on
+// one block driver, sweep_blocks: the caller supplies the body for a run
+// of consecutive blocks, and the driver schedules the runs, joins their
+// reports in block order and applies the mismatch cap.
 //
 // Models are type-erased batch functions so this layer stays independent
 // of rtl::Simulator (rtl links hls, not vice versa): a factory returns a
@@ -49,12 +54,10 @@ using CosimModel = std::function<std::vector<PortIo>(const std::vector<PortIo>&)
 using CosimFactory = std::function<CosimModel()>;
 
 struct CosimOptions {
-  // Worker threads for the sweep. 0 = run inline on the caller's thread.
-  // Ignored when `pool` is provided.
-  unsigned threads = 0;
   // Vectors per block (>= 1); the unit of parallelism and of replay.
   std::size_t block_size = 256;
-  // Optional externally owned pool to share across sweeps.
+  // Externally owned pool the blocks run on; null runs them inline on the
+  // caller's thread.
   util::ThreadPool* pool = nullptr;
   // Cap on retained mismatch reports (0 = keep all). A diverging
   // multi-hundred-vector sweep otherwise drowns the first — usually root —
@@ -80,7 +83,26 @@ struct CosimResult {
   bool ok() const { return total_mismatches == 0; }
 };
 
-// Runs the sweep and merges per-block mismatch lists in block order.
+// The body of a sweep for blocks [first, first + n): returns their mismatch
+// reports in block order.
+using SweepTask =
+    std::function<std::vector<std::string>(std::size_t first, std::size_t n)>;
+
+// The one block driver. Splits `vectors` into blocks of opts.block_size and
+// hands `task` consecutive runs of `blocks_per_task` blocks (the last run
+// ragged), on opts.pool or inline when it is null. The reports join in
+// block order whichever worker finished first, and opts.mismatch_limit is
+// applied once, after the join, so truncation never depends on scheduling.
+CosimResult sweep_blocks(const std::vector<PortIo>& vectors,
+                         const CosimOptions& opts, std::size_t blocks_per_task,
+                         const SweepTask& task);
+
+// Golden-leg factory: compiles one Interpreter for `f`, and every model it
+// returns replays its block from reset on a copy of it (a copy skips the
+// scheduling and plan compilation a construction pays).
+CosimFactory interpreter_factory(const Function& f);
+
+// Runs the sweep one block per task and reports the dut's mismatches.
 CosimResult cosim_sweep(const CosimFactory& golden, const CosimFactory& dut,
                         const std::vector<PortIo>& vectors,
                         const CosimOptions& opts = {});
@@ -92,7 +114,7 @@ CosimResult cosim_sweep(const CosimFactory& golden, const CosimFactory& dut,
 // Mismatch reports are prefixed with "<leg> vs <reference>: " so a three-way
 // run (untimed golden vs rtl::Simulator vs vsim-executed Verilog text)
 // identifies which implementation diverged. Sharding, replay-from-reset and
-// the deterministic block-order merge match cosim_sweep exactly.
+// the block-order join are cosim_sweep's (one driver).
 struct CosimLeg {
   std::string name;
   CosimFactory factory;
@@ -102,19 +124,10 @@ CosimResult cosim_sweep_nway(const std::vector<CosimLeg>& legs,
                              const std::vector<PortIo>& vectors,
                              const CosimOptions& opts = {});
 
-// ---- Sweep report plumbing (shared with external sweep drivers) ----
-//
-// vsim::vsim_sweep reimplements the block loop (one multi-lane DUT covers
-// many blocks) but must emit byte-identical mismatch reports; it reuses
-// these instead of duplicating the format.
-
 // Compares one vector's outputs; appends reports tagged with the global
-// vector index so merged lists read in stimulus order.
+// vector index so joined lists read in stimulus order. Every sweep body
+// reports through it.
 void compare_outputs(std::size_t vec, const PortIo& want, const PortIo& got,
                      std::vector<std::string>* out);
-
-// Applies CosimOptions::mismatch_limit after the deterministic merge so
-// truncation never depends on worker scheduling.
-void cap_mismatches(std::size_t limit, CosimResult* result);
 
 }  // namespace hlsw::hls

@@ -543,35 +543,16 @@ Json Server::handle_cosim(const Json& req) {
   std::string err;
   if (!cosim_options_from_json(req.find("options"), &o, &err))
     throw JobError{"bad_params", err, "serve.params"};
-  o.threads = 0;  // the job IS the unit of parallelism; no nested pool
-  o.pool = nullptr;
-  // Default to one sequential block: the registered designs are stateful
-  // (adaptive equalizers), so replay-from-reset blocks need deliberate,
-  // client-chosen stimulus splits.
+  // The job is the unit of parallelism, so its blocks run inline (no
+  // pool). Default to one sequential block: the registered designs are
+  // stateful (adaptive equalizers), so replay-from-reset blocks need
+  // deliberate, client-chosen stimulus splits.
   const Json* copt = req.find("options");
   if (copt == nullptr || copt->find("block_size") == nullptr)
     o.block_size = vectors.size();
 
   const hls::SynthesisResult r = hls::run_synthesis(f, dir, tech);
-  // One golden evaluation context for the whole sweep (threads is pinned
-  // to 0 above, so blocks run sequentially): construction copies the
-  // Function and rebuilds its indices, which per-block instantiation paid
-  // once per block. reset() between blocks restores fresh-instance state.
-  struct SharedGolden {
-    hls::Interpreter interp;
-    bool used = false;
-    explicit SharedGolden(const hls::Function& fn) : interp(fn) {}
-  };
-  auto sg = std::make_shared<SharedGolden>(r.transformed);
-  auto golden = [sg] {
-    return [sg](const std::vector<hls::PortIo>& v) {
-      if (sg->used)
-        sg->interp.reset();
-      else
-        sg->used = true;
-      return sg->interp.run_stream(v);
-    };
-  };
+  const hls::CosimFactory golden = hls::interpreter_factory(r.transformed);
   auto dut = [&r] {
     auto sim = std::make_shared<rtl::Simulator>(r.transformed, r.schedule);
     return [sim](const std::vector<hls::PortIo>& v) {
@@ -590,8 +571,6 @@ Json Server::handle_verify(const Json& req) {
   std::string err;
   if (!cosim_options_from_json(req.find("options"), &o, &err))
     throw JobError{"bad_params", err, "serve.params"};
-  o.threads = 0;
-  o.pool = nullptr;
   const Json* vopt = req.find("options");
   if (vopt == nullptr || vopt->find("block_size") == nullptr)
     o.block_size = vectors.size();

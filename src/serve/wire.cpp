@@ -475,7 +475,7 @@ bool cosim_options_from_json(const Json* j, hls::CosimOptions* out,
   if (j == nullptr) return true;
   const std::string path = "options";
   if (!want_object(*j, path, err)) return false;
-  if (!check_keys(*j, path, {"block_size", "mismatch_limit", "lanes"}, err))
+  if (!check_keys(*j, path, {"block_size", "mismatch_limit"}, err))
     return false;
   long long v = static_cast<long long>(out->block_size);
   if (!get_int_field(*j, path, "block_size", 1, kMaxJsonInt, &v, err))
@@ -485,7 +485,7 @@ bool cosim_options_from_json(const Json* j, hls::CosimOptions* out,
   if (!get_int_field(*j, path, "mismatch_limit", 0, kMaxJsonInt, &v, err))
     return false;
   out->mismatch_limit = static_cast<std::size_t>(v);
-  return get_int_field(*j, path, "lanes", kIntMin, kIntMax, &out->lanes, err);
+  return true;
 }
 
 Json cosim_result_to_json(const hls::CosimResult& r) {

@@ -79,7 +79,8 @@ bool tech_from_json(const obs::Json* j, hls::TechLibrary* out,
 // stay server-owned). Absent keys keep the library defaults.
 bool dse_options_from_json(const obs::Json* j, hls::DseOptions* out,
                            std::string* err);
-// Client-settable CosimOptions fields: block_size, mismatch_limit, lanes.
+// Client-settable CosimOptions fields: block_size, mismatch_limit. Any
+// other key, `lanes` included (cosim and verify run one lane), is refused.
 bool cosim_options_from_json(const obs::Json* j, hls::CosimOptions* out,
                              std::string* err);
 

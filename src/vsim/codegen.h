@@ -12,9 +12,9 @@
 // with per-lane execution masks; a branch whose lanes disagree splits the
 // mask into contexts that run one after another. L independent scalar
 // CompiledSim runs are the bit-identity oracle (pack_test.cpp). At kL = 1
-// the host compiler erases the lane loops; that is the engine a scalar
-// Simulation runs (Backend::kPackedCodegen, backend() "codegen"). Wider
-// engines serve PackedDutHarness and packed sweeps. The comb flush is
+// the host compiler erases the lane loops. make_packed_engine (pack.h) is
+// the one door to the engine at every lane count, and it reports
+// backend() "packed_codegen" at each. The comb flush is
 // activity-gated like the interpreter (per-node dirty bits, fan-out CSR
 // baked as static tables) and lazy nodes are forced at the peek entry
 // points.
@@ -40,10 +40,9 @@
 // `repeat` and `$time`, which only the event kernel runs), so the
 // generator takes any plan. Fallback (silent, typed, reason recorded) is
 // for environments without a working host toolchain or with an untrusted
-// cache directory: Simulation then degrades to the compiled interpreter
-// with fallback_reason() prefixed "codegen: "; a wider engine degrades to
-// one Simulation per lane at kCompiled with a "packed-codegen: " prefix
-// (make_packed_engine, pack.h).
+// cache directory: the engine then degrades to one Simulation per lane at
+// kCompiled, with the reason prefixed "packed-codegen: " (make_packed_engine,
+// pack.h).
 //
 // Shared-object cache: artifacts live under $HLSW_VSIM_CODEGEN_CACHE as
 // <fingerprint>.{cpp,so,log}, the same content-keyed discipline as
@@ -149,8 +148,8 @@ std::shared_ptr<const PackedCodegenModule> packed_codegen_plan(
 // process scheduling with context splitting, NBA commit — running inside
 // the generated shared object. Bit-identical to L independent scalar
 // CompiledSim runs on values, arrays, lane masks and lane-summed SimStats
-// (pack_test certifies it at 1, 8 and 64 lanes). A one-lane
-// instance is Simulation's native engine.
+// (pack_test certifies it at 1, 8 and 64 lanes). Built only by
+// make_packed_engine (pack.h).
 class PackedCodegenSim final : public PackedEngine {
  public:
   // `mod` must come from packed_codegen_plan(plan, ...).

@@ -31,10 +31,11 @@
 // Every plan compile_design returns is therefore a plain DUT that both
 // this interpreter and the generated native engine (codegen.h) execute.
 // The dispatch lives in Simulation (sim.h): every backend but kEvent
-// selects this one when the design compiles (kPackedCodegen runs the
-// native engine generated from the same plan), silently keeping the event
-// engine otherwise. Harness pokes and SimStats event/NBA accounting
-// behave identically on both backends.
+// selects this one when the design compiles, keeping the event engine
+// with the levelizer's reason otherwise (the native engine generated from
+// the same plan is built only by make_packed_engine, pack.h). Harness
+// pokes and SimStats event/NBA accounting behave identically on both
+// backends.
 #pragma once
 
 #include <cstdint>

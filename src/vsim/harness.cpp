@@ -9,7 +9,6 @@
 #include "obs/trace.h"
 #include "rtl/sim.h"
 #include "rtl/verilog.h"
-#include "util/thread_pool.h"
 #include "vsim/pack.h"
 #include "vsim/parser.h"
 
@@ -125,29 +124,6 @@ TestbenchResult run_testbench(const std::string& sources,
 
 // ---- Differential sweeps ----------------------------------------------------
 
-namespace {
-
-// Golden-leg factory: each block replays on a fresh interpreter.
-hls::CosimFactory interp_factory(const hls::Function& f) {
-  return [&f]() -> hls::CosimModel {
-    return [&f](const std::vector<PortIo>& ins) {
-      return hls::Interpreter(f).run_stream(ins);
-    };
-  };
-}
-
-hls::CosimFactory rtl_factory(const hls::Function& f,
-                              const hls::Schedule& s) {
-  return [&f, &s]() -> hls::CosimModel {
-    auto sim = std::make_shared<rtl::Simulator>(f, s);
-    return [sim](const std::vector<PortIo>& ins) {
-      return sim->run_stream(ins);
-    };
-  };
-}
-
-}  // namespace
-
 hls::CosimResult vsim_sweep(const hls::Function& f, const hls::Schedule& s,
                             const std::vector<PortIo>& vectors,
                             const hls::CosimOptions& opts,
@@ -155,30 +131,27 @@ hls::CosimResult vsim_sweep(const hls::Function& f, const hls::Schedule& s,
   obs::ScopedSpan span("vsim_sweep", "vsim");
   const std::string verilog = rtl::emit_verilog(f, s);
   auto design = load_design(verilog, f.name);
-  hls::CosimResult result;
-  result.vectors = vectors.size();
-  if (vectors.empty()) return result;
+  if (vectors.empty()) return {};
 
   const std::size_t bs = std::max<std::size_t>(1, opts.block_size);
   const std::size_t nblocks = (vectors.size() + bs - 1) / bs;
-  result.blocks = nblocks;
   const std::size_t nlanes = std::min(
       static_cast<std::size_t>(std::clamp(opts.lanes, 1, kMaxLanes)),
       nblocks);
-  const std::size_t nbatches = (nblocks + nlanes - 1) / nlanes;
   if (span.active()) {
     span.arg("lanes", static_cast<long long>(nlanes));
     span.arg("blocks", static_cast<long long>(nblocks));
-    span.arg("batches", static_cast<long long>(nbatches));
+    span.arg("batches",
+             static_cast<long long>((nblocks + nlanes - 1) / nlanes));
   }
 
   // Compiled once per sweep; each batch runs a copy, which skips the
   // scheduling and plan compilation and keeps its value buffers on the
   // batch's worker.
   const hls::Interpreter reference(f);
-  const auto run_batch = [&](std::size_t batch) -> std::vector<std::string> {
-    const std::size_t first_blk = batch * nlanes;
-    const std::size_t L = std::min(nlanes, nblocks - first_blk);
+  // One batch of lanes per task: blocks [first_blk, first_blk + L).
+  const auto run_batch = [&](std::size_t first_blk,
+                             std::size_t L) -> std::vector<std::string> {
     std::vector<std::vector<PortIo>> streams(nlanes);
     std::size_t nvec = 0;
     for (std::size_t l = 0; l < L; ++l) {
@@ -218,22 +191,7 @@ hls::CosimResult vsim_sweep(const hls::Function& f, const hls::Schedule& s,
                   std::make_move_iterator(m.end()));
     return mism;
   };
-
-  // Deterministic merge: batches in order, lanes within a batch in block
-  // order — the global mismatch list reads in stimulus order no matter
-  // which worker finished first.
-  std::unique_ptr<util::ThreadPool> owned;
-  util::ThreadPool* pool = opts.pool;
-  if (pool == nullptr && opts.threads > 0) {
-    owned = std::make_unique<util::ThreadPool>(opts.threads);
-    pool = owned.get();
-  }
-  const auto per_batch = util::map_ordered(pool, nbatches, run_batch);
-  for (const auto& mism : per_batch)
-    result.mismatches.insert(result.mismatches.end(), mism.begin(),
-                             mism.end());
-  hls::cap_mismatches(opts.mismatch_limit, &result);
-  return result;
+  return hls::sweep_blocks(vectors, opts, nlanes, run_batch);
 }
 
 VerifyEmittedResult verify_emitted(const hls::Function& f,
@@ -247,8 +205,14 @@ VerifyEmittedResult verify_emitted(const hls::Function& f,
   r.lint_issues = lint(*design);
 
   const std::vector<hls::CosimLeg> legs = {
-      {"golden", interp_factory(f)},
-      {"rtl", rtl_factory(f, s)},
+      {"golden", hls::interpreter_factory(f)},
+      {"rtl",
+       [&f, &s]() -> hls::CosimModel {
+         auto sim = std::make_shared<rtl::Simulator>(f, s);
+         return [sim](const std::vector<PortIo>& ins) {
+           return sim->run_stream(ins);
+         };
+       }},
       {"vsim",
        [&f, design]() -> hls::CosimModel {
          auto h = std::make_shared<PackedDutHarness>(f, design, 1);

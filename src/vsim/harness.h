@@ -6,9 +6,10 @@
 //  - load_design:    parse + elaborate emitted Verilog text (traced),
 //  - run_testbench:  runs the generated self-checking testbench (module +
 //                    testbench text) to its PASS/FAIL summary,
-//  - vsim_sweep:     parallel differential sweep (untimed golden vs executed
-//                    Verilog text) — one elaborated design shared by every
-//                    shard, a fresh harness per batch of lanes,
+//  - vsim_sweep:     differential sweep (untimed golden vs executed Verilog
+//                    text) on hls::sweep_blocks, the one block driver —
+//                    one elaborated design shared by every task, a fresh
+//                    harness per batch of lanes,
 //  - verify_emitted: the full third cosim leg — golden vs rtl::Simulator vs
 //                    vsim, bit-for-bit, plus lint and the testbench run.
 #pragma once
@@ -54,23 +55,23 @@ TestbenchResult run_testbench(const std::string& sources,
 // Emits Verilog for (f, s) and differentially sweeps the executed text
 // against the untimed interpreter golden. The design is parsed and
 // elaborated once (and the compiled execution plan, unless `cfg` asks for
-// the event kernel, is memoized process-wide), so every shard shares the
+// the event kernel, is memoized process-wide), so every task shares the
 // front-end work and only per-batch harness state is rebuilt. Vectors
 // split into blocks of CosimOptions::block_size, each replayed from reset
 // in its own lane; CosimOptions::lanes consecutive blocks share one
-// PackedDutHarness (a one-lane sweep runs batches of one), and batches
-// shard over the thread pool. A sweep that fits one batch gets an engine
-// of exactly its block count; otherwise every batch runs at the lane
-// budget and the ragged last batch gives its spare lanes empty streams.
-// Each batch's golden blocks run in lockstep through one
-// hls::Interpreter::run_streams call on the batch's copy of one
-// interpreter compiled per sweep, every output compared as soon as its
-// symbol completes. With tracing on, each batch records a
+// PackedDutHarness (a one-lane sweep runs batches of one), and each batch
+// is one task of hls::sweep_blocks, on CosimOptions::pool or inline. A
+// sweep that fits one batch gets an engine of exactly its block count;
+// otherwise every batch runs at the lane budget and the ragged last batch
+// gives its spare lanes empty streams. Each batch's golden blocks run in
+// lockstep through one hls::Interpreter::run_streams call on the batch's
+// copy of one interpreter compiled per sweep, every output compared as
+// soon as its symbol completes. With tracing on, each batch records a
 // vsim_sweep.dut and a vsim_sweep.golden span on its worker (args: lanes
 // carrying a block, vectors). Mismatch reports read as
-// hls::cosim_sweep's, in block order. Stateful designs need
-// block_size >= vectors.size(), as with cosim_sweep. `cfg` selects the
-// engine (make_packed_engine, pack.h).
+// hls::cosim_sweep's, joined in block order and capped once by the
+// driver. Stateful designs need block_size >= vectors.size(), as with
+// cosim_sweep. `cfg` selects the engine (make_packed_engine, pack.h).
 hls::CosimResult vsim_sweep(const hls::Function& f, const hls::Schedule& s,
                             const std::vector<hls::PortIo>& vectors,
                             const hls::CosimOptions& opts = {},
@@ -86,10 +87,12 @@ struct VerifyEmittedResult {
 };
 
 // The full closed loop for one scheduled design: three-way differential
-// (untimed golden vs rtl::Simulator vs vsim-executed Verilog text,
-// bit-for-bit), structural lint of the emitted module, and the generated
-// self-checking testbench run through vsim. The testbench replays the
-// first (up to) 8 vectors; the differential covers all of them.
+// (untimed golden from hls::interpreter_factory vs rtl::Simulator vs
+// vsim-executed Verilog text on a one-lane harness, bit-for-bit, through
+// hls::cosim_sweep_nway), structural lint of the emitted module, and the
+// generated self-checking testbench run through vsim. The testbench
+// replays the first (up to) 8 vectors; the differential covers all of
+// them.
 VerifyEmittedResult verify_emitted(const hls::Function& f,
                                    const hls::Schedule& s,
                                    const std::vector<hls::PortIo>& vectors,

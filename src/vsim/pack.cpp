@@ -114,8 +114,8 @@ std::unique_ptr<PackedEngine> make_packed_engine(
     fail("packed lane count " + std::to_string(lanes) + " outside [1, " +
          std::to_string(kMaxLanes) + "]");
   SimConfig lane_cfg = cfg;
-  if (lanes > 1 && (cfg.backend == Backend::kAuto ||
-                    cfg.backend == Backend::kPackedCodegen)) {
+  if (cfg.backend == Backend::kPackedCodegen ||
+      (cfg.backend == Backend::kAuto && lanes > 1)) {
     std::string why;
     if (auto plan = compiled_plan(design, &why)) {
       if (auto mod = packed_codegen_plan(plan, lanes, &why))
@@ -249,8 +249,7 @@ std::vector<std::vector<hls::PortIo>> PackedDutHarness::run_streams(
 hls::CounterValues PackedDutHarness::read_counters(
     const std::vector<hls::PerfCounter>& map) const {
   hls::CounterValues out;
-  out.source = sim_->lanes() > 1 ? std::string("vsim_packed")
-                                 : std::string("vsim_") + sim_->backend();
+  out.source = std::string("vsim_") + sim_->backend();
   for (const hls::PerfCounter& c : map) {
     const int h = find_signal(sim_->design(), c.name);
     long long total = 0;

@@ -9,8 +9,7 @@
 //     lanes, processes run under a lane mask and a branch whose lanes
 //     disagree splits the mask (counted as vsim.packed.divergence_splits);
 //   - one Simulation per lane (pack.cpp), each at the requested backend:
-//     the event kernel, the compiled interpreter or Simulation's one-lane
-//     native engine.
+//     the event kernel or the compiled interpreter.
 //
 // Equivalence contract (tests/vsim/pack_test.cpp): running L lanes packed
 // is bit-identical to L independent one-lane runs of the same streams,
@@ -75,8 +74,8 @@ class PackedEngine {
   virtual long long divergence_splits() const = 0;
 
   // Which engine runs the lanes: "packed_codegen" for the generated
-  // engine, else the lanes' Simulation::backend() ("codegen", "compiled"
-  // or "event").
+  // engine at any lane count, else the lanes' Simulation::backend()
+  // ("compiled" or "event").
   virtual const char* backend() const = 0;
   // The Simulation running `lane` (its free-run mode and the event
   // kernel's VCD), or nullptr on the generated engine, whose lanes share
@@ -84,16 +83,17 @@ class PackedEngine {
   virtual Simulation* simulation(int /*lane*/) { return nullptr; }
 };
 
-// Builds the engine for `lanes` lanes of `design`, by one rule. More than
-// one lane under kAuto or kPackedCodegen builds the generated L-lane engine
-// (codegen.h); when it cannot be built (no host toolchain, an untrusted
-// cache, a design that is not cycle-schedulable) the lanes run one
-// Simulation each at kCompiled and *fallback_reason holds the reason,
-// prefixed "packed-codegen: ". Every other request builds one Simulation
-// per lane at cfg.backend, and *fallback_reason is that Simulation's own
-// fallback_reason(). So one lane behaves exactly as one Simulation: kAuto
-// runs the compiled interpreter and never invokes the host compiler.
-// Throws when `lanes` is outside [1, kMaxLanes].
+// Builds the engine for `lanes` lanes of `design`, by one rule, and is the
+// only code that builds the generated engine. kPackedCodegen at any lane
+// count, one included, and kAuto above one lane build the generated
+// L-lane engine (codegen.h); when it cannot be built (no host toolchain,
+// an untrusted cache, a design that is not cycle-schedulable) the lanes
+// run one Simulation each at kCompiled and *fallback_reason holds the
+// reason, prefixed "packed-codegen: ". Every other request builds one
+// Simulation per lane at cfg.backend, and *fallback_reason is that
+// Simulation's own fallback_reason(). So a one-lane kAuto engine runs the
+// compiled interpreter and never invokes the host compiler. Throws when
+// `lanes` is outside [1, kMaxLanes].
 std::unique_ptr<PackedEngine> make_packed_engine(
     const std::shared_ptr<const Design>& design, int lanes,
     const SimConfig& cfg, std::string* fallback_reason);
@@ -135,10 +135,9 @@ class PackedDutHarness {
   // since the last reset), summed across lanes — the measurement leg of
   // hls::reconcile_profile. Every counter accumulates per invocation, so
   // the lane sum equals what one lane replaying all the streams back to
-  // back would measure. The source reads "vsim_packed" for several lanes,
-  // else "vsim_" + backend(). Throws if a mapped counter does not exist in
-  // the design; the map must come from the InstrumentOptions the module
-  // was emitted with.
+  // back would measure. The source reads "vsim_" + backend() at every lane
+  // count. Throws if a mapped counter does not exist in the design; the map
+  // must come from the InstrumentOptions the module was emitted with.
   hls::CounterValues read_counters(
       const std::vector<hls::PerfCounter>& map) const;
 

@@ -71,9 +71,8 @@ obs::Json ProfileRunResult::to_json() const {
   for (const std::string& s : notes) notes_j.push(s);
   return obs::Json::object()
       .set("tool", "hlsw.profile")
-      // 3: a packed leg's backend may now be "packed_codegen" (generated
-      // lane-major engine) with its degrade reason in fallback_reason.
-      .set("schema_version", 3)
+      // History in profile.h.
+      .set("schema_version", 4)
       .set("function", function)
       .set("predicted",
            obs::Json::object()
@@ -207,7 +206,8 @@ ProfileRunResult profile_run(const hls::Function& f,
     if (opts.run_vsim_compiled)
       run_leg(packed ? Backend::kAuto : Backend::kCompiled, "compiled",
               packed ? lanes : 1);
-    if (opts.run_vsim_codegen) run_leg(Backend::kPackedCodegen, "codegen", 1);
+    if (opts.run_vsim_codegen)
+      run_leg(Backend::kPackedCodegen, "packed_codegen", 1);
   }
 
   // ---- Cross-leg agreement ----

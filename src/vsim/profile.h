@@ -7,7 +7,7 @@
 //   * rtl::Simulator          (schedule timing model, counters from SimStats),
 //   * vsim event engine       (emitted FSM, counters peeked from the design),
 //   * vsim compiled backend   (same FSM through the cycle-based engine),
-//   * vsim codegen backend    (opt-in: the one-lane native engine)
+//   * vsim codegen backend    (opt-in: the generated engine at one lane)
 // — every vsim leg on PackedDutHarness (pack.h) —
 // checks every leg's outputs against the untimed golden interpreter,
 // reconciles every leg's counters against the schedule predictions and the
@@ -16,8 +16,12 @@
 // (invocations, loop iterations, memory-port activity) must agree across
 // ALL legs, and the two vsim backends must agree on EVERY counter bit for
 // bit. The result serializes as the profile_run.json StructuredReport
-// ({tool: "hlsw.profile", schema_version: 3}; v3 lets a packed leg's
-// backend read "packed_codegen" with its degrade reason in
+// ({tool: "hlsw.profile", schema_version: 4}; v4 names each engine once:
+// the codegen leg's backend reads "packed_codegen" (was "codegen") with a
+// "packed-codegen: " degrade reason (was "codegen: "), and every vsim
+// leg's counter source reads "vsim_" + backend (was "vsim_packed" for
+// several lanes and "vsim_codegen" for the codegen leg); v3 let a packed
+// leg's backend read "packed_codegen" with its degrade reason in
 // fallback_reason, v2 added the per-leg "lanes" field for the packed
 // auto-selection, v1 had scalar legs only); nothing is dropped — every
 // disagreement lands in a leg report's deviations or in `cross_issues`.
@@ -42,9 +46,9 @@ struct ProfileRunOptions {
   // counters measures nothing).
   hls::InstrumentOptions instrument;
   // Measurement legs. The first three are on by default; the codegen leg
-  // (the one-lane native engine, Backend::kPackedCodegen) is opt-in because
-  // it invokes the host toolchain once per design (it degrades to the
-  // compiled interpreter — with the reason recorded in the leg's
+  // (the generated engine at one lane, Backend::kPackedCodegen) is opt-in
+  // because it invokes the host toolchain once per design (it degrades to
+  // the compiled interpreter — with the reason recorded in the leg's
   // fallback_reason — on machines without one, so enabling it is always
   // safe, just not always cheap).
   bool run_rtl_sim = true;
@@ -78,9 +82,10 @@ struct ProfileRunResult {
   std::vector<hls::CounterValues> counters;  // one per executed leg
   std::vector<hls::ProfileReport> reports;   // reconciled, aligned with ^
   // Aligned with `counters`: the backend that actually executed each leg
-  // ("rtl_sim", "event", "compiled", "codegen") and, when the requested
-  // backend degraded, the typed fallback reason ("" otherwise). Serialized
-  // per leg as "backend" / "fallback_reason" in profile_run.json.
+  // ("rtl_sim", "event", "compiled", "packed_codegen") and, when the
+  // requested backend degraded, the typed fallback reason ("" otherwise).
+  // Serialized per leg as "backend" / "fallback_reason" in
+  // profile_run.json.
   std::vector<std::string> leg_backends;
   std::vector<std::string> leg_fallbacks;
   // Aligned with `counters`: lanes the leg executed with (1 = scalar; > 1

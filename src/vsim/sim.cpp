@@ -8,7 +8,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "rtl/vcd.h"
-#include "vsim/codegen.h"
 #include "vsim/compile.h"
 
 namespace hlsw::vsim {
@@ -240,31 +239,16 @@ Simulation::Simulation(std::shared_ptr<const Design> design,
                        const SimConfig& cfg)
     : design_(std::move(design)), cfg_(cfg) {
   if (cfg_.backend != Backend::kEvent) {
-    // Cycle-schedulable designs run on the levelized compiled backend, or
-    // on the one-lane native engine generated from the same plan when
-    // kPackedCodegen asks for it (degrading to the compiled interpreter
-    // when no host toolchain is available). Everything else (delays,
-    // system tasks, repeat, $time, feedback) silently keeps the event
-    // kernel below. The plan is memoized per Design, so sweep legs and
-    // harness replays share one compilation.
-    std::string why;
-    auto plan = compiled_plan(design_, &why);
-    if (cfg_.backend == Backend::kPackedCodegen) {
-      if (plan != nullptr) {
-        if (auto mod = packed_codegen_plan(plan, 1, &why)) {
-          native_ = std::make_unique<PackedCodegenSim>(std::move(plan),
-                                                       std::move(mod), cfg_);
-          return;
-        }
-      }
-      fallback_reason_ = "codegen: " + why;
-    }
+    // Cycle-schedulable designs run on the levelized compiled backend.
+    // Everything else (delays, system tasks, repeat, $time, feedback)
+    // keeps the event kernel below, with the levelizer's reason. The plan
+    // is memoized per Design, so sweep legs and harness replays share one
+    // compilation.
+    auto plan = compiled_plan(design_, &fallback_reason_);
     if (plan != nullptr) {
       compiled_ = std::make_unique<CompiledSim>(std::move(plan), cfg_);
       return;
     }
-    if (!fallback_reason_.empty()) fallback_reason_ += "; ";
-    fallback_reason_ += why;
   }
   const auto n = design_->signals.size();
   val_.assign(n, 0);
@@ -701,10 +685,6 @@ void Simulation::run_thread(int tid) {
 // ---- Regions ----------------------------------------------------------------
 
 void Simulation::settle() {
-  if (native_) {
-    native_->settle();
-    return;
-  }
   if (compiled_) {
     compiled_->settle();
     return;
@@ -732,10 +712,10 @@ void Simulation::settle() {
 }
 
 RunResult Simulation::run() {
-  if (native_ || compiled_) {
-    // No timers, output or dumps on the cycle-based engines: settle and
-    // report. Their event and commit totals reach the metrics registry
-    // when the engine retires.
+  if (compiled_) {
+    // No timers, output or dumps on the compiled engine: settle and
+    // report. Its event and commit totals reach the metrics registry when
+    // the engine retires.
     obs::ScopedSpan span("vsim.run", "vsim");
     if (span.active()) span.arg("backend", backend());
     settle();
@@ -811,10 +791,6 @@ int Simulation::signal_handle(const std::string& name) const {
 }
 
 void Simulation::poke(int sig, unsigned long long value) {
-  if (native_) {
-    native_->poke(sig, value, 1);
-    return;
-  }
   if (compiled_) {
     compiled_->poke(sig, value);
     return;
@@ -823,20 +799,17 @@ void Simulation::poke(int sig, unsigned long long value) {
 }
 
 unsigned long long Simulation::peek(int sig) const {
-  if (native_) return native_->peek(sig, 0);
   if (compiled_) return compiled_->peek(sig);
   return val_[static_cast<size_t>(sig)];
 }
 
 long long Simulation::peek_signed(int sig) const {
-  if (native_) return native_->peek_signed(sig, 0);
   if (compiled_) return compiled_->peek_signed(sig);
   return s64(val_[static_cast<size_t>(sig)],
              design_->signals[static_cast<size_t>(sig)].width);
 }
 
 unsigned long long Simulation::peek_elem(int sig, int index) const {
-  if (native_) return native_->peek_elem(sig, index, 0);
   if (compiled_) return compiled_->peek_elem(sig, index);
   const auto& a = arr_[static_cast<size_t>(sig)];
   if (index < 0 || index >= static_cast<int>(a.size()))
@@ -846,16 +819,14 @@ unsigned long long Simulation::peek_elem(int sig, int index) const {
 }
 
 long long Simulation::now() const {
-  return time_;  // never advanced on the cycle-based engines
+  return time_;  // never advanced on the compiled engine
 }
 
 const SimStats& Simulation::stats() const {
-  if (native_) return native_->stats();
   return compiled_ ? compiled_->stats() : stats_;
 }
 
 const char* Simulation::backend() const {
-  if (native_) return "codegen";
   return compiled_ ? "compiled" : "event";
 }
 

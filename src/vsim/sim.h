@@ -27,15 +27,15 @@
 
 namespace hlsw::vsim {
 
-// Execution engine selection. A Simulation runs one lane and degrades
-// silently down native (one lane) -> compiled -> event, with the reason
-// recorded in fallback_reason(); kAuto runs the compiled interpreter, so
-// the default path never invokes the host compiler. PackedDutHarness
-// (pack.h) runs one Simulation per lane at the same backend, except that
-// more than one lane under kAuto or kPackedCodegen runs the generated
-// L-lane engine, which degrades to per-lane Simulations at kCompiled. The
-// event kernel serves whatever the levelizer refuses (delays, system
-// tasks, repeat, $time, zero-delay feedback).
+// Execution engine selection. A Simulation has two tiers: kEvent runs the
+// event kernel, and every other backend runs the compiled interpreter when
+// the levelizer accepts the design, else the event kernel with the
+// levelizer's reason in fallback_reason(). The generated native engine has
+// one door, make_packed_engine (pack.h): kPackedCodegen at any lane count
+// and kAuto above one lane build it, degrading to per-lane Simulations at
+// kCompiled. So the default path never invokes the host compiler at one
+// lane. The event kernel serves whatever the levelizer refuses (delays,
+// system tasks, repeat, $time, zero-delay feedback).
 enum class Backend {
   kAuto,           // one lane: compiled; several lanes: native
   kEvent,          // stratified event kernel (sim.cpp)
@@ -69,15 +69,14 @@ struct RunResult {
 };
 
 class CompiledSim;
-class PackedCodegenSim;
 
 class Simulation {
  public:
   // Compiles every process and runs the time-0 active region (initial
   // blocks up to their first wait, all continuous assigns). Unless
   // cfg.backend is kEvent, a cycle-schedulable design is delegated to the
-  // levelized compiled backend (compile.h), or with kPackedCodegen to the
-  // one-lane native engine (codegen.h); observable behavior is identical.
+  // levelized compiled backend (compile.h); observable behavior is
+  // identical.
   explicit Simulation(std::shared_ptr<const Design> design,
                       const SimConfig& cfg = {});
   ~Simulation();
@@ -108,13 +107,10 @@ class Simulation {
   const SimStats& stats() const;
   const Design& design() const { return *design_; }
 
-  // Which engine executes this simulation: "codegen" (the one-lane native
-  // engine), "compiled" or "event".
+  // Which engine executes this simulation: "compiled" or "event".
   const char* backend() const;
-  // Why a preferred backend was not used ("" when the requested tier runs,
-  // or when a lower tier was requested explicitly). When the native engine
-  // degrades to the compiled interpreter the reason is prefixed
-  // "codegen: ".
+  // Why the compiled interpreter was not used ("" when it runs, or when
+  // kEvent was requested): the levelizer's reason.
   const std::string& fallback_reason() const { return fallback_reason_; }
 
  private:
@@ -151,10 +147,6 @@ class Simulation {
   // every public entry point dispatches to it. The event-kernel state
   // below stays unconstructed in that case.
   std::unique_ptr<CompiledSim> compiled_;
-  // Non-null when the one-lane generated native engine executes this
-  // design; takes precedence over compiled_ (at most one of the two is
-  // set).
-  std::unique_ptr<PackedCodegenSim> native_;
   std::string fallback_reason_;
   std::vector<std::uint64_t> val_;
   std::vector<std::vector<std::uint64_t>> arr_;

@@ -540,7 +540,7 @@ class PrivateCodegenCache {
 // 3-lane PackedDutHarness whose lanes replay prefixes of different
 // lengths, so they freeze at different times and each lane must still
 // equal the golden's prefix. The first few emitted narrow trials also run
-// the native engine, at one lane through Simulation and at three through
+// the native engine, at one lane and at three, both through
 // PackedDutHarness; each native leg costs one .so build.
 TEST(Fuzz, EmittedVerilogMatchesOnEveryEngine) {
   std::mt19937_64 rng(0x5eed0e1d);
@@ -640,7 +640,8 @@ TEST(Fuzz, EmittedVerilogMatchesOnEveryEngine) {
     };
     if (native && !wide && native_trials < kNativeTrials) {
       ++native_trials;
-      legs.push_back({"vsim-native", scalar_leg(native_cfg, "codegen")});
+      legs.push_back(
+          {"vsim-native", scalar_leg(native_cfg, "packed_codegen")});
       legs.push_back(
           {"vsim-native-packed", packed_leg(native_cfg, "packed_codegen")});
     }

@@ -65,7 +65,7 @@ TEST(ReportRoundtrip, DseRunJson) {
   const auto r =
       hls::explore(qam::build_qam_decoder_ir(), opts, hls::TechLibrary::asic90());
   ASSERT_FALSE(r.points.empty());
-  const obs::Json doc = parse_enveloped(slurp(path), "hlsw.dse", 3);
+  const obs::Json doc = parse_enveloped(slurp(path), "hlsw.dse", 4);
   std::remove(path.c_str());
   const obs::Json* points = doc.find("points");
   ASSERT_NE(points, nullptr);
@@ -143,7 +143,7 @@ TEST(ReportRoundtrip, ProfileRunJson) {
       qam::build_qam_decoder_ir(), qam::table1_architectures()[0].dir,
       hls::TechLibrary::asic90(), qam::link_input_batch(&stim, 3), opts);
   ASSERT_TRUE(res.ok());
-  const obs::Json doc = parse_enveloped(slurp(path), "hlsw.profile", 3);
+  const obs::Json doc = parse_enveloped(slurp(path), "hlsw.profile", 4);
   std::remove(path.c_str());
   EXPECT_NE(doc.find("counter_map"), nullptr);
   EXPECT_NE(doc.find("legs"), nullptr);

@@ -212,12 +212,33 @@ TEST(WireCodec, IntegersMustBeIntegralAndInRange) {
 
   for (const Json& bad : {Json::object().set("block_size", 0),
                           Json::object().set("block_size", 2.5),
-                          Json::object().set("mismatch_limit", -1),
-                          Json::object().set("lanes", 1e30)}) {
+                          Json::object().set("mismatch_limit", -1)}) {
     hls::CosimOptions co;
     EXPECT_FALSE(cosim_options_from_json(&bad, &co, &err)) << bad.dump();
     EXPECT_EQ(err.rfind("options.", 0), 0u) << err;
   }
+  // cosim and verify take no lane count, so a huge one is refused as the
+  // unknown key it is, not range-checked.
+  const Json huge_lanes = Json::object().set("lanes", 1e30);
+  hls::CosimOptions co;
+  EXPECT_FALSE(cosim_options_from_json(&huge_lanes, &co, &err));
+  EXPECT_NE(err.find("'lanes'"), std::string::npos) << err;
+}
+
+// cosim and verify run one lane whatever they are asked: a lane count is
+// an unknown option key, refused like any other, and never silently
+// ignored.
+TEST(WireCodec, CosimOptionsRefuseALaneCount) {
+  std::string err;
+  hls::CosimOptions co;
+  const Json lanes = Json::object().set("block_size", 4).set("lanes", 8);
+  EXPECT_FALSE(cosim_options_from_json(&lanes, &co, &err));
+  EXPECT_EQ(err, "options: unknown key 'lanes'");
+  const Json ok = Json::object().set("block_size", 4).set("mismatch_limit", 2);
+  ASSERT_TRUE(cosim_options_from_json(&ok, &co, &err)) << err;
+  EXPECT_EQ(co.block_size, 4u);
+  EXPECT_EQ(co.mismatch_limit, 2u);
+  EXPECT_EQ(co.lanes, 1);
 }
 
 TEST_F(EquivalenceTest, SynthMetricsMatchDirectCallExactly) {
@@ -266,12 +287,13 @@ TEST_F(EquivalenceTest, DseSweepShardedThroughTheSchedulerIsBitIdentical) {
   // serial path's exactly.
   for (const char* key :
        {"points", "pareto_front", "pruned", "cache_hits", "cache_misses",
-        "pruned_infeasible", "seed", "schema_version"}) {
+        "pruned_infeasible", "schema_version"}) {
     ASSERT_NE(served.find(key), nullptr) << key;
     ASSERT_NE(direct_json.find(key), nullptr) << key;
     EXPECT_EQ(served.find(key)->dump(), direct_json.find(key)->dump()) << key;
   }
-  EXPECT_EQ(served.find("schema_version")->as_int(), 3);
+  EXPECT_EQ(served.find("schema_version")->as_int(), 4);
+  EXPECT_EQ(served.find("seed"), nullptr);
 
   // A repeat of the same sweep is served WARM from the shared cache: zero
   // new schedules, identical points.
@@ -289,7 +311,6 @@ TEST_F(EquivalenceTest, CosimAndVerifyMatchDirectCalls) {
       qam::build_qam_decoder_ir(), dir, hls::TechLibrary::asic90());
 
   hls::CosimOptions copt;
-  copt.threads = 0;
   copt.block_size = vectors.size();
   auto golden = [&r] {
     auto interp = std::make_shared<hls::Interpreter>(r.transformed);

@@ -84,8 +84,7 @@ std::vector<std::string> seed_frames() {
                        .set("vectors", vecs)
                        .set("options", Json::object()
                                            .set("block_size", 2)
-                                           .set("mismatch_limit", 4)
-                                           .set("lanes", 2))
+                                           .set("mismatch_limit", 4))
                        .dump());
   frames.push_back(
       req("verify", 4).set("directives", directives).set("vectors", vecs).dump());
@@ -262,8 +261,6 @@ bool decode(const Json& req, std::string* err) {
     hls::CosimOptions o;
     if (!cosim_options_from_json(opts, &o, err)) return false;
     EXPECT_GE(o.block_size, 1u);
-    if (const Json* l = opts != nullptr ? opts->find("lanes") : nullptr)
-      expect_exact(l, o.lanes, "lanes");
   } else if (op == "profile" && opts != nullptr && opts->is_object()) {
     if (const Json* l = opts->find("lanes")) {
       long long lanes = 0;

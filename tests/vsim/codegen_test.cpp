@@ -170,10 +170,12 @@ void expect_cache_refused(const std::filesystem::path& dir) {
       << why;
   SimConfig cfg;
   cfg.backend = Backend::kPackedCodegen;
-  Simulation sim(load_design(verilog, r.transformed.name), cfg);
-  EXPECT_STREQ(sim.backend(), "compiled");
-  EXPECT_NE(sim.fallback_reason().find(dir.string()), std::string::npos)
-      << sim.fallback_reason();
+  std::string reason;
+  const auto engine = make_packed_engine(
+      load_design(verilog, r.transformed.name), 1, cfg, &reason);
+  EXPECT_STREQ(engine->backend(), "compiled");
+  EXPECT_EQ(reason.rfind("packed-codegen: ", 0), 0u) << reason;
+  EXPECT_NE(reason.find(dir.string()), std::string::npos) << reason;
   EXPECT_TRUE(std::filesystem::is_empty(dir)) << "wrote into " << dir;
 }
 
@@ -193,7 +195,7 @@ TEST(VsimCodegen, BackendRunsNativelyAndMatchesGolden) {
   SimConfig cfg;
   cfg.backend = Backend::kPackedCodegen;
   PackedDutHarness dut(r.transformed, design, 1, cfg);
-  ASSERT_STREQ(dut.backend(), "codegen") << dut.fallback_reason();
+  ASSERT_STREQ(dut.backend(), "packed_codegen") << dut.fallback_reason();
   EXPECT_TRUE(dut.fallback_reason().empty());
 
   hls::Interpreter golden(r.transformed);
@@ -315,8 +317,10 @@ TEST(VsimCodegen, SharedObjectCacheHitsOnRebuiltFingerprint) {
   {
     SimConfig cfg;
     cfg.backend = Backend::kPackedCodegen;
-    Simulation sim(load_design(verilog, r.transformed.name), cfg);
-    ASSERT_STREQ(sim.backend(), "codegen") << sim.fallback_reason();
+    std::string why;
+    const auto engine = make_packed_engine(
+        load_design(verilog, r.transformed.name), 1, cfg, &why);
+    ASSERT_STREQ(engine->backend(), "packed_codegen") << why;
   }
 
   // A fresh plan must find the .so on disk instead of invoking the
@@ -574,13 +578,15 @@ TEST(VsimCodegen, ProfileRunRecordsCodegenLegAndBackend) {
                                 : res.cross_issues.front());
   ASSERT_EQ(res.leg_backends.size(), 2u);
   EXPECT_EQ(res.leg_backends[0], "compiled");
-  EXPECT_EQ(res.leg_backends[1], "codegen");
+  EXPECT_EQ(res.leg_backends[1], "packed_codegen");
   EXPECT_EQ(res.leg_fallbacks[1], "");
+  EXPECT_EQ(res.counters[1].source, "vsim_packed_codegen");
 
   // The serialized report names the backend per leg, so a downgrade would
   // be visible in profile_run.json, not only in counters.
   const std::string json = res.to_json().dump();
-  EXPECT_NE(json.find("\"backend\":\"codegen\""), std::string::npos) << json;
+  EXPECT_NE(json.find("\"backend\":\"packed_codegen\""), std::string::npos)
+      << json;
   EXPECT_NE(json.find("\"fallback_reason\""), std::string::npos);
 }
 

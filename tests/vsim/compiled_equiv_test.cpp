@@ -1,8 +1,8 @@
 // The acceptance gate of the compiled and generated-native backends: for
 // every exploration and Table 1 architecture — and randomized directive
 // sets — the emitted Verilog TEXT executed by the compiled cycle-based
-// backend and by the generated native engine (at one lane through
-// Simulation and at two lanes through PackedDutHarness) must match the
+// backend and by the generated native engine (at one and at two lanes,
+// both through PackedDutHarness's one door) must match the
 // event-driven backend, the untimed interpreter golden and the
 // cycle-accurate rtl::Simulator bit-for-bit (cosim_sweep_nway over all six
 // legs), and a dumping session of the same module must run on the event
@@ -74,9 +74,9 @@ void run_six_way_battery(const Directives& dir, const std::string& name,
   SimConfig codegen_cfg;
   codegen_cfg.backend = Backend::kPackedCodegen;
   {
-    Simulation probe(design, codegen_cfg);
+    PackedDutHarness probe(r.transformed, design, 1, codegen_cfg);
     if (codegen_available())
-      ASSERT_STREQ(probe.backend(), "codegen")
+      ASSERT_STREQ(probe.backend(), "packed_codegen")
           << name << ": fell back: " << probe.fallback_reason();
     else
       ASSERT_STREQ(probe.backend(), "compiled") << name;
@@ -253,7 +253,8 @@ TEST(CompiledEquiv, HarnessCycleCountMatchesScheduleOnCompiledBackend) {
 TEST(CompiledEquiv, CodegenWithoutToolchainFallsBackToCompiled) {
   // HLSW_CODEGEN_CXX=none simulates a toolchain-less machine: requesting
   // the codegen backend must silently land on the compiled interpreter
-  // with a typed "codegen: " reason — and still produce correct outputs.
+  // with a typed "packed-codegen: " reason — and still produce correct
+  // outputs.
   const char* prev = getenv("HLSW_CODEGEN_CXX");
   const std::string saved = prev ? prev : "";
   setenv("HLSW_CODEGEN_CXX", "none", 1);
@@ -269,7 +270,7 @@ TEST(CompiledEquiv, CodegenWithoutToolchainFallsBackToCompiled) {
   cfg.backend = Backend::kPackedCodegen;
   PackedDutHarness dut(r.transformed, design, 1, cfg);
   EXPECT_STREQ(dut.backend(), "compiled");
-  EXPECT_EQ(dut.fallback_reason().rfind("codegen: ", 0), 0u)
+  EXPECT_EQ(dut.fallback_reason().rfind("packed-codegen: ", 0), 0u)
       << dut.fallback_reason();
 
   hls::Interpreter golden(r.transformed);
@@ -304,12 +305,13 @@ TEST(CompiledEquiv, CodegenRefusesDumpingDesignsWithTypedReason) {
                  "  initial begin $dumpfile(\"w.vcd\"); $dumpvars; end\n");
   SimConfig cfg;
   cfg.backend = Backend::kPackedCodegen;
-  Simulation sim(load_design(verilog, r.transformed.name), cfg);
-  EXPECT_STREQ(sim.backend(), "event");
-  EXPECT_EQ(sim.fallback_reason().rfind("codegen: ", 0), 0u)
-      << sim.fallback_reason();
-  EXPECT_NE(sim.fallback_reason().find("$dumpfile"), std::string::npos)
-      << sim.fallback_reason();
+  PackedDutHarness dut(r.transformed, load_design(verilog, r.transformed.name),
+                       1, cfg);
+  EXPECT_STREQ(dut.backend(), "event");
+  EXPECT_EQ(dut.fallback_reason().rfind("packed-codegen: ", 0), 0u)
+      << dut.fallback_reason();
+  EXPECT_NE(dut.fallback_reason().find("$dumpfile"), std::string::npos)
+      << dut.fallback_reason();
 }
 
 TEST(CompiledEquiv, GeneratedTestbenchStillRunsViaEventFallback) {

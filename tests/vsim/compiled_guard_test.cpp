@@ -2,7 +2,7 @@
 // bench_smoke in ctest, run serially): on the merge architecture the
 // compiled backend must beat the event-driven backend by at least 2x
 // per-symbol while the event kernel stays within 8x of it, the
-// one-lane native engine (Backend::kPackedCodegen through Simulation) must
+// one-lane native engine (a one-lane Backend::kPackedCodegen harness) must
 // beat the compiled interpreter by at least 2x, and the 64-lane native
 // engine must beat per-block scalar replay by at least 10x in DUT
 // throughput. Every floor sits below the measured gap (BENCH_vsim.json:
@@ -141,7 +141,7 @@ TEST(VsimCodegenGuard, CodegenBeatsCompiledByAtLeast2xOnMergeArch) {
   PackedDutHarness codegen_dut(r.transformed, design, 1, codegen_cfg);
   ASSERT_STREQ(compiled_dut.backend(), "compiled")
       << compiled_dut.fallback_reason();
-  ASSERT_STREQ(codegen_dut.backend(), "codegen")
+  ASSERT_STREQ(codegen_dut.backend(), "packed_codegen")
       << codegen_dut.fallback_reason();
 
   // Warmup absorbs the one-time generate+compile+dlopen, then best-of-3.
@@ -277,7 +277,7 @@ TEST(VsimPackedGuard, Packed64BeatsOneLaneNativeByAtLeast2_5x) {
 
   {
     PackedDutHarness one(r.transformed, design, 1, cfg);
-    ASSERT_STREQ(one.backend(), "codegen") << one.fallback_reason();
+    ASSERT_STREQ(one.backend(), "packed_codegen") << one.fallback_reason();
     PackedDutHarness wide(r.transformed, plan, kLanes, cfg);
     ASSERT_STREQ(wide.backend(), "packed_codegen") << wide.fallback_reason();
   }

@@ -82,12 +82,12 @@ TEST(VsimCompiledSweep, SerialAndParallelCompiledSweepsAgree) {
 
   const auto vectors = random_mac_vectors(96, 11);
   const SimConfig compiled_cfg{};  // compiled defaults to true
-  const CosimResult serial =
-      vsim_sweep(r.transformed, r.schedule, vectors,
-                 {.threads = 0, .block_size = 16}, compiled_cfg);
+  util::ThreadPool four(4);
+  const CosimResult serial = vsim_sweep(r.transformed, r.schedule, vectors,
+                                        {.block_size = 16}, compiled_cfg);
   const CosimResult parallel =
       vsim_sweep(r.transformed, r.schedule, vectors,
-                 {.threads = 4, .block_size = 16}, compiled_cfg);
+                 {.block_size = 16, .pool = &four}, compiled_cfg);
   EXPECT_TRUE(serial.ok())
       << (serial.mismatches.empty() ? "" : serial.mismatches.front());
   EXPECT_TRUE(parallel.ok());
@@ -114,8 +114,8 @@ TEST(VsimCompiledSweep, CompiledAndEventSweepsAgreeOnStatefulDecoder) {
                                TechLibrary::asic90());
   qam::LinkStimulus stim((qam::LinkConfig()));
   const auto vectors = qam::link_input_batch(&stim, 20);
-  const hls::CosimOptions opts{.threads = 2,
-                               .block_size = vectors.size()};
+  util::ThreadPool two(2);
+  const hls::CosimOptions opts{.block_size = vectors.size(), .pool = &two};
   SimConfig event_cfg;
   event_cfg.backend = Backend::kEvent;
   const CosimResult compiled =

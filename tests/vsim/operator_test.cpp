@@ -16,6 +16,7 @@
 
 #include "vsim/codegen.h"
 #include "vsim/harness.h"
+#include "vsim/pack.h"
 #include "vsim/sim.h"
 
 namespace hlsw::vsim {
@@ -81,23 +82,27 @@ const std::uint64_t kEdge8[] = {0, 1, 0xff, 0x80, 0x7f, 7, 8, 9, 200};
 const std::uint64_t kEdge64[] = {0,      1,  ~0ULL, kMin64, kMin64 - 1,
                                  63,     64, 65,    1000};
 
-// Drives one edge-value pair into every operand class, settles, and reads
-// every result wire.
-std::vector<std::uint64_t> evaluate(Simulation& sim,
+// Drives one edge-value pair into every operand class of a one-lane
+// engine, settles, and reads every result wire.
+std::vector<std::uint64_t> evaluate(PackedEngine& e,
                                     const std::vector<std::string>& results,
                                     int i, int j) {
-  sim.poke("ua", kEdge8[i]);
-  sim.poke("sa", kEdge8[i]);
-  sim.poke("ub", kEdge8[j]);
-  sim.poke("sb", kEdge8[j]);
-  sim.poke("wa", kEdge64[i]);
-  sim.poke("xa", kEdge64[i]);
-  sim.poke("wb", kEdge64[j]);
-  sim.poke("xb", kEdge64[j]);
-  sim.settle();
+  const Design& d = e.design();
+  const auto poke = [&](const char* name, std::uint64_t v) {
+    e.poke(d.find(name), v, e.full_mask());
+  };
+  poke("ua", kEdge8[i]);
+  poke("sa", kEdge8[i]);
+  poke("ub", kEdge8[j]);
+  poke("sb", kEdge8[j]);
+  poke("wa", kEdge64[i]);
+  poke("xa", kEdge64[i]);
+  poke("wb", kEdge64[j]);
+  poke("xb", kEdge64[j]);
+  e.settle();
   std::vector<std::uint64_t> out;
   out.reserve(results.size());
-  for (const std::string& r : results) out.push_back(sim.peek(r));
+  for (const std::string& r : results) out.push_back(e.peek(d.find(r), 0));
   return out;
 }
 
@@ -111,24 +116,26 @@ TEST(VsimOperators, EveryEngineAgreesOnEverySpellingAtEdgeValues) {
   std::vector<std::string> results;
   const auto design = load_design(operator_module(&results), "ops");
 
-  SimConfig event_cfg;
-  event_cfg.backend = Backend::kEvent;
-  Simulation event(design, event_cfg);
-  Simulation compiled(design);
-  ASSERT_STREQ(compiled.backend(), "compiled") << compiled.fallback_reason();
-  std::unique_ptr<Simulation> native;
+  std::string why;
+  const auto engine = [&](Backend backend) {
+    SimConfig cfg;
+    cfg.backend = backend;
+    return make_packed_engine(design, 1, cfg, &why);
+  };
+  const auto event = engine(Backend::kEvent);
+  const auto compiled = engine(Backend::kCompiled);
+  ASSERT_STREQ(compiled->backend(), "compiled") << why;
+  std::unique_ptr<PackedEngine> native;
   if (codegen_available()) {
-    SimConfig native_cfg;
-    native_cfg.backend = Backend::kPackedCodegen;
-    native = std::make_unique<Simulation>(design, native_cfg);
-    ASSERT_STREQ(native->backend(), "codegen") << native->fallback_reason();
+    native = engine(Backend::kPackedCodegen);
+    ASSERT_STREQ(native->backend(), "packed_codegen") << why;
   }
 
   const int n = static_cast<int>(std::size(kEdge8));
   for (int i = 0; i < n; ++i) {
     for (int j = 0; j < n; ++j) {
-      const auto ev = evaluate(event, results, i, j);
-      const auto cv = evaluate(compiled, results, i, j);
+      const auto ev = evaluate(*event, results, i, j);
+      const auto cv = evaluate(*compiled, results, i, j);
       for (std::size_t r = 0; r < results.size(); ++r)
         ASSERT_EQ(ev[r], cv[r]) << results[r] << " at operands (" << i
                                 << ", " << j << "): event vs compiled";

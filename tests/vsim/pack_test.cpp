@@ -9,7 +9,8 @@
 // per-lane Simulation engine is covered wherever it is the engine. The
 // harness tests pin make_packed_engine's one rule: L event-kernel lanes
 // equal L one-lane event runs, and one lane names its backend and
-// fallback reason exactly as one Simulation does. The sweep-level variant
+// fallback reason as one Simulation does, except that kPackedCodegen
+// builds the generated engine at one lane too. The sweep-level variant
 // proves vsim_sweep with lanes > 1 returns the same CosimResult (ok,
 // blocks, mismatch list) as the one-lane sweep.
 #include <gtest/gtest.h>
@@ -29,6 +30,7 @@
 #include "qam/decoder_ir.h"
 #include "qam/link.h"
 #include "rtl/verilog.h"
+#include "util/thread_pool.h"
 #include "vsim/codegen.h"
 #include "vsim/compile.h"
 #include "vsim/harness.h"
@@ -165,16 +167,15 @@ LaneState lane_state(const PackedEngine& ps, const Handles& h, int lane) {
 }
 
 // The generated engine, demanded explicitly: a fallback shows up as
-// another backend() than "packed_codegen" (several lanes) or "codegen"
-// (one lane, Simulation's native engine).
+// another backend() than "packed_codegen", which it reports at every lane
+// count.
 std::unique_ptr<PackedEngine> native_engine(
     const std::shared_ptr<const Design>& design, int lanes) {
   SimConfig cfg;
   cfg.backend = Backend::kPackedCodegen;
   std::string why;
   auto ps = make_packed_engine(design, lanes, cfg, &why);
-  EXPECT_STREQ(ps->backend(), lanes == 1 ? "codegen" : "packed_codegen")
-      << why;
+  EXPECT_STREQ(ps->backend(), "packed_codegen") << why;
   return ps;
 }
 
@@ -204,9 +205,9 @@ TEST(PackedLanes, DivergentStimulusBitIdenticalToScalarRuns) {
   EXPECT_GT(ps->divergence_splits(), 0);
 }
 
-// The native engine at one lane (Simulation's, through make_packed_engine),
-// a partial lane word and the full 64-lane word, against L independent
-// scalar CompiledSim runs and L one-lane native runs of the same streams:
+// The native engine at one lane, a partial lane word and the full 64-lane
+// word, all built by make_packed_engine, against L independent scalar
+// CompiledSim runs and L one-lane native runs of the same streams:
 // per-lane values and arrays, nonzero masks, and the counters summed over
 // lanes.
 TEST(PackedLanes, NativeLanesEqualScalarRuns) {
@@ -542,10 +543,12 @@ TEST(PackedLanes, EventLanesEqualOneLaneEventRuns) {
   EXPECT_GT(sum.events, 0);
 }
 
-// One lane is one Simulation: the harness names the backend and the
-// fallback reason a Simulation at the same config reports, for every
-// Backend value, with and without a host toolchain.
-TEST(PackedLanes, OneLaneNamesBackendAndReasonAsOneSimulation) {
+// One lane follows the one rule, with and without a host toolchain:
+// kAuto, kCompiled and kEvent name the backend and fallback reason one
+// Simulation at the same config reports; kPackedCodegen builds the
+// generated engine, and without a toolchain one compiled Simulation with a
+// "packed-codegen: " reason. Simulation itself has no native tier.
+TEST(PackedLanes, OneLaneFollowsTheOneRule) {
   const qam::Architecture arch = qam::table1_architectures()[0];
   const auto r = hls::run_synthesis(qam::build_qam_decoder_ir(), arch.dir,
                                     hls::TechLibrary::asic90());
@@ -558,22 +561,27 @@ TEST(PackedLanes, OneLaneNamesBackendAndReasonAsOneSimulation) {
     const PackedDutHarness h(r.transformed, design, 1, cfg);
     const Simulation sim(design, cfg);
     EXPECT_STREQ(h.backend(), want) << h.fallback_reason();
-    EXPECT_STREQ(h.backend(), sim.backend());
-    EXPECT_EQ(h.fallback_reason(), sim.fallback_reason());
+    EXPECT_STREQ(sim.backend(), backend == Backend::kEvent ? "event"
+                                                           : "compiled");
+    EXPECT_EQ(sim.fallback_reason(), "");
+    if (backend != Backend::kPackedCodegen) {
+      EXPECT_STREQ(h.backend(), sim.backend());
+      EXPECT_EQ(h.fallback_reason(), sim.fallback_reason());
+    }
     return h.fallback_reason();
   };
   EXPECT_EQ(check(Backend::kAuto, "compiled"), "");
   EXPECT_EQ(check(Backend::kCompiled, "compiled"), "");
   EXPECT_EQ(check(Backend::kEvent, "event"), "");
   if (codegen_available()) {
-    EXPECT_EQ(check(Backend::kPackedCodegen, "codegen"), "");
+    EXPECT_EQ(check(Backend::kPackedCodegen, "packed_codegen"), "");
   }
 
   const char* prev = std::getenv("HLSW_CODEGEN_CXX");
   const std::string saved = prev != nullptr ? prev : "";
   ::setenv("HLSW_CODEGEN_CXX", "none", 1);
   const std::string why = check(Backend::kPackedCodegen, "compiled");
-  EXPECT_EQ(why.rfind("codegen: ", 0), 0u) << why;
+  EXPECT_EQ(why.rfind("packed-codegen: ", 0), 0u) << why;
   if (prev != nullptr)
     ::setenv("HLSW_CODEGEN_CXX", saved.c_str(), 1);
   else
@@ -605,9 +613,10 @@ TEST(PackedLanes, PackedSweepMatchesScalarSweepOnDecoder) {
 
   // Thread-pooled packed sweep: batches shard across workers, results must
   // still merge deterministically.
+  util::ThreadPool two(2);
   const hls::CosimResult pooled =
       vsim_sweep(r.transformed, r.schedule, vectors,
-                 {.threads = 2, .block_size = 10, .lanes = 4});
+                 {.block_size = 10, .pool = &two, .lanes = 4});
   EXPECT_TRUE(pooled.ok());
   EXPECT_EQ(pooled.blocks, scalar.blocks);
   EXPECT_EQ(pooled.mismatches, scalar.mismatches);

@@ -265,7 +265,7 @@ TEST(ProfileRun, ReportJsonRoundTripsWithEnvelope) {
   std::string err;
   ASSERT_TRUE(obs::Json::parse(text, &doc, &err)) << err;
   EXPECT_EQ(doc.find("tool")->as_string(), "hlsw.profile");
-  EXPECT_EQ(doc.find("schema_version")->as_int(), 3);
+  EXPECT_EQ(doc.find("schema_version")->as_int(), 4);
   EXPECT_EQ(doc.find("ok")->as_bool(), true);
   EXPECT_EQ(doc.find("legs")->size(), 3u);
   EXPECT_EQ(doc.find("counter_map")->size(), res.counter_map.size());
@@ -371,6 +371,9 @@ TEST(ProfileRun, PackedAutoSelectionMatchesScalarBitForBit) {
   const std::string want_packed_backend =
       codegen_available() ? "packed_codegen" : "compiled";
   ASSERT_EQ(packed.leg_backends[2], want_packed_backend);
+  // One name per engine: the counter source is "vsim_" + the backend at
+  // any lane count.
+  EXPECT_EQ(packed.counters[2].source, "vsim_" + want_packed_backend);
   EXPECT_EQ(packed.leg_lanes[2], 4);
   EXPECT_EQ(packed.leg_lanes[0], 1);
   EXPECT_EQ(packed.leg_lanes[1], 1);
@@ -388,7 +391,7 @@ TEST(ProfileRun, PackedAutoSelectionMatchesScalarBitForBit) {
 
   // The selection is surfaced in profile_run.json per leg.
   const obs::Json doc = packed.to_json();
-  EXPECT_EQ(doc.find("schema_version")->as_int(), 3);
+  EXPECT_EQ(doc.find("schema_version")->as_int(), 4);
   const obs::Json& legs = *doc.find("legs");
   ASSERT_EQ(legs.size(), 3u);
   EXPECT_EQ(legs.at(2).find("lanes")->as_int(), 4);

@@ -82,10 +82,11 @@ TEST(VsimSweep, SerialAndParallelSweepsAgree) {
   const auto r = run_synthesis(f, dir, TechLibrary::asic90());
 
   const auto vectors = random_mac_vectors(96, 7);
-  const CosimResult serial = vsim_sweep(r.transformed, r.schedule, vectors,
-                                        {.threads = 0, .block_size = 16});
+  util::ThreadPool four(4);
+  const CosimResult serial =
+      vsim_sweep(r.transformed, r.schedule, vectors, {.block_size = 16});
   const CosimResult parallel = vsim_sweep(r.transformed, r.schedule, vectors,
-                                          {.threads = 4, .block_size = 16});
+                                          {.block_size = 16, .pool = &four});
   EXPECT_TRUE(serial.ok())
       << (serial.mismatches.empty() ? "" : serial.mismatches.front());
   EXPECT_TRUE(parallel.ok());
@@ -111,9 +112,10 @@ TEST(VsimSweep, StatefulDecoderSweepsAsOneBlock) {
                                TechLibrary::asic90());
   qam::LinkStimulus stim((qam::LinkConfig()));
   const auto vectors = qam::link_input_batch(&stim, 20);
+  util::ThreadPool two(2);
   const CosimResult res =
       vsim_sweep(r.transformed, r.schedule, vectors,
-                 {.threads = 2, .block_size = vectors.size()});
+                 {.block_size = vectors.size(), .pool = &two});
   EXPECT_TRUE(res.ok()) << (res.mismatches.empty() ? ""
                                                    : res.mismatches.front());
   EXPECT_EQ(res.blocks, 1u);
@@ -139,8 +141,9 @@ TEST(VsimSweep, RepeatSweepsShareOneParsedDesign) {
   vsim_sweep(r.transformed, r.schedule, vectors, {.block_size = 8});
   const double hits0 = m.counter_value("vsim.design_cache.hits");
   const double misses0 = m.counter_value("vsim.design_cache.misses");
+  util::ThreadPool two(2);
   const CosimResult again = vsim_sweep(r.transformed, r.schedule, vectors,
-                                       {.threads = 2, .block_size = 8});
+                                       {.block_size = 8, .pool = &two});
   EXPECT_TRUE(again.ok());
   EXPECT_GE(m.counter_value("vsim.design_cache.hits"), hits0 + 1.0)
       << "re-sweeping the same design did not hit the design cache";
@@ -191,8 +194,12 @@ TEST(VsimSweep, ValueAtAnotherBinaryPointIsRefused) {
     vsim_sweep(r.transformed, r.schedule, vectors, {.block_size = 8});
   }));
   EXPECT_TRUE(refused([&] {
+    // The pool is joined while the refusal unwinds, before it is read: a
+    // live worker may free the exception after the catch, through
+    // reference counts inside libstdc++ that ThreadSanitizer cannot see.
+    util::ThreadPool two(2);
     vsim_sweep(r.transformed, r.schedule, vectors,
-               {.threads = 2, .block_size = 8, .lanes = 4});
+               {.block_size = 8, .pool = &two, .lanes = 4});
   }));
   EXPECT_TRUE(refused(
       [&] { verify_emitted(r.transformed, r.schedule, vectors); }));
