@@ -2,7 +2,8 @@
 // where does executing the emitted TEXT sit relative to the cycle-accurate
 // rtl::Simulator and the untimed interpreter? Sections time the vsim
 // front end (parse + elaborate of the emitted module), the generated
-// self-checking testbench run, one-lane PackedDutHarness execution, the
+// self-checking testbench run (DUT bound vs flattened), one-lane
+// PackedDutHarness execution, the
 // serial vs thread-pooled vsim_sweep, and lane-packed sweeps on the
 // generated native engine against scalar replay (the only lane-packed
 // engine; without a toolchain its legs run one compiled Simulation per
@@ -121,19 +122,27 @@ void run_harness_sections(bench::Harness* h) {
         benchmark::DoNotOptimize(dut.run_streams({batch}));
       });
 
-  // The end-to-end testbench path the examples use: module + generated
-  // self-checking testbench, run to its PASS/FAIL summary in-process.
+  // The end-to-end testbench path the examples use: the generated
+  // self-checking testbench run to its PASS/FAIL summary in-process, by
+  // default with its DUT bound and on the compiled engine, and flattened
+  // on the event kernel (kEvent, the oracle).
   const auto tvs = rtl::capture_vectors(r.transformed, r.schedule,
                                         {batch.begin(), batch.begin() + 8});
   const std::string tb =
       rtl::emit_testbench(r.transformed, tvs, r.transformed.name);
   bool tb_passed = true;
-  h->measure("testbench_8_vectors", [&] {
-    const auto res =
-        vsim::run_testbench(verilog + "\n" + tb, r.transformed.name + "_tb");
-    tb_passed = tb_passed && res.passed;
-    benchmark::DoNotOptimize(res);
-  });
+  const auto testbench_leg = [&](const char* name,
+                                 const vsim::SimConfig& cfg) {
+    return h->measure(name, [&] {
+      const auto res =
+          vsim::run_testbench(verilog, tb, r.transformed.name + "_tb", cfg);
+      tb_passed = tb_passed && res.passed;
+      benchmark::DoNotOptimize(res);
+    });
+  };
+  const auto t_tb = testbench_leg("testbench_8_vectors", {});
+  const auto t_tb_flat =
+      testbench_leg("testbench_8_vectors_flattened", event_cfg);
 
   // Differential sweep, inline vs on a pool of 4 (stateless per-vector
   // replay is not valid for the stateful decoder, so shards are blocks),
@@ -300,6 +309,8 @@ void run_harness_sections(bench::Harness* h) {
   h->note("slowdown_vsim_event_vs_rtl_sim",
           t_vsim_event.min_ms / t_rtl.min_ms);
   h->note("speedup_compiled_vs_event", t_vsim_event.min_ms / t_vsim.min_ms);
+  h->note("speedup_testbench_bound_vs_flattened",
+          t_tb_flat.min_ms / t_tb.min_ms);
   h->note("speedup_codegen_vs_compiled",
           t_vsim.min_ms / t_vsim_codegen.min_ms);
   h->note("speedup_packed8_codegen_vs_scalar_sweep",

@@ -81,8 +81,9 @@ int main(int argc, char** argv) {
               dut.cycles() * 10.0 / 1e6);
 
   // Close the loop on the emitted TEXT too: generate the self-checking
-  // testbench and execute module + testbench with the in-process
-  // event-driven Verilog simulator (vsim) — no external tools.
+  // testbench and execute it with the in-process Verilog simulator (vsim):
+  // its event kernel runs the testbench, its compiled engine the module —
+  // no external tools.
   std::vector<hls::PortIo> vecs;
   qam::LinkStimulus s2(cfg);
   for (int i = 0; i < 8; ++i) {
@@ -98,7 +99,7 @@ int main(int argc, char** argv) {
       rtl::emit_verilog(r.transformed, r.schedule, vopts);
   const std::string tb =
       rtl::emit_testbench(r.transformed, vectors, "qam_decoder");
-  const auto tbres = vsim::run_testbench(module + "\n" + tb, "qam_decoder_tb");
+  const auto tbres = vsim::run_testbench(module, tb, "qam_decoder_tb");
   std::printf("\nemitted Verilog testbench (8 vectors) replayed in-process "
               "by vsim: %s\n",
               tbres.passed ? "PASS" : "FAIL");

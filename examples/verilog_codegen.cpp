@@ -42,7 +42,8 @@ int main(int argc, char** argv) {
 
     // Verify the emitted text right here: capture expected outputs from the
     // cycle-accurate simulator, render the self-checking testbench, and run
-    // module + testbench through the in-process event-driven simulator.
+    // it in-process: the event-driven simulator runs the testbench, the
+    // compiled engine the module it instantiates.
     std::vector<hls::PortIo> vecs;
     qam::LinkStimulus stim((qam::LinkConfig()));
     for (int i = 0; i < 8; ++i) {
@@ -55,12 +56,13 @@ int main(int argc, char** argv) {
     const std::string tb =
         rtl::emit_testbench(r.transformed, vectors, "qam_decoder");
     const vsim::TestbenchResult res =
-        vsim::run_testbench(v + "\n" + tb, "qam_decoder_tb");
+        vsim::run_testbench(v, tb, "qam_decoder_tb");
     for (const auto& line : res.display)
       std::fprintf(stderr, "  tb| %s\n", line.c_str());
-    std::fprintf(stderr, "vsim: testbench %s after %lld ns\n",
+    std::fprintf(stderr,
+                 "vsim: testbench %s after %lld ns (DUT on the %s engine)\n",
                  res.passed ? "PASS" : "FAIL",
-                 static_cast<long long>(res.end_time));
+                 static_cast<long long>(res.end_time), res.backend.c_str());
     return res.passed ? 0 : 2;
   }
   std::fprintf(stderr, "no architecture named '%s'\n", pick.c_str());

@@ -134,9 +134,11 @@ std::string emit_testbench(const Function& f,
   os << "`timescale 1ns/1ps\n";
   os << "module " << module_name << "_tb;\n";
   os << "  reg clk = 0, rst = 1, start = 0;\n  wire done;\n";
+  // A pin is signed only when its port's type is, so a FAIL line prints
+  // the DUT's value in the representation of the expected one.
   for (const auto& p : pins) {
-    os << "  " << (p.is_input ? "reg" : "wire") << " signed [" << p.width - 1
-       << ":0] " << p.name << ";\n";
+    os << "  " << (p.is_input ? "reg" : "wire") << (p.sgn ? " signed" : "")
+       << " [" << p.width - 1 << ":0] " << p.name << ";\n";
   }
   os << "  integer errors = 0;\n\n";
   os << "  " << module_name << " dut (.clk(clk), .rst(rst), .start(start), "

@@ -900,6 +900,9 @@ std::shared_ptr<const CompiledDesign> compile_design(
   const std::size_t nsig = d.signals.size();
 
   try {
+    if (!d.instances.empty())
+      fallback("bound instance '" + d.instances.front().name +
+               "' runs only under the event kernel");
     TapeBuilder tb{cd.get(), &d};
     ProgBuilder pb{cd.get(), &tb, &d};
 

@@ -27,7 +27,9 @@
 //   - zero-delay combinational feedback (a cycle through assigns and/or
 //     blocking writes of sensitivity-triggered always blocks),
 //   - constructs the event kernel itself only rejects dynamically
-//     (string operands, register files read without a select, ...).
+//     (string operands, register files read without a select, ...),
+//   - a bound instance (elab.h), which the event kernel steps (the reason
+//     names it).
 // Every plan compile_design returns is therefore a plain DUT that both
 // this interpreter and the generated native engine (codegen.h) execute.
 // The dispatch lives in Simulation (sim.h): every backend but kEvent

@@ -39,7 +39,7 @@ long long fold_const(const Expr& e) {
 
 class Elaborator {
  public:
-  explicit Elaborator(const SourceUnit& su) {
+  Elaborator(const SourceUnit& su, const Bindings& bound) : bound_(bound) {
     for (const auto& m : su.modules) {
       if (!modules_.emplace(m.name, &m).second)
         fail(m.line, "duplicate module '" + m.name + "'");
@@ -118,6 +118,13 @@ class Elaborator {
     // precede the testbench's own — a fixed, documented order.
     for (const auto& inst : m.instances) {
       if (depth >= 8) fail(inst.line, "instance nesting too deep");
+      if (!modules_.count(inst.module_name)) {
+        const auto b = bound_.find(inst.module_name);
+        if (b != bound_.end()) {
+          bind_instance(inst, b->second, scope);
+          continue;
+        }
+      }
       const Module* inner = module(inst.module_name, inst.line);
       Scope child;
       child.mod = inner;
@@ -199,6 +206,48 @@ class Elaborator {
           scope.prefix + m.name + ".initial[" + std::to_string(n++) + "]";
       design_->processes.push_back(std::move(p));
     }
+  }
+
+  // Pairs each connected port with a top port of the bound design, under
+  // the checks and messages of a flattened instance. An unconnected port
+  // keeps the bound design's own value; a port connected twice takes the
+  // last connection, as flattening aliases it.
+  void bind_instance(const Instance& inst,
+                     const std::shared_ptr<const Design>& bound,
+                     const Scope& scope) {
+    BoundInstance bi;
+    bi.name = scope.prefix + inst.inst_name;
+    bi.design = bound;
+    for (const auto& conn : inst.conns) {
+      const int inner = bound->find(conn.port);
+      const Signal* port =
+          inner < 0 ? nullptr : &bound->signals[static_cast<size_t>(inner)];
+      if (port == nullptr || !(port->is_top_input || port->is_top_output))
+        fail(inst.line, "instance '" + inst.inst_name +
+                            "' connects unknown port '" + conn.port + "'");
+      if (conn.expr == nullptr) continue;
+      if (conn.expr->kind != ExprKind::kIdent)
+        fail(inst.line, "port connection '." + conn.port +
+                            "(...)' must be a plain identifier");
+      auto it = scope.names.find(conn.expr->name);
+      if (it == scope.names.end())
+        fail(inst.line, "port connection references undeclared '" +
+                            conn.expr->name + "'");
+      Signal& s = design_->signals[static_cast<size_t>(it->second)];
+      if (s.width != port->width)
+        fail(inst.line, "width mismatch on port '" + conn.port +
+                            "' of instance '" + inst.inst_name + "'");
+      if (s.array_len > 0)
+        fail(inst.line, "port '" + conn.port + "' of instance '" +
+                            inst.inst_name + "' connects register file '" +
+                            s.name + "'");
+      if (port->is_top_output) s.is_reg = s.is_reg || port->is_reg;
+      std::erase_if(bi.ports, [inner](const BoundInstance::Port& p) {
+        return p.inner == inner;
+      });
+      bi.ports.push_back({it->second, inner, port->is_top_input});
+    }
+    design_->instances.push_back(std::move(bi));
   }
 
   // ---- Statement annotation (with task inlining) ---------------------------
@@ -455,6 +504,7 @@ class Elaborator {
   }
 
   std::map<std::string, const Module*> modules_;
+  const Bindings& bound_;
   std::shared_ptr<Design> design_;
   std::map<std::string, StmtPtr> task_bodies_;
   std::set<std::string> tasks_in_progress_;
@@ -469,8 +519,9 @@ void collect_reads(const Expr& e, std::vector<int>* out) {
 }
 
 std::shared_ptr<const Design> elaborate(const SourceUnit& su,
-                                        const std::string& top_module) {
-  return Elaborator(su).run(top_module);
+                                        const std::string& top_module,
+                                        const Bindings& bound) {
+  return Elaborator(su, bound).run(top_module);
 }
 
 }  // namespace hlsw::vsim

@@ -1,7 +1,13 @@
-// Elaboration: turns a parsed SourceUnit into one flat, executable Design.
+// Elaboration: turns a parsed SourceUnit into one executable Design.
 //
-//  - module instances are flattened (named port connections alias parent
-//    signals; instance-internal nets get "inst." prefixed signals),
+//  - instances of modules the unit defines are flattened (named port
+//    connections alias parent signals; instance-internal nets get "inst."
+//    prefixed signals),
+//  - an instance of a module the unit does not define, but the caller
+//    binds to a separately elaborated Design, stays one BoundInstance:
+//    its ports pair parent signals with the bound design's top ports, and
+//    the event kernel steps it as a unit (sim.h). This is how a testbench
+//    drives its DUT without a second parse or a second elaboration of it,
 //  - localparam references fold to literals,
 //  - task enables inline the task body behind blocking assignments of the
 //    actual arguments to per-task argument signals,
@@ -48,12 +54,29 @@ struct Process {
   std::string origin;  // "<module>.<always|initial>[n]" for diagnostics
 };
 
+struct Design;
+
+// An instance bound to another Design instead of flattened. Every port pair
+// joins a scalar signal of this design to a top port of the bound one;
+// inputs flow in, outputs flow back.
+struct BoundInstance {
+  std::string name;  // instance path, e.g. "dut"
+  std::shared_ptr<const Design> design;
+  struct Port {
+    int sig = -1;    // signal of this design
+    int inner = -1;  // top port of `design`
+    bool is_input = false;
+  };
+  std::vector<Port> ports;
+};
+
 struct Design {
   std::string top;
   std::vector<Signal> signals;
   std::map<std::string, int> signal_index;
   std::vector<ElabAssign> assigns;
   std::vector<Process> processes;
+  std::vector<BoundInstance> instances;
 
   int find(const std::string& name) const {
     auto it = signal_index.find(name);
@@ -61,11 +84,18 @@ struct Design {
   }
 };
 
-// Elaborates `top_module` (which may instantiate other modules in the
-// unit). Throws std::runtime_error on undeclared identifiers, port
-// mismatches, unsupported constructs, or widths beyond 64 bits.
+// Module name -> the elaborated design an instance of it binds to.
+using Bindings = std::map<std::string, std::shared_ptr<const Design>>;
+
+// Elaborates `top_module`, which may instantiate other modules of the unit
+// (flattened) or modules the unit does not define but `bound` names
+// (bound). Throws std::runtime_error on undeclared identifiers, unknown
+// modules, port mismatches (a bound instance's ports must be top ports of
+// its design, joined to scalar signals of equal width), unsupported
+// constructs, or widths beyond 64 bits.
 std::shared_ptr<const Design> elaborate(const SourceUnit& su,
-                                        const std::string& top_module);
+                                        const std::string& top_module,
+                                        const Bindings& bound = {});
 
 // Collects the signals read by an annotated expression (exposed for the
 // lint pass and the simulator's dependency wiring).

@@ -3,12 +3,15 @@
 #include <algorithm>
 #include <iterator>
 #include <list>
+#include <map>
 #include <mutex>
+#include <set>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "rtl/sim.h"
 #include "rtl/verilog.h"
+#include "vsim/compile.h"
 #include "vsim/pack.h"
 #include "vsim/parser.h"
 
@@ -40,17 +43,19 @@ DesignCache& design_cache() {
   return *c;
 }
 
-std::shared_ptr<const Design> parse_and_elaborate(const std::string& verilog,
-                                                  const std::string& top) {
-  SourceUnit su;
-  {
-    obs::ScopedSpan span("vsim.parse", "vsim");
-    su = parse(verilog);
-    if (span.active())
-      span.arg("modules", static_cast<long long>(su.modules.size()));
-  }
+SourceUnit traced_parse(const std::string& verilog) {
+  obs::ScopedSpan span("vsim.parse", "vsim");
+  SourceUnit su = parse(verilog);
+  if (span.active())
+    span.arg("modules", static_cast<long long>(su.modules.size()));
+  return su;
+}
+
+std::shared_ptr<const Design> traced_elaborate(const SourceUnit& su,
+                                               const std::string& top,
+                                               const Bindings& bound = {}) {
   obs::ScopedSpan span("vsim.elaborate", "vsim");
-  auto design = elaborate(su, top);
+  auto design = elaborate(su, top, bound);
   if (span.active()) {
     span.arg("signals", static_cast<long long>(design->signals.size()));
     span.arg("processes", static_cast<long long>(design->processes.size()));
@@ -82,7 +87,7 @@ std::shared_ptr<const Design> load_design(const std::string& verilog,
 
   // Parse and elaborate outside the lock: concurrent misses on the same
   // text duplicate work once rather than serializing every caller.
-  auto design = parse_and_elaborate(verilog, top);
+  auto design = traced_elaborate(traced_parse(verilog), top);
   if (obs::enabled())
     obs::MetricsRegistry::instance().add("vsim.design_cache.misses", 1.0);
 
@@ -100,14 +105,82 @@ std::shared_ptr<const Design> load_design(const std::string& verilog,
 
 // ---- Testbench runner -------------------------------------------------------
 
-TestbenchResult run_testbench(const std::string& sources,
+namespace {
+
+// The modules `top` reaches in `su` that `su` does not define, in order of
+// first instantiation.
+std::vector<std::string> external_modules(const SourceUnit& su,
+                                          const std::string& top) {
+  std::map<std::string, const Module*> defined;
+  for (const Module& m : su.modules) defined.emplace(m.name, &m);
+  std::vector<std::string> out, work{top};
+  std::set<std::string> seen{top};
+  while (!work.empty()) {
+    const auto it = defined.find(work.back());
+    work.pop_back();
+    if (it == defined.end()) continue;
+    for (const Instance& inst : it->second->instances) {
+      if (!seen.insert(inst.module_name).second) continue;
+      (defined.count(inst.module_name) ? work : out)
+          .push_back(inst.module_name);
+    }
+  }
+  return out;
+}
+
+// Whether `st` calls the system task `task`.
+bool calls(const Stmt& st, const char* task) {
+  if (st.kind == StmtKind::kSysTask && st.callee == task) return true;
+  for (const StmtPtr& s : st.sub)
+    if (s && calls(*s, task)) return true;
+  for (const CaseItem& item : st.items)
+    if (calls(*item.body, task)) return true;
+  return false;
+}
+
+// The testbench parsed alone, with every module it takes from
+// `module_source` bound; nullptr, with the reason in *why, when the run
+// must be flattened instead: a bound DUT the levelizer refuses, or a
+// $dumpvars, whose VCD would miss the DUT's internal signals.
+std::shared_ptr<const Design> bind_testbench(const std::string& module_source,
+                                             const std::string& tb_source,
+                                             const std::string& tb_module,
+                                             std::string* why) {
+  const SourceUnit su = traced_parse(tb_source);
+  Bindings bound;
+  for (const std::string& name : external_modules(su, tb_module)) {
+    auto dut = load_design(module_source, name);
+    if (compiled_plan(dut, why) == nullptr) return nullptr;
+    bound.emplace(name, std::move(dut));
+  }
+  auto design = traced_elaborate(su, tb_module, bound);
+  for (const Process& p : design->processes)
+    if (calls(*p.body, "$dumpvars")) {
+      *why = "testbench calls $dumpvars: its VCD records the DUT's internal "
+             "signals";
+      return nullptr;
+    }
+  return design;
+}
+
+}  // namespace
+
+TestbenchResult run_testbench(const std::string& module_source,
+                              const std::string& tb_source,
                               const std::string& tb_module,
                               const SimConfig& cfg) {
-  auto design = load_design(sources, tb_module);
+  TestbenchResult r;
+  std::shared_ptr<const Design> design;
+  if (cfg.backend != Backend::kEvent)
+    design = bind_testbench(module_source, tb_source, tb_module,
+                            &r.fallback_reason);
+  r.backend = design != nullptr && !design->instances.empty() ? "compiled"
+                                                               : "event";
+  if (design == nullptr)
+    design = load_design(module_source + "\n" + tb_source, tb_module);
   Simulation sim(std::move(design), cfg);
   const RunResult rr = sim.run();
 
-  TestbenchResult r;
   r.finished = rr.finished;
   r.end_time = rr.end_time;
   r.display = rr.display;
@@ -231,7 +304,7 @@ VerifyEmittedResult verify_emitted(const hls::Function& f,
                                   vectors.begin() + static_cast<long>(n));
   const auto tvs = rtl::capture_vectors(f, s, tb_in);
   const std::string tb = rtl::emit_testbench(f, tvs, f.name);
-  r.testbench = run_testbench(verilog + "\n" + tb, f.name + "_tb");
+  r.testbench = run_testbench(verilog, tb, f.name + "_tb");
   return r;
 }
 

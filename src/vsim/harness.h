@@ -4,8 +4,11 @@
 // harness, at one lane or many.
 //
 //  - load_design:    parse + elaborate emitted Verilog text (traced),
-//  - run_testbench:  runs the generated self-checking testbench (module +
-//                    testbench text) to its PASS/FAIL summary,
+//  - run_testbench:  runs the generated self-checking testbench to its
+//                    PASS/FAIL summary: the testbench text parsed alone,
+//                    its DUT instance bound to the loaded module and run
+//                    on the compiled engine, its own processes on the
+//                    event kernel,
 //  - vsim_sweep:     differential sweep (untimed golden vs executed Verilog
 //                    text) on hls::sweep_blocks, the one block driver —
 //                    one elaborated design shared by every task, a fresh
@@ -30,10 +33,11 @@ namespace hlsw::vsim {
 // Parses Verilog source text and elaborates `top` (spans vsim.parse and
 // vsim.elaborate). Throws std::runtime_error with a diagnostic on any
 // lex/parse/elaboration failure. Results are memoized in a small
-// process-wide LRU keyed by (text, top) — repeated run_testbench/replay of
-// the same source skips re-parsing and re-elaboration (counters
-// vsim.design_cache.hits / .misses). The returned Design is immutable, so
-// sharing one instance across callers and threads is safe.
+// process-wide LRU keyed by (text, top) — a sweep, a verify and its
+// testbench's DUT all load one emitted module, and only the first load
+// parses and elaborates it (counters vsim.design_cache.hits / .misses).
+// The returned Design is immutable, so sharing one instance across
+// callers and threads is safe.
 std::shared_ptr<const Design> load_design(const std::string& verilog,
                                           const std::string& top);
 
@@ -44,11 +48,33 @@ struct TestbenchResult {
   std::vector<std::string> display;
   std::string vcd_name;  // $dumpfile argument ("" if the tb did not dump)
   std::string vcd_text;
+  // "compiled" when the modules the testbench instantiates from
+  // module_source ran bound on the compiled engine, "event" when the whole
+  // design ran on the event kernel (flattened, or nothing to bind).
+  std::string backend;
+  // Why the DUT ran flattened: the construct, or the levelizer's reason
+  // ("" when it ran bound, and when kEvent was asked for).
+  std::string fallback_reason;
 };
 
-// Parses `sources` (module + generated testbench in one string), elaborates
-// `tb_module`, free-runs to $finish and scans the display log.
-TestbenchResult run_testbench(const std::string& sources,
+// Runs the testbench `tb_module` of `tb_source` against the modules of
+// `module_source` to $finish and scans the display log. Spans: vsim.parse
+// and vsim.elaborate (the testbench), vsim.run.
+//
+// By default the testbench text is parsed alone, and each module it
+// instantiates but does not define is loaded from `module_source`
+// (load_design, a cache hit after a verify's own load) and bound, not
+// flattened: the event kernel runs the testbench's processes, and the DUT
+// runs on the compiled engine behind its ports (sim.h has the step
+// order). The bound design stays out of load_design's cache, since it
+// holds its DUT. Three cases run the flattened design over
+// module_source + "\n" + tb_source on the event kernel instead:
+// cfg.backend == kEvent (the oracle), a testbench that calls $dumpvars
+// (its VCD shows the DUT's internals), and a DUT the levelizer refuses.
+// Display lines, finished, end_time and the verdict are the flattened
+// run's either way.
+TestbenchResult run_testbench(const std::string& module_source,
+                              const std::string& tb_source,
                               const std::string& tb_module,
                               const SimConfig& cfg = {});
 

@@ -48,6 +48,10 @@ class Linter {
     }
     for (std::size_t p = 0; p < d_.processes.size(); ++p)
       walk(*d_.processes[p].body, static_cast<int>(p));
+    // A bound instance reads the nets on its inputs.
+    for (const BoundInstance& bi : d_.instances)
+      for (const BoundInstance::Port& port : bi.ports)
+        if (port.is_input) read_[static_cast<size_t>(port.sig)] = 1;
 
     std::vector<LintIssue> out;
     // never-read — dead procedural state.

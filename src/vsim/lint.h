@@ -2,7 +2,8 @@
 // would warn about and that the hlsw emitter promises to never trigger:
 //
 //  - never-read:       a reg that is procedurally assigned but whose value no
-//                      expression ever reads (dead state),
+//                      expression and no bound instance input ever reads
+//                      (dead state),
 //  - width-truncation: an assignment whose right-hand side is self-determined
 //                      wider than the target, silently dropping bits (constant
 //                      right-hand sides that fit the target are exempt —

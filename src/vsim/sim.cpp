@@ -219,6 +219,14 @@ struct Simulation::Compiler {
   }
 };
 
+// ---- Bound instances --------------------------------------------------------
+
+struct Simulation::Bound {
+  const BoundInstance* inst;
+  std::unique_ptr<Simulation> sim;
+  bool dirty;  // an input net changed since the last step
+};
+
 // ---- VCD recording ----------------------------------------------------------
 
 struct Simulation::Dump {
@@ -260,6 +268,24 @@ Simulation::Simulation(std::shared_ptr<const Design> design,
     else if (s.has_init)
       val_[i] = static_cast<std::uint64_t>(s.init) & mask(s.width);
   }
+
+  // Each bound instance takes its input nets' initial values now, and
+  // every one is stepped in the time-0 region below, which brings its
+  // outputs onto their nets.
+  if (!design_->instances.empty()) feeds_bound_.assign(n, 0);
+  for (const BoundInstance& bi : design_->instances) {
+    std::string why;
+    if (compiled_plan(bi.design, &why) == nullptr)
+      fail("bound instance '" + bi.name + "' does not compile: " + why);
+    Bound b{&bi, std::make_unique<Simulation>(bi.design, cfg_), true};
+    for (const BoundInstance::Port& p : bi.ports) {
+      if (!p.is_input) continue;
+      feeds_bound_[static_cast<size_t>(p.sig)] = 1;
+      b.sim->poke(p.inner, val_[static_cast<size_t>(p.sig)]);
+    }
+    bound_.push_back(std::move(b));
+  }
+  bound_dirty_ = !bound_.empty();
 
   dep_map_.resize(n);
   for (std::size_t ai = 0; ai < design_->assigns.size(); ++ai)
@@ -530,6 +556,12 @@ void Simulation::on_change(int sig, std::uint64_t old_v, std::uint64_t new_v) {
       comb_q_.push_back(ai);
     }
   }
+  if (!feeds_bound_.empty() && feeds_bound_[static_cast<size_t>(sig)]) {
+    for (Bound& b : bound_)
+      for (const BoundInstance::Port& p : b.inst->ports)
+        if (p.is_input && p.sig == sig) b.dirty = true;
+    bound_dirty_ = true;
+  }
   const bool pos = !(old_v & 1) && (new_v & 1);
   const bool neg = (old_v & 1) && !(new_v & 1);
   for (auto& th : threads_) {
@@ -684,6 +716,29 @@ void Simulation::run_thread(int tid) {
 
 // ---- Regions ----------------------------------------------------------------
 
+// One step of every bound instance whose inputs changed: poke the inputs
+// (unchanged ones are no-ops), settle, and write the outputs back through
+// set_scalar, so a changed one is an event here. A step costs one
+// instruction plus the instance's own against the slot budget.
+void Simulation::step_bound() {
+  bound_dirty_ = false;
+  for (Bound& b : bound_) {
+    if (!b.dirty) continue;
+    b.dirty = false;
+    if (stats_.instrs - slot_instr_base_ > cfg_.max_instrs_per_slot)
+      fail("instruction budget exceeded without time advancing "
+           "(zero-delay loop through bound instance '" + b.inst->name +
+           "'?)");
+    const long long instrs = b.sim->stats().instrs;
+    for (const BoundInstance::Port& p : b.inst->ports)
+      if (p.is_input) b.sim->poke(p.inner, val_[static_cast<size_t>(p.sig)]);
+    b.sim->settle();
+    stats_.instrs += 1 + b.sim->stats().instrs - instrs;
+    for (const BoundInstance::Port& p : b.inst->ports)
+      if (!p.is_input) set_scalar(p.sig, b.sim->peek(p.inner));
+  }
+}
+
 void Simulation::settle() {
   if (compiled_) {
     compiled_->settle();
@@ -702,6 +757,10 @@ void Simulation::settle() {
     if (ready >= 0) {
       run_thread(ready);
       if (finished_ || stopped_) break;
+      continue;
+    }
+    if (bound_dirty_) {
+      step_bound();
       continue;
     }
     if (nba_q_.empty()) break;

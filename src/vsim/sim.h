@@ -15,6 +15,23 @@
 // contract; $dumpfile/$dumpvars record a VCD through rtl::VcdCore. This
 // kernel is the only engine for those testbench constructs (with `#`,
 // `repeat` and `$time`): the cycle-based engines run plain DUTs.
+//
+// A bound instance (elab.h) runs as its own Simulation behind its ports, on
+// the compiled tier when cfg.backend is not kEvent, and the kernel steps it
+// as one more region of the time slot: once the ready processes have run and
+// the continuous assigns are flushed, and before the NBAs commit, each
+// instance whose input nets changed since its last step takes those inputs,
+// settles, and writes its changed outputs back as ordinary events (which may
+// wake processes and re-enter the loop). So a process woken by a clock edge
+// reads the instance's pre-edge registered outputs, as it would in the
+// flattened design, where the instance's NBAs commit after every ready
+// process has run. A combinational output catches up after every ready
+// process too, not between two of them as a flattened assign would. At
+// construction an instance takes the parent's initial values on its inputs
+// after its own time-0 region (a nonzero initial value is an edge to it).
+// Instance steps count against the per-slot instruction budget, so a
+// combinational loop through an instance that never converges fails naming
+// the instance.
 #pragma once
 
 #include <cstdint>
@@ -77,6 +94,9 @@ class Simulation {
   // cfg.backend is kEvent, a cycle-schedulable design is delegated to the
   // levelized compiled backend (compile.h); observable behavior is
   // identical.
+  // A design with bound instances runs on the event kernel, each instance
+  // on a Simulation of its own at cfg; an instance whose design the
+  // levelizer refuses throws, naming the instance and the reason.
   explicit Simulation(std::shared_ptr<const Design> design,
                       const SimConfig& cfg = {});
   ~Simulation();
@@ -117,6 +137,7 @@ class Simulation {
   struct Instr;
   struct Thread;
   struct Compiler;
+  struct Bound;
 
   static std::uint64_t mask(int w) {
     return w >= 64 ? ~0ULL : (1ULL << w) - 1ULL;
@@ -130,6 +151,7 @@ class Simulation {
   void set_scalar(int sig, std::uint64_t v);
   void set_elem(int sig, long long index, std::uint64_t v);
   void on_change(int sig, std::uint64_t old_v, std::uint64_t new_v);
+  void step_bound();
   void flush_comb();
   void commit_nba();
   void run_thread(int tid);
@@ -152,6 +174,12 @@ class Simulation {
   std::vector<std::vector<std::uint64_t>> arr_;
   std::vector<std::vector<int>> dep_map_;  // signal -> dependent assigns
   std::vector<Thread> threads_;
+
+  // Bound instances, and per signal whether it drives an input of one
+  // (empty without instances): the flag on_change tests.
+  std::vector<Bound> bound_;
+  std::vector<char> feeds_bound_;
+  bool bound_dirty_ = false;
 
   std::vector<int> comb_q_;
   std::vector<char> comb_queued_;

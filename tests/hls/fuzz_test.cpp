@@ -17,7 +17,9 @@
 //
 // The emitted Verilog of every random program is also executed: either the
 // emitter refuses the program (a region can carry values wider than its
-// 64-bit datapath) or the text matches the golden on every vsim engine.
+// 64-bit datapath) or the text matches the golden on every vsim engine,
+// and its generated testbench passes with the DUT bound exactly as it does
+// flattened.
 //
 // Unroll-only transforms are additionally checked against the ORIGINAL
 // program (unrolling must preserve sequential semantics exactly); merges
@@ -43,6 +45,7 @@
 #include "hls/report.h"
 #include "hls/verify.h"
 #include "rtl/sim.h"
+#include "rtl/testbench.h"
 #include "rtl/verilog.h"
 #include "vsim/codegen.h"
 #include "vsim/compile.h"
@@ -541,7 +544,9 @@ class PrivateCodegenCache {
 // lengths, so they freeze at different times and each lane must still
 // equal the golden's prefix. The first few emitted narrow trials also run
 // the native engine, at one lane and at three, both through
-// PackedDutHarness; each native leg costs one .so build.
+// PackedDutHarness; each native leg costs one .so build. Each emitted
+// trial's generated testbench then runs with its DUT bound (compiled) and
+// flattened (kEvent): the two results must be equal, and passing.
 TEST(Fuzz, EmittedVerilogMatchesOnEveryEngine) {
   std::mt19937_64 rng(0x5eed0e1d);
   const TechLibrary tech = TechLibrary::asic90();
@@ -551,6 +556,7 @@ TEST(Fuzz, EmittedVerilogMatchesOnEveryEngine) {
   constexpr std::size_t kVectors = 6;
   constexpr int kLanes = 3;
   int run = 0, refused_narrow = 0, refused_wide = 0, native_trials = 0;
+  int testbenches_bound = 0, testbenches_passed = 0;
   long long splits = 0;
 
   const int narrow_trials = fuzz_iters(400), wide_trials = fuzz_iters(150);
@@ -654,23 +660,49 @@ TEST(Fuzz, EmittedVerilogMatchesOnEveryEngine) {
                           << "\n"
                           << f.dump();
     if (HasFailure()) return;
+
+    const std::string tb = rtl::emit_testbench(
+        f, rtl::capture_vectors(f, r.schedule, vectors), f.name);
+    const vsim::TestbenchResult bound =
+        vsim::run_testbench(verilog, tb, f.name + "_tb");
+    const vsim::TestbenchResult flat =
+        vsim::run_testbench(verilog, tb, f.name + "_tb", event_cfg);
+    testbenches_bound += bound.backend == "compiled";
+    testbenches_passed += bound.passed;
+    ASSERT_TRUE(bound.display == flat.display &&
+                bound.finished == flat.finished &&
+                bound.end_time == flat.end_time && bound.passed == flat.passed)
+        << "trial " << trial << ": bound testbench ("
+        << (bound.display.empty() ? "" : bound.display.back())
+        << ") differs from flattened ("
+        << (flat.display.empty() ? "" : flat.display.back()) << ")\n"
+        << f.dump();
+    ASSERT_TRUE(bound.passed) << "trial " << trial << ": "
+                              << (bound.display.empty() ? ""
+                                                        : bound.display.back());
   }
 
   std::printf(
       "[ fuzz     ] emitted-verilog trials: %d run, %d refused narrow, %d "
-      "refused wide, %d native, %lld divergence splits\n",
-      run, refused_narrow, refused_wide, native_trials, splits);
+      "refused wide, %d native, %lld divergence splits; testbenches: %d "
+      "bound, %d passed\n",
+      run, refused_narrow, refused_wide, native_trials, splits,
+      testbenches_bound, testbenches_passed);
   RecordProperty("trials_run", run);
   RecordProperty("refused_narrow", refused_narrow);
   RecordProperty("refused_wide", refused_wide);
   RecordProperty("native_trials", native_trials);
   RecordProperty("divergence_splits", static_cast<int>(splits));
+  RecordProperty("testbenches_bound", testbenches_bound);
+  RecordProperty("testbenches_passed", testbenches_passed);
   // Coverage evidence: the generator still reaches the emitter and, in both
   // modes, the refusal (the default budget refuses 2 narrow programs and
   // every wide one), and the native engines really ran. The emitted FSMs
   // branch only on state, loop counter and start, which stay in lockstep
   // across the lanes, so no split is expected.
   EXPECT_GT(run, 0);
+  EXPECT_EQ(testbenches_bound, run);
+  EXPECT_EQ(testbenches_passed, run);
   EXPECT_GT(refused_narrow, 0);
   EXPECT_GT(refused_wide, 0);
   if (native) {

@@ -314,10 +314,10 @@ TEST(CompiledEquiv, CodegenRefusesDumpingDesignsWithTypedReason) {
       << dut.fallback_reason();
 }
 
-TEST(CompiledEquiv, GeneratedTestbenchStillRunsViaEventFallback) {
+TEST(CompiledEquiv, GeneratedTestbenchRunsWithItsDutBound) {
   // The generated self-checking testbench uses # delays and $finish, so
-  // run_testbench lands on the event backend even with compiled enabled —
-  // and still passes.
+  // the event kernel runs it, while its DUT instance runs bound on the
+  // compiled engine — and it still passes.
   const qam::Architecture a = qam::table1_architectures()[0];
   const auto r = run_synthesis(qam::build_qam_decoder_ir(), a.dir,
                                TechLibrary::asic90());
@@ -328,9 +328,10 @@ TEST(CompiledEquiv, GeneratedTestbenchStillRunsViaEventFallback) {
   const std::string tb =
       rtl::emit_testbench(r.transformed, tvs, r.transformed.name);
   const TestbenchResult res =
-      run_testbench(verilog + "\n" + tb, r.transformed.name + "_tb");
+      run_testbench(verilog, tb, r.transformed.name + "_tb");
   EXPECT_TRUE(res.passed) << (res.display.empty() ? "<empty>"
                                                   : res.display.back());
+  EXPECT_EQ(res.backend, "compiled") << res.fallback_reason;
 }
 
 }  // namespace

@@ -14,7 +14,10 @@
 // which lane packing would not pay for itself. A last guard keeps the
 // golden reference every sweep pays for on the compiled plan, its lanes
 // must beat per-lane replay by at least 2x, and a whole 64-lane sweep must
-// beat the one-lane sweep of the same blocks by at least 2x.
+// beat the one-lane sweep of the same blocks by at least 2x. The generated
+// testbench with its DUT bound must beat the flattened event run by at
+// least 2.5x (3.54-4.07x over 16 runs of the RelWithDebInfo binary on a
+// 4-vCPU VM).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -28,6 +31,7 @@
 #include "qam/decoder_ir.h"
 #include "qam/link.h"
 #include "rtl/sim.h"
+#include "rtl/testbench.h"
 #include "rtl/verilog.h"
 #include "vsim/codegen.h"
 #include "vsim/harness.h"
@@ -449,6 +453,50 @@ TEST(VsimPackedGuard, Sweep64BeatsOneLaneSweepByAtLeast2x) {
                         << "x faster than the one-lane sweep (one lane "
                         << t_lane1 << " ms vs 64 lanes " << t_packed
                         << " ms)";
+}
+
+TEST(VsimTestbenchGuard, BoundTestbenchBeatsFlattenedByAtLeast2_5x) {
+  // The generated testbench of 8 vectors on merge, with its DUT bound
+  // (the event kernel runs the testbench, the compiled engine the DUT)
+  // against the flattened run, where the event kernel runs both. Both legs
+  // go through run_testbench: the bound one parses the testbench text on
+  // every call, the flattened one hits the design cache.
+  const qam::Architecture arch = qam::table1_architectures()[0];  // merge
+  const auto r = hls::run_synthesis(qam::build_qam_decoder_ir(), arch.dir,
+                                    TechLibrary::asic90());
+  const std::string verilog = rtl::emit_verilog(r.transformed, r.schedule);
+  LinkStimulus stim((LinkConfig()));
+  const auto tvs = rtl::capture_vectors(r.transformed, r.schedule,
+                                        qam::link_input_batch(&stim, 8));
+  const std::string tb =
+      rtl::emit_testbench(r.transformed, tvs, r.transformed.name);
+  const std::string top = r.transformed.name + "_tb";
+  SimConfig event_cfg;
+  event_cfg.backend = Backend::kEvent;
+
+  const auto run_ms = [&](const SimConfig& cfg, const char* backend) {
+    const auto t0 = std::chrono::steady_clock::now();
+    const TestbenchResult res = run_testbench(verilog, tb, top, cfg);
+    const double ms = std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+    EXPECT_TRUE(res.passed);
+    EXPECT_EQ(res.backend, backend) << res.fallback_reason;
+    return ms;
+  };
+  run_ms({}, "compiled");  // warm the design cache, plan memo, allocator
+  run_ms(event_cfg, "event");
+  double t_bound = 1e300, t_flat = 1e300;
+  for (int rep = 0; rep < 5; ++rep) {
+    t_bound = std::min(t_bound, run_ms({}, "compiled"));
+    t_flat = std::min(t_flat, run_ms(event_cfg, "event"));
+  }
+  ASSERT_GT(t_bound, 0.0);
+  const double ratio = t_flat / t_bound;
+  RecordProperty("ratio", std::to_string(ratio));
+  EXPECT_GE(ratio, 2.5) << "bound testbench only " << ratio
+                          << "x faster than flattened (flattened " << t_flat
+                          << " ms vs bound " << t_bound << " ms)";
 }
 
 }  // namespace

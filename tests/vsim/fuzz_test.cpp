@@ -8,6 +8,8 @@
 // exception, a crash, a hang or (under HLSW_SANITIZE=address/undefined) an
 // out-of-bounds access or undefined behaviour fails the test. The one
 // error without a source line is a top module the mutation renamed away.
+// A second test mutates the testbench text alone and elaborates it with its
+// DUT instance bound to the unmutated module's design, under the same rule.
 //
 // Labeled `fuzz`: HLSW_FUZZ_ITERS=20000 ctest -L fuzz scales the trials.
 #include <gtest/gtest.h>
@@ -37,6 +39,7 @@ namespace {
 struct Source {
   std::string text;
   std::string top;
+  Bindings bound;  // the unmutated DUT, for a testbench parsed alone
 };
 
 // The 13 architectures: the ten exploration ones plus the feasibility
@@ -63,7 +66,9 @@ std::vector<hls::Directives> architectures() {
   return out;
 }
 
-std::vector<Source> corpus() {
+// Emitted module, module + testbench, and (with `bound_tbs`) the testbench
+// alone with its DUT's design bound, per architecture.
+std::vector<Source> corpus(bool bound_tbs = false) {
   std::vector<Source> out;
   for (const hls::Directives& dir : architectures()) {
     const auto r = hls::run_synthesis(qam::build_qam_decoder_ir(), dir,
@@ -74,8 +79,12 @@ std::vector<Source> corpus() {
                                           qam::link_input_batch(&stim, 2));
     const std::string tb =
         rtl::emit_testbench(r.transformed, tvs, r.transformed.name);
-    out.push_back({v, r.transformed.name});
-    out.push_back({v + "\n" + tb, r.transformed.name + "_tb"});
+    out.push_back({v, r.transformed.name, {}});
+    out.push_back({v + "\n" + tb, r.transformed.name + "_tb", {}});
+    if (bound_tbs)
+      out.push_back({tb, r.transformed.name + "_tb",
+                     {{r.transformed.name,
+                       elaborate(parse(v), r.transformed.name)}}});
   }
   return out;
 }
@@ -126,10 +135,11 @@ std::string mutate(std::string s, const std::vector<Source>& all,
 }
 
 // Runs the front end; returns "" on success or the error message.
-std::string front_end(const std::string& text, const std::string& top) {
+std::string front_end(const std::string& text, const std::string& top,
+                      const Bindings& bound = {}) {
   try {
     const SourceUnit su = parse(text);
-    const auto design = elaborate(su, top);
+    const auto design = elaborate(su, top, bound);
     lint(*design);
     return "";
   } catch (const std::runtime_error& e) {
@@ -171,6 +181,40 @@ TEST(VsimFuzz, MutatedSourcesElaborateOrFailNamingALine) {
   }
   // Coverage evidence: the mutations really reach the error paths, and
   // some inputs still elaborate.
+  EXPECT_GT(rejected, trials / 4);
+  EXPECT_LT(rejected, trials);
+}
+
+TEST(VsimFuzz, MutatedTestbenchesBindOrFailNamingALine) {
+  const std::vector<Source> all = corpus(/*bound_tbs=*/true);
+  std::vector<const Source*> tbs;
+  for (const Source& s : all)
+    if (!s.bound.empty()) tbs.push_back(&s);
+  ASSERT_EQ(tbs.size(), 13u);
+  for (const Source* s : tbs)
+    ASSERT_EQ(front_end(s->text, s->top, s->bound), "")
+        << "unmutated " << s->top;
+
+  std::mt19937_64 rng(0x5eed7e58);
+  const int trials = fuzz_iters(400);
+  int rejected = 0;
+  for (int trial = 0; trial < trials; ++trial) {
+    const Source& s = *tbs[static_cast<std::size_t>(trial) % tbs.size()];
+    const std::string text = mutate(s.text, all, &rng);
+    std::string msg;
+    try {
+      msg = front_end(text, s.top, s.bound);
+    } catch (const std::exception& e) {
+      FAIL() << "trial " << trial << ": " << s.top
+             << " threw a non-runtime_error: " << e.what();
+    }
+    if (msg.empty()) continue;
+    ++rejected;
+    const bool top_gone =
+        msg == "vsim elaboration error: unknown module '" + s.top + "'";
+    ASSERT_TRUE(names_a_line(msg) || top_gone)
+        << "trial " << trial << ": " << s.top << ": " << msg;
+  }
   EXPECT_GT(rejected, trials / 4);
   EXPECT_LT(rejected, trials);
 }
