@@ -64,11 +64,11 @@ void run_harness_sections(bench::Harness* h) {
              [&] { benchmark::DoNotOptimize(vsim::lint(*design)); });
 
   // Compiling the levelized execution plan is part of the compiled
-  // backend's cost story: measured cold (fresh Design each rep, so the
-  // process-wide plan memo cannot hit).
+  // backend's cost story: measured cold (a fresh Design each rep, which
+  // holds no plan yet, so compiled_plan compiles every time).
   h->measure("compile_plan_cold", [&] {
     auto fresh = vsim::elaborate(su, r.transformed.name);
-    benchmark::DoNotOptimize(vsim::compile_design(fresh, nullptr));
+    benchmark::DoNotOptimize(vsim::compiled_plan(fresh, nullptr));
   });
 
   // Per-symbol execution ladder: rtl::Simulator vs both vsim backends on

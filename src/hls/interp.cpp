@@ -263,7 +263,6 @@ Interpreter::Interpreter(Function f)
                     fits(plan_detail::max_raw<__int128>(t.w, t.sgn));
   };
   for (std::size_t i = 0; i < f_.vars.size(); ++i) {
-    var_index_.emplace(f_.vars[i].name, static_cast<int>(i));
     var_row_.push_back(static_cast<int>(reset_rows_.size()));
     push(vars[i]);
     type_fits(f_.vars[i].type);
@@ -275,11 +274,6 @@ Interpreter::Interpreter(Function f)
     type_fits(f_.arrays[i].elem);
   }
   reset();
-}
-
-int Interpreter::cached_var_index(const std::string& name) const {
-  const auto it = var_index_.find(name);
-  return it == var_index_.end() ? -1 : it->second;
 }
 
 int Interpreter::cached_array_index(const std::string& name) const {
@@ -300,14 +294,6 @@ std::vector<FxValue> Interpreter::array_state(const std::string& name) const {
   return out;
 }
 
-FxValue Interpreter::var_state(const std::string& name) const {
-  const int i = cached_var_index(name);
-  assert(i >= 0);
-  return lane_value<__int128, 1>(
-      state_.data() + var_row_[static_cast<size_t>(i)], 0,
-      f_.vars[static_cast<size_t>(i)].type);
-}
-
 void Interpreter::set_array_state(const std::string& name,
                                   const std::vector<FxValue>& values) {
   const int i = cached_array_index(name);
@@ -318,14 +304,6 @@ void Interpreter::set_array_state(const std::string& name,
   for (int j = 0; j < a.length; ++j)
     set_lane<__int128, 1>(rows + 2 * j, 0,
                           fx_convert(values[static_cast<size_t>(j)], a.elem));
-}
-
-void Interpreter::set_var_state(const std::string& name, const FxValue& value) {
-  const int i = cached_var_index(name);
-  assert(i >= 0);
-  set_lane<__int128, 1>(
-      state_.data() + var_row_[static_cast<size_t>(i)], 0,
-      fx_convert(value, f_.vars[static_cast<size_t>(i)].type));
 }
 
 PortIo Interpreter::run(const PortIo& in) {

@@ -108,19 +108,16 @@ class Interpreter {
 
   // State inspection for tests.
   std::vector<FxValue> array_state(const std::string& name) const;
-  FxValue var_state(const std::string& name) const;
 
   // State preload (coefficient download before decision-directed runs).
   // Values are converted into the storage element type.
   void set_array_state(const std::string& name,
                        const std::vector<FxValue>& values);
-  void set_var_state(const std::string& name, const FxValue& value);
 
   // Number of op executions performed so far (profiling/complexity tests).
   long long ops_executed() const { return ops_executed_; }
 
  private:
-  int cached_var_index(const std::string& name) const;
   int cached_array_index(const std::string& name) const;
   // Runs streams [first, first + n) at L lanes on fresh planes of S.
   template <class S, int L>
@@ -138,10 +135,9 @@ class Interpreter {
   // lanes they run the QAM decoders about 1.25x faster than __int128
   // planes. At one lane they gain under 2%, so state_ keeps one type.
   bool narrow_state_ = true;
-  // Name -> state index, resolved once at construction so the accessors do
-  // not rescan Function::vars/arrays on every call (link sweeps hit
+  // Name -> array index, resolved once at construction so the accessors do
+  // not rescan Function::arrays on every call (link sweeps hit
   // array_state()/set_array_state() per symbol).
-  std::map<std::string, int> var_index_;
   std::map<std::string, int> array_index_;
   // f_ compiled under untimed_schedule(f_).
   ExecPlan plan_;

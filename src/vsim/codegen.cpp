@@ -1588,22 +1588,6 @@ bool build_packed_module(std::string src, int lanes,
   return true;
 }
 
-// Per-(plan, lanes) memo of built modules and refusals.
-struct CodegenCache {
-  struct Entry {
-    std::weak_ptr<const CompiledDesign> key;
-    std::shared_ptr<const PackedCodegenModule> mod;
-    std::string why;
-  };
-  std::mutex mu;
-  std::map<std::pair<const CompiledDesign*, int>, Entry> map;
-};
-
-CodegenCache& codegen_cache() {
-  static auto* c = new CodegenCache;  // leaked: alive for process teardown
-  return *c;
-}
-
 }  // namespace
 
 std::shared_ptr<const PackedCodegenModule> packed_codegen_plan(
@@ -1618,9 +1602,9 @@ std::shared_ptr<const PackedCodegenModule> packed_codegen_plan(
   };
 
   // Toolchain availability and cache-directory trust are decided BEFORE the
-  // memo, so disabling codegen (HLSW_CODEGEN_CXX=none) or an untrusted
-  // default cache never poisons the per-(plan, lanes) cache, and never
-  // hands out an engine loaded from a directory that is no longer trusted.
+  // plan's module slot, so disabling codegen (HLSW_CODEGEN_CXX=none) or an
+  // untrusted default cache never poisons the slot, and never hands out an
+  // engine loaded from a directory that is no longer trusted.
   if (!codegen_available())
     return fall("no host toolchain (set CXX or HLSW_CODEGEN_CXX)");
   std::string dir_why;
@@ -1630,41 +1614,19 @@ std::shared_ptr<const PackedCodegenModule> packed_codegen_plan(
   if (lanes < 1 || lanes > kMaxLanes)
     return fall("lane count " + std::to_string(lanes) + " out of range");
 
-  CodegenCache& c = codegen_cache();
-  const auto key = std::make_pair(plan.get(), lanes);
-  {
-    std::lock_guard<std::mutex> lk(c.mu);
-    const auto it = c.map.find(key);
-    if (it != c.map.end() && !it->second.key.expired()) {
-      if (it->second.mod != nullptr) return it->second.mod;
-      return fall(it->second.why);
-    }
+  std::lock_guard<std::mutex> lk(plan->modules_mu);
+  auto it = plan->modules.find(lanes);
+  if (it == plan->modules.end()) {
+    CompiledDesign::Module m;
+    auto mod = std::make_shared<PackedCodegenModule>();
+    mod->lanes = lanes;
+    if (build_packed_module(packed_codegen_source(*plan, lanes), lanes, dir,
+                            mod.get(), &m.why))
+      m.mod = std::move(mod);
+    it = plan->modules.emplace(lanes, std::move(m)).first;
   }
-
-  const auto memoize = [&](std::shared_ptr<const PackedCodegenModule> mod,
-                           const std::string& reason) {
-    std::lock_guard<std::mutex> lk(c.mu);
-    if (c.map.size() > 64) {
-      for (auto it = c.map.begin(); it != c.map.end();)
-        it = it->second.key.expired() ? c.map.erase(it) : std::next(it);
-    }
-    CodegenCache::Entry e;
-    e.key = plan;
-    e.mod = std::move(mod);
-    e.why = reason;
-    c.map[key] = std::move(e);
-  };
-
-  auto mod = std::make_shared<PackedCodegenModule>();
-  mod->lanes = lanes;
-  std::string bwhy;
-  if (!build_packed_module(packed_codegen_source(*plan, lanes), lanes, dir,
-                           mod.get(), &bwhy)) {
-    memoize(nullptr, bwhy);
-    return fall(bwhy);
-  }
-  memoize(mod, "");
-  return mod;
+  if (it->second.mod == nullptr) return fall(it->second.why);
+  return {plan, it->second.mod.get()};
 }
 
 // ---- PackedCodegenSim -------------------------------------------------------
@@ -1699,10 +1661,6 @@ PackedCodegenSim::~PackedCodegenSim() {
 void PackedCodegenSim::poke(int sig, std::uint64_t value,
                             std::uint64_t mask) {
   mod_->poke(st_, sig, value, mask & full_mask_);
-}
-
-void PackedCodegenSim::poke_lane(int sig, int lane, std::uint64_t value) {
-  mod_->poke(st_, sig, value, 1ULL << lane);
 }
 
 void PackedCodegenSim::poke_plane(int sig, const std::uint64_t* plane,

@@ -36,7 +36,7 @@
 // __builtin_cpu_supports) and the toolchain accepts the flag, else for the
 // toolchain's default target.
 //
-// Every compiled plan is a plain DUT (compile_design refuses system tasks,
+// Every compiled plan is a plain DUT (compiled_plan refuses system tasks,
 // `repeat` and `$time`, which only the event kernel runs), so the
 // generator takes any plan. Fallback (silent, typed, reason recorded) is
 // for environments without a working host toolchain or with an untrusted
@@ -87,9 +87,9 @@ namespace hlsw::vsim {
 // A generated, compiled and loaded engine for one (CompiledDesign, lanes)
 // pair. The dlopen handle is retained for the process lifetime (never
 // dlclose()d); engines only hold resolved entry points. Immutable and
-// shared across every PackedCodegenSim built from it, like CompiledDesign
-// itself. It does not own its plan (each engine does), so the memo that
-// hands it out never keeps a plan, or the Design it owns, alive.
+// shared across every PackedCodegenSim built from it. Its plan owns it
+// (CompiledDesign::modules), as the Design owns the plan, so a module
+// lives exactly as long as its Design.
 struct PackedCodegenModule {
   int lanes = 0;
   std::string fingerprint;
@@ -132,13 +132,16 @@ std::string codegen_toolchain();
 // fixed lane count (exposed for tests).
 std::string packed_codegen_source(const CompiledDesign& cd, int lanes);
 
-// Memoized generate+compile+dlopen of the engine, keyed (plan, lanes).
-// Returns nullptr with a human-readable reason in *why (may be nullptr)
-// when no toolchain exists, the default cache directory is untrusted or
-// the lane count is outside [1, kMaxLanes]. Success and failure are both
-// memoized per (plan, lanes); the toolchain and cache-directory checks
-// are decided before the memo, so fixing either is never poisoned by an
-// earlier refusal.
+// The engine of `plan` at `lanes` lanes: the first request generates,
+// compiles (or loads from the shared-object cache) and dlopen()s it, and
+// the plan keeps the module, or the reason its build failed, for every
+// later request. Returns nullptr with a human-readable reason in *why (may
+// be nullptr) when no toolchain exists, the default cache directory is
+// untrusted, the lane count is outside [1, kMaxLanes] or the build fails.
+// The toolchain and cache-directory checks come before the plan's module
+// slot, so fixing either is never poisoned by an earlier refusal. The
+// pointer shares the Design's ownership, like compiled_plan's.
+// Thread-safe: concurrent first requests build once.
 std::shared_ptr<const PackedCodegenModule> packed_codegen_plan(
     const std::shared_ptr<const CompiledDesign>& plan, int lanes,
     std::string* why);
@@ -165,7 +168,6 @@ class PackedCodegenSim final : public PackedEngine {
   const Design& design() const override { return *plan_->design; }
 
   void poke(int sig, std::uint64_t value, std::uint64_t mask) override;
-  void poke_lane(int sig, int lane, std::uint64_t value) override;
   void poke_plane(int sig, const std::uint64_t* plane,
                   std::uint64_t mask) override;
   std::uint64_t peek(int sig, int lane) const override;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <mutex>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -887,22 +886,18 @@ void build_csr(std::size_t nsig,
     (*out)[static_cast<size_t>(cursor[static_cast<size_t>(sig)]++)] = v;
 }
 
-}  // namespace
-
 // ---- compile_design ---------------------------------------------------------
 
-std::shared_ptr<const CompiledDesign> compile_design(
-    const std::shared_ptr<const Design>& design, std::string* why) {
+// Levelizes and compiles `d`, a design without bound instances. Returns
+// nullptr with the reason in *why when it is not cycle-schedulable.
+std::shared_ptr<const CompiledDesign> compile_design(const Design& d,
+                                                     std::string* why) {
   obs::ScopedSpan span("vsim.compile", "vsim");
-  const Design& d = *design;
   auto cd = std::make_shared<CompiledDesign>();
-  cd->design = design;
+  cd->design = &d;
   const std::size_t nsig = d.signals.size();
 
   try {
-    if (!d.instances.empty())
-      fallback("bound instance '" + d.instances.front().name +
-               "' runs only under the event kernel");
     TapeBuilder tb{cd.get(), &d};
     ProgBuilder pb{cd.get(), &tb, &d};
 
@@ -1275,66 +1270,26 @@ std::shared_ptr<const CompiledDesign> compile_design(
   return cd;
 }
 
-// ---- Plan memoization -------------------------------------------------------
-
-namespace {
-
-struct PlanCache {
-  std::mutex mu;
-  struct Entry {
-    std::weak_ptr<const Design> key;
-    std::shared_ptr<const CompiledDesign> plan;
-    std::string why;
-  };
-  std::unordered_map<const Design*, Entry> map;
-};
-
-PlanCache& plan_cache() {
-  static auto* c = new PlanCache;
-  return *c;
-}
-
 }  // namespace
 
 std::shared_ptr<const CompiledDesign> compiled_plan(
     const std::shared_ptr<const Design>& design, std::string* why) {
-  auto& c = plan_cache();
-  {
-    std::lock_guard<std::mutex> lk(c.mu);
-    auto it = c.map.find(design.get());
-    // A live weak_ptr at the same address is necessarily the same design;
-    // expired entries mean the address was freed and possibly reused.
-    if (it != c.map.end() && !it->second.key.expired()) {
-      if (why) *why = it->second.why;
-      if (obs::enabled())
-        obs::MetricsRegistry::instance().add("vsim.plan_cache.hits", 1.0);
-      return it->second.plan;
-    }
+  const Design& d = *design;
+  if (!d.instances.empty()) {
+    if (why)
+      *why = "bound instance '" + d.instances.front().name +
+             "' runs only under the event kernel";
+    return nullptr;
   }
-  auto plan = compile_design(design, why);  // pure: compile outside the lock
-  {
-    std::lock_guard<std::mutex> lk(c.mu);
-    if (obs::enabled())
-      obs::MetricsRegistry::instance().add("vsim.plan_cache.misses", 1.0);
-    if (c.map.size() > 64) {
-      // A compiled plan owns its Design, so a cached key never expires on
-      // its own. Also drop entries only the cache can reach (the plan held
-      // by nobody else, its Design held by nobody but the plan): no caller
-      // can present that Design again, so no future lookup could hit them.
-      const auto unreachable = [](const PlanCache::Entry& e) {
-        return e.key.expired() ||
-               (e.plan.use_count() == 1 && e.plan->design.use_count() == 1);
-      };
-      for (auto it = c.map.begin(); it != c.map.end();)
-        it = unreachable(it->second) ? c.map.erase(it) : std::next(it);
-    }
-    PlanCache::Entry e;
-    e.key = design;
-    e.plan = plan;
-    if (plan == nullptr && why != nullptr) e.why = *why;
-    c.map[design.get()] = std::move(e);
+  Design::PlanSlot& slot = d.plan_slot;
+  std::lock_guard<std::mutex> lk(slot.mu);
+  if (!slot.compiled) {
+    slot.plan = compile_design(d, &slot.why);
+    slot.compiled = true;
   }
-  return plan;
+  if (why) *why = slot.why;
+  if (slot.plan == nullptr) return nullptr;
+  return {design, slot.plan.get()};
 }
 
 // ---- CompiledSim ------------------------------------------------------------

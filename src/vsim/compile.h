@@ -18,7 +18,7 @@
 // instead of O(event heap).
 //
 // Designs the levelizer cannot prove cycle-schedulable fall back to the
-// event-driven engine (compile_design returns nullptr with a reason):
+// event-driven engine (compiled_plan returns nullptr with a reason):
 //   - explicit `#` delays or `forever` loops (time control),
 //   - nested event control inside a process body,
 //   - testbench constructs, which only the event kernel implements: every
@@ -29,8 +29,8 @@
 //   - constructs the event kernel itself only rejects dynamically
 //     (string operands, register files read without a select, ...),
 //   - a bound instance (elab.h), which the event kernel steps (the reason
-//     names it).
-// Every plan compile_design returns is therefore a plain DUT that both
+//     names it; refused before any compile work).
+// Every plan compiled_plan returns is therefore a plain DUT that both
 // this interpreter and the generated native engine (codegen.h) execute.
 // The dispatch lives in Simulation (sim.h): every backend but kEvent
 // selects this one when the design compiles, keeping the event engine
@@ -41,7 +41,9 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -49,6 +51,8 @@
 #include "vsim/sim.h"
 
 namespace hlsw::vsim {
+
+struct PackedCodegenModule;  // codegen.h
 
 // One stack-machine op. `w` carries an operand width where the semantics
 // need it (sign bit position, shift/compare width); `a` is a signal index,
@@ -151,11 +155,11 @@ struct PInstr {
   std::uint64_t imm = 0;  // kAssignConst / kNbConst payload
 };
 
-// The immutable compiled form of one Design. Shared (like the Design
-// itself) across every Simulation instantiated from it — sweep legs and
-// repeated harness runs reuse one plan via compiled_plan().
+// The immutable compiled form of one Design, owned by that Design and
+// shared, through it, by every Simulation instantiated from it: sweep legs
+// and repeated harness runs reuse one plan via compiled_plan().
 struct CompiledDesign {
-  std::shared_ptr<const Design> design;
+  const Design* design = nullptr;  // the owner
 
   std::vector<TOp> ops;
   std::vector<TapeRef> tapes;
@@ -221,19 +225,27 @@ struct CompiledDesign {
   std::vector<CaseTable> case_tables;
 
   std::vector<std::uint64_t> sig_mask;  // per-signal width mask
+
+  // The generated engines built from this plan, one per lane count, each
+  // kept with the reason its build failed (packed_codegen_plan, codegen.h).
+  struct Module {
+    std::shared_ptr<const PackedCodegenModule> mod;
+    std::string why;
+  };
+  mutable std::mutex modules_mu;
+  mutable std::map<int, Module> modules;
 };
 
-// Attempts to levelize + compile `design`. Returns nullptr if the design
-// is not cycle-schedulable, storing a human-readable reason in *why (may
-// be nullptr). Emits a "vsim.compile" span with levels/nodes/procs args.
-std::shared_ptr<const CompiledDesign> compile_design(
-    const std::shared_ptr<const Design>& design, std::string* why);
-
-// Process-wide memoized compile_design keyed by Design identity: every
-// Simulation (and so every sweep leg / harness replay) sharing one
-// elaborated design shares one plan. Failures are memoized too, so
-// event-only designs pay the classification walk once. Thread-safe.
-// Cache hits/misses are counted as vsim.plan_cache.{hits,misses}.
+// The plan of `design`: the first call levelizes and compiles it (a
+// "vsim.compile" span with levels/nodes/procs args) and the Design keeps
+// the answer, so every Simulation, sweep leg and harness replay of one
+// elaborated design shares one plan, and an event-only design pays the
+// classification walk once. Returns nullptr if the design is not
+// cycle-schedulable, storing a human-readable reason in *why (may be
+// nullptr); a design with bound instances is refused before any compile
+// work. The pointer shares the Design's ownership, so the plan lives
+// exactly as long as its Design. Thread-safe: concurrent first calls
+// compile once.
 std::shared_ptr<const CompiledDesign> compiled_plan(
     const std::shared_ptr<const Design>& design, std::string* why);
 

@@ -18,10 +18,12 @@
 //
 // The Design is immutable after elaboration: simulations share it through
 // a shared_ptr (one elaborated design, many per-shard Simulation states).
+// It owns its compiled plan (compile.h), built on first request.
 #pragma once
 
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -55,6 +57,7 @@ struct Process {
 };
 
 struct Design;
+struct CompiledDesign;  // compile.h
 
 // An instance bound to another Design instead of flattened. Every port pair
 // joins a scalar signal of this design to a top port of the bound one;
@@ -82,6 +85,18 @@ struct Design {
     auto it = signal_index.find(name);
     return it == signal_index.end() ? -1 : it->second;
   }
+
+  // The levelized plan, owned here: the first compiled_plan() call
+  // (compile.h) compiles it, or records why the levelizer refuses, and
+  // every later call returns that answer. (A shared_ptr for its deleter
+  // only: CompiledDesign is incomplete in this header.)
+  struct PlanSlot {
+    std::mutex mu;
+    bool compiled = false;
+    std::shared_ptr<const CompiledDesign> plan;
+    std::string why;
+  };
+  mutable PlanSlot plan_slot;
 };
 
 // Module name -> the elaborated design an instance of it binds to.

@@ -47,9 +47,6 @@ class SimulationLanes final : public PackedEngine {
     for (std::uint64_t m = mask & full_mask_; m != 0; m &= m - 1)
       lane(m).poke(sig, value);
   }
-  void poke_lane(int sig, int lane, std::uint64_t value) override {
-    lanes_[static_cast<std::size_t>(lane)]->poke(sig, value);
-  }
   void poke_plane(int sig, const std::uint64_t* plane,
                   std::uint64_t mask) override {
     for (std::uint64_t m = mask & full_mask_; m != 0; m &= m - 1)
@@ -154,7 +151,8 @@ PackedDutHarness::PackedDutHarness(const hls::Function& f,
 PackedDutHarness::PackedDutHarness(
     const hls::Function& f, const std::shared_ptr<const CompiledDesign>& plan,
     int lanes, const SimConfig& cfg)
-    : PackedDutHarness(f, plan->design, lanes, cfg) {}
+    : PackedDutHarness(f, std::shared_ptr<const Design>(plan, plan->design),
+                       lanes, cfg) {}
 
 void PackedDutHarness::tick(std::uint64_t mask) {
   sim_->poke(h_clk_, 1, mask);

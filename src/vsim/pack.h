@@ -51,7 +51,6 @@ class PackedEngine {
   // Sets signal `sig` to `value` on every lane in `mask` (other lanes are
   // untouched — the masked poke is how the harness freezes lanes).
   virtual void poke(int sig, std::uint64_t value, std::uint64_t mask) = 0;
-  virtual void poke_lane(int sig, int lane, std::uint64_t value) = 0;
   // Per-lane values in one call: plane[l] is applied to every lane in
   // `mask`. One change-detection pass instead of lanes() masked pokes.
   virtual void poke_plane(int sig, const std::uint64_t* plane,

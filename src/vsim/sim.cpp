@@ -223,7 +223,7 @@ struct Simulation::Compiler {
 
 struct Simulation::Bound {
   const BoundInstance* inst;
-  std::unique_ptr<Simulation> sim;
+  std::unique_ptr<CompiledSim> sim;  // on the bound design's plan
   bool dirty;  // an input net changed since the last step
 };
 
@@ -248,10 +248,10 @@ Simulation::Simulation(std::shared_ptr<const Design> design,
     : design_(std::move(design)), cfg_(cfg) {
   if (cfg_.backend != Backend::kEvent) {
     // Cycle-schedulable designs run on the levelized compiled backend.
-    // Everything else (delays, system tasks, repeat, $time, feedback)
-    // keeps the event kernel below, with the levelizer's reason. The plan
-    // is memoized per Design, so sweep legs and harness replays share one
-    // compilation.
+    // Everything else (delays, system tasks, repeat, $time, feedback,
+    // bound instances) keeps the event kernel below, with the levelizer's
+    // reason. The Design keeps its plan, so sweep legs and harness replays
+    // share one compilation.
     auto plan = compiled_plan(design_, &fallback_reason_);
     if (plan != nullptr) {
       compiled_ = std::make_unique<CompiledSim>(std::move(plan), cfg_);
@@ -275,9 +275,10 @@ Simulation::Simulation(std::shared_ptr<const Design> design,
   if (!design_->instances.empty()) feeds_bound_.assign(n, 0);
   for (const BoundInstance& bi : design_->instances) {
     std::string why;
-    if (compiled_plan(bi.design, &why) == nullptr)
+    auto plan = compiled_plan(bi.design, &why);
+    if (plan == nullptr)
       fail("bound instance '" + bi.name + "' does not compile: " + why);
-    Bound b{&bi, std::make_unique<Simulation>(bi.design, cfg_), true};
+    Bound b{&bi, std::make_unique<CompiledSim>(std::move(plan), cfg_), true};
     for (const BoundInstance::Port& p : bi.ports) {
       if (!p.is_input) continue;
       feeds_bound_[static_cast<size_t>(p.sig)] = 1;

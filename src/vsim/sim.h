@@ -16,11 +16,11 @@
 // kernel is the only engine for those testbench constructs (with `#`,
 // `repeat` and `$time`): the cycle-based engines run plain DUTs.
 //
-// A bound instance (elab.h) runs as its own Simulation behind its ports, on
-// the compiled tier when cfg.backend is not kEvent, and the kernel steps it
-// as one more region of the time slot: once the ready processes have run and
-// the continuous assigns are flushed, and before the NBAs commit, each
-// instance whose input nets changed since its last step takes those inputs,
+// A bound instance (elab.h) runs behind its ports as a CompiledSim on its
+// design's plan (compile.h), and the kernel steps it as one more region of
+// the time slot: once the ready processes have run and the continuous
+// assigns are flushed, and before the NBAs commit, each instance whose
+// input nets changed since its last step takes those inputs,
 // settles, and writes its changed outputs back as ordinary events (which may
 // wake processes and re-enter the loop). So a process woken by a clock edge
 // reads the instance's pre-edge registered outputs, as it would in the
@@ -95,8 +95,8 @@ class Simulation {
   // levelized compiled backend (compile.h); observable behavior is
   // identical.
   // A design with bound instances runs on the event kernel, each instance
-  // on a Simulation of its own at cfg; an instance whose design the
-  // levelizer refuses throws, naming the instance and the reason.
+  // on its design's compiled plan; an instance whose design the levelizer
+  // refuses throws, naming the instance and the reason.
   explicit Simulation(std::shared_ptr<const Design> design,
                       const SimConfig& cfg = {});
   ~Simulation();

@@ -66,8 +66,8 @@ module small(input wire clk, input wire [7:0] x, output reg [7:0] q);
 endmodule
 )";
 
-// A fresh elaboration of `verilog` bypasses the design cache and the
-// per-(plan, lanes) memo, so packed_codegen_plan re-fingerprints it.
+// A fresh elaboration of `verilog` bypasses the design cache, so its plan
+// is new and holds no module: packed_codegen_plan re-fingerprints it.
 std::shared_ptr<const CompiledDesign> fresh_plan(const std::string& verilog,
                                                  const std::string& top) {
   return compiled_plan(elaborate(parse(verilog), top), nullptr);
@@ -231,7 +231,7 @@ TEST(VsimCodegen, DefaultOneLaneHarnessAndVerifyNeverCompile) {
   const double loads0 = m.counter_value("vsim.codegen.so_cache.hits") +
                         m.counter_value("vsim.codegen.so_cache.misses");
   {
-    // A fresh elaboration: no earlier plan or module memo can answer.
+    // A fresh elaboration: no earlier plan or module can answer.
     PackedDutHarness dut(r.transformed,
                          elaborate(parse(verilog), r.transformed.name), 1);
     EXPECT_STREQ(dut.backend(), "compiled") << dut.fallback_reason();
@@ -248,29 +248,36 @@ TEST(VsimCodegen, DefaultOneLaneHarnessAndVerifyNeverCompile) {
   obs::set_enabled(was_enabled);
 }
 
-// The module memo keeps no plan alive: 66 distinct plans of one design
-// (enough to run the memo's purge, which starts beyond 64 entries), each
-// handed to packed_codegen_plan and dropped, leave the first plan expired.
-// One compile builds the object; the other plans load it from disk.
+// A plan and its modules live exactly as long as their Design: dropping a
+// fresh elaboration frees both at once. Elaborating the same text again
+// builds a new plan, whose engine loads the object from disk.
 TEST(VsimCodegen, ModuleMemoReleasesDroppedPlans) {
   REQUIRE_TOOLCHAIN();
   const ScopedCacheDir cache("memo-release");
   const bool was_enabled = obs::enabled();
   obs::set_enabled(true);
   auto& m = obs::MetricsRegistry::instance();
-  const auto design = load_design(kSmallSrc, "small");
-  const double compiles0 = m.counter_value("vsim.codegen.compiles");
-  std::weak_ptr<const CompiledDesign> first;
-  for (int i = 0; i < 66; ++i) {
-    std::string why;
-    auto plan = compile_design(design, &why);
-    ASSERT_NE(plan, nullptr) << why;
-    if (i == 0) first = plan;
-    ASSERT_NE(packed_codegen_plan(plan, 1, &why), nullptr) << why;
+  std::string why;
+  std::weak_ptr<const CompiledDesign> plan;
+  std::weak_ptr<const PackedCodegenModule> mod;
+  {
+    const auto p = fresh_plan(kSmallSrc, "small");
+    ASSERT_NE(p, nullptr);
+    const auto m1 = packed_codegen_plan(p, 1, &why);
+    ASSERT_NE(m1, nullptr) << why;
+    plan = p;
+    mod = m1;
   }
-  EXPECT_EQ(m.counter_value("vsim.codegen.compiles"), compiles0 + 1.0);
-  EXPECT_TRUE(first.expired())
-      << "the module memo still holds the first plan";
+  EXPECT_TRUE(plan.expired()) << "a plan outlived its design";
+  EXPECT_TRUE(mod.expired()) << "a module outlived its design";
+
+  const double compiles0 = m.counter_value("vsim.codegen.compiles");
+  const double hits0 = m.counter_value("vsim.codegen.so_cache.hits");
+  ASSERT_NE(packed_codegen_plan(fresh_plan(kSmallSrc, "small"), 1, &why),
+            nullptr)
+      << why;
+  EXPECT_EQ(m.counter_value("vsim.codegen.compiles"), compiles0);
+  EXPECT_EQ(m.counter_value("vsim.codegen.so_cache.hits"), hits0 + 1.0);
   obs::set_enabled(was_enabled);
 }
 

@@ -215,7 +215,7 @@ TEST(VsimPackedGuard, Packed64BeatsScalarReplayByAtLeast10xDutThroughput) {
     ASSERT_STREQ(probe.backend(), "packed_codegen")
         << probe.fallback_reason();
   }
-  scalar_ms();  // warm the plan memo, .so cache and allocator on both paths
+  scalar_ms();  // warm the plan, .so cache and allocator on both paths
   packed_ms();
   // Best of 5: the packed leg is ~2 ms, so one scheduler hiccup under a
   // loaded machine is a large share of it.
@@ -285,7 +285,7 @@ TEST(VsimPackedGuard, Packed64BeatsOneLaneNativeByAtLeast2_5x) {
     PackedDutHarness wide(r.transformed, plan, kLanes, cfg);
     ASSERT_STREQ(wide.backend(), "packed_codegen") << wide.fallback_reason();
   }
-  lane1_ms();  // warm the .so memo and the allocator on both paths
+  lane1_ms();  // warm the module and the allocator on both paths
   packed_ms();
   double t_lane1 = 1e300, t_packed = 1e300;
   for (int rep = 0; rep < 5; ++rep) {
@@ -484,7 +484,7 @@ TEST(VsimTestbenchGuard, BoundTestbenchBeatsFlattenedByAtLeast2_5x) {
     EXPECT_EQ(res.backend, backend) << res.fallback_reason;
     return ms;
   };
-  run_ms({}, "compiled");  // warm the design cache, plan memo, allocator
+  run_ms({}, "compiled");  // warm the design cache, plan, allocator
   run_ms(event_cfg, "event");
   double t_bound = 1e300, t_flat = 1e300;
   for (int rep = 0; rep < 5; ++rep) {

@@ -1,13 +1,15 @@
 // Parallel vsim_sweep on the compiled cycle-based backend: the ONE
-// elaborated Design and the ONE memoized execution plan (compiled_plan's
-// process-wide cache) are shared read-only across worker threads while
-// every shard builds its own CompiledSim state. Serial and parallel sweeps
-// must agree byte for byte, and the compiled sweep must agree with the
-// event-driven sweep of the same design. This file is also compiled into a
+// elaborated Design and the ONE execution plan it owns (compiled_plan) are
+// shared read-only across worker threads while every shard builds its own
+// CompiledSim state. Serial and parallel sweeps must agree byte for byte,
+// and the compiled sweep must agree with the event-driven sweep of the
+// same design. Threads racing the first request for a plan, and for its
+// generated module, get one of each. This file is also compiled into a
 // ThreadSanitizer variant (vsim_compiled_sweep_test_tsan), which is what
 // actually certifies the shared-plan claim.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <random>
 #include <string>
@@ -18,14 +20,18 @@
 #include "hls/interp.h"
 #include "hls/report.h"
 #include "hls/verify.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "qam/architectures.h"
 #include "qam/decoder_ir.h"
 #include "qam/link.h"
 #include "rtl/verilog.h"
 #include "util/thread_pool.h"
+#include "vsim/codegen.h"
 #include "vsim/compile.h"
 #include "vsim/harness.h"
 #include "vsim/pack.h"
+#include "vsim/parser.h"
 
 namespace hlsw::vsim {
 namespace {
@@ -134,9 +140,8 @@ TEST(VsimCompiledSweep, CompiledAndEventSweepsAgreeOnStatefulDecoder) {
 
 TEST(VsimCompiledSweep, ConcurrentConstructionSharesOnePlan) {
   // Many threads racing Simulation construction on the same Design must
-  // all land on the compiled backend with one memoized plan between them
-  // (compiled_plan's cache) — and every simulation must compute the same
-  // answer. This is the test TSan watches for plan-cache races.
+  // all land on the compiled backend with the one plan the Design keeps —
+  // and every simulation must compute the same answer.
   const hls::Function f = build_stateless_mac();
   const auto r = run_synthesis(f, Directives(), TechLibrary::asic90());
   const std::string verilog = rtl::emit_verilog(r.transformed, r.schedule);
@@ -172,8 +177,62 @@ TEST(VsimCompiledSweep, ConcurrentConstructionSharesOnePlan) {
           << "thread " << t << " vector " << i;
     }
   }
-  // The memo handed back the same plan it compiled up front.
+  // The design handed back the same plan it compiled up front.
   EXPECT_EQ(compiled_plan(design, nullptr).get(), plan.get());
+}
+
+TEST(VsimCompiledSweep, RacingFirstRequestsBuildOnePlanAndOneModule) {
+  // Eight threads, released at once, race the first compiled_plan, then the
+  // first 4-lane packed_codegen_plan, on a fresh elaboration nothing else
+  // holds: the Design compiles its plan once, the plan builds its module
+  // once, and every thread gets the same pointers. TSan watches both slots.
+  const auto r = run_synthesis(qam::build_qam_decoder_ir(),
+                               qam::table1_architectures()[0].dir,
+                               TechLibrary::asic90());
+  const auto design = elaborate(
+      parse(rtl::emit_verilog(r.transformed, r.schedule)), r.transformed.name);
+  const bool native = codegen_available();
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  auto& m = obs::MetricsRegistry::instance();
+  const auto loads = [&m] {
+    return m.counter_value("vsim.codegen.so_cache.hits") +
+           m.counter_value("vsim.codegen.so_cache.misses");
+  };
+  const double compiles0 = m.counter_value("vsim.compile.designs");
+  const double loads0 = loads();
+
+  constexpr int kThreads = 8;
+  std::vector<const CompiledDesign*> plans(kThreads);
+  std::vector<const PackedCodegenModule*> mods(kThreads);
+  std::vector<std::string> whys(kThreads);
+  std::atomic<bool> go{false};
+  {
+    std::vector<std::thread> ts;
+    ts.reserve(kThreads);
+    for (int t = 0; t < kThreads; ++t) {
+      ts.emplace_back([&, t] {
+        while (!go.load()) std::this_thread::yield();
+        const auto plan = compiled_plan(design, nullptr);
+        plans[t] = plan.get();
+        if (native) mods[t] = packed_codegen_plan(plan, 4, &whys[t]).get();
+      });
+    }
+    go.store(true);
+    for (auto& th : ts) th.join();
+  }
+  obs::set_enabled(was_enabled);
+
+  ASSERT_NE(plans[0], nullptr);
+  for (int t = 1; t < kThreads; ++t)
+    EXPECT_EQ(plans[t], plans[0]) << "thread " << t;
+  EXPECT_EQ(m.counter_value("vsim.compile.designs"), compiles0 + 1.0);
+  if (!native)
+    GTEST_SKIP() << "no host C++ toolchain: the module half did not run";
+  ASSERT_NE(mods[0], nullptr) << whys[0];
+  for (int t = 1; t < kThreads; ++t)
+    EXPECT_EQ(mods[t], mods[0]) << "thread " << t;
+  EXPECT_EQ(loads(), loads0 + 1.0) << "the module was loaded or built twice";
 }
 
 }  // namespace

@@ -170,7 +170,7 @@ TEST(VsimCompiled, EventBackendForcesEventKernel) {
 // ---- Testbench constructs --------------------------------------------------
 
 // Every system task, `repeat` and `$time` belong to the event kernel alone:
-// compile_design refuses each with a reason naming it, the default
+// compiled_plan refuses each with a reason naming it, the default
 // Simulation runs the design on the event kernel, and the result equals an
 // explicit kEvent run in display lines, VCD text and values. Each case
 // adds its construct to one clocked design that an external driver pokes
@@ -344,12 +344,12 @@ endmodule
 
 // ---- Cache observability ----------------------------------------------------
 
-TEST(VsimCompiled, PlanAndDesignCachesCountHits) {
+TEST(VsimCompiled, DesignCacheCountsHitsAndSimulationsShareOnePlan) {
   const bool was_enabled = obs::enabled();
   obs::set_enabled(true);
   auto& m = obs::MetricsRegistry::instance();
   const double d_hits0 = m.counter_value("vsim.design_cache.hits");
-  const double p_hits0 = m.counter_value("vsim.plan_cache.hits");
+  const double compiles0 = m.counter_value("vsim.compile.designs");
 
   // Unique text (per-test suffix comment) so the first load is a miss.
   const std::string src = std::string(kSyncDesign) + "// cache-probe\n";
@@ -359,38 +359,47 @@ TEST(VsimCompiled, PlanAndDesignCachesCountHits) {
   EXPECT_GE(m.counter_value("vsim.design_cache.hits"), d_hits0 + 1.0);
 
   Simulation s1(d1);
-  Simulation s2(d1);  // same Design* -> memoized plan
+  Simulation s2(d1);  // same Design -> the plan it keeps
   ASSERT_STREQ(s1.backend(), "compiled");
   ASSERT_STREQ(s2.backend(), "compiled");
-  EXPECT_GE(m.counter_value("vsim.plan_cache.hits"), p_hits0 + 1.0);
+  EXPECT_EQ(m.counter_value("vsim.compile.designs"), compiles0 + 1.0)
+      << "two Simulations of one design compiled it twice";
 
   obs::set_enabled(was_enabled);
 }
 
-TEST(VsimCompiled, PlanCacheReleasesDesignsOnlyItCanReach) {
-  // A compiled plan owns its Design, so the cache's weak key alone never
-  // expires: once the cache outgrows its sweep threshold it must also drop
-  // entries nobody else can reach, and keep the ones a caller still holds.
-  // Fresh elaborations bypass the design LRU, which would hold them.
+TEST(VsimCompiled, PlanLivesExactlyAsLongAsItsDesign) {
+  // A Design owns its plan and every plan pointer shares the Design's
+  // ownership: the plan is freed the moment the last holder of either lets
+  // go, and stays put while one holds on. Fresh elaborations bypass the
+  // design LRU, which would hold them.
   const SourceUnit su = parse(kSyncDesign);
-  std::weak_ptr<const Design> dropped;
+  std::weak_ptr<const CompiledDesign> dropped;
   {
     const std::shared_ptr<const Design> d = elaborate(su, "m");
-    ASSERT_NE(compiled_plan(d, nullptr), nullptr);
-    dropped = d;
+    dropped = compiled_plan(d, nullptr);
+    ASSERT_FALSE(dropped.expired());
   }
-  ASSERT_FALSE(dropped.expired()) << "the cached plan owns the design";
+  EXPECT_TRUE(dropped.expired()) << "a plan outlived every design holder";
+
   const std::shared_ptr<const Design> held = elaborate(su, "m");
-  const CompiledDesign* held_plan = compiled_plan(held, nullptr).get();
-  ASSERT_NE(held_plan, nullptr);
+  const std::weak_ptr<const CompiledDesign> held_plan =
+      compiled_plan(held, nullptr);
+  ASSERT_FALSE(held_plan.expired()) << "a held design lost its plan";
+  EXPECT_EQ(compiled_plan(held, nullptr).get(), held_plan.lock().get());
 
-  for (int i = 0; i < 70; ++i)
-    ASSERT_NE(compiled_plan(elaborate(su, "m"), nullptr), nullptr);
-
-  EXPECT_TRUE(dropped.expired())
-      << "plan cache kept a design no caller can present again";
-  EXPECT_EQ(compiled_plan(held, nullptr).get(), held_plan)
-      << "a design still held by a caller lost its memoized plan";
+  // A plan pointer alone keeps its design alive.
+  std::weak_ptr<const Design> owner;
+  std::shared_ptr<const CompiledDesign> plan;
+  {
+    const std::shared_ptr<const Design> d = elaborate(su, "m");
+    owner = d;
+    plan = compiled_plan(d, nullptr);
+  }
+  ASSERT_FALSE(owner.expired()) << "a held plan lost its design";
+  EXPECT_EQ(plan->design, owner.lock().get());
+  plan.reset();
+  EXPECT_TRUE(owner.expired());
 }
 
 TEST(VsimCompiled, FailedCompilationIsMemoizedToo) {

@@ -152,8 +152,8 @@ void drive(PackedEngine& ps, const Handles& h, int first = 0) {
   ps.poke(h.rst, 0, ps.full_mask());
   for (int s = 0; s < kSteps; ++s) {
     for (int l = 0; l < ps.lanes(); ++l) {
-      ps.poke_lane(h.x, l, stim(first + l, s, 0));
-      ps.poke_lane(h.y, l, stim(first + l, s, 1));
+      ps.poke(h.x, stim(first + l, s, 0), 1ULL << l);
+      ps.poke(h.y, stim(first + l, s, 1), 1ULL << l);
     }
     tick();
   }
@@ -402,8 +402,8 @@ TEST(PackedLanes, LockstepRowsAndBranchesEqualScalarRuns) {
       std::vector<std::uint64_t> done_masks;
       for (int s = 0; s < kLockstepSteps; ++s) {
         for (int l = 0; l < lanes; ++l) {
-          ps->poke_lane(h.x, l, stim(l, s, 0));
-          ps->poke_lane(h.y, l, stim(l, s, 1));
+          ps->poke(h.x, stim(l, s, 0), 1ULL << l);
+          ps->poke(h.y, stim(l, s, 1), 1ULL << l);
         }
         // An odd lane is clocked exactly on the ungated steps.
         tick(clocked(gated, 1, s) ? ps->full_mask() : even);
@@ -472,7 +472,7 @@ TEST(PackedLanes, PlanePokesAndNonzeroMaskMatchLaneAccessors) {
     std::uint64_t plane[kLanes];
     for (int l = 0; l < kLanes; ++l) {
       plane[l] = stim(l, 3, 0);
-      a->poke_lane(h_x, l, plane[l]);
+      a->poke(h_x, plane[l], 1ULL << l);
     }
     b->poke_plane(h_x, plane, b->full_mask());
     a->poke(h_clk, 1, a->full_mask());

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "hls/report.h"
+#include "obs/trace.h"
 #include "qam/architectures.h"
 #include "qam/decoder_ir.h"
 #include "qam/link.h"
@@ -259,7 +260,7 @@ TEST(VsimTestbench, BoundInstancePortsAreCheckedLikeFlattenedOnes) {
   EXPECT_EQ(bi.ports[1].inner, counter->find("q"));
 
   std::string why;
-  EXPECT_EQ(compile_design(design, &why), nullptr);
+  EXPECT_EQ(compiled_plan(design, &why), nullptr);
   EXPECT_NE(why.find("bound instance 'd'"), std::string::npos) << why;
 }
 
@@ -337,6 +338,35 @@ TEST(VsimTestbench, DutTheLevelizerRefusesRunsFlattenedWithItsReason) {
   ASSERT_FALSE(def.display.empty());
   EXPECT_EQ(def.display.front(), "dut up");
   EXPECT_TRUE(def.passed);
+}
+
+// A verify compiles its DUT and nothing else: the testbench design, which
+// binds the DUT and is built afresh by every verify, is refused before any
+// compile work, and a second verify of the same text finds the DUT's plan
+// in the design the LRU kept.
+TEST(VsimTestbench, VerifyCompilesOnlyItsDut) {
+  auto r = hls::run_synthesis(qam::build_qam_decoder_ir(),
+                              qam::table1_architectures()[1].dir,
+                              TechLibrary::asic90());
+  r.transformed.name += "_compile_probe";  // a text no other test loads
+  qam::LinkStimulus stim((qam::LinkConfig()));
+  const auto vectors = qam::link_input_batch(&stim, 4);
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  auto& trace = obs::TraceSession::instance();
+  for (const int want : {1, 0}) {
+    trace.clear();
+    const VerifyEmittedResult ve =
+        verify_emitted(r.transformed, r.schedule, vectors);
+    EXPECT_TRUE(ve.ok());
+    EXPECT_EQ(ve.testbench.backend, "compiled") << ve.testbench.fallback_reason;
+    int spans = 0;
+    for (const obs::TraceEvent& e : trace.snapshot())
+      spans += e.name == "vsim.compile";
+    EXPECT_EQ(spans, want) << (want ? "first" : "second") << " verify";
+  }
+  trace.clear();
+  obs::set_enabled(was_enabled);
 }
 
 }  // namespace
